@@ -102,10 +102,12 @@ def cmd_kl(args):
     elif args.pair:
         try:
             yi, wi = (int(t) for t in args.pair.split(","))
-            y, w = eng.elements[yi], eng.elements[wi]
-        except (ValueError, IndexError):
+        except ValueError:
+            yi = wi = -1
+        if not (0 <= yi < eng.order and 0 <= wi < eng.order):
             print(f"bad --pair {args.pair!r}", file=sys.stderr)
             return USAGE
+        y, w = eng.elements[yi], eng.elements[wi]
         payload["pstar"] = {f"{yi},{wi}": format_laurent(kl.pstar(y, w))}
         payload["p"] = {f"{yi},{wi}": format_laurent(kl.kl_polynomial(y, w))}
     else:

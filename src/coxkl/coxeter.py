@@ -1,9 +1,15 @@
-"""Finite Coxeter groups as permutation groups on their root systems.
+"""Finite Coxeter groups as index tables built from their root systems.
 
-Elements are interned permutations of the full root system, written in the
-basis of simple roots with exact coordinates (rationals for crystallographic
-types, Q(sqrt 5) for H3 and I2(5)).  Length and descent queries reduce to
-sign tests on image roots, so they are cheap and exact.
+A group is built once from the permutations its simple reflections induce on
+the full root system, written in the basis of simple roots with exact
+coordinates (rationals for crystallographic types, Q(sqrt 5) for H3 and
+I2(5)).  The build enumerates the group breadth-first and fills index tables
+from the products it computes anyway: left and right multiplication by each
+generator, lengths, inverses, canonical reduced words and descent bitmasks.
+After that the permutations are dropped; every query is a table lookup, and
+a product of two elements walks one reduced word through the tables.  The
+Bruhat order is one downset bitset per element, built on the first Bruhat
+query: y <= w is one bit test, and an interval is read off two downsets.
 
 Supported types: A1..A5, B2..B4, D4, I2(m) for m in {3,4,5,6}, H3.
 Generators are 0-based; in type B the generator 0 carries the bond of order 4,
@@ -69,55 +75,48 @@ class CoxeterDatum:
 
 
 class Element:
-    """A group element, realized as a permutation of the root system."""
+    """A group element: a canonical index into the tables of its engine.
 
-    __slots__ = ("engine", "perm", "index", "_length", "_inv_perm", "_left_desc")
+    Elements are interned, one object per index, so equality is identity.
+    The hash is that of the element's root permutation, fixed at build time.
+    """
 
-    def __init__(self, engine, perm: tuple):
+    __slots__ = ("engine", "index", "_hash")
+
+    def __init__(self, engine, index: int, perm_hash: int):
         self.engine = engine
-        self.perm = perm
-        self.index = -1
-        self._length = None
-        self._inv_perm = None
-        self._left_desc = None
+        self.index = index
+        self._hash = perm_hash
 
     def __mul__(self, other: "Element") -> "Element":
-        if self.engine is not other.engine:
+        eng = self.engine
+        if eng is not other.engine:
             raise ValueError("elements of different groups")
-        p, q = self.perm, other.perm
-        return self.engine._intern(tuple(p[q[i]] for i in range(len(p))))
-
-    def __eq__(self, other):
-        return isinstance(other, Element) and self.perm == other.perm
+        x, y = self.index, other.index
+        # walk the reduced word of the shorter factor through the tables
+        if eng.lengths[x] <= eng.lengths[y]:
+            for s in reversed(eng.words[x]):
+                y = eng.lmul[s][y]
+            return eng.elements[y]
+        for s in eng.words[y]:
+            x = eng.rmul[s][x]
+        return eng.elements[x]
 
     def __hash__(self):
-        return hash(self.perm)
+        return self._hash
 
     def __repr__(self):
-        word = "".join(str(s) for s in self.engine.reduced_word(self))
+        word = "".join(str(s) for s in self.engine.words[self.index])
         return f"<{word or 'e'}>"
 
-    def inverse_perm(self) -> tuple:
-        if self._inv_perm is None:
-            inv = [0] * len(self.perm)
-            for i, j in enumerate(self.perm):
-                inv[j] = i
-            self._inv_perm = tuple(inv)
-        return self._inv_perm
-
     def inverse(self) -> "Element":
-        return self.engine._intern(self.inverse_perm())
+        return self.engine.elements[self.engine.inverses[self.index]]
 
     def length(self) -> int:
-        if self._length is None:
-            neg_from = self.engine.n_positive
-            self._length = sum(
-                1 for i in range(neg_from) if self.perm[i] >= neg_from
-            )
-        return self._length
+        return self.engine.lengths[self.index]
 
     def is_identity(self) -> bool:
-        return self.length() == 0
+        return self.index == 0
 
 
 def _bond_entries(m):
@@ -135,29 +134,45 @@ def _bond_entries(m):
     raise ValueError(f"unsupported bond order {m}")
 
 
-class GroupEngine:
-    """Fully enumerated finite Coxeter group with canonical element indexing.
+def bit_indices(bits: int):
+    """The positions of the set bits of a nonnegative int, increasing."""
+    digits = bin(bits)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
 
-    The element table is ordered breadth-first along the canonical
-    left-ascent spanning tree (ties by generator index); that order is the
-    canonical indexing used by every table and JSON output downstream.
+
+class GroupEngine:
+    """Fully enumerated finite Coxeter group, held as index tables.
+
+    Elements are numbered breadth-first along the canonical left-ascent
+    spanning tree (ties by generator index); that order is the canonical
+    indexing used by every table and JSON output downstream.  Root
+    permutations exist only while the tables are built:
+
+    - ``lmul[s][i]`` and ``rmul[s][i]``: the indices of s*w_i and w_i*s;
+    - ``lengths[i]``, ``inverses[i]`` and ``words[i]``, the canonical
+      reduced word (strip the smallest left descent repeatedly);
+    - ``ldesc[i]`` and ``rdesc[i]``: left and right descent sets as
+      bitmasks over the generators.
+
+    The Bruhat order is one downset bitset per element, built on first use.
     """
 
     def __init__(self, datum: CoxeterDatum):
         self.datum = datum
         self._build_roots()
-        n = datum.rank
-        self._simple_root_indices = []
-        for i in range(n):
-            coords = [Fraction(0)] * n
-            coords[i] = Fraction(1)
-            self._simple_root_indices.append(self._root_index[tuple(coords)])
-        self._cache: dict[tuple, Element] = {}
-        self.identity = self._intern(tuple(range(len(self.roots))))
-        self.simple = [
-            self._intern(self._simple_perm(i)) for i in range(datum.rank)
-        ]
         self._enumerate()
+        rank = datum.rank
+        self.identity = self.elements[0]
+        self.simple = [self.elements[self.lmul[s][0]] for s in range(rank)]
+        self.w0 = self.elements[-1]
+        self._desc_sets = [
+            frozenset(s for s in range(rank) if m >> s & 1)
+            for m in range(1 << rank)
+        ]
+        self._down: list[int] | None = None
 
     # -- root system ----------------------------------------------------------
 
@@ -217,174 +232,140 @@ class GroupEngine:
             self._root_index[self._reflect(i, r)] for r in self.roots
         )
 
-    # -- elements ---------------------------------------------------------------
-
-    def _intern(self, perm: tuple) -> Element:
-        el = self._cache.get(perm)
-        if el is None:
-            el = Element(self, perm)
-            self._cache[perm] = el
-        return el
+    # -- the tables -------------------------------------------------------------
 
     def _enumerate(self):
-        self.elements = [self.identity]
-        self.identity.index = 0
-        queue = [self.identity]
-        while queue:
-            nxt = []
-            for w in queue:
-                for s in self.canonical_left_ascent_set(w):
-                    child = self.simple[s] * w
-                    child.index = len(self.elements)
-                    self.elements.append(child)
-                    nxt.append(child)
-            queue = nxt
-        self.order = len(self.elements)
-        self.w0 = self.elements[-1]
-        if self.w0.length() != self.n_positive:
+        rank = self.datum.rank
+        gens = [self._simple_perm(s) for s in range(rank)]
+        perms = [tuple(range(len(self.roots)))]
+        lengths, words, ldesc = [0], [()], [0]
+        lmul: list[list] = [[None] for _ in range(rank)]
+        level = [0]
+        while level:
+            # every ascent product s*w of the level, keyed by permutation; the
+            # generators over one child's products are exactly its left descents
+            found: dict[tuple, list[tuple[int, int]]] = {}
+            for w in level:
+                q, dw = perms[w], ldesc[w]
+                for s in range(rank):
+                    if not dw >> s & 1:
+                        child = tuple(map(gens[s].__getitem__, q))
+                        found.setdefault(child, []).append((s, w))
+            # the tree parent strips the smallest left descent s; the next
+            # level is ordered by (parent, s)
+            children = sorted(found.items(), key=lambda kv: min(kv[1])[::-1])
+            level = []
+            for perm, prods in children:
+                i = len(perms)
+                s0, parent = min(prods)
+                perms.append(perm)
+                lengths.append(lengths[parent] + 1)
+                words.append((s0,) + words[parent])
+                ldesc.append(sum(1 << s for s, _ in prods))
+                for row in lmul:
+                    row.append(None)
+                for s, w in prods:
+                    lmul[s][w] = i
+                    lmul[s][i] = w
+                level.append(i)
+        npos = self.n_positive
+        if sum(j >= npos for j in perms[-1][:npos]) != npos:
             raise AssertionError("longest element does not flip all positives")
+        # w = s1...sk has inverse sk...s1: apply s1, ..., sk on the left
+        inv = []
+        for word in words:
+            x = 0
+            for s in word:
+                x = lmul[s][x]
+            inv.append(x)
+        self.order = len(perms)
+        self.lengths, self.words, self.ldesc, self.lmul = lengths, words, ldesc, lmul
+        self.inverses = inv
+        self.rdesc = [ldesc[j] for j in inv]
+        self.rmul = [[inv[row[j]] for j in inv] for row in lmul]
+        self.elements = [Element(self, i, hash(p)) for i, p in enumerate(perms)]
 
     # -- length/descent queries -------------------------------------------------
 
     def right_descent_set(self, w: Element) -> frozenset:
-        neg_from = self.n_positive
-        return frozenset(
-            s
-            for s in range(self.datum.rank)
-            if w.perm[self._simple_root_indices[s]] >= neg_from
-        )
+        return self._desc_sets[self.rdesc[w.index]]
 
     def left_descent_set(self, w: Element) -> frozenset:
-        if w._left_desc is None:
-            neg_from = self.n_positive
-            inv = w.inverse_perm()
-            w._left_desc = frozenset(
-                s
-                for s in range(self.datum.rank)
-                if inv[self._simple_root_indices[s]] >= neg_from
-            )
-        return w._left_desc
+        return self._desc_sets[self.ldesc[w.index]]
 
     def canonical_left_ascent_set(self, w: Element) -> list:
         """Successors of w in the canonical spanning tree rooted at 1.
 
-        These are the s_i with s_i w > w such that no s_j with j < i is a
-        descent of s_i w; every element is reached exactly once this way.
+        These are the s_i whose product s_i w has a canonical word starting
+        with s_i, which forces s_i w > w; every element is reached exactly
+        once this way.
         """
-        out = []
-        dl = self.left_descent_set(w)
-        for i in range(self.datum.rank):
-            if i in dl:
-                continue
-            child = self.simple[i] * w
-            cdl = self.left_descent_set(child)
-            if all(j not in cdl for j in range(i)):
-                out.append(i)
-        return out
+        i = w.index
+        return [
+            s for s in range(self.datum.rank)
+            if self.words[self.lmul[s][i]][:1] == (s,)
+        ]
 
     # -- words and weights --------------------------------------------------------
 
     def reduced_word(self, w: Element) -> list:
         """Canonical reduced word: strip the smallest left descent repeatedly."""
-        word = []
-        while True:
-            dl = self.left_descent_set(w)
-            if not dl:
-                return word
-            s = min(dl)
-            word.append(s)
-            w = self.simple[s] * w
+        return list(self.words[w.index])
 
     def from_word(self, word) -> Element:
-        w = self.identity
+        i = 0
         for s in word:
-            w = w * self.simple[s]
-        return w
+            i = self.rmul[s][i]
+        return self.elements[i]
 
     def weight(self, w: Element) -> int:
-        return sum(self.datum.weights[s] for s in self.reduced_word(w))
+        return sum(self.datum.weights[s] for s in self.words[w.index])
 
     def generator_weight(self, s: int) -> int:
         return self.datum.weights[s]
 
     def support(self, w: Element) -> frozenset:
         """Generators occurring in any (hence every) reduced word of w."""
-        return frozenset(self.reduced_word(w))
+        return frozenset(self.words[w.index])
 
     # -- Bruhat order ----------------------------------------------------------------
 
-    def bruhat_le(self, y: Element, w: Element) -> bool:
-        """Decide y <= w via the lifting property."""
-        leny, lenw = y.length(), w.length()
-        while 0 < leny and leny < lenw:
-            s = min(self.left_descent_set(w))
-            w = self.simple[s] * w
-            lenw -= 1
-            if s in self.left_descent_set(y):
-                y = self.simple[s] * y
-                leny -= 1
-        if leny == 0:
-            return True
-        return y == w
+    def _downsets(self) -> list[int]:
+        """Bit x of down[i] is set iff x <= w_i.
 
-    def bruhat_subword(self, y: Element, w: Element):
-        """A reduced word of w together with flags selecting a subword equal to y.
-
-        Returns (flags, word) with flags[i] marking the letters of the
-        canonical descent-stripping word of w that form a reduced expression
-        of y, or None when y is not below w.
+        For a left descent s of w, [1, w] is [1, sw] together with its image
+        under left multiplication by s.
         """
-        flags: list[bool] = []
-        word: list[int] = []
-        leny, lenw = y.length(), w.length()
-        while 0 < leny and leny < lenw:
-            s = min(self.left_descent_set(w))
-            w = self.simple[s] * w
-            lenw -= 1
-            word.append(s)
-            if s in self.left_descent_set(y):
-                y = self.simple[s] * y
-                leny -= 1
-                flags.append(True)
-            else:
-                flags.append(False)
-        if leny == 0:
-            while lenw > 0:
-                s = min(self.left_descent_set(w))
-                w = self.simple[s] * w
-                lenw -= 1
-                word.append(s)
-                flags.append(False)
-            return flags, word
-        if y != w:
-            return None
-        while lenw > 0:
-            s = min(self.left_descent_set(w))
-            w = self.simple[s] * w
-            lenw -= 1
-            word.append(s)
-            flags.append(True)
-        return flags, word
+        if self._down is None:
+            down = [1]
+            for i in range(1, self.order):
+                row = self.lmul[self.words[i][0]]
+                below = down[row[i]]
+                image = 0
+                for x in bit_indices(below):
+                    image |= 1 << row[x]
+                down.append(below | image)
+            self._down = down
+        return self._down
+
+    def bruhat_down(self, w: Element) -> int:
+        """The lower interval [1, w] as a bitset of canonical indices."""
+        return self._downsets()[w.index]
+
+    def bruhat_le(self, y: Element, w: Element) -> bool:
+        """Decide y <= w: one bit of the downset of w."""
+        return bool(self._downsets()[w.index] >> y.index & 1)
 
     def bruhat_interval(self, y: Element, w: Element) -> set:
-        """The full interval {z : y <= z <= w}, rebuilt from a subword run."""
-        sub = self.bruhat_subword(y, w)
-        if sub is None:
-            return set()
-        flags, word = sub
-        interval = {self.identity}
-        u = self.identity
-        for i in range(len(word) - 1, -1, -1):
-            s = self.simple[word[i]]
-            grown = {
-                s * x for x in interval if (s * x).length() > x.length()
-            }
-            if flags[i]:
-                u = s * u
-                interval = {x for x in interval if self.bruhat_le(u, x)} | grown
-            else:
-                interval = interval | grown
-        return interval
+        """The interval {z : y <= z <= w}: the z below w whose downset holds y."""
+        down = self._downsets()
+        yi = y.index
+        # z >= y is no shorter than y, so its canonical index is no smaller
+        return {
+            self.elements[z]
+            for z in bit_indices(down[w.index] >> yi << yi)
+            if down[z] >> yi & 1
+        }
 
     # -- distinguished elements ------------------------------------------------------
 

@@ -113,7 +113,6 @@ class KLContext:
         self._mu: dict[tuple[int, int, int], LaurentPoly] = {}
         self._tinv: dict[Element, HeckeElement] = {}
         self._cbasis: dict[Element, HeckeElement] = {}
-        self._interval: dict[tuple[int, int], frozenset] = {}
         self._cells: dict[str, CellPartition] = {}
         self._adn: ADeltaN | None = None
 
@@ -123,58 +122,25 @@ class KLContext:
         ls = self.engine.generator_weight(s)
         return LaurentPoly({ls: 1, -ls: -1})
 
-    def t_mult_gen_left(self, s: int, h: HeckeElement) -> HeckeElement:
-        """T_s * h in the T-basis."""
-        eng = self.engine
-        gen = eng.simple[s]
+    def _t_mult_gen(self, table: list[list[int]], s: int, h: HeckeElement):
+        """T_s h (table lmul) or h T_s (table rmul) in the T-basis."""
+        elements = self.engine.elements
+        row = table[s]
         zeta = self._zeta(s)
         out: dict[Element, LaurentPoly] = {}
-        for w, c in h.coeffs.items():
-            sw = gen * w
-            if sw.length() > w.length():
-                cur = out.get(sw, ZERO) + c
-                if cur:
-                    out[sw] = cur
-                else:
-                    out.pop(sw, None)
-            else:
-                cur = out.get(sw, ZERO) + c
-                if cur:
-                    out[sw] = cur
-                else:
-                    out.pop(sw, None)
-                cur = out.get(w, ZERO) + c * zeta
-                if cur:
-                    out[w] = cur
-                else:
-                    out.pop(w, None)
-        return HeckeElement("T", out)
 
-    def t_mult_gen_right(self, h: HeckeElement, s: int) -> HeckeElement:
-        """h * T_s in the T-basis."""
-        eng = self.engine
-        gen = eng.simple[s]
-        zeta = self._zeta(s)
-        out: dict[Element, LaurentPoly] = {}
-        for w, c in h.coeffs.items():
-            ws = w * gen
-            if ws.length() > w.length():
-                cur = out.get(ws, ZERO) + c
-                if cur:
-                    out[ws] = cur
-                else:
-                    out.pop(ws, None)
+        def add(w, c):
+            cur = out.get(w, ZERO) + c
+            if cur:
+                out[w] = cur
             else:
-                cur = out.get(ws, ZERO) + c
-                if cur:
-                    out[ws] = cur
-                else:
-                    out.pop(ws, None)
-                cur = out.get(w, ZERO) + c * zeta
-                if cur:
-                    out[w] = cur
-                else:
-                    out.pop(w, None)
+                out.pop(w, None)
+
+        for w, c in h.coeffs.items():
+            sw = elements[row[w.index]]
+            add(sw, c)
+            if sw.length() < w.length():
+                add(w, c * zeta)
         return HeckeElement("T", out)
 
     def t_element(self, w: Element) -> HeckeElement:
@@ -189,7 +155,7 @@ class KLContext:
             word = self.engine.reduced_word(w)
             acc = h2
             for s in reversed(word):
-                acc = self.t_mult_gen_left(s, acc)
+                acc = self._t_mult_gen(self.engine.lmul, s, acc)
             out = out + acc.scale(c)
         return out
 
@@ -200,14 +166,15 @@ class KLContext:
         cached = self._tinv.get(w)
         if cached is not None:
             return cached
+        eng = self.engine
         if w.is_identity():
             res = self.t_element(w)
         else:
-            s = min(self.engine.left_descent_set(w))
-            sw = self.engine.simple[s] * w
+            s = min(eng.left_descent_set(w))
+            sw = eng.simple[s] * w
             # T_w = T_s T_sw, so T_w^-1 = T_sw^-1 * (T_s - zeta_s)
             rest = self.t_inverse(sw)
-            res = self.t_mult_gen_right(rest, s) - rest.scale(self._zeta(s))
+            res = self._t_mult_gen(eng.rmul, s, rest) - rest.scale(self._zeta(s))
         self._tinv[w] = res
         return res
 
@@ -226,43 +193,27 @@ class KLContext:
         """Reduce (y, w) to a critical pair.
 
         Returns (gamma, u, v) with P*_{y,w} = v^{-gamma} P*_{u,v}; gamma is
-        None when y is not below w, i.e. P*_{y,w} = 0.
+        None when y is not below w, i.e. P*_{y,w} = 0.  One Bruhat test
+        suffices: by the lifting property, multiplying y by a descent of w
+        that is an ascent of y, on either side, keeps y below w.
         """
         eng = self.engine
+        if not eng.bruhat_le(y, w):
+            return None, y, w
+        weights = eng.datum.weights
+        yi, wi = y.index, w.index
         gamma = 0
         while True:
-            if not eng.bruhat_le(y, w):
-                return None, y, w
-            moved = False
-            dlw = eng.left_descent_set(w)
-            dly = eng.left_descent_set(y)
-            for t in sorted(dlw):
-                if t not in dly:
-                    y = eng.simple[t] * y
-                    gamma += eng.generator_weight(t)
-                    moved = True
-                    break
-            if moved:
-                continue
-            drw = eng.right_descent_set(w)
-            dry = eng.right_descent_set(y)
-            for t in sorted(drw):
-                if t not in dry:
-                    y = y * eng.simple[t]
-                    gamma += eng.generator_weight(t)
-                    moved = True
-                    break
-            if moved:
-                continue
-            return gamma, y, w
-
-    def interval(self, y: Element, w: Element) -> frozenset:
-        key = (y.index, w.index)
-        cached = self._interval.get(key)
-        if cached is None:
-            cached = frozenset(self.engine.bruhat_interval(y, w))
-            self._interval[key] = cached
-        return cached
+            moves = eng.ldesc[wi] & ~eng.ldesc[yi]
+            table = eng.lmul
+            if not moves:
+                moves = eng.rdesc[wi] & ~eng.rdesc[yi]
+                table = eng.rmul
+                if not moves:
+                    return gamma, eng.elements[yi], w
+            t = (moves & -moves).bit_length() - 1
+            yi = table[t][yi]
+            gamma += weights[t]
 
     def pstar(self, y: Element, w: Element) -> LaurentPoly:
         """The inverse Kazhdan-Lusztig polynomial P*_{y,w}."""
@@ -280,7 +231,7 @@ class KLContext:
             tv = eng.simple[t] * v
             vt = LaurentPoly({eng.generator_weight(t): 1})
             klp = self.pstar(u, tv) * vt + self.pstar(tu, tv)
-            for z in self.interval(u, tv):
+            for z in eng.bruhat_interval(u, tv):
                 if t in eng.left_descent_set(z):
                     m = self.mu(z, tv, t)
                     if m:
@@ -320,7 +271,7 @@ class KLContext:
         else:
             alpha = klp * vs
             alpha = alpha - negative_part(alpha)
-            for z in self.interval(y, w):
+            for z in eng.bruhat_interval(y, w):
                 if z != y and s in self.engine.left_descent_set(z):
                     mz = self.mu(z, w, s)
                     if mz:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .coxeter import CoxeterDatum, Element, GroupEngine, build_group
+from .coxeter import CoxeterDatum, Element, GroupEngine, bit_indices, build_group
 from .graphs import condensation_reachability, tarjan_scc
 from .kl import KLContext
 from .laurent import (
@@ -397,25 +397,24 @@ def kl_wgraph(kl: KLContext) -> WGraph:
     edges: dict[tuple[int, int, int], LaurentPoly] = {}
     for s in range(eng.datum.rank):
         gen = eng.simple[s]
+        descent_of = sum(1 << i for i, label in enumerate(labels) if s in label)
+        descents = []
         for y in eng.elements:
-            if s in eng.left_descent_set(y):
+            if s in labels[y.index]:
                 continue
             sy = gen * y
             # ascent edge y -> sy carries weight 1
             edges[(s, sy.index, y.index)] = ONE
-            # descent edges y -> x for sx < x < y < sy... here the roles are
-            # m^s_{xy} with sx<x<y<sy, i.e. target x below source y
-        for x in eng.elements:
-            if s not in eng.left_descent_set(x):
-                continue
-            for y in eng.elements:
-                if s in eng.left_descent_set(y) or y == x:
-                    continue
-                if x.length() < y.length() and eng.bruhat_le(x, y):
-                    mu = kl.mu(x, y, s)
-                    if mu:
-                        sign = -1 if (x.length() + y.length() + 1) % 2 else 1
-                        edges[(s, x.index, y.index)] = mu * sign
+            # descent edges y -> x carry m^s_{xy} with sx < x < y < sy, so
+            # the candidates x are the elements below y with s as a descent
+            for xi in bit_indices(eng.bruhat_down(y) & descent_of):
+                x = eng.elements[xi]
+                mu = kl.mu(x, y, s)
+                if mu:
+                    sign = -1 if (x.length() + y.length() + 1) % 2 else 1
+                    descents.append(((s, xi, y.index), mu * sign))
+        # edges of one generator keep the (x, y) order of a full scan
+        edges.update(sorted(descents, key=lambda e: e[0]))
     return WGraph(eng, labels, edges)
 
 

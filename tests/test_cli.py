@@ -138,6 +138,10 @@ def test_usage_errors(capsys, tmp_path):
     assert main(["wgraph", "restrict", "--subset", "9"]) == 2  # missing file
     code = main(["kl", "--group", "Q9"])
     assert code == 2
+    # a negative index would silently wrap around to w0
+    for pair in ("-1,5", "0,-1", "0,24", "1", "a,b"):
+        assert main(["kl", "--group", "A3", f"--pair={pair}"]) == 2
+        assert "bad --pair" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["group"])  # missing required --group
     assert exc.value.code == 2

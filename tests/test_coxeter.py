@@ -1,24 +1,96 @@
 """Group engine: enumeration, descents, Bruhat algorithms, weights.
 
-Bruhat order facts are cross-checked against a brute-force subword oracle
-that enumerates all subwords of a reduced expression.
+The engine answers every query from index tables and downset bitsets.  The
+tests hold those tables against independent routes kept here as oracles:
+composition of root permutations for products, lengths, inverses and
+descents; the lifting property and subword products for the Bruhat order;
+and the stepwise-tested critical-pair reduction.
 """
 
-from itertools import combinations
+import random
+from functools import lru_cache
 
 import pytest
 
 from coxkl.coxeter import build_group, parse_type_string, recognize_type
+from coxkl.kl import KLContext
+
+SHIPPED = [
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "H3",
+    "I2(3)", "I2(4)", "I2(5)", "I2(6)", "B3:2,1,1",
+]
+#: every pair is checked on these; B4 and A5 get a seeded sample
+SMALL = [t for t in SHIPPED if t not in ("B4", "A5")]
 
 
-def subword_oracle(eng, y, w):
-    """y <= w iff a subword of one fixed reduced word of w multiplies to y."""
-    word = eng.reduced_word(w)
-    for k in range(len(word) + 1):
-        for idx in combinations(range(len(word)), k):
-            if eng.from_word([word[i] for i in idx]) == y:
-                return True
-    return False
+@lru_cache(maxsize=None)
+def engine(type_string):
+    return build_group(type_string)
+
+
+def compose(p, q):
+    return tuple(p[j] for j in q)
+
+
+def root_perms(eng):
+    """The permutation of the root system of every element, by composition
+    of simple reflections along its reduced word: (p*q)[i] = p[q[i]]."""
+    gens = [eng._simple_perm(s) for s in range(eng.datum.rank)]
+    perms = []
+    for w in eng.elements:
+        p = tuple(range(len(eng.roots)))
+        for s in eng.reduced_word(w):
+            p = compose(p, gens[s])
+        perms.append(p)
+    return perms
+
+
+def lifting_subword(eng, y, w):
+    """A reduced word of w with flags selecting a subword equal to y, by the
+    lifting property; None when y is not below w."""
+    flags: list[bool] = []
+    word: list[int] = []
+    leny, lenw = y.length(), w.length()
+    while 0 < leny and leny < lenw:
+        s = min(eng.left_descent_set(w))
+        w = eng.simple[s] * w
+        lenw -= 1
+        word.append(s)
+        if s in eng.left_descent_set(y):
+            y = eng.simple[s] * y
+            leny -= 1
+            flags.append(True)
+        else:
+            flags.append(False)
+    if leny != 0 and y != w:
+        return None
+    keep = leny != 0
+    while lenw > 0:
+        s = min(eng.left_descent_set(w))
+        w = eng.simple[s] * w
+        lenw -= 1
+        word.append(s)
+        flags.append(keep)
+    return flags, word
+
+
+def lifting_le(eng, y, w):
+    return lifting_subword(eng, y, w) is not None
+
+
+def subword_down(eng, w):
+    """[1, w] by the subword property: all products of subwords of one
+    fixed reduced word of w."""
+    down = {eng.identity}
+    for s in eng.reduced_word(w):
+        gen = eng.simple[s]
+        down |= {x * gen for x in down}
+    return down
+
+
+def sample_pairs(eng, k, seed=0):
+    rng = random.Random(seed)
+    return [(rng.choice(eng.elements), rng.choice(eng.elements)) for _ in range(k)]
 
 
 def test_build_group_orders():
@@ -73,10 +145,22 @@ def test_bruhat_basics(a2):
     assert not a2.bruhat_le(a2.w0, s)
 
 
-def test_bruhat_matches_oracle(a3):
-    for y in a3.elements:
-        for w in a3.elements:
-            assert a3.bruhat_le(y, w) == subword_oracle(a3, y, w), (y, w)
+def test_bruhat_matches_oracle():
+    """The downset bitsets against the lifting property and subword products:
+    every pair up to D4 (|W| = 192), a seeded sample on B4 and A5."""
+    for ts in SHIPPED:
+        eng = engine(ts)
+        if ts in SMALL:
+            pairs = [(y, w) for w in eng.elements for y in eng.elements]
+            tops = eng.elements
+        else:
+            pairs = sample_pairs(eng, 400)
+            tops = [w for _, w in pairs[:25]]
+        for y, w in pairs:
+            assert eng.bruhat_le(y, w) == lifting_le(eng, y, w), (ts, y, w)
+        for w in tops:
+            below = {y for y in eng.elements if eng.bruhat_le(y, w)}
+            assert below == subword_down(eng, w), (ts, w)
 
 
 def test_lifting_property(a3):
@@ -96,12 +180,12 @@ def test_lifting_property(a3):
 
 def test_bruhat_subword(a2, a3):
     s, t = a2.simple
-    flags, word = a2.bruhat_subword(a2.identity, a2.w0)
+    flags, word = lifting_subword(a2, a2.identity, a2.w0)
     assert not any(flags) and a2.from_word(word) == a2.w0
-    flags, word = a2.bruhat_subword(s * t, s * t)
+    flags, word = lifting_subword(a2, s * t, s * t)
     assert all(flags)
     sts = s * t * s
-    res = a2.bruhat_subword(s, sts)
+    res = lifting_subword(a2, s, sts)
     assert res is not None
     flags, word = res
     assert len(word) == sts.length() and a2.from_word(word) == sts
@@ -109,10 +193,11 @@ def test_bruhat_subword(a2, a3):
     # deletion consistency on all A3 pairs
     for y in a3.elements:
         for w in a3.elements:
-            res = a3.bruhat_subword(y, w)
+            res = lifting_subword(a3, y, w)
             if res is None:
                 assert not a3.bruhat_le(y, w)
                 continue
+            assert a3.bruhat_le(y, w)
             flags, word = res
             assert len(word) == w.length()
             assert a3.from_word(word) == w
@@ -127,15 +212,19 @@ def test_bruhat_interval(a2, a3):
     assert a2.bruhat_interval(s, s) == {s}
     # frozen from the subword oracle: [s, sts] = {s, st, ts, sts}
     assert a2.bruhat_interval(s, s * t * s) == {s, s * t, t * s, s * t * s}
-    for y in a3.elements:
-        for w in a3.elements:
-            got = a3.bruhat_interval(y, w)
+    for ts in SHIPPED:
+        eng = engine(ts)
+        if eng.order <= 48:
+            pairs = [(y, w) for w in eng.elements for y in eng.elements]
+        else:
+            pairs = sample_pairs(eng, 150)
+        for y, w in pairs:
             expected = {
                 z
-                for z in a3.elements
-                if a3.bruhat_le(y, z) and a3.bruhat_le(z, w)
+                for z in eng.elements
+                if eng.bruhat_le(y, z) and eng.bruhat_le(z, w)
             }
-            assert got == expected, (y, w)
+            assert eng.bruhat_interval(y, w) == expected, (ts, y, w)
 
 
 def test_longest_elements(a2):
@@ -184,3 +273,63 @@ def test_recognize_type():
     ts, perm = recognize_type([[1, 4], [4, 1]])
     assert ts in ("B2", "I2(4)")
     assert recognize_type([[1, 2], [2, 1]]) is None  # disconnected A1 x A1
+
+
+def test_table_products_match_permutations():
+    """Products, inverses, lengths, descents and hashes against the root
+    permutations: every (x, s) on both sides and a seeded sample of (x, y)."""
+    for ts in SHIPPED:
+        eng = engine(ts)
+        perms = root_perms(eng)
+        assert len(set(perms)) == eng.order
+        npos = eng.n_positive
+        # a simple reflection makes exactly one positive root negative
+        simple_roots = [
+            next(i for i in range(npos) if perms[g.index][i] >= npos)
+            for g in eng.simple
+        ]
+        for x in eng.elements:
+            p = perms[x.index]
+            assert hash(x) == hash(p)
+            assert x.length() == sum(j >= npos for j in p[:npos])
+            inv = perms[x.inverse().index]
+            assert compose(p, inv) == tuple(range(len(p)))
+            assert eng.right_descent_set(x) == {
+                s for s, r in enumerate(simple_roots) if p[r] >= npos
+            }
+            assert eng.left_descent_set(x) == {
+                s for s, r in enumerate(simple_roots) if inv[r] >= npos
+            }
+            for s, g in enumerate(eng.simple):
+                q = perms[g.index]
+                assert perms[(g * x).index] == compose(q, p), (ts, s, x)
+                assert perms[(x * g).index] == compose(p, q), (ts, x, s)
+        for x, y in sample_pairs(eng, 300):
+            assert perms[(x * y).index] == compose(perms[x.index], perms[y.index])
+
+
+def stepwise_critical_pair(kl, y, w):
+    """The critical-pair reduction with a Bruhat test before every step."""
+    eng = kl.engine
+    gamma = 0
+    while True:
+        if not eng.bruhat_le(y, w):
+            return None, y, w
+        left = sorted(eng.left_descent_set(w) - eng.left_descent_set(y))
+        right = sorted(eng.right_descent_set(w) - eng.right_descent_set(y))
+        if left:
+            y = eng.simple[left[0]] * y
+            gamma += eng.generator_weight(left[0])
+        elif right:
+            y = y * eng.simple[right[0]]
+            gamma += eng.generator_weight(right[0])
+        else:
+            return gamma, y, w
+
+
+def test_critical_pair_needs_one_bruhat_test():
+    for ts in ("D4", "B3:2,1,1"):
+        kl = KLContext(engine(ts))
+        for w in kl.engine.elements:
+            for y in kl.engine.elements:
+                assert kl.critical_pair(y, w) == stepwise_critical_pair(kl, y, w)
