@@ -41,6 +41,7 @@ from .wgraph import (
     Representation,
     WGraph,
     kl_left_cell_wgraphs,
+    kl_wgraph,
     validate_wgraph,
     wgraph_matrices,
 )
@@ -512,6 +513,14 @@ def verify_cell_axioms(cd: CellDatum, kl: KLContext) -> CellAxiomReport:
             out.append(acc)
         return out
 
+    # column w of the KL W-graph matrix of T_g is T_g C_w in the C-basis
+    columns = [
+        [
+            [(eng.elements[z], hv) for z, hv in enumerate(col) if hv]
+            for col in m.transpose().entries
+        ]
+        for m in wgraph_matrices(kl_wgraph(kl)).gens
+    ]
     for li, dl in enumerate(cd.dims):
         for g in range(eng.datum.rank):
             r_coeffs: dict[tuple[int, int], LaurentPoly] = {}
@@ -519,20 +528,12 @@ def verify_cell_axioms(cd: CellDatum, kl: KLContext) -> CellAxiomReport:
                 for s in range(dl):
                     prod: dict[Element, LaurentPoly] = {}
                     for w, c in cd.basis[(li, s, t)].items():
-                        h = kl.h_structure(eng.simple[g], w)
-                        for z, hv in h.items():
+                        for z, hv in columns[g][w.index]:
                             cur = prod.get(z, ZERO) + hv * c
                             if cur:
                                 prod[z] = cur
                             else:
                                 prod.pop(z, None)
-                        cur = prod.get(w, ZERO) + LaurentPoly(
-                            {eng.generator_weight(g): c}
-                        )
-                        if cur:
-                            prod[w] = cur
-                        else:
-                            prod.pop(w, None)
                     coords = to_cell_coords(HeckeElement("C", prod))
                     for i, trip in enumerate(triples):
                         coeff = coords[i]

@@ -44,6 +44,8 @@ class BalancedData:
     d: list  # diagonal residues of the balanced form
     leading: dict[Element, list] = field(default_factory=dict)
     degree_history: list = field(default_factory=list)
+    #: the balanced invariant form; None for a representation taken as balanced
+    form: InvariantForm | None = None
 
 
 def gram_invariant_form(rep: Representation) -> InvariantForm:
@@ -192,8 +194,8 @@ def balance(rep: Representation, form: InvariantForm | None = None):
         d=diag,
         leading=leading_coefficients(rep2, a),
         degree_history=history,
+        form=InvariantForm(omega, form.singular),
     )
-    data.form = InvariantForm(omega, form.singular)
     return rep2, data
 
 

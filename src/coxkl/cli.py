@@ -92,7 +92,7 @@ def cmd_group(args):
 
 def cmd_kl(args):
     eng = _group_arg(args)
-    kl = KLContext(eng, h_table_limit=args.limit_h_table)
+    kl = KLContext(eng)
     payload = {"group": eng.datum.name, "weights": eng.datum.weights}
     if args.pair == "w0-col":
         payload["p_w0_column"] = {
@@ -130,7 +130,7 @@ def cmd_kl(args):
 
 def cmd_cells(args):
     eng = _group_arg(args)
-    kl = KLContext(eng, h_table_limit=args.limit_h_table)
+    kl = KLContext(eng)
     part = kl.cells(args.kind)
     payload = {
         "kind": part.kind,
@@ -147,7 +147,7 @@ def cmd_wgraph(args):
             print("klgraph needs --group", file=sys.stderr)
             return USAGE
         eng = _group_arg(args)
-        kl = KLContext(eng, h_table_limit=args.limit_h_table)
+        kl = KLContext(eng)
         g = kl_wgraph(kl)
         _emit(wgraph_to_json(g), args.out)
         return PASS
@@ -257,7 +257,7 @@ def cmd_leading(args):
 
 def cmd_jdata(args):
     eng = _group_arg(args)
-    kl = KLContext(eng, h_table_limit=args.limit_h_table)
+    kl = KLContext(eng)
     if eng.datum.name == "B3" and eng.datum.is_equal_parameter():
         # six B3 left cells are reducible; the table graphs split them
         jd = asymptotic.jdata_from_graphs(kl, b3_graphs().values())
@@ -278,7 +278,7 @@ def cmd_jdata(args):
 
 def cmd_cellrep(args):
     g = _load_graph(args.file)
-    kl = KLContext(g.engine, h_table_limit=args.limit_h_table)
+    kl = KLContext(g.engine)
     report = asymptotic.geck_mueller_check(g, kl)
     payload = {
         "balanced": report.balanced,
@@ -293,7 +293,7 @@ def cmd_cellrep(args):
 
 def cmd_cellbasis(args):
     eng = _group_arg(args)
-    kl = KLContext(eng, h_table_limit=args.limit_h_table)
+    kl = KLContext(eng)
     jd = asymptotic.jdata_from_cells(kl)
     cd = asymptotic.cell_basis(jd, kl)
     report = asymptotic.verify_cell_axioms(cd, kl)
@@ -405,13 +405,6 @@ def run_selftest() -> int:
 
 def _add_common(p, group=False):
     p.add_argument("--out", help="write JSON here instead of stdout")
-    p.add_argument("--json", action="store_true", help="JSON output (always on)")
-    p.add_argument(
-        "--limit-h-table",
-        type=int,
-        default=1200,
-        help="largest |W| for which full h-structure tables are computed",
-    )
     if group:
         p.add_argument("--group", required=True, help="type string, e.g. A3 or I2(5)")
         p.add_argument("--weights", help="comma-separated generator weights")

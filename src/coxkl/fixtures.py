@@ -30,9 +30,6 @@ def shared_engine(type_string: str) -> GroupEngine:
     return eng
 
 
-_group = shared_engine
-
-
 def _c(x) -> LaurentPoly:
     return LaurentPoly({0: Fraction(x)})
 
@@ -119,7 +116,7 @@ def b3_graphs() -> dict[str, WGraph]:
     Generator 0 carries the bond of order 4.  chi8 and chi10 are the duals
     of chi7 and chi9 in the displayed vertex order.
     """
-    eng = _group("B3")
+    eng = shared_engine("B3")
     out: dict[str, WGraph] = {}
     out["chi1"] = trivial_graph(eng)
     out["chi2"] = sign_graph(eng)
@@ -190,13 +187,13 @@ def catalogue() -> dict[str, WGraph]:
     out: dict[str, WGraph] = {}
     for ts in ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4",
                "I2(3)", "I2(4)", "I2(5)", "I2(6)", "H3"):
-        eng = _group(ts)
+        eng = shared_engine(ts)
         key = ts.lower().replace("(", "").replace(")", "")
         out[f"{key}_trivial"] = trivial_graph(eng)
         out[f"{key}_sign"] = sign_graph(eng)
-    out["a2_refl"] = reflection_graph(_group("A2"))
-    out["a3_refl"] = reflection_graph(_group("A3"))
-    out["a3_ext2"] = exterior_power_graph(_group("A3"), 2)
+    out["a2_refl"] = reflection_graph(shared_engine("A2"))
+    out["a3_refl"] = reflection_graph(shared_engine("A3"))
+    out["a3_ext2"] = exterior_power_graph(shared_engine("A3"), 2)
     for name, g in b3_graphs().items():
         out[f"b3_{name}"] = g
     out["b3_chi9_conj"] = b3_chi9_conjugate()

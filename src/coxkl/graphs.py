@@ -82,3 +82,27 @@ def condensation_reachability(comps: list[list[int]], adj) -> set[tuple[int, int
                 if (ck, cj) in reach:
                     reach.add((ck, ci))
     return reach
+
+
+def condensation_order(n: int, adj) -> tuple[list[list[int]], set[tuple[int, int]]]:
+    """SCCs of the digraph on range(n) in canonical order, with their preorder.
+
+    Returns (blocks, leq).  Each block is a sorted vertex list.  A block
+    comes before every block it is reachable from, so the blocks that edges
+    lead into come first; ties go by smallest vertex.  `leq` holds (i, j)
+    when blocks[i] is reachable from blocks[j], reflexively.
+    """
+    adj = [sorted(a) for a in adj]
+    comps = tarjan_scc(n, adj)
+    reach = condensation_reachability(comps, adj)
+    # a block reachable from j is also reachable from everything reaching j,
+    # so the number of blocks reaching a block orders it topologically
+    reached_from = [0] * len(comps)
+    for i, _ in reach:
+        reached_from[i] += 1
+    keyed = sorted(
+        range(len(comps)), key=lambda ci: (-reached_from[ci], min(comps[ci]))
+    )
+    pos = {ci: k for k, ci in enumerate(keyed)}
+    blocks = [sorted(comps[ci]) for ci in keyed]
+    return blocks, {(pos[i], pos[j]) for i, j in reach}

@@ -9,14 +9,19 @@ through the critical-pair reduction first.
 Two independent routes to the C-basis are provided: the P*-recursion
 (`c_basis`) and a bar-invariant fixed-point solver
 (`c_basis_by_bar_fixed_point`); the test suite holds them against each other.
+
+How C_s acts on the C-basis is read off the edges of the KL W-graph
+(`wgraph_edges`), and the cells come from those edges.  The structure
+constants `h_structure`, through full T-basis products, give the general
+h_{x,y,z}; the test suite holds the W-graph edges against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coxeter import Element, GroupEngine
-from .graphs import condensation_reachability, tarjan_scc
+from .coxeter import Element, GroupEngine, bit_indices
+from .graphs import condensation_order
 from .laurent import (
     LaurentPoly,
     ONE,
@@ -106,9 +111,8 @@ class ADeltaN:
 class KLContext:
     """All KL data of one weighted group, with memoized tables."""
 
-    def __init__(self, engine: GroupEngine, h_table_limit: int = 1200):
+    def __init__(self, engine: GroupEngine):
         self.engine = engine
-        self.h_table_limit = h_table_limit
         self._pstar: dict[tuple[int, int], LaurentPoly] = {}
         self._mu: dict[tuple[int, int, int], LaurentPoly] = {}
         self._tinv: dict[Element, HeckeElement] = {}
@@ -367,12 +371,6 @@ class KLContext:
         if self._adn is not None:
             return self._adn
         eng = self.engine
-        if eng.order > self.h_table_limit:
-            raise ValueError(
-                f"|W| = {eng.order} exceeds the h-table limit "
-                f"{self.h_table_limit}; use the representation-based route "
-                f"(asymptotic module) instead"
-            )
         a: dict[Element, int] = {z: 0 for z in eng.elements}
         for x in eng.elements:
             for y in eng.elements:
@@ -391,54 +389,69 @@ class KLContext:
         self._adn = ADeltaN(a, delta, n, duflo)
         return self._adn
 
-    # -- cells --------------------------------------------------------------------------
+    # -- the W-graph edges and cells ---------------------------------------------------
 
-    def _left_edges(self) -> list[set[int]]:
-        """adj[y] = indices z such that C_z occurs in some C_s C_y."""
+    def wgraph_edges(self) -> dict[tuple[int, int, int], LaurentPoly]:
+        """Edges (s, x, y) -> weight of the KL W-graph on canonical indices.
+
+        For s not in D_L(y), C_s C_y = C_sy + sum e_{x,y} mu^s_{x,y} C_x over
+        x < y with sx < x, where e_{x,y} = (-1)^(l(x)+l(y)+1) is the sign of
+        this C-basis, for every positive weight function (Lusztig, Hecke
+        algebras with unequal parameters, Thm 6.6).  So the ascent edge
+        y -> sy carries weight 1 and the descent edge y -> x the signed mu.
+        Per generator, ascent edges come first in y order, then descent
+        edges in (x, y) order.
+        """
         eng = self.engine
-        adj: list[set[int]] = [set() for _ in eng.elements]
-        for y in eng.elements:
-            for s in range(eng.datum.rank):
-                for z, h in self.h_structure(eng.simple[s], y).items():
-                    if h and z != y:
-                        adj[y.index].add(z.index)
-        return adj
+        edges: dict[tuple[int, int, int], LaurentPoly] = {}
+        for s in range(eng.datum.rank):
+            gen = eng.simple[s]
+            descent_of = sum(1 << i for i, d in enumerate(eng.ldesc) if d >> s & 1)
+            descents = []
+            for y in eng.elements:
+                if descent_of >> y.index & 1:
+                    continue
+                edges[(s, (gen * y).index, y.index)] = ONE
+                # the candidates x are the elements below y with s as a descent
+                for xi in bit_indices(eng.bruhat_down(y) & descent_of):
+                    x = eng.elements[xi]
+                    mu = self.mu(x, y, s)
+                    if mu:
+                        sign = -1 if (x.length() + y.length() + 1) % 2 else 1
+                        descents.append(((s, xi, y.index), mu * sign))
+            edges.update(sorted(descents, key=lambda e: e[0]))
+        return edges
 
     def cells(self, kind: str) -> CellPartition:
-        """KL cells as SCCs of the C-basis multiplication graph."""
+        """KL cells as SCCs of the C-basis multiplication graph.
+
+        Left edges y -> x, for C_x occurring in some C_s C_y, are the KL
+        W-graph edges; right edges are left edges conjugated by inversion.
+        Blocks come in the order of `condensation_order`: lowest cells first.
+        """
         if kind not in ("left", "right", "two-sided"):
             raise ValueError("kind must be left, right or two-sided")
         cached = self._cells.get(kind)
         if cached is not None:
             return cached
         eng = self.engine
-        left = self._left_edges()
+        left: list[set[int]] = [set() for _ in eng.elements]
+        for _, x, y in self.wgraph_edges():
+            left[y].add(x)
         if kind == "left":
             adj = left
         else:
-            # right edges are left edges conjugated through inversion
+            inv = eng.inverses
             right: list[set[int]] = [set() for _ in eng.elements]
-            for y_idx, targets in enumerate(left):
-                yi = eng.elements[y_idx].inverse().index
-                for z_idx in targets:
-                    right[yi].add(eng.elements[z_idx].inverse().index)
+            for y, targets in enumerate(left):
+                right[inv[y]].update(inv[x] for x in targets)
             if kind == "right":
                 adj = right
             else:
                 adj = [left[i] | right[i] for i in range(eng.order)]
-        comps = tarjan_scc(eng.order, [sorted(x) for x in adj])
-        reach = condensation_reachability(comps, [sorted(x) for x in adj])
-        # canonical block order: topological (lower cells last), ties by
-        # smallest contained canonical index
-        keyed = sorted(
-            range(len(comps)),
-            key=lambda ci: (-sum(1 for p in reach if p[0] == ci), min(comps[ci])),
+        blocks, leq = condensation_order(eng.order, adj)
+        part = CellPartition(
+            kind, [[eng.elements[i] for i in b] for b in blocks], leq
         )
-        blocks = [
-            [eng.elements[i] for i in sorted(comps[ci])] for ci in keyed
-        ]
-        pos = {ci: k for k, ci in enumerate(keyed)}
-        leq = {(pos[i], pos[j]) for (i, j) in reach}
-        part = CellPartition(kind, blocks, leq)
         self._cells[kind] = part
         return part

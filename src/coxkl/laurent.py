@@ -485,6 +485,3 @@ class LaurentMatrix:
             not e.coeffs or set(e.coeffs) == {0} for row in self.entries for e in row
         )
 
-
-def matrix_valuation(a: LaurentMatrix):
-    return a.valuation()

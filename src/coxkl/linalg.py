@@ -173,14 +173,6 @@ def f_mat_mul(a, b):
     return out
 
 
-def f_mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def f_mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def f_mat_scale(a, c):
     return [[x * c for x in row] for row in a]
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .coxeter import CoxeterDatum, Element, GroupEngine, bit_indices, build_group
-from .graphs import condensation_reachability, tarjan_scc
+from .coxeter import CoxeterDatum, Element, GroupEngine, build_group
+from .graphs import condensation_order
 from .kl import KLContext
 from .laurent import (
     ONE,
@@ -356,24 +356,16 @@ def wgraph_cells(g: WGraph) -> list[tuple[WGraph, list[int]]]:
     """Strongly connected components of the edge-support digraph.
 
     Each component induces a W-graph on its vertex subset; returns pairs
-    (cell_graph, vertex_indices) in the canonical cell order (topological in
-    the condensation, lowest cells first, ties by smallest vertex index).
+    (cell_graph, vertex_indices) in the order of `condensation_order`:
+    lowest cells first, ties by smallest vertex index.
     """
-    n = g.size
-    adj: list[set[int]] = [set() for _ in range(n)]
+    adj: list[set[int]] = [set() for _ in range(g.size)]
     for (s, x, y), w in g.edges.items():
         if w and x != y:
             adj[y].add(x)
-    adj_l = [sorted(a) for a in adj]
-    comps = tarjan_scc(n, adj_l)
-    reach = condensation_reachability(comps, adj_l)
-    keyed = sorted(
-        range(len(comps)),
-        key=lambda ci: (-sum(1 for p in reach if p[0] == ci), min(comps[ci])),
-    )
+    blocks, _ = condensation_order(g.size, adj)
     out = []
-    for ci in keyed:
-        verts = sorted(comps[ci])
+    for verts in blocks:
         pos = {v: i for i, v in enumerate(verts)}
         labels = [g.labels[v] for v in verts]
         edges = {
@@ -389,33 +381,12 @@ def kl_wgraph(kl: KLContext) -> WGraph:
     """The Kazhdan-Lusztig W-graph of the regular module in the C-basis.
 
     Vertices are the group elements in canonical order, labels are the left
-    descent sets, and the weights are 1 on ascent edges y -> sy and the
-    signed mu values on descent edges.
+    descent sets, and the edges are `KLContext.wgraph_edges`: weight 1 on
+    ascent edges y -> sy and the signed mu values on descent edges.
     """
     eng = kl.engine
     labels = [frozenset(eng.left_descent_set(w)) for w in eng.elements]
-    edges: dict[tuple[int, int, int], LaurentPoly] = {}
-    for s in range(eng.datum.rank):
-        gen = eng.simple[s]
-        descent_of = sum(1 << i for i, label in enumerate(labels) if s in label)
-        descents = []
-        for y in eng.elements:
-            if s in labels[y.index]:
-                continue
-            sy = gen * y
-            # ascent edge y -> sy carries weight 1
-            edges[(s, sy.index, y.index)] = ONE
-            # descent edges y -> x carry m^s_{xy} with sx < x < y < sy, so
-            # the candidates x are the elements below y with s as a descent
-            for xi in bit_indices(eng.bruhat_down(y) & descent_of):
-                x = eng.elements[xi]
-                mu = kl.mu(x, y, s)
-                if mu:
-                    sign = -1 if (x.length() + y.length() + 1) % 2 else 1
-                    descents.append(((s, xi, y.index), mu * sign))
-        # edges of one generator keep the (x, y) order of a full scan
-        edges.update(sorted(descents, key=lambda e: e[0]))
-    return WGraph(eng, labels, edges)
+    return WGraph(eng, labels, kl.wgraph_edges())
 
 
 def kl_left_cell_wgraphs(kl: KLContext) -> list[tuple[WGraph, list[Element]]]:

@@ -145,6 +145,11 @@ def test_usage_errors(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["group"])  # missing required --group
     assert exc.value.code == 2
+    for flag in (["--json"], ["--limit-h-table", "10"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["cells", "--group", "A2", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_restrict_cli(tmp_path, capsys):

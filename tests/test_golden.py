@@ -1,7 +1,9 @@
 """Byte-identical CLI output: SHA-256 of stdout for fast in-process calls.
 
-The hashes were recorded before the group engine became table-driven; any
-change to them is a change of the printed answer, not of its speed.
+The hashes were recorded before the group engine became table-driven, and
+the `cells` B3 right and I2(5) two-sided ones before cells were read off the
+KL W-graph edges; any change to them is a change of the printed answer, not
+of its speed.
 """
 
 import hashlib
@@ -21,6 +23,10 @@ GOLDEN = {
         "b9b30cee743be2a78eae440fbdc3a2dce7920ace849eb2ce75274a8cc778c608",
     ("cells", "--group", "A3", "--kind", "left"):
         "b9ff2c732e6b5f114c93ceb5f14b5d6bec101ae9642b9be0e1235491992cd39b",
+    ("cells", "--group", "B3", "--kind", "right"):
+        "4c9bcaacb63cd063cace944a95012558c3b98c06211bbe511ee03458a45a9853",
+    ("cells", "--group", "I2(5)", "--kind", "two-sided"):
+        "dbf2ccc224f6806b52ffaff1bf5d6808425631d3a2f39febe3fde04f48ad6be2",
     ("wgraph", "klgraph", "--group", "I2(5)"):
         "f9f75e7681247a05331049fff9dcdab0e042d4079fd4d823ce391e6764c99da0",
     ("wgraph", "klgraph", "--group", "H3"):

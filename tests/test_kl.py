@@ -1,13 +1,19 @@
 """Kazhdan-Lusztig layer: recursion vs naive oracle, C-basis dual routes,
-structure constants, a-function data and cells."""
+structure constants, a-function data and cells.
+
+The cells and the KL W-graph read how C_s acts off the mu edges; the
+structure constants h_{x,y,z}, through full T-basis products, are the
+independent oracle for those edges here."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from coxkl.coxeter import build_group
 from coxkl.kl import HeckeElement, KLContext
 from coxkl.laurent import LaurentPoly, ONE, ZERO, bar
+from coxkl.wgraph import kl_wgraph, wgraph_matrices
 
 
 def naive_pstar(kl, memo, y, w):
@@ -245,10 +251,83 @@ def test_a_delta_n_duflo(kl_a2):
         assert adn.n[z] == 1
 
 
-def test_h_table_guard(a3):
-    kl = KLContext(a3, h_table_limit=10)
-    with pytest.raises(ValueError):
-        kl.lusztig_a_delta_n()
+@pytest.fixture(scope="module")
+def kl_i25():
+    return KLContext(build_group("I2(5)"))
+
+
+@lru_cache(maxsize=None)
+def h_route_edges(kl, side):
+    """adj[y] = {z != y : h_{s,y,z} != 0} ("left") or {z != y : h_{y,s,z} != 0}
+    ("right") over the generators s, through full T-basis products."""
+    eng = kl.engine
+    adj = [set() for _ in eng.elements]
+    for y in eng.elements:
+        for gen in eng.simple:
+            h = kl.h_structure(gen, y) if side == "left" else kl.h_structure(y, gen)
+            adj[y.index].update(z.index for z, c in h.items() if c and z != y)
+    return adj
+
+
+def reachability_cells(adj):
+    """Cells and their preorder by plain reachability: x <= y iff there is a
+    path y -> ... -> x.  Returns (cells, pairs (cell of x, cell of y))."""
+    n = len(adj)
+    reach = []
+    for y in range(n):
+        seen, stack = {y}, [y]
+        while stack:
+            for x in adj[stack.pop()]:
+                if x not in seen:
+                    seen.add(x)
+                    stack.append(x)
+        reach.append(seen)
+    cell = [frozenset(x for x in reach[y] if y in reach[x]) for y in range(n)]
+    return set(cell), {(cell[x], cell[y]) for y in range(n) for x in reach[y]}
+
+
+@pytest.mark.parametrize("name", ["kl_a3", "kl_b3", "kl_b3w", "kl_i25"])
+def test_wgraph_edges_match_h_structure(request, name):
+    kl = request.getfixturevalue(name)
+    adj = [set() for _ in kl.engine.elements]
+    for _, x, y in kl.wgraph_edges():
+        adj[y].add(x)
+    assert adj == h_route_edges(kl, "left")
+
+
+@pytest.mark.parametrize("name", ["kl_a3", "kl_b3", "kl_b3w"])
+def test_cells_match_h_route(request, name):
+    kl = request.getfixturevalue(name)
+    left, right = h_route_edges(kl, "left"), h_route_edges(kl, "right")
+    routes = {
+        "left": left,
+        "right": right,
+        "two-sided": [a | b for a, b in zip(left, right)],
+    }
+    for kind, adj in routes.items():
+        part = kl.cells(kind)
+        blocks = [frozenset(w.index for w in b) for b in part.blocks]
+        cells, leq = reachability_cells(adj)
+        assert set(blocks) == cells, kind
+        assert {(blocks[i], blocks[j]) for i, j in part.leq} == leq, kind
+        # lowest cells first: a block comes before every block above it
+        assert all(i <= j for i, j in part.leq), kind
+
+
+@pytest.mark.parametrize("name", ["kl_a3", "kl_b3w"])
+def test_wgraph_columns_match_h_structure(request, name):
+    # T_g = C_g + v^L(g), so T_g C_w = sum_z h_{g,w,z} C_z + v^L(g) C_w is
+    # column w of the W-graph matrix of T_g
+    kl = request.getfixturevalue(name)
+    eng = kl.engine
+    gens = wgraph_matrices(kl_wgraph(kl)).gens
+    for g, gen in enumerate(eng.simple):
+        vg = LaurentPoly({eng.generator_weight(g): 1})
+        for w in eng.elements:
+            expect = HeckeElement("C", kl.h_structure(gen, w))
+            expect = expect + HeckeElement("C", {w: vg})
+            column = {z: gens[g].entries[z.index][w.index] for z in eng.elements}
+            assert HeckeElement("C", column) == expect, (g, w)
 
 
 def test_cells(kl_a2):

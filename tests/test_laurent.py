@@ -11,7 +11,6 @@ from coxkl.laurent import (
     bar,
     format_laurent,
     laurent_gcd,
-    matrix_valuation,
     negative_part,
     parse_laurent,
     positive_part,
@@ -61,10 +60,10 @@ def test_split_parts_examples():
 
 def test_matrix_valuation_examples():
     m = LaurentMatrix(2, 2, [[lp({1: 1}), lp({2: 1})], [lp({}), lp({3: 1})]])
-    assert matrix_valuation(m) == 1
-    assert matrix_valuation(LaurentMatrix(2, 2)) is None
+    assert m.valuation() == 1
+    assert LaurentMatrix(2, 2).valuation() is None
     m = LaurentMatrix(2, 2, [[lp({-1: 1}), lp({0: 1})], [lp({0: 1}), lp({1: 1})]])
-    assert matrix_valuation(m) == -1
+    assert m.valuation() == -1
 
 
 @given(polys, polys)
