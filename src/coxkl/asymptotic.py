@@ -18,6 +18,7 @@ from math import gcd
 
 from .balance import (
     BalancedData,
+    VerificationError,
     a_value,
     balance,
     is_balanced,
@@ -25,7 +26,15 @@ from .balance import (
 )
 from .coxeter import Element, GroupEngine
 from .kl import CellPartition, HeckeElement, KLContext
-from .laurent import LaurentMatrix, LaurentPoly, ONE, ZERO, bar
+from .laurent import (
+    LaurentMatrix,
+    LaurentPoly,
+    ONE,
+    SparseCombination,
+    ZERO,
+    add_term,
+    bar,
+)
 from .linalg import (
     f_mat_eq,
     f_mat_inverse,
@@ -78,41 +87,14 @@ class JData:
 
 
 @dataclass
-class JElement:
+class JElement(SparseCombination):
     """An element of J (coefficients may carry v-powers, as phi produces)."""
 
     coeffs: dict[Element, LaurentPoly] = field(default_factory=dict)
 
-    def __post_init__(self):
-        self.coeffs = {w: c for w, c in self.coeffs.items() if c}
-
     @staticmethod
     def basis(w: Element) -> "JElement":
         return JElement({w: ONE})
-
-    def __eq__(self, other):
-        return isinstance(other, JElement) and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            s = out.get(w, ZERO) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return JElement(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, f) -> "JElement":
-        if not f:
-            return JElement({})
-        return JElement({w: c * f for w, c in self.coeffs.items()})
-
-    def __bool__(self):
-        return bool(self.coeffs)
 
 
 # -- Schur constants ------------------------------------------------------------
@@ -135,12 +117,14 @@ def schur_f(rep: Representation, a: int | None = None, entry=(0, 0)):
     for w, x in st_vals.items():
         c = c + ts_vals[w.inverse()] * x
     if not c:
-        raise ValueError("Schur sum vanishes: representation is not irreducible")
+        raise VerificationError(
+            "Schur sum vanishes: representation is not irreducible"
+        )
     if a is None:
         a = a_value(rep)
     shifted = c * LaurentPoly({2 * a: 1})
     if shifted.valuation() != 0:
-        raise ValueError(
+        raise VerificationError(
             "Schur element has the wrong valuation: representation is not "
             "balanced or not irreducible"
         )
@@ -213,12 +197,7 @@ def j_multiply(a: JElement, b: JElement, data: JData) -> JElement:
                 continue
             c = cx * cy
             for z, gv in row.items():
-                zi = z.inverse()
-                s = out.get(zi, ZERO) + c * gv
-                if s:
-                    out[zi] = s
-                else:
-                    out.pop(zi, None)
+                add_term(out, z.inverse(), c * gv)
     return JElement(out)
 
 
@@ -310,11 +289,7 @@ def lusztig_phi(
         nd = data.n[d]
         for z, hv in h.items():
             if z in block and hv:
-                s = out.get(z, ZERO) + hv * nd
-                if s:
-                    out[z] = s
-                else:
-                    out.pop(z, None)
+                add_term(out, z, hv * nd)
     return JElement(out)
 
 
@@ -388,8 +363,10 @@ def geck_mueller_check(g: WGraph, kl: KLContext) -> GeckMuellerReport:
     )
     psi = cell_representation(rep, data, kl)
     equal = all(psi.gens[s] == rep.gens[s] for s in range(rep.engine.datum.rank))
+    # both walks visit W in the same canonical order
     chars = all(
-        psi.character(w) == rep.character(w) for w in rep.engine.elements
+        mp.trace() == mr.trace()
+        for (_, mp), (_, mr) in zip(psi.walk(), rep.walk())
     )
     verdict = "equal" if equal else ("H-isomorphic-but-unequal" if chars else "mismatch")
     return GeckMuellerReport(True, a, equal, chars, verdict)
@@ -529,11 +506,7 @@ def verify_cell_axioms(cd: CellDatum, kl: KLContext) -> CellAxiomReport:
                     prod: dict[Element, LaurentPoly] = {}
                     for w, c in cd.basis[(li, s, t)].items():
                         for z, hv in columns[g][w.index]:
-                            cur = prod.get(z, ZERO) + hv * c
-                            if cur:
-                                prod[z] = cur
-                            else:
-                                prod.pop(z, None)
+                            add_term(prod, z, hv * c)
                     coords = to_cell_coords(HeckeElement("C", prod))
                     for i, trip in enumerate(triples):
                         coeff = coords[i]
@@ -569,34 +542,35 @@ def verify_cell_axioms(cd: CellDatum, kl: KLContext) -> CellAxiomReport:
 def irreducible_cell_reps(kl: KLContext):
     """One balanced representation per isomorphism type, from KL left cells.
 
-    Each left cell module is checked irreducible (one-dimensional
-    self-intertwiner space); one cell per character is kept.  Raises if the
-    collection does not satisfy the dimension-sum identity.
+    One cell module per character is kept, M_1..M_k, and the modules are
+    irreducible exactly when sum_j dim(M_j)^2 = |W|.  Over K = F(v) the
+    Hecke algebra is semisimple, so distinct characters make the M_j
+    pairwise non-isomorphic, and every simple module E occurs in some M_j
+    because the left cells filter the regular module.  Writing
+    M_j = sum_E m_jE E and d_E = n_E dim D_E with D_E = End(E),
+        sum_j dim(M_j)^2 >= sum_j sum_E m_jE^2 d_E^2 >= sum_E d_E^2
+                         >= sum_E n_E^2 dim D_E = |W|,
+    with equality exactly when every M_j is simple with End(M_j) = K
+    (Geck-Pfeiffer 2000, Tits deformation; Lusztig, CRM Monogr. 18).  The
+    identity is checked before any module is balanced.
     """
-    from .blocks import intertwiner_space
-
     eng = kl.engine
-    out: list[tuple[Representation, BalancedData]] = []
+    modules: list[Representation] = []
     seen_chars: list[dict] = []
-    for cgraph, els in kl_left_cell_wgraphs(kl):
+    for cgraph, _ in kl_left_cell_wgraphs(kl):
         rep = wgraph_matrices(cgraph)
-        char = {w: rep.character(w) for w in eng.elements}
-        if any(char == c for c in seen_chars):
-            continue
-        if len(intertwiner_space(rep, rep)) != 1:
-            raise ValueError(
-                "a KL left cell of this group is reducible; supply explicit "
-                "graphs for its constituents instead"
-            )
-        seen_chars.append(char)
-        rep2, data = balance(rep)
-        out.append((rep2, data))
-    total = sum(r.dim * r.dim for r, _ in out)
+        char = {w: m.trace() for w, m in rep.walk()}
+        if char not in seen_chars:
+            seen_chars.append(char)
+            modules.append(rep)
+    total = sum(rep.dim * rep.dim for rep in modules)
     if total != eng.order:
-        raise ValueError(
-            f"cell representations cover dimension {total} != |W| = {eng.order}"
+        raise VerificationError(
+            "a KL left cell of this group is reducible; supply explicit "
+            "graphs for its constituents instead (distinct cell modules "
+            f"have dimension sum {total} != |W| = {eng.order})"
         )
-    return out
+    return [balance(rep) for rep in modules]
 
 
 def irreducible_reps_from_graphs(graphs) -> list[tuple[Representation, BalancedData]]:

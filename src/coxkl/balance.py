@@ -26,6 +26,10 @@ from .scalars import scalar_inv
 from .wgraph import Representation
 
 
+class VerificationError(ValueError):
+    """A mathematical check failed on well-formed input (CLI exit 1)."""
+
+
 @dataclass
 class InvariantForm:
     """A symmetric matrix intertwining rho with its transpose-dual."""
@@ -111,7 +115,7 @@ def leading_coefficients(rep: Representation, a: int) -> dict[Element, list]:
         if v is None:
             continue
         if v < 0:
-            raise ValueError(f"Representation not balanced! (witness {w!r})")
+            raise VerificationError(f"Representation not balanced! (witness {w!r})")
         if v == 0:
             out[w] = shifted.residue()
     return out

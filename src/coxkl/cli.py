@@ -504,6 +504,9 @@ def main(argv=None) -> int:
         return USAGE
     try:
         return args.func(args)
+    except balance_mod.VerificationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return FAIL
     except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

@@ -382,9 +382,6 @@ class GroupEngine:
             else:
                 return w
 
-    def element_by_index(self, i: int) -> Element:
-        return self.elements[i]
-
 
 def _root_sign(root):
     for c in root:

@@ -25,7 +25,9 @@ from .graphs import condensation_order
 from .laurent import (
     LaurentPoly,
     ONE,
+    SparseCombination,
     ZERO,
+    add_term,
     bar,
     negative_part,
     positive_part,
@@ -33,50 +35,22 @@ from .laurent import (
 
 
 @dataclass
-class HeckeElement:
+class HeckeElement(SparseCombination):
     """A Hecke-algebra element as a sparse coefficient map over a basis."""
 
     basis: str  # "T" or "C"
     coeffs: dict[Element, LaurentPoly] = field(default_factory=dict)
 
-    def __post_init__(self):
-        self.coeffs = {w: c for w, c in self.coeffs.items() if c}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HeckeElement)
-            and self.basis == other.basis
-            and self.coeffs == other.coeffs
-        )
-
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
         if self.basis != other.basis:
             raise ValueError("cannot add elements in different bases")
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            s = out.get(w, ZERO) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return HeckeElement(self.basis, out)
-
-    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + other.scale(-1)
-
-    def scale(self, f) -> "HeckeElement":
-        if not f:
-            return HeckeElement(self.basis, {})
-        return HeckeElement(self.basis, {w: c * f for w, c in self.coeffs.items()})
+        return super().__add__(other)
 
     def coefficient(self, w: Element) -> LaurentPoly:
         return self.coeffs.get(w, ZERO)
 
     def support(self):
         return set(self.coeffs)
-
-    def __bool__(self):
-        return bool(self.coeffs)
 
 
 @dataclass
@@ -132,19 +106,11 @@ class KLContext:
         row = table[s]
         zeta = self._zeta(s)
         out: dict[Element, LaurentPoly] = {}
-
-        def add(w, c):
-            cur = out.get(w, ZERO) + c
-            if cur:
-                out[w] = cur
-            else:
-                out.pop(w, None)
-
         for w, c in h.coeffs.items():
             sw = elements[row[w.index]]
-            add(sw, c)
+            add_term(out, sw, c)
             if sw.length() < w.length():
-                add(w, c * zeta)
+                add_term(out, w, c * zeta)
         return HeckeElement("T", out)
 
     def t_element(self, w: Element) -> HeckeElement:

@@ -18,6 +18,7 @@ LaurentPoly({-2: 1})
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 from .scalars import Sqrt5, scalar_inv, scalar_str
@@ -39,10 +40,6 @@ class LaurentPoly:
     @staticmethod
     def scalar(c) -> "LaurentPoly":
         return LaurentPoly({0: c})
-
-    @staticmethod
-    def v_power(k: int, c=1) -> "LaurentPoly":
-        return LaurentPoly({k: c})
 
     # -- basic protocol ------------------------------------------------------
 
@@ -129,18 +126,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.unit_inverse() ** (-n)
-        out = LaurentPoly.scalar(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- valuation-ring structure ---------------------------------------------
 
     def valuation(self):
@@ -212,25 +197,58 @@ ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
 
 
+# -- sparse linear combinations ------------------------------------------------
+#
+# `LaurentPoly` arithmetic keeps its own inline loops: a call per term would
+# show in its hot products.  Everything else that sums sparse maps uses these.
+
+
+def add_term(out: dict, key, c) -> None:
+    """out[key] += c in a sparse map that stores no zeros."""
+    cur = out.get(key)
+    s = c if cur is None else cur + c
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
+class SparseCombination:
+    """A finite linear combination {key: coefficient} that stores no zeros.
+
+    Subclasses are dataclasses with a `coeffs` field; their other fields are
+    carried over unchanged by every operation, and equality is the dataclass
+    comparison of all fields.
+    """
+
+    coeffs: dict
+
+    def __post_init__(self):
+        self.coeffs = {w: c for w, c in self.coeffs.items() if c}
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for w, c in other.coeffs.items():
+            add_term(out, w, c)
+        return replace(self, coeffs=out)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, f):
+        if not f:
+            return replace(self, coeffs={})
+        return replace(self, coeffs={w: c * f for w, c in self.coeffs.items()})
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+
 def bar(f: LaurentPoly) -> LaurentPoly:
     """The involution v^k -> v^-k."""
     res = LaurentPoly.__new__(LaurentPoly)
     res.coeffs = {-k: c for k, c in f.coeffs.items()}
     return res
-
-
-def split_parts(f: LaurentPoly):
-    """Split f = negative + constant + positive by exponent sign."""
-    neg, pos = {}, {}
-    const = Fraction(0)
-    for k, c in f.coeffs.items():
-        if k < 0:
-            neg[k] = c
-        elif k > 0:
-            pos[k] = c
-        else:
-            const = c
-    return LaurentPoly(neg), const, LaurentPoly(pos)
 
 
 def negative_part(f: LaurentPoly) -> LaurentPoly:
@@ -322,11 +340,7 @@ def parse_laurent(text: str) -> LaurentPoly:
             k = int(es) if es is not None else 1
         else:
             k = 0
-        cur = out.get(k, Fraction(0)) + sign * c
-        if cur:
-            out[k] = cur
-        else:
-            out.pop(k, None)
+        add_term(out, k, sign * c)
     return LaurentPoly(out)
 
 

@@ -21,12 +21,13 @@ from coxkl.asymptotic import (
     schur_f,
     verify_cell_axioms,
 )
-from coxkl.balance import balance, leading_coefficients
-from coxkl.fixtures import reflection_graph
+from coxkl.balance import VerificationError, balance, leading_coefficients
+from coxkl.blocks import intertwiner_space
+from coxkl.fixtures import reflection_graph, shared_engine
 from coxkl.kl import KLContext
 from coxkl.laurent import LaurentMatrix, LaurentPoly
 from coxkl.linalg import f_mat_mul, f_mat_transpose, laurent_rank
-from coxkl.wgraph import WGraph, wgraph_matrices
+from coxkl.wgraph import WGraph, kl_left_cell_wgraphs, wgraph_matrices
 
 
 @pytest.fixture(scope="module")
@@ -306,9 +307,35 @@ def test_cell_basis_axioms_a3(jd_a3, kl_a3):
     assert report.ok, report.failures
 
 
+@pytest.mark.parametrize(
+    "group", ["A2", "A3", "I2(4):2,1", "B3:1,2,2", "B2", "I2(5)"]
+)
+def test_cell_irreducibility_matches_commutant_oracle(group):
+    """The dimension-sum identity accepts exactly when every distinct cell
+    module has a one-dimensional commutant (Laurent intertwiner solve)."""
+    kl = KLContext(shared_engine(group))
+    modules, seen = [], []
+    for cgraph, _ in kl_left_cell_wgraphs(kl):
+        rep = wgraph_matrices(cgraph)
+        char = [rep.character(w) for w in kl.engine.elements]
+        if char not in seen:
+            seen.append(char)
+            modules.append(rep)
+    oracle = all(len(intertwiner_space(rep, rep)) == 1 for rep in modules)
+    try:
+        reps = irreducible_cell_reps(kl)
+    except VerificationError as exc:
+        assert "reducible" in str(exc)
+        accepted = False
+    else:
+        assert [rep.dim for rep, _ in reps] == [rep.dim for rep in modules]
+        accepted = True
+    assert accepted == oracle
+
+
 def test_b3_reducible_cells_need_table_graphs():
     from coxkl.asymptotic import jdata_from_graphs
-    from coxkl.fixtures import b3_graphs, shared_engine
+    from coxkl.fixtures import b3_graphs
 
     eng = shared_engine("B3")
     kl = KLContext(eng)

@@ -127,6 +127,16 @@ def test_jdata_cellrep_cellbasis(tmp_path, capsys):
     assert json.loads(out)["axioms_ok"]
 
 
+@pytest.mark.parametrize(
+    "argv", [("jdata", "--group", "B2"), ("cellbasis", "--group", "I2(5)")]
+)
+def test_reducible_cells_are_a_verification_failure(capsys, argv):
+    assert main(list(argv)) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "reducible" in captured.err and "Traceback" not in captured.err
+
+
 def test_compat(capsys):
     code, out = run(capsys, "compat", "--group", "I2(5)")
     assert code == 0

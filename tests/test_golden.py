@@ -2,7 +2,8 @@
 
 The hashes were recorded before the group engine became table-driven, and
 the `cells` B3 right and I2(5) two-sided ones before cells were read off the
-KL W-graph edges; any change to them is a change of the printed answer, not
+KL W-graph edges, and the A3 `jdata` and `cellbasis` ones before cell-module
+irreducibility was read off the dimension-sum identity; any change to them is a change of the printed answer, not
 of its speed.
 """
 
@@ -31,6 +32,10 @@ GOLDEN = {
         "f9f75e7681247a05331049fff9dcdab0e042d4079fd4d823ce391e6764c99da0",
     ("wgraph", "klgraph", "--group", "H3"):
         "775a88bab02720549180ef47af44f1d949e61dc95e4296399a8e77fb5bc12ea4",
+    ("jdata", "--group", "A3"):
+        "e7d7b8a6c72c6da9c3e2c8e40bacc1b90d07d3ea5c1e289ee20d5b1ecf55b515",
+    ("cellbasis", "--group", "A3"):
+        "ebd16dd1481e0db60c79bc68b76f945e41dcec1f402954145c47fd39adec53a4",
 }
 
 

@@ -14,7 +14,6 @@ from coxkl.laurent import (
     negative_part,
     parse_laurent,
     positive_part,
-    split_parts,
 )
 from coxkl.scalars import GOLDEN, Sqrt5
 
@@ -48,16 +47,6 @@ def test_bar_examples():
     assert bar(lp({0: 1, 1: 1})) == lp({0: 1, -1: 1})
 
 
-def test_split_parts_examples():
-    f = lp({-1: 1, 0: 2, 1: 3})
-    neg, const, pos = split_parts(f)
-    assert neg == lp({-1: 1}) and const == 2 and pos == lp({1: 3})
-    neg, const, pos = split_parts(lp({2: 1}))
-    assert not neg and const == 0 and pos == lp({2: 1})
-    neg, const, pos = split_parts(lp({}))
-    assert not neg and const == 0 and not pos
-
-
 def test_matrix_valuation_examples():
     m = LaurentMatrix(2, 2, [[lp({1: 1}), lp({2: 1})], [lp({}), lp({3: 1})]])
     assert m.valuation() == 1
@@ -82,9 +71,9 @@ def test_bar_is_ring_involution(f, g):
 
 @given(polys)
 def test_split_reassembles(f):
-    neg, const, pos = split_parts(f)
-    assert neg + LaurentPoly.scalar(const) + pos == f
-    assert negative_part(f) == neg and positive_part(f) == pos
+    neg, pos = negative_part(f), positive_part(f)
+    assert neg + LaurentPoly.scalar(f.constant_term()) + pos == f
+    assert all(k < 0 for k in neg.coeffs) and all(k > 0 for k in pos.coeffs)
 
 
 @given(polys)

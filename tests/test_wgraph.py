@@ -89,6 +89,19 @@ def test_validate_detects_perturbation(a2):
     assert any("braid" in f for f in report.failures)
 
 
+def test_validate_rejects_perturbed_unequal_weight_graph():
+    # unequal weights: only the direct route applies
+    eng = build_group("I2(4):2,1")
+    g = kl_wgraph(KLContext(eng))
+    assert validate_wgraph(g).ok
+    bad = WGraph(eng, g.labels, dict(g.edges))
+    assert bad.edges[(0, 1, 3)] == LaurentPoly({-1: 1, 1: 1})
+    bad.edges[(0, 1, 3)] = LaurentPoly({-1: 2, 1: 2})
+    report = validate_wgraph(bad)
+    assert not report.ok
+    assert report.failures == ["braid relation fails for pair (0,1)"]
+
+
 def test_is_geck():
     b3 = build_group("B3:2,1,1")
     g = WGraph(b3, [frozenset({0}), frozenset({1})], {(0, 0, 1): c(1)})
