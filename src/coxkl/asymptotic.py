@@ -25,7 +25,7 @@ from .balance import (
     leading_coefficients,
 )
 from .coxeter import Element, GroupEngine
-from .kl import CellPartition, HeckeElement, KLContext
+from .kl import CellPartition, KLContext
 from .laurent import (
     LaurentMatrix,
     LaurentPoly,
@@ -147,7 +147,7 @@ def gamma_n_table(
         )
     total = sum(r.dim * r.dim for r, _ in reps)
     if total != engine.order:
-        raise ValueError(
+        raise VerificationError(
             f"dimension sum {total} != |W| = {engine.order}: the "
             f"representation set is incomplete or redundant"
         )
@@ -168,11 +168,17 @@ def gamma_n_table(
                     n[x] = n.get(x, Fraction(0)) + val
         for x, cx in lead.items():
             for y, cy in lead.items():
-                prod = f_mat_mul(cx, cy)
-                if f_mat_is_zero(prod):
+                # tr(c_x c_y c_z) = sum_{i,j} (c_x c_y)_{ij} (c_z)_{ji}
+                prod = [
+                    (i, j, pij)
+                    for i, prow in enumerate(f_mat_mul(cx, cy))
+                    for j, pij in enumerate(prow)
+                    if pij
+                ]
+                if not prod:
                     continue
                 for z, cz in lead.items():
-                    t = f_mat_trace(f_mat_mul(prod, cz)) * finv
+                    t = sum(pij * cz[j][i] for i, j, pij in prod if cz[j][i]) * finv
                     if t:
                         key = (x, y)
                         row = gamma.setdefault(key, {})
@@ -477,17 +483,14 @@ def verify_cell_axioms(cd: CellDatum, kl: KLContext) -> CellAxiomReport:
         if starred != cd.basis.get((li, t, s), {}):
             failures.append(f"(C2) fails at lambda={li}, (s,t)=({s},{t})")
     # (C3): T_g C^l_{st} = sum_u r_g(u, s) C^l_{ut} modulo strictly smaller types
-    minv = f_mat_inverse(mat)  # columns convert C-coefficients to cell coords
+    minv = f_mat_inverse(mat)  # row w converts the C_w coefficient to cell coords
+    minv_support = [[(r, x) for r, x in enumerate(row) if x] for row in minv]
 
-    def to_cell_coords(h: HeckeElement):
-        vec = [h.coefficient(w) for w in eng.elements]
-        out = []
-        for r in range(len(triples)):
-            acc = ZERO
-            for c in range(len(vec)):
-                if vec[c] and minv[c][r]:
-                    acc = acc + vec[c] * minv[c][r]
-            out.append(acc)
+    def to_cell_coords(h: dict[Element, LaurentPoly]):
+        out = [ZERO] * len(triples)
+        for w, c in h.items():
+            for r, x in minv_support[w.index]:
+                out[r] = out[r] + c * x
         return out
 
     # column w of the KL W-graph matrix of T_g is T_g C_w in the C-basis
@@ -507,7 +510,7 @@ def verify_cell_axioms(cd: CellDatum, kl: KLContext) -> CellAxiomReport:
                     for w, c in cd.basis[(li, s, t)].items():
                         for z, hv in columns[g][w.index]:
                             add_term(prod, z, hv * c)
-                    coords = to_cell_coords(HeckeElement("C", prod))
+                    coords = to_cell_coords(prod)
                     for i, trip in enumerate(triples):
                         coeff = coords[i]
                         if not coeff:

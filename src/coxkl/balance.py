@@ -144,9 +144,11 @@ def balance(rep: Representation, form: InvariantForm | None = None):
     for i in range(d):
         vii = omega.entries[i][i].valuation()
         if vii is None:
-            raise ValueError(f"degenerate pivot chain at step {i}: zero diagonal")
+            raise VerificationError(
+                f"degenerate pivot chain at step {i}: zero diagonal"
+            )
         if vii % 2:
-            raise ValueError(
+            raise VerificationError(
                 f"half-integral scaling exponent at step {i}: "
                 f"the leading Gram is not definite"
             )
@@ -164,7 +166,9 @@ def balance(rep: Representation, form: InvariantForm | None = None):
                 q_inv.entries[i][j] = q_inv.entries[i][j] * mono_up
         ov = omega.valuation()
         if ov is not None and ov < 0:
-            raise ValueError(f"degenerate pivot chain at step {i}: pole created")
+            raise VerificationError(
+                f"degenerate pivot chain at step {i}: pole created"
+            )
         dii = omega.entries[i][i].lowest_term()
         diag.append(dii)
         inv_dii = scalar_inv(dii)

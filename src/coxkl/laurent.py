@@ -21,7 +21,10 @@ import re
 from dataclasses import replace
 from fractions import Fraction
 
-from .scalars import Sqrt5, scalar_inv, scalar_str
+from .scalars import Sqrt5, parse_scalar, scalar_inv, scalar_str
+
+#: coefficient types that mix with LaurentPoly as constants
+_SCALARS = (int, Fraction, Sqrt5)
 
 
 class LaurentPoly:
@@ -47,7 +50,7 @@ class LaurentPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _SCALARS):
             other = LaurentPoly.scalar(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -65,7 +68,7 @@ class LaurentPoly:
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _SCALARS):
             other = LaurentPoly.scalar(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -88,7 +91,7 @@ class LaurentPoly:
         return res
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _SCALARS):
             other = LaurentPoly.scalar(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -98,7 +101,7 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Sqrt5)):
+        if isinstance(other, _SCALARS):
             if not other:
                 return LaurentPoly()
             res = LaurentPoly.__new__(LaurentPoly)
@@ -295,12 +298,14 @@ def laurent_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
 # -- text format -------------------------------------------------------------
 #
 # Wire format: sum of terms "c*v^k", constants written bare, e.g.
-# "-1*v^-1 + 2 + 1*v^3".  The parser is whitespace-insensitive and accepts
-# omitted unit coefficients ("v^3", "-v^-1") and "v" for v^1.
+# "-1*v^-1 + 2 + 1*v^3".  A Q(sqrt 5) coefficient with an irrational part is
+# parenthesized, e.g. "(1/2+1/2r5)*v^1".  The parser is whitespace-insensitive
+# and accepts omitted unit coefficients ("v^3", "-v^-1") and "v" for v^1.
 
 _TERM_RE = re.compile(
-    r"^(?P<coeff>\d+(?:/\d+)?)?(?P<var>\*?v(?:\^(?P<exp>[+-]?\d+))?)?$"
+    r"^(?P<coeff>\d+(?:/\d+)?|#\d+)?(?P<var>\*?v(?:\^(?P<exp>[+-]?\d+))?)?$"
 )
+_PAREN_RE = re.compile(r"\(([^()]*)\)")
 
 
 def format_laurent(f: LaurentPoly) -> str:
@@ -310,6 +315,8 @@ def format_laurent(f: LaurentPoly) -> str:
     for k in sorted(f.coeffs):
         c = f.coeffs[k]
         cs = scalar_str(c)
+        if isinstance(c, Sqrt5) and c.b:
+            cs = f"({cs})"
         parts.append(cs if k == 0 else f"{cs}*v^{k}")
     return " + ".join(parts)
 
@@ -318,6 +325,16 @@ def parse_laurent(text: str) -> LaurentPoly:
     s = "".join(text.split())
     if not s or s == "0":
         return LaurentPoly()
+    if "#" in s:
+        raise ValueError(f"bad Laurent polynomial {text!r}")
+    # parenthesized coefficients become "#i" before the split on signs
+    parens: list = []
+
+    def stash(m):
+        parens.append(parse_scalar(m.group(1)))
+        return f"#{len(parens) - 1}"
+
+    s = _PAREN_RE.sub(stash, s)
     # split into signed terms; exponent signs follow '^' and are protected
     s = s.replace("^-", "^n").replace("^+", "^p")
     s = s.replace("-", "+-")
@@ -334,7 +351,12 @@ def parse_laurent(text: str) -> LaurentPoly:
         if not m or not term or (m.group("coeff") is None and m.group("var") is None):
             raise ValueError(f"bad Laurent term {raw!r} in {text!r}")
         cs = m.group("coeff")
-        c = Fraction(cs) if cs is not None else Fraction(1)
+        if cs is None:
+            c = Fraction(1)
+        elif cs.startswith("#"):
+            c = parens[int(cs[1:])]
+        else:
+            c = Fraction(cs)
         if m.group("var"):
             es = m.group("exp")
             k = int(es) if es is not None else 1

@@ -63,6 +63,19 @@ def _jordan_echelonize(rows: list[list[LaurentPoly]]):
 
 
 def laurent_rank(m: LaurentMatrix) -> int:
+    """Rank over the fraction field F(v), certified at v = 1 when possible.
+
+    Every minor of m(1) is the value at v = 1 of the same minor of m, so
+    rank_F m(1) <= rank m; when m(1) already has rank min(rows, cols) that
+    is the answer.  Otherwise the fraction-free Bareiss sweep decides.  The
+    certificate holds for every Gram form sum_w rho(T_w)^T rho(T_w): at
+    v = 1 it is I plus a positive semidefinite matrix under any real
+    embedding of F.
+    """
+    full = min(m.rows, m.cols)
+    at_one = [[sum(e.coeffs.values()) for e in row] for row in m.entries]
+    if f_mat_rank(at_one) == full:
+        return full
     rows = [list(r) for r in m.entries]
     return len(_jordan_echelonize(rows))
 

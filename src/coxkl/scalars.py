@@ -12,6 +12,7 @@ sign tests use that embedding.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 
@@ -156,3 +157,21 @@ def scalar_str(c) -> str:
         return str(c)
     c = Fraction(c)
     return str(c.numerator) if c.denominator == 1 else str(c)
+
+
+_RATIONAL = r"[+-]?\d+(?:/\d+)?"
+# the rational part, if any, ends where the signed r5 part begins
+_SQRT5_RE = re.compile(
+    rf"^(?:(?P<a>{_RATIONAL})(?=[+-]|$))?(?:(?P<b>{_RATIONAL})r5)?$"
+)
+
+
+def parse_scalar(text: str):
+    """Inverse of `scalar_str`: "a", "a+br5", "a-br5" or "br5"."""
+    m = _SQRT5_RE.match(text)
+    if not text or not m:
+        raise ValueError(f"bad scalar {text!r}")
+    a = Fraction(m.group("a") or 0)
+    if m.group("b") is None:
+        return a
+    return Sqrt5(a, Fraction(m.group("b")))

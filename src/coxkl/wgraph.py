@@ -671,14 +671,43 @@ def wgraph_to_json(g: WGraph) -> dict:
     return {"group": type_string_of(g.engine), "vertices": verts, "edges": edges}
 
 
+class WGraphFormatError(ValueError):
+    """A W-graph file that does not describe a W-graph on its group."""
+
+
 def wgraph_from_json(data: dict, engine: GroupEngine | None = None) -> WGraph:
+    """Read the wire format, rejecting labels outside S, out-of-range edge
+    ends or generators, and an edge (s, from, to) given twice."""
     if engine is None:
         engine = build_group(data["group"])
+    gens = range(engine.datum.rank)
     verts = sorted(data["vertices"], key=lambda v: v["id"])
     if [v["id"] for v in verts] != list(range(len(verts))):
-        raise ValueError("vertex ids must be 0..n-1")
+        raise WGraphFormatError("vertex ids must be 0..n-1")
     labels = [frozenset(v["label"]) for v in verts]
+    for v, l in zip(verts, labels):
+        if not l <= set(gens):
+            raise WGraphFormatError(
+                f"vertex {v['id']}: label {v['label']} is not a subset of "
+                f"S = {list(gens)}"
+            )
     edges = {}
-    for e in data["edges"]:
-        edges[(e["s"], e["to"], e["from"])] = parse_laurent(e["weight"])
+    for k, e in enumerate(data["edges"]):
+        key = (e["s"], e["to"], e["from"])
+        for name, val, allowed in (
+            ("s", e["s"], gens),
+            ("from", e["from"], range(len(labels))),
+            ("to", e["to"], range(len(labels))),
+        ):
+            if val not in allowed:
+                raise WGraphFormatError(
+                    f"edge {k}: {name!r} = {val!r} "
+                    f"is out of range {allowed.start}..{allowed.stop - 1}"
+                )
+        if key in edges:
+            raise WGraphFormatError(
+                f"edge {k}: (s, from, to) = ({e['s']}, {e['from']}, {e['to']}) "
+                f"appears twice"
+            )
+        edges[key] = parse_laurent(e["weight"])
     return WGraph(engine, labels, edges)

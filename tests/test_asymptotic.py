@@ -1,6 +1,7 @@
 """Asymptotic algebra: Schur constants, gamma/n tables, J multiplication,
 Duflo involutions, cell representations and the cellular basis."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -15,6 +16,7 @@ from coxkl.asymptotic import (
     geck_mueller_check,
     invariant_form_over_f,
     irreducible_cell_reps,
+    irreducible_reps_from_graphs,
     j_multiply,
     jdata_from_cells,
     lusztig_phi,
@@ -23,10 +25,11 @@ from coxkl.asymptotic import (
 )
 from coxkl.balance import VerificationError, balance, leading_coefficients
 from coxkl.blocks import intertwiner_space
-from coxkl.fixtures import reflection_graph, shared_engine
+from coxkl.fixtures import b3_graphs, reflection_graph, shared_engine
 from coxkl.kl import KLContext
 from coxkl.laurent import LaurentMatrix, LaurentPoly
-from coxkl.linalg import f_mat_mul, f_mat_transpose, laurent_rank
+from coxkl.linalg import f_mat_mul, f_mat_trace, f_mat_transpose, laurent_rank
+from coxkl.scalars import scalar_inv
 from coxkl.wgraph import WGraph, kl_left_cell_wgraphs, wgraph_matrices
 
 
@@ -60,10 +63,44 @@ def test_schur_entry_independent(a2):
 
 def test_gamma_n_table_guards(kl_a2, a2):
     reps = irreducible_cell_reps(kl_a2)
-    with pytest.raises(ValueError):
+    with pytest.raises(VerificationError):
         gamma_n_table(a2, reps[:2])  # incomplete set
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         gamma_n_table(a2, reps, order_limit=2)
+    assert not isinstance(exc.value, VerificationError)  # a usage error
+
+
+def gamma_n_by_triple_products(reps):
+    """The table from full products: gamma = sum f^-1 tr((c_x c_y) c_z)."""
+    gamma, n = {}, {}
+    for rep, data in reps:
+        _, f = schur_f(rep, data.a_value)
+        finv = scalar_inv(f)
+        lead = data.leading
+        for x, cx in lead.items():
+            if x.inverse() in lead:
+                n[x] = n.get(x, 0) + f_mat_trace(lead[x.inverse()]) * finv
+            for y, cy in lead.items():
+                for z, cz in lead.items():
+                    t = f_mat_trace(f_mat_mul(f_mat_mul(cx, cy), cz)) * finv
+                    row = gamma.setdefault((x, y), {})
+                    row[z] = row.get(z, 0) + t
+    gamma = {k: {z: t for z, t in row.items() if t} for k, row in gamma.items()}
+    return (
+        {k: row for k, row in gamma.items() if row},
+        {x: t for x, t in n.items() if t},
+    )
+
+
+@pytest.mark.parametrize("group", ["A3", "B3"])
+def test_gamma_n_table_matches_triple_products(group):
+    eng = shared_engine(group)
+    if group == "B3":
+        reps = irreducible_reps_from_graphs(b3_graphs().values())
+    else:
+        reps = irreducible_cell_reps(KLContext(eng))
+    jd = gamma_n_table(eng, reps)
+    assert (jd.gamma, jd.n) == gamma_n_by_triple_products(reps)
 
 
 def test_gamma_well_defined_across_models(kl_a2, a2):
@@ -305,6 +342,50 @@ def test_cell_basis_axioms_a3(jd_a3, kl_a3):
     assert len(cd.basis) == 24
     report = verify_cell_axioms(cd, kl_a3)
     assert report.ok, report.failures
+
+
+def _failures(cd, kl, basis):
+    report = verify_cell_axioms(replace(cd, basis=basis), kl)
+    assert not report.ok
+    return report.failures
+
+
+def test_cell_axioms_reject_a_higher_cell_term(jd_a3, kl_a3):
+    """C_w from a two-sided cell above lambda makes T_g C^lambda_{st} leak
+    into a type that is not below lambda."""
+    cd = cell_basis(jd_a3, kl_a3)
+    two = kl_a3.cells("two-sided")
+    lam, mu = min(cd.lambda_lt)
+    w = next(w for w in kl_a3.engine.elements
+             if two.block_of(w) == cd.cell_block[mu])
+    basis = dict(cd.basis)
+    key = next(k for k in sorted(basis) if k[0] == lam)
+    basis[key] = dict(basis[key])
+    basis[key][w] = basis[key].get(w, 0) + 1
+    failures = _failures(cd, kl_a3, basis)
+    assert any(f.startswith("(C3)") and "leaks into" in f for f in failures)
+
+
+def test_cell_axioms_reject_a_broken_star(jd_a3, kl_a3):
+    cd = cell_basis(jd_a3, kl_a3)
+    li, s, t = next(k for k in sorted(cd.basis) if k[1] != k[2])
+    basis = dict(cd.basis)
+    basis[(li, s, t)] = {w: 2 * c for w, c in basis[(li, s, t)].items()}
+    failures = _failures(cd, kl_a3, basis)
+    assert f"(C2) fails at lambda={li}, (s,t)=({s},{t})" in failures
+    assert f"(C2) fails at lambda={li}, (s,t)=({t},{s})" in failures
+
+
+def test_cell_axioms_reject_swapped_indices(jd_a3, kl_a3):
+    """Swapping C^lambda_{st} and C^lambda_{ts} keeps (C2), since * swaps
+    them too, but T_g then lands in the wrong column: (C3) fails."""
+    cd = cell_basis(jd_a3, kl_a3)
+    li, s, t = next(k for k in sorted(cd.basis) if k[1] != k[2])
+    basis = dict(cd.basis)
+    basis[(li, s, t)], basis[(li, t, s)] = basis[(li, t, s)], basis[(li, s, t)]
+    failures = _failures(cd, kl_a3, basis)
+    assert not any(f.startswith("(C2)") for f in failures)
+    assert any(f.startswith("(C3)") for f in failures)
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from coxkl.balance import (
+    InvariantForm,
+    VerificationError,
     a_value,
     balance,
     gram_invariant_form,
@@ -100,6 +102,22 @@ def test_balance_restores_scaled_conjugate(a3, kl_a3):
         break
 
 
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([[{}, {0: 1}], [{0: 1}, {}]], "degenerate pivot chain at step 0"),
+        ([[{1: 1}, {}], [{}, {0: 1}]], "half-integral scaling exponent at step 0"),
+    ],
+)
+def test_balance_refusals_are_verification_failures(a2, entries, message):
+    rep = wgraph_matrices(reflection_graph(a2))
+    form = InvariantForm(
+        LaurentMatrix(2, 2, [[LaurentPoly(e) for e in row] for row in entries])
+    )
+    with pytest.raises(VerificationError, match=message):
+        balance(rep, form)
+
+
 def test_leading_coefficients(a2):
     triv = wgraph_matrices(WGraph(a2, [frozenset()], {}))
     table = leading_coefficients(triv, 0)
@@ -169,8 +187,6 @@ def test_strictify_rejects_cross_block_mixing(a2):
     bad = LaurentMatrix.from_scalar_rows(
         [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(2)]]
     )
-    from coxkl.balance import InvariantForm
-
     with pytest.raises(ValueError):
         strictify(rep, InvariantForm(bad), list(g.labels))
 

@@ -109,6 +109,31 @@ def test_labels_and_balance_and_leading(tmp_path, capsys):
     assert len(json.loads(out)["leading"]) == 4
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["vertices"][0].update(label=[0, 7]),
+         "vertex 0: label [0, 7] is not a subset of S = [0, 1]"),
+        (lambda d: d["edges"][0].update(to=99), "edge 0: 'to' = 99 is out of range"),
+        (lambda d: d["edges"][1].update({"from": -1}),
+         "edge 1: 'from' = -1 is out of range"),
+        (lambda d: d["edges"][0].update(s=2), "edge 0: 's' = 2 is out of range"),
+        (lambda d: d["edges"].append(dict(d["edges"][0])), "appears twice"),
+    ],
+    ids=["label", "to", "from", "s", "duplicate"],
+)
+def test_malformed_wgraph_files_are_usage_errors(tmp_path, capsys, edit, message):
+    run(capsys, "fixtures", "--out", str(tmp_path))
+    data = json.loads((tmp_path / "a2_refl.json").read_text())
+    edit(data)
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps(data))
+    assert main(["wgraph", "validate", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert message in captured.err and "Traceback" not in captured.err
+
+
 def test_jdata_cellrep_cellbasis(tmp_path, capsys):
     code, out = run(capsys, "jdata", "--group", "A2")
     assert code == 0

@@ -3,8 +3,10 @@
 The hashes were recorded before the group engine became table-driven, and
 the `cells` B3 right and I2(5) two-sided ones before cells were read off the
 KL W-graph edges, and the A3 `jdata` and `cellbasis` ones before cell-module
-irreducibility was read off the dimension-sum identity; any change to them is a change of the printed answer, not
-of its speed.
+irreducibility was read off the dimension-sum identity, and the A4
+`cellbasis` and B3 `jdata` ones before the v = 1 rank certificate, the
+sparse cell coordinates and the trace-only gamma sums; any change to them is
+a change of the printed answer, not of its speed.
 """
 
 import hashlib
@@ -36,6 +38,10 @@ GOLDEN = {
         "e7d7b8a6c72c6da9c3e2c8e40bacc1b90d07d3ea5c1e289ee20d5b1ecf55b515",
     ("cellbasis", "--group", "A3"):
         "ebd16dd1481e0db60c79bc68b76f945e41dcec1f402954145c47fd39adec53a4",
+    ("cellbasis", "--group", "A4"):
+        "260ffb897d020f3ebd253f705b6525e98eb2ce5cd158fd8cc6a6934fa33e1ea8",
+    ("jdata", "--group", "B3"):
+        "615adc953c06fa209cc07e3251aef64cf758c35a918d7f15c444996c7032e986",
 }
 
 

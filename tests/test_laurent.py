@@ -81,6 +81,43 @@ def test_format_parse_roundtrip(f):
     assert parse_laurent(format_laurent(f)) == f
 
 
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+scalars = st.one_of(
+    rationals, st.builds(Sqrt5, rationals, rationals), st.integers(-3, 3)
+)
+field_polys = st.dictionaries(st.integers(-5, 5), scalars, max_size=5).map(
+    LaurentPoly
+)
+
+
+@given(field_polys)
+def test_format_parse_roundtrip_over_both_fields(f):
+    text = format_laurent(f)
+    assert parse_laurent(text) == f
+    assert format_laurent(parse_laurent(text)) == text
+
+
+def test_sqrt5_wire_format():
+    f = lp({-1: Sqrt5(-1, 1), 0: GOLDEN, 1: Sqrt5(0, -1), 2: Fraction(-3, 2)})
+    text = "(-1+1r5)*v^-1 + (1/2+1/2r5) + (-1r5)*v^1 + -3/2*v^2"
+    assert format_laurent(f) == text
+    assert parse_laurent(text) == f
+    assert parse_laurent("-(1/2-3r5)v^2") == lp({2: Sqrt5(Fraction(-1, 2), 3)})
+    # a rational Sqrt5 coefficient prints as before, without parentheses
+    assert format_laurent(lp({1: Sqrt5(2)})) == "2*v^1"
+    for bad in ("(1+)", "(r5)", "((1))", "(1/21/2r5)", "(1+2r5", "()", "#0"):
+        with pytest.raises(ValueError):
+            parse_laurent(bad)
+
+
+def test_sqrt5_scalars_mix_with_laurent_polys():
+    one = lp({0: 1})
+    assert one + GOLDEN == GOLDEN + one == lp({0: Sqrt5(Fraction(3, 2), Fraction(1, 2))})
+    assert one - GOLDEN == -(GOLDEN - one)
+    assert lp({0: GOLDEN}) == GOLDEN and lp({1: GOLDEN}) != GOLDEN
+    assert lp({0: GOLDEN}) - GOLDEN == lp({})
+
+
 def test_parser_variants():
     assert parse_laurent("-1*v^-1 + 2 + 1*v^3") == lp({-1: -1, 0: 2, 3: 1})
     assert parse_laurent("-v^-1+2+v^3") == lp({-1: -1, 0: 2, 3: 1})
