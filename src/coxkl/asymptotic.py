@@ -134,17 +134,21 @@ def schur_f(rep: Representation, a: int | None = None, entry=(0, 0)):
 # -- the gamma/n table -----------------------------------------------------------
 
 
+def _check_order(engine: GroupEngine, order_limit: int = _JDATA_ORDER_LIMIT):
+    if engine.order > order_limit:
+        raise ValueError(
+            f"|W| = {engine.order} exceeds the structure-constant guard "
+            f"{order_limit}"
+        )
+
+
 def gamma_n_table(
     engine: GroupEngine,
     reps: list[tuple[Representation, BalancedData]],
     order_limit: int = _JDATA_ORDER_LIMIT,
 ) -> JData:
     """Structure constants from a complete set of balanced representations."""
-    if engine.order > order_limit:
-        raise ValueError(
-            f"|W| = {engine.order} exceeds the structure-constant guard "
-            f"{order_limit}"
-        )
+    _check_order(engine, order_limit)
     total = sum(r.dim * r.dim for r, _ in reps)
     if total != engine.order:
         raise VerificationError(
@@ -592,8 +596,11 @@ def irreducible_reps_from_graphs(graphs) -> list[tuple[Representation, BalancedD
 
 
 def jdata_from_cells(kl: KLContext) -> JData:
+    # refuse a group too large for `gamma_n_table` before balancing anything
+    _check_order(kl.engine)
     return gamma_n_table(kl.engine, irreducible_cell_reps(kl))
 
 
 def jdata_from_graphs(kl: KLContext, graphs) -> JData:
+    _check_order(kl.engine)
     return gamma_n_table(kl.engine, irreducible_reps_from_graphs(graphs))

@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from . import asymptotic, balance as balance_mod, blocks as blocks_mod
+from .coxeter import bit_indices
 from .fixtures import b3_graphs, catalogue, shared_engine
 from .kl import KLContext
 from .laurent import LaurentMatrix, format_laurent
@@ -31,6 +32,7 @@ from .wgraph import (
     validate_wgraph,
     wgraph_cells,
     wgraph_from_json,
+    wgraph_group,
     wgraph_matrices,
     wgraph_to_json,
 )
@@ -56,7 +58,7 @@ def _fmat_json(m):
 
 def _load_graph(path: str):
     data = json.loads(Path(path).read_text())
-    return wgraph_from_json(data, engine=shared_engine(data["group"]))
+    return wgraph_from_json(data, engine=shared_engine(wgraph_group(data)))
 
 
 def _group_arg(args):
@@ -111,17 +113,18 @@ def cmd_kl(args):
         payload["pstar"] = {f"{yi},{wi}": format_laurent(kl.pstar(y, w))}
         payload["p"] = {f"{yi},{wi}": format_laurent(kl.kl_polynomial(y, w))}
     else:
+        # P*_{y,w} is nonzero exactly for y <= w; the mu-lists hold every
+        # nonzero mu
         pstar = {}
         mu = {}
-        for y in eng.elements:
-            for w in eng.elements:
-                p = kl.pstar(y, w)
-                if p:
-                    pstar[f"{y.index},{w.index}"] = format_laurent(p)
-                for s in range(eng.datum.rank):
-                    m = kl.mu(y, w, s)
-                    if m:
-                        mu[f"{y.index},{w.index},{s}"] = format_laurent(m)
+        for w in eng.elements:
+            wi = w.index
+            for yi in bit_indices(eng.bruhat_down(w)):
+                pstar[f"{yi},{wi}"] = format_laurent(kl.pstar(eng.elements[yi], w))
+            for s in range(eng.datum.rank):
+                if s not in eng.left_descent_set(w):
+                    for yi, m in kl.mu_list(w, s).items():
+                        mu[f"{yi},{wi},{s}"] = format_laurent(m)
         payload["pstar"] = pstar
         payload["mu"] = mu
     _emit(payload, args.out)

@@ -6,6 +6,12 @@ polynomials P*_{y,w} = v^{L(y)-L(w)} P_{y,w} are the primary objects; they
 are memoized only for critical pairs, and arbitrary lookups are routed
 through the critical-pair reduction first.
 
+The edge polynomials mu live in mu-lists: for each w and each s not in
+D_L(w), `mu_list(w, s)` holds the nonzero mu^s_{y,w} and nothing else.
+These are the descent edges into w of the KL W-graph, and the P* recursion
+reads only them, with one Bruhat bit test per entry (the organisation of
+du Cloux's Coxeter and of Geck's PyCox).  Zero values are never stored.
+
 Two independent routes to the C-basis are provided: the P*-recursion
 (`c_basis`) and a bar-invariant fixed-point solver
 (`c_basis_by_bar_fixed_point`); the test suite holds them against each other.
@@ -87,8 +93,12 @@ class KLContext:
 
     def __init__(self, engine: GroupEngine):
         self.engine = engine
-        self._pstar: dict[tuple[int, int], LaurentPoly] = {}
-        self._mu: dict[tuple[int, int, int], LaurentPoly] = {}
+        # P* of the critical pair (u, v), keyed by u.index * |W| + v.index
+        self._pstar: dict[int, LaurentPoly] = {}
+        # mu_list(w, s), keyed by w.index * rank + s
+        self._mu_lists: dict[int, dict[int, LaurentPoly]] = {}
+        # bit i of _descent_masks[s] is set iff s is a left descent of w_i
+        self._descent_masks: list[int] | None = None
         self._tinv: dict[Element, HeckeElement] = {}
         self._cbasis: dict[Element, HeckeElement] = {}
         self._cells: dict[str, CellPartition] = {}
@@ -186,26 +196,32 @@ class KLContext:
             gamma += weights[t]
 
     def pstar(self, y: Element, w: Element) -> LaurentPoly:
-        """The inverse Kazhdan-Lusztig polynomial P*_{y,w}."""
+        """The inverse Kazhdan-Lusztig polynomial P*_{y,w}.
+
+        For a critical pair (u, v) and t the smallest left descent of v,
+            P*_{u,v} = v_t P*_{u,tv} + P*_{tu,tv} - sum_z P*_{u,z} mu^t_{z,tv}
+        over the z of the mu-list of (tv, t) with u <= z.
+        """
         gamma, u, v = self.critical_pair(y, w)
         if gamma is None:
             return ZERO
         if u == v:
             return LaurentPoly({-gamma: 1})
-        key = (u.index, v.index)
+        eng = self.engine
+        ui, vi = u.index, v.index
+        key = ui * eng.order + vi
         klp = self._pstar.get(key)
         if klp is None:
-            eng = self.engine
-            t = min(eng.left_descent_set(v))
-            tu = eng.simple[t] * u
-            tv = eng.simple[t] * v
+            desc = eng.ldesc[vi]
+            t = (desc & -desc).bit_length() - 1
+            row, elements = eng.lmul[t], eng.elements
+            tv = elements[row[vi]]
             vt = LaurentPoly({eng.generator_weight(t): 1})
-            klp = self.pstar(u, tv) * vt + self.pstar(tu, tv)
-            for z in eng.bruhat_interval(u, tv):
-                if t in eng.left_descent_set(z):
-                    m = self.mu(z, tv, t)
-                    if m:
-                        klp = klp - self.pstar(u, z) * m
+            klp = self.pstar(u, tv) * vt + self.pstar(elements[row[ui]], tv)
+            down = eng._downsets()
+            for zi, m in self.mu_list(tv, t).items():
+                if down[zi] >> ui & 1:
+                    klp = klp - self.pstar(u, elements[zi]) * m
             self._pstar[key] = klp
         if gamma:
             return klp * LaurentPoly({-gamma: 1})
@@ -227,29 +243,56 @@ class KLContext:
             or not eng.bruhat_le(y, w)
         ):
             return ZERO
-        key = (y.index, w.index, s)
-        cached = self._mu.get(key)
-        if cached is not None:
-            return cached
-        klp = self.pstar(y, w)
-        vs = LaurentPoly({eng.generator_weight(s): 1})
-        supp = eng.support(w)
-        if len({eng.generator_weight(t) for t in supp} | {eng.generator_weight(s)}) == 1:
-            # one-parameter shortcut: mu is the nonnegative part of v_s P*
-            alpha = klp * vs
-            m = alpha - negative_part(alpha)
-        else:
-            alpha = klp * vs
+        return self.mu_list(w, s).get(y.index, ZERO)
+
+    def mu_list(self, w: Element, s: int) -> dict[int, LaurentPoly]:
+        """The nonzero mu^s_{y,w} over y < w with sy < y, keyed by y's index.
+
+        These are the descent edges into w of the KL W-graph; s must not be
+        a left descent of w.  When supp(w) and s carry one weight L, mu is
+        the coefficient of v^-L in P*_{y,w}.  Otherwise mu is
+        alpha + bar(alpha_{>0}) for the part alpha of degree >= 0 of
+            v_s P*_{y,w} - sum_z P*_{y,z} mu^s_{z,w}
+        over y < z < w with sz < z.  The candidates y are taken in decreasing
+        index, that is in decreasing length, so every such z with nonzero mu
+        is already in the list.
+        """
+        eng = self.engine
+        wi = w.index
+        key = wi * eng.datum.rank + s
+        out = self._mu_lists.get(key)
+        if out is not None:
+            return out
+        if eng.ldesc[wi] >> s & 1:
+            raise ValueError(f"generator {s} is a left descent of {w!r}")
+        if self._descent_masks is None:
+            self._descent_masks = [0] * eng.datum.rank
+            for i, d in enumerate(eng.ldesc):
+                for t in bit_indices(d):
+                    self._descent_masks[t] |= 1 << i
+        weights = eng.datum.weights
+        ls = weights[s]
+        equal = all(weights[t] == ls for t in eng.support(w))
+        vs = LaurentPoly({ls: 1})
+        down, elements = eng._downsets(), eng.elements
+        out = {}
+        for yi in reversed(list(bit_indices(down[wi] & self._descent_masks[s]))):
+            y = elements[yi]
+            if equal:
+                c = self.pstar(y, w).coeffs.get(-ls)
+                if c:
+                    out[yi] = LaurentPoly({0: c})
+                continue
+            alpha = self.pstar(y, w) * vs
+            for zi, mz in out.items():
+                if down[zi] >> yi & 1:
+                    alpha = alpha - self.pstar(y, elements[zi]) * mz
             alpha = alpha - negative_part(alpha)
-            for z in eng.bruhat_interval(y, w):
-                if z != y and s in self.engine.left_descent_set(z):
-                    mz = self.mu(z, w, s)
-                    if mz:
-                        alpha = alpha - self.pstar(y, z) * mz
-                        alpha = alpha - negative_part(alpha)
             m = alpha + bar(positive_part(alpha))
-        self._mu[key] = m
-        return m
+            if m:
+                out[yi] = m
+        self._mu_lists[key] = out
+        return out
 
     # -- the C-basis -----------------------------------------------------------------
 
@@ -364,27 +407,24 @@ class KLContext:
         x < y with sx < x, where e_{x,y} = (-1)^(l(x)+l(y)+1) is the sign of
         this C-basis, for every positive weight function (Lusztig, Hecke
         algebras with unequal parameters, Thm 6.6).  So the ascent edge
-        y -> sy carries weight 1 and the descent edge y -> x the signed mu.
-        Per generator, ascent edges come first in y order, then descent
-        edges in (x, y) order.
+        y -> sy carries weight 1 and the descent edge y -> x the signed mu,
+        read off `mu_list(y, s)`.  Per generator, ascent edges come first in
+        y order, then descent edges in (x, y) order.
         """
         eng = self.engine
+        lengths = eng.lengths
         edges: dict[tuple[int, int, int], LaurentPoly] = {}
         for s in range(eng.datum.rank):
-            gen = eng.simple[s]
-            descent_of = sum(1 << i for i, d in enumerate(eng.ldesc) if d >> s & 1)
+            row = eng.lmul[s]
             descents = []
             for y in eng.elements:
-                if descent_of >> y.index & 1:
+                yi = y.index
+                if eng.ldesc[yi] >> s & 1:
                     continue
-                edges[(s, (gen * y).index, y.index)] = ONE
-                # the candidates x are the elements below y with s as a descent
-                for xi in bit_indices(eng.bruhat_down(y) & descent_of):
-                    x = eng.elements[xi]
-                    mu = self.mu(x, y, s)
-                    if mu:
-                        sign = -1 if (x.length() + y.length() + 1) % 2 else 1
-                        descents.append(((s, xi, y.index), mu * sign))
+                edges[(s, row[yi], yi)] = ONE
+                for xi, mu in self.mu_list(y, s).items():
+                    sign = -1 if (lengths[xi] + lengths[yi] + 1) % 2 else 1
+                    descents.append(((s, xi, yi), mu * sign))
             edges.update(sorted(descents, key=lambda e: e[0]))
         return edges
 

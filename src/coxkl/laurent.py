@@ -67,11 +67,16 @@ class LaurentPoly:
 
     # -- ring operations -----------------------------------------------------
 
+    # The operators test `other.__class__ is LaurentPoly` first: Fraction is
+    # an ABC, so an isinstance test against _SCALARS costs an ABC check on
+    # every polynomial-by-polynomial operation.
+
     def __add__(self, other):
-        if isinstance(other, _SCALARS):
-            other = LaurentPoly.scalar(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
+        if other.__class__ is not LaurentPoly:
+            if isinstance(other, _SCALARS):
+                other = LaurentPoly.scalar(other)
+            elif not isinstance(other, LaurentPoly):
+                return NotImplemented
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             s = out.get(k, 0) + c
@@ -91,24 +96,35 @@ class LaurentPoly:
         return res
 
     def __sub__(self, other):
-        if isinstance(other, _SCALARS):
-            other = LaurentPoly.scalar(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
+        if other.__class__ is not LaurentPoly:
+            if isinstance(other, _SCALARS):
+                other = LaurentPoly.scalar(other)
+            elif not isinstance(other, LaurentPoly):
+                return NotImplemented
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            s = out.get(k, 0) - c
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+        res = LaurentPoly.__new__(LaurentPoly)
+        res.coeffs = out
+        return res
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            if not other:
-                return LaurentPoly()
-            res = LaurentPoly.__new__(LaurentPoly)
-            res.coeffs = {k: c * other for k, c in self.coeffs.items()}
-            return res
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
+        if other.__class__ is not LaurentPoly:
+            if isinstance(other, _SCALARS):
+                if not other:
+                    return LaurentPoly()
+                res = LaurentPoly.__new__(LaurentPoly)
+                res.coeffs = {k: c * other for k, c in self.coeffs.items()}
+                return res
+            if not isinstance(other, LaurentPoly):
+                return NotImplemented
         if not self.coeffs or not other.coeffs:
             return LaurentPoly()
         a, b = self.coeffs, other.coeffs

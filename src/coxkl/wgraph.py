@@ -675,39 +675,71 @@ class WGraphFormatError(ValueError):
     """A W-graph file that does not describe a W-graph on its group."""
 
 
+def _fields(obj, keys, where: str) -> list:
+    """The values of `keys` in the JSON object `obj`, or a format error."""
+    if not isinstance(obj, dict):
+        raise WGraphFormatError(f"{where} is not a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise WGraphFormatError(f"{where} has no {key!r}")
+    return [obj[key] for key in keys]
+
+
+def wgraph_group(data) -> str:
+    """The type string of a W-graph file."""
+    (group,) = _fields(data, ("group",), "W-graph file")
+    if not isinstance(group, str):
+        raise WGraphFormatError(f"'group' = {group!r} is not a type string")
+    return group
+
+
 def wgraph_from_json(data: dict, engine: GroupEngine | None = None) -> WGraph:
-    """Read the wire format, rejecting labels outside S, out-of-range edge
-    ends or generators, and an edge (s, from, to) given twice."""
+    """Read the wire format, rejecting missing keys, labels outside S,
+    out-of-range edge ends or generators, and an edge (s, from, to) given
+    twice."""
+    group = wgraph_group(data)
+    vertices, edge_list = _fields(data, ("vertices", "edges"), "W-graph file")
     if engine is None:
-        engine = build_group(data["group"])
+        engine = build_group(group)
+    for name, val in (("vertices", vertices), ("edges", edge_list)):
+        if not isinstance(val, list):
+            raise WGraphFormatError(f"{name!r} is not a list")
     gens = range(engine.datum.rank)
-    verts = sorted(data["vertices"], key=lambda v: v["id"])
-    if [v["id"] for v in verts] != list(range(len(verts))):
+    rows = [_fields(v, ("id", "label"), f"vertex entry {k}")
+            for k, v in enumerate(vertices)]
+    ids = [i for i, _ in rows]
+    if not all(type(i) is int for i in ids) or sorted(ids) != list(range(len(ids))):
         raise WGraphFormatError("vertex ids must be 0..n-1")
-    labels = [frozenset(v["label"]) for v in verts]
-    for v, l in zip(verts, labels):
-        if not l <= set(gens):
-            raise WGraphFormatError(
-                f"vertex {v['id']}: label {v['label']} is not a subset of "
-                f"S = {list(gens)}"
-            )
-    edges = {}
-    for k, e in enumerate(data["edges"]):
-        key = (e["s"], e["to"], e["from"])
-        for name, val, allowed in (
-            ("s", e["s"], gens),
-            ("from", e["from"], range(len(labels))),
-            ("to", e["to"], range(len(labels))),
+    labels = [None] * len(rows)
+    for i, label in rows:
+        if not (
+            isinstance(label, list)
+            and all(type(s) is int for s in label)
+            and set(label) <= set(gens)
         ):
-            if val not in allowed:
+            raise WGraphFormatError(
+                f"vertex {i}: label {label} is not a subset of S = {list(gens)}"
+            )
+        labels[i] = frozenset(label)
+    edges = {}
+    for k, e in enumerate(edge_list):
+        s, frm, to, weight = _fields(e, ("s", "from", "to", "weight"), f"edge {k}")
+        for name, val, allowed in (
+            ("s", s, gens),
+            ("from", frm, range(len(labels))),
+            ("to", to, range(len(labels))),
+        ):
+            if type(val) is not int or val not in allowed:
                 raise WGraphFormatError(
                     f"edge {k}: {name!r} = {val!r} "
                     f"is out of range {allowed.start}..{allowed.stop - 1}"
                 )
+        key = (s, to, frm)
         if key in edges:
             raise WGraphFormatError(
-                f"edge {k}: (s, from, to) = ({e['s']}, {e['from']}, {e['to']}) "
-                f"appears twice"
+                f"edge {k}: (s, from, to) = ({s}, {frm}, {to}) appears twice"
             )
-        edges[key] = parse_laurent(e["weight"])
+        if not isinstance(weight, str):
+            raise WGraphFormatError(f"edge {k}: weight {weight!r} is not a string")
+        edges[key] = parse_laurent(weight)
     return WGraph(engine, labels, edges)

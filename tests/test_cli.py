@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from coxkl import asymptotic
 from coxkl.cli import main
 
 
@@ -109,6 +110,10 @@ def test_labels_and_balance_and_leading(tmp_path, capsys):
     assert len(json.loads(out)["leading"]) == 4
 
 
+def without(key):
+    return lambda d: {k: v for k, v in d.items() if k != key}
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -119,15 +124,23 @@ def test_labels_and_balance_and_leading(tmp_path, capsys):
          "edge 1: 'from' = -1 is out of range"),
         (lambda d: d["edges"][0].update(s=2), "edge 0: 's' = 2 is out of range"),
         (lambda d: d["edges"].append(dict(d["edges"][0])), "appears twice"),
+        (without("edges"), "W-graph file has no 'edges'"),
+        (without("vertices"), "W-graph file has no 'vertices'"),
+        (without("group"), "W-graph file has no 'group'"),
+        (lambda d: d["vertices"][0].__delitem__("label"),
+         "vertex entry 0 has no 'label'"),
+        (lambda d: [1, 2], "W-graph file is not a JSON object"),
     ],
-    ids=["label", "to", "from", "s", "duplicate"],
+    ids=["label", "to", "from", "s", "duplicate",
+         "no-edges", "no-vertices", "no-group", "no-label", "list"],
 )
 def test_malformed_wgraph_files_are_usage_errors(tmp_path, capsys, edit, message):
+    # `edit` changes the fixture in place, or returns the data to write
     run(capsys, "fixtures", "--out", str(tmp_path))
     data = json.loads((tmp_path / "a2_refl.json").read_text())
-    edit(data)
+    edited = edit(data)
     bad = tmp_path / "malformed.json"
-    bad.write_text(json.dumps(data))
+    bad.write_text(json.dumps(data if edited is None else edited))
     assert main(["wgraph", "validate", str(bad)]) == 2
     captured = capsys.readouterr()
     assert not captured.out
@@ -160,6 +173,17 @@ def test_reducible_cells_are_a_verification_failure(capsys, argv):
     captured = capsys.readouterr()
     assert not captured.out
     assert "reducible" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["jdata", "cellbasis"])
+def test_order_guard_comes_before_balancing(capsys, monkeypatch, command):
+    balanced = []
+    monkeypatch.setattr(asymptotic, "balance", balanced.append)
+    assert main([command, "--group", "A5"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "|W| = 720 exceeds the structure-constant guard 120" in captured.err
+    assert not balanced
 
 
 def test_compat(capsys):

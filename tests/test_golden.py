@@ -5,8 +5,10 @@ the `cells` B3 right and I2(5) two-sided ones before cells were read off the
 KL W-graph edges, and the A3 `jdata` and `cellbasis` ones before cell-module
 irreducibility was read off the dimension-sum identity, and the A4
 `cellbasis` and B3 `jdata` ones before the v = 1 rank certificate, the
-sparse cell coordinates and the trace-only gamma sums; any change to them is
-a change of the printed answer, not of its speed.
+sparse cell coordinates and the trace-only gamma sums, and the `kl` D4 and
+I2(4):2,1 and `wgraph klgraph` B4, B4:2,1,1,1 and B3:1,2,2 ones before the KL
+recursion ran on mu-lists; any change to them is a change of the printed
+answer, not of its speed.
 """
 
 import hashlib
@@ -42,6 +44,16 @@ GOLDEN = {
         "260ffb897d020f3ebd253f705b6525e98eb2ce5cd158fd8cc6a6934fa33e1ea8",
     ("jdata", "--group", "B3"):
         "615adc953c06fa209cc07e3251aef64cf758c35a918d7f15c444996c7032e986",
+    ("kl", "--group", "D4"):
+        "52296f0d7b2c59144c956a28fb4fbf7d69ac33254bcb9c024a8b8629932d3478",
+    ("kl", "--group", "I2(4)", "--weights", "2,1"):
+        "24518760459cb9577cae5b7f4068f24ad80ada5b7e61cc61eb7aa1c29fb286fc",
+    ("wgraph", "klgraph", "--group", "B4"):
+        "e12a6f296f1339d1f53cf1d773bca60da3c0621ff5ef89cb642c70385d3da992",
+    ("wgraph", "klgraph", "--group", "B4", "--weights", "2,1,1,1"):
+        "3f92ef7dfee49e5079d947d519ace9475554cada5d1d9bfcfaae30781d6c5557",
+    ("wgraph", "klgraph", "--group", "B3", "--weights", "1,2,2"):
+        "c3661fc71809e13505d43a743b616324ef6ce1ea689637c549ea99b199db5bc5",
 }
 
 

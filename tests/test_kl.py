@@ -1,5 +1,6 @@
-"""Kazhdan-Lusztig layer: recursion vs naive oracle, C-basis dual routes,
-structure constants, a-function data and cells.
+"""Kazhdan-Lusztig layer: recursion vs naive and interval-scan oracles,
+mu-lists, C-basis dual routes, structure constants, a-function data and
+cells.
 
 The cells and the KL W-graph read how C_s acts off the mu edges; the
 structure constants h_{x,y,z}, through full T-basis products, are the
@@ -10,9 +11,9 @@ from functools import lru_cache
 
 import pytest
 
-from coxkl.coxeter import build_group
+from coxkl.coxeter import bit_indices, build_group
 from coxkl.kl import HeckeElement, KLContext
-from coxkl.laurent import LaurentPoly, ONE, ZERO, bar
+from coxkl.laurent import LaurentPoly, ONE, ZERO, bar, negative_part, positive_part
 from coxkl.wgraph import kl_wgraph, wgraph_matrices
 
 
@@ -50,6 +51,122 @@ def test_pstar_against_naive_recursion(kl_a2, kl_a3):
         for y in kl.engine.elements:
             for w in kl.engine.elements:
                 assert kl.pstar(y, w) == naive_pstar(kl, memo, y, w), (y, w)
+
+
+class IntervalScanKL:
+    """P* and mu by scanning whole Bruhat intervals, for any weights.
+
+    Each new critical pair (u, v) scans [u, tv] for the z with tz < z and
+    asks mu(z, tv, t) of each; the unequal-weight mu scans [y, w] the same
+    way.  Every mu value is memoized, zeros included.
+    """
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.critical_pair = KLContext(engine).critical_pair
+        self._pstar, self._mu = {}, {}
+
+    def pstar(self, y, w):
+        gamma, u, v = self.critical_pair(y, w)
+        if gamma is None:
+            return ZERO
+        if u == v:
+            return LaurentPoly({-gamma: 1})
+        key = (u.index, v.index)
+        klp = self._pstar.get(key)
+        if klp is None:
+            eng = self.engine
+            t = min(eng.left_descent_set(v))
+            tu, tv = eng.simple[t] * u, eng.simple[t] * v
+            vt = LaurentPoly({eng.generator_weight(t): 1})
+            klp = self.pstar(u, tv) * vt + self.pstar(tu, tv)
+            for z in eng.bruhat_interval(u, tv):
+                if t in eng.left_descent_set(z):
+                    m = self.mu(z, tv, t)
+                    if m:
+                        klp = klp - self.pstar(u, z) * m
+            self._pstar[key] = klp
+        return klp * LaurentPoly({-gamma: 1})
+
+    def mu(self, y, w, s):
+        eng = self.engine
+        if (
+            s not in eng.left_descent_set(y)
+            or s in eng.left_descent_set(w)
+            or y == w
+            or not eng.bruhat_le(y, w)
+        ):
+            return ZERO
+        key = (y.index, w.index, s)
+        if key in self._mu:
+            return self._mu[key]
+        alpha = self.pstar(y, w) * LaurentPoly({eng.generator_weight(s): 1})
+        alpha = alpha - negative_part(alpha)
+        weights = {eng.generator_weight(t) for t in eng.support(w)}
+        if weights | {eng.generator_weight(s)} == {eng.generator_weight(s)}:
+            m = alpha
+        else:
+            for z in eng.bruhat_interval(y, w):
+                if z != y and s in eng.left_descent_set(z):
+                    mz = self.mu(z, w, s)
+                    if mz:
+                        alpha = alpha - self.pstar(y, z) * mz
+                        alpha = alpha - negative_part(alpha)
+            m = alpha + bar(positive_part(alpha))
+        self._mu[key] = m
+        return m
+
+
+ORACLE_GROUPS = ["B3:2,1,1", "B3:1,2,2", "I2(4):2,1", "I2(5)", "H3", "D4"]
+
+
+@pytest.mark.parametrize("group", ORACLE_GROUPS)
+def test_pstar_and_mu_match_interval_scan(group):
+    eng = build_group(group)
+    kl, oracle = KLContext(eng), IntervalScanKL(eng)
+    rank = eng.datum.rank
+    for w in eng.elements:
+        for y in eng.elements:
+            assert kl.pstar(y, w) == oracle.pstar(y, w), (y, w)
+            for s in range(rank):
+                assert kl.mu(y, w, s) == oracle.mu(y, w, s), (y, w, s)
+        for s in range(rank):
+            if s in eng.left_descent_set(w):
+                continue
+            mus = kl.mu_list(w, s)
+            assert mus is kl.mu_list(w, s)  # memoized per (w, s)
+            assert all(mus.values())  # no zero is stored
+            expect = {y.index for y in eng.elements if oracle.mu(y, w, s)}
+            assert set(mus) == expect, (w, s)
+
+
+@pytest.mark.parametrize("group", ["B3:2,1,1", "D4"])
+def test_pstar_recursion_asks_only_for_pairs_below(group):
+    # a recursion step for the critical pair (u, v) may ask for one pair off
+    # the Bruhat order, (u, tv) in v_t P*_{u,tv}; the mu-list terms P*_{u,z}
+    # and P*_{y,z} are asked for only when u <= z, resp. y <= z
+    eng = build_group(group)
+    kl = KLContext(eng)
+    inner, off_order = kl.pstar, []
+
+    def spy(y, w):
+        if not eng.bruhat_le(y, w):
+            off_order.append((y, w))
+        return inner(y, w)
+
+    kl.pstar = spy
+    for w in eng.elements:
+        for yi in bit_indices(eng.bruhat_down(w)):
+            kl.pstar(eng.elements[yi], w)
+    kl.wgraph_edges()
+    assert len(off_order) <= len(kl._pstar)
+
+
+def test_mu_list_needs_an_ascent(kl_a2):
+    s = kl_a2.engine.simple[0]
+    assert kl_a2.mu_list(kl_a2.engine.identity, 0) == {}
+    with pytest.raises(ValueError):
+        kl_a2.mu_list(s, 0)
 
 
 def test_pstar_basics(kl_a2):

@@ -97,6 +97,17 @@ def test_format_parse_roundtrip_over_both_fields(f):
     assert format_laurent(parse_laurent(text)) == text
 
 
+@given(field_polys, field_polys, scalars)
+def test_sub_agrees_with_adding_the_negative(f, g, c):
+    # the same values and the same coefficient types as f + (-g)
+    for lhs, rhs in ((f - g, f + (-g)), (f - c, f + (-c)), (c - f, -f + c)):
+        assert lhs == rhs
+        assert {k: type(x) for k, x in lhs.coeffs.items()} == {
+            k: type(x) for k, x in rhs.coeffs.items()
+        }
+    assert f - g + g == f
+
+
 def test_sqrt5_wire_format():
     f = lp({-1: Sqrt5(-1, 1), 0: GOLDEN, 1: Sqrt5(0, -1), 2: Fraction(-3, 2)})
     text = "(-1+1r5)*v^-1 + (1/2+1/2r5) + (-1r5)*v^1 + -3/2*v^2"
