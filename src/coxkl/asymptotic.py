@@ -36,11 +36,11 @@ from .laurent import (
     bar,
 )
 from .linalg import (
+    f_identity,
     f_mat_eq,
     f_mat_inverse,
     f_mat_is_zero,
     f_mat_mul,
-    f_mat_rank,
     f_mat_scale,
     f_mat_trace,
     f_mat_transpose,
@@ -105,7 +105,9 @@ def schur_f(rep: Representation, a: int | None = None, entry=(0, 0)):
 
     c = sum_w rho(T_{w^-1})_{ts} rho(T_w)_{st} at the fixed entry (s, t);
     f = lowest_term(v^{2a} c).  Vanishing c or a lowest term at the wrong
-    degree signals a non-irreducible or non-balanced input.
+    degree signals a non-irreducible or non-balanced input.  `balance`
+    records c at entry (0, 0) from its leading-table walk; this separate
+    walk is the oracle for it.
     """
     s, t = entry
     st_vals: dict[Element, LaurentPoly] = {}
@@ -116,19 +118,25 @@ def schur_f(rep: Representation, a: int | None = None, entry=(0, 0)):
     c = ZERO
     for w, x in st_vals.items():
         c = c + ts_vals[w.inverse()] * x
+    if a is None:
+        a = a_value(rep)
+    return c, _schur_unit(c, a)
+
+
+def _schur_unit(c: LaurentPoly, a: int):
+    """f = lowest_term(v^{2a} c), refusing a Schur sum that vanishes or whose
+    lowest term sits at the wrong degree."""
     if not c:
         raise VerificationError(
             "Schur sum vanishes: representation is not irreducible"
         )
-    if a is None:
-        a = a_value(rep)
     shifted = c * LaurentPoly({2 * a: 1})
     if shifted.valuation() != 0:
         raise VerificationError(
             "Schur element has the wrong valuation: representation is not "
             "balanced or not irreducible"
         )
-    return c, shifted.lowest_term()
+    return shifted.lowest_term()
 
 
 # -- the gamma/n table -----------------------------------------------------------
@@ -155,10 +163,10 @@ def gamma_n_table(
             f"dimension sum {total} != |W| = {engine.order}: the "
             f"representation set is incomplete or redundant"
         )
-    irreducibles = []
-    for rep, data in reps:
-        c_poly, f = schur_f(rep, data.a_value)
-        irreducibles.append(IrreducibleDatum(rep, data, c_poly, f))
+    irreducibles = [
+        IrreducibleDatum(rep, data, data.schur, _schur_unit(data.schur, data.a_value))
+        for rep, data in reps
+    ]
     gamma: dict[tuple[Element, Element], dict[Element, object]] = {}
     n: dict[Element, object] = {}
     for ir in irreducibles:
@@ -479,15 +487,18 @@ def verify_cell_axioms(cd: CellDatum, kl: KLContext) -> CellAxiomReport:
         [cd.basis[trip].get(w, Fraction(0)) for w in eng.elements]
         for trip in triples
     ]
-    if f_mat_rank(mat) != eng.order:
+    try:
+        # row w of the inverse converts the C_w coefficient to cell coords
+        minv = f_mat_inverse(mat)
+    except ZeroDivisionError:
         failures.append("(C1) fails: cell elements are linearly dependent")
+        return CellAxiomReport(False, failures)
     # (C2): the involution T_w -> T_{w^-1} sends C_w to C_{w^-1}
     for (li, s, t) in triples:
         starred = {w.inverse(): c for w, c in cd.basis[(li, s, t)].items()}
         if starred != cd.basis.get((li, t, s), {}):
             failures.append(f"(C2) fails at lambda={li}, (s,t)=({s},{t})")
     # (C3): T_g C^l_{st} = sum_u r_g(u, s) C^l_{ut} modulo strictly smaller types
-    minv = f_mat_inverse(mat)  # row w converts the C_w coefficient to cell coords
     minv_support = [[(r, x) for r, x in enumerate(row) if x] for row in minv]
 
     def to_cell_coords(h: dict[Element, LaurentPoly]):
@@ -546,38 +557,64 @@ def verify_cell_axioms(cd: CellDatum, kl: KLContext) -> CellAxiomReport:
 # -- assembling complete irreducible sets ------------------------------------------------
 
 
+def class_character(rep: Representation) -> tuple:
+    """The W-character of rep at v = 1, one value per conjugacy class.
+
+    Each generator matrix is taken at v = 1, every entry the sum of its
+    coefficients, and the trace is read along the reduced word of each
+    class representative of `GroupEngine.conjugacy_class_representatives`.
+    """
+    eng = rep.engine
+    at_one = [g.at_one() for g in rep.gens]
+    values = []
+    for w in eng.conjugacy_class_representatives():
+        m = f_identity(rep.dim)
+        for s in eng.words[w.index]:
+            m = f_mat_mul(m, at_one[s])
+        values.append(f_mat_trace(m))
+    return tuple(values)
+
+
 def irreducible_cell_reps(kl: KLContext):
     """One balanced representation per isomorphism type, from KL left cells.
 
+    Cell modules are told apart by `class_character`, their W-character at
+    v = 1 on class representatives, and no module is walked before the
+    dimension-sum identity below accepts the set.  That key is exact.  Over
+    K = F'(v), with F' a splitting field of W, the Hecke algebra H_K is split
+    semisimple, and Tits' deformation theorem makes v -> 1 a bijection
+    Irr(H_K) -> Irr(W) with chi_E(T_w)|_{v=1} = chi_{E_1}(w), so it induces
+    an isomorphism of Grothendieck groups R(H_K) -> R(W) (Geck-Pfeiffer
+    2000, 7.4 and 9.3).  A W-graph module M is defined over F[v, v^-1], and
+    the trace of a product of its matrices commutes with v -> 1, so the
+    W-character of M at v = 1 is the image of [M].  Two cell modules
+    therefore have equal H-characters exactly when their W-characters agree,
+    and W-characters are class functions.
+
     One cell module per character is kept, M_1..M_k, and the modules are
-    irreducible exactly when sum_j dim(M_j)^2 = |W|.  Over K = F(v) the
-    Hecke algebra is semisimple, so distinct characters make the M_j
-    pairwise non-isomorphic, and every simple module E occurs in some M_j
-    because the left cells filter the regular module.  Writing
-    M_j = sum_E m_jE E and d_E = n_E dim D_E with D_E = End(E),
+    irreducible exactly when sum_j dim(M_j)^2 = |W|.  Over K the Hecke
+    algebra is semisimple, so distinct characters make the M_j pairwise
+    non-isomorphic, and every simple module E occurs in some M_j because
+    the left cells filter the regular module.  Writing M_j = sum_E m_jE E
+    and d_E = n_E dim D_E with D_E = End(E),
         sum_j dim(M_j)^2 >= sum_j sum_E m_jE^2 d_E^2 >= sum_E d_E^2
                          >= sum_E n_E^2 dim D_E = |W|,
     with equality exactly when every M_j is simple with End(M_j) = K
-    (Geck-Pfeiffer 2000, Tits deformation; Lusztig, CRM Monogr. 18).  The
-    identity is checked before any module is balanced.
+    (Geck-Pfeiffer 2000, Tits deformation; Lusztig, CRM Monogr. 18).
     """
     eng = kl.engine
-    modules: list[Representation] = []
-    seen_chars: list[dict] = []
+    modules: dict[tuple, Representation] = {}
     for cgraph, _ in kl_left_cell_wgraphs(kl):
         rep = wgraph_matrices(cgraph)
-        char = {w: m.trace() for w, m in rep.walk()}
-        if char not in seen_chars:
-            seen_chars.append(char)
-            modules.append(rep)
-    total = sum(rep.dim * rep.dim for rep in modules)
+        modules.setdefault(class_character(rep), rep)
+    total = sum(rep.dim * rep.dim for rep in modules.values())
     if total != eng.order:
         raise VerificationError(
             "a KL left cell of this group is reducible; supply explicit "
             "graphs for its constituents instead (distinct cell modules "
             f"have dimension sum {total} != |W| = {eng.order})"
         )
-    return [balance(rep) for rep in modules]
+    return [balance(rep) for rep in modules.values()]
 
 
 def irreducible_reps_from_graphs(graphs) -> list[tuple[Representation, BalancedData]]:

@@ -3,18 +3,21 @@ leading-coefficient extraction and per-block strictification.
 
 The invariant form is always produced by the full Gram sum over the standard
 basis (one depth-first sweep with a single running matrix), never by linear
-solving, so every intermediate stays inside the Laurent ring.  The balancing
-base change interleaves monomial diagonal steps with residue-field row steps;
-the maximal entry degree of the form never grows from step to step, and the
-step history is recorded so callers can assert that.
+solving, so every intermediate stays inside the Laurent ring; the same sweep
+gives the a-value.  The balancing base change interleaves monomial diagonal
+steps with residue-field row steps; the maximal entry degree of the form
+never grows from step to step, and the step history is recorded so callers
+can assert that.  One more sweep of the balanced module gives its leading
+table and its Schur sum, so `balance` walks W twice per module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .coxeter import Element
-from .laurent import LaurentMatrix, LaurentPoly
+from .laurent import ZERO, LaurentMatrix, LaurentPoly
 from .linalg import (
     f_identity,
     f_ldl,
@@ -32,9 +35,11 @@ class VerificationError(ValueError):
 
 @dataclass
 class InvariantForm:
-    """A symmetric matrix intertwining rho with its transpose-dual."""
+    """A symmetric matrix intertwining rho with its transpose-dual, and the
+    a-value -min_w nu(trace rho(T_w)) of rho."""
 
     matrix: LaurentMatrix
+    a_value: int
     singular: bool = False
 
 
@@ -47,22 +52,45 @@ class BalancedData:
     q_inv: LaurentMatrix
     d: list  # diagonal residues of the balanced form
     leading: dict[Element, list] = field(default_factory=dict)
+    #: the Schur sum sum_w rho(T_{w^-1})_00 rho(T_w)_00; None for a
+    #: representation taken as balanced
+    schur: LaurentPoly | None = None
     degree_history: list = field(default_factory=list)
     #: the balanced invariant form; None for a representation taken as balanced
     form: InvariantForm | None = None
 
 
 def gram_invariant_form(rep: Representation) -> InvariantForm:
-    """Omega = v^-nu * sum_w rho(T_w)^Tr rho(T_w), normalized to valuation 0.
+    """Omega = v^-nu * sum_w rho(T_w)^Tr rho(T_w), normalized to valuation 0,
+    and the a-value, from one walk of W.
 
-    The invariance identity Omega rho(T_s) = rho(T_s)^Tr Omega is verified
-    for every generator (T_s is *-fixed).  A singular form is flagged but
-    still returned.
+    Each row r of rho(T_w) adds r_i r_j to the coefficient table of entry
+    (i, j) for i <= j, in place; the lower triangle is filled by symmetry.
+    The walk also records min_w nu(trace rho(T_w)).  The invariance identity
+    Omega rho(T_s) = rho(T_s)^Tr Omega is verified for every generator (T_s
+    is *-fixed).  A singular form is flagged but still returned.
     """
     d = rep.dim
-    omega = LaurentMatrix(d, d)
+    acc = [[{} for _ in range(d)] for _ in range(d)]
+    alpha = 0
     for _, m in rep.walk():
-        omega = omega + (m.transpose() @ m)
+        v = m.trace().valuation()
+        if v is not None and v < alpha:
+            alpha = v
+        for row in m.entries:
+            nz = [(i, e.coeffs) for i, e in enumerate(row) if e.coeffs]
+            for p, (i, ci) in enumerate(nz):
+                acc_i = acc[i]
+                for j, cj in nz[p:]:
+                    cell = acc_i[j]
+                    for k1, c1 in ci.items():
+                        for k2, c2 in cj.items():
+                            k = k1 + k2
+                            cell[k] = cell.get(k, 0) + c1 * c2
+    omega = LaurentMatrix(d, d)
+    for i in range(d):
+        for j in range(i, d):
+            omega.entries[i][j] = omega.entries[j][i] = LaurentPoly(acc[i][j])
     val = omega.valuation()
     if val:
         omega = omega.scale(LaurentPoly({-val: 1}))
@@ -70,7 +98,7 @@ def gram_invariant_form(rep: Representation) -> InvariantForm:
         if (omega @ g) != (g.transpose() @ omega):
             raise AssertionError(f"Gram form is not invariant for generator {s}")
     singular = laurent_rank(omega) < d
-    return InvariantForm(omega, singular)
+    return InvariantForm(omega, -alpha, singular)
 
 
 def a_value(rep: Representation) -> int:
@@ -102,23 +130,33 @@ def is_balanced(rep: Representation, a: int):
     return attained is not None, attained
 
 
+def _leading_walk(rep: Representation, a: int):
+    """One walk of W: the leading table and the (0, 0) entries rho(T_w)_00.
+
+    Raises as soon as the traversal meets a matrix with valuation below -a.
+    """
+    out: dict[Element, list] = {}
+    corner: dict[Element, LaurentPoly] = {}
+    zero, low = Fraction(0), -a
+    for w, m in rep.walk():
+        corner[w] = m.entries[0][0]
+        v = m.valuation()
+        if v is None:
+            continue
+        if v < low:
+            raise VerificationError(f"Representation not balanced! (witness {w!r})")
+        if v == low:
+            # the residue of v^a rho(T_w): the coefficients of v^-a
+            out[w] = [[e.coeffs.get(low, zero) for e in row] for row in m.entries]
+    return out, corner
+
+
 def leading_coefficients(rep: Representation, a: int) -> dict[Element, list]:
     """The sparse leading table c(w) = (v^a rho(T_w)) mod m over F.
 
     Raises as soon as the traversal meets a matrix with valuation below -a.
     """
-    shift = LaurentPoly({a: 1})
-    out: dict[Element, list] = {}
-    for w, m in rep.walk():
-        shifted = m.scale(shift)
-        v = shifted.valuation()
-        if v is None:
-            continue
-        if v < 0:
-            raise VerificationError(f"Representation not balanced! (witness {w!r})")
-        if v == 0:
-            out[w] = shifted.residue()
-    return out
+    return _leading_walk(rep, a)[0]
 
 
 def balance(rep: Representation, form: InvariantForm | None = None):
@@ -194,15 +232,21 @@ def balance(rep: Representation, form: InvariantForm | None = None):
             if i != j and res[i][j]:
                 raise AssertionError("balance post-state: residue not diagonal")
     rep2 = rep.conjugate(q, q_inv)
-    a = a_value(rep2)
+    # trace(Q^-1 rho Q) = trace(rho): the a-value is the one the Gram walk saw
+    a = form.a_value
+    leading, corner = _leading_walk(rep2, a)
+    schur = ZERO
+    for w, x in corner.items():
+        schur = schur + corner[w.inverse()] * x
     data = BalancedData(
         a_value=a,
         q=q,
         q_inv=q_inv,
         d=diag,
-        leading=leading_coefficients(rep2, a),
+        leading=leading,
+        schur=schur,
         degree_history=history,
-        form=InvariantForm(omega, form.singular),
+        form=InvariantForm(omega, a, form.singular),
     )
     return rep2, data
 
@@ -264,4 +308,4 @@ def strictify(
         for j in range(d):
             if i != j and res2[i][j]:
                 raise AssertionError("strictify post-state: residue not diagonal")
-    return rep2, InvariantForm(omega2, form.singular), l_full
+    return rep2, InvariantForm(omega2, form.a_value, form.singular), l_full

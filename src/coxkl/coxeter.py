@@ -157,7 +157,8 @@ class GroupEngine:
     - ``ldesc[i]`` and ``rdesc[i]``: left and right descent sets as
       bitmasks over the generators.
 
-    The Bruhat order is one downset bitset per element, built on first use.
+    The Bruhat order (one downset bitset per element) and the conjugacy
+    class representatives are built on first use.
     """
 
     def __init__(self, datum: CoxeterDatum):
@@ -173,6 +174,7 @@ class GroupEngine:
             for m in range(1 << rank)
         ]
         self._down: list[int] | None = None
+        self._class_reps: tuple[Element, ...] | None = None
 
     # -- root system ----------------------------------------------------------
 
@@ -366,6 +368,36 @@ class GroupEngine:
             for z in bit_indices(down[w.index] >> yi << yi)
             if down[z] >> yi & 1
         }
+
+    # -- conjugacy classes -----------------------------------------------------------
+
+    def conjugacy_class_representatives(self) -> tuple[Element, ...]:
+        """One minimal-length element per conjugacy class, in canonical order.
+
+        The simple generators generate W, so conjugation by them, w -> s w s,
+        connects each class.  Classes are closed that way from their first
+        element in canonical index order; that order is by length, so the
+        first element has minimal length in its class.
+        """
+        if self._class_reps is None:
+            lmul, rmul = self.lmul, self.rmul
+            seen = bytearray(self.order)
+            reps = []
+            for i in range(self.order):
+                if seen[i]:
+                    continue
+                reps.append(self.elements[i])
+                seen[i] = 1
+                stack = [i]
+                while stack:
+                    w = stack.pop()
+                    for row, col in zip(lmul, rmul):
+                        c = col[row[w]]
+                        if not seen[c]:
+                            seen[c] = 1
+                            stack.append(c)
+            self._class_reps = tuple(reps)
+        return self._class_reps
 
     # -- distinguished elements ------------------------------------------------------
 

@@ -532,6 +532,11 @@ class LaurentMatrix:
             raise ValueError("matrix has a pole: valuation < 0")
         return [[e.constant_term() for e in row] for row in self.entries]
 
+    def at_one(self):
+        """Entrywise values at v = 1 (each the sum of its coefficients), as a
+        scalar grid."""
+        return [[sum(e.coeffs.values()) for e in row] for row in self.entries]
+
     def is_constant(self) -> bool:
         return all(
             not e.coeffs or set(e.coeffs) == {0} for row in self.entries for e in row

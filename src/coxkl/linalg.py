@@ -73,8 +73,7 @@ def laurent_rank(m: LaurentMatrix) -> int:
     embedding of F.
     """
     full = min(m.rows, m.cols)
-    at_one = [[sum(e.coeffs.values()) for e in row] for row in m.entries]
-    if f_mat_rank(at_one) == full:
+    if f_mat_rank(m.at_one()) == full:
         return full
     rows = [list(r) for r in m.entries]
     return len(_jordan_echelonize(rows))

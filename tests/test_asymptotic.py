@@ -7,10 +7,12 @@ from itertools import product
 
 import pytest
 
+from coxkl import asymptotic
 from coxkl.asymptotic import (
     JElement,
     cell_basis,
     cell_representation,
+    class_character,
     duflo_from_reps,
     gamma_n_table,
     geck_mueller_check,
@@ -30,7 +32,12 @@ from coxkl.kl import KLContext
 from coxkl.laurent import LaurentMatrix, LaurentPoly
 from coxkl.linalg import f_mat_mul, f_mat_trace, f_mat_transpose, laurent_rank
 from coxkl.scalars import scalar_inv
-from coxkl.wgraph import WGraph, kl_left_cell_wgraphs, wgraph_matrices
+from coxkl.wgraph import (
+    Representation,
+    WGraph,
+    kl_left_cell_wgraphs,
+    wgraph_matrices,
+)
 
 
 @pytest.fixture(scope="module")
@@ -435,3 +442,89 @@ def test_b3_reducible_cells_need_table_graphs():
         for z, val in row.items():
             assert Fraction(val).denominator == 1
             assert jd.gamma_value(y, z, x) == val
+
+
+def test_cell_axioms_report_a_dependent_basis(jd_a3, kl_a3):
+    """A basis element copied over another makes the basis matrix singular:
+    a (C1) failure report, not an error from the elimination."""
+    cd = cell_basis(jd_a3, kl_a3)
+    first, second = sorted(cd.basis)[:2]
+    basis = dict(cd.basis)
+    basis[second] = dict(basis[first])
+    failures = _failures(cd, kl_a3, basis)
+    assert failures == ["(C1) fails: cell elements are linearly dependent"]
+
+
+def laurent_character_partition(kl):
+    """Left cells grouped by full Laurent characters, one walk per cell."""
+    groups: dict = {}
+    for k, (cgraph, _) in enumerate(kl_left_cell_wgraphs(kl)):
+        char = tuple(m.trace() for _, m in wgraph_matrices(cgraph).walk())
+        groups.setdefault(char, []).append(k)
+    return sorted(groups.values())
+
+
+def class_character_partition(kl):
+    groups: dict = {}
+    for k, (cgraph, _) in enumerate(kl_left_cell_wgraphs(kl)):
+        groups.setdefault(class_character(wgraph_matrices(cgraph)), []).append(k)
+    return sorted(groups.values())
+
+
+@pytest.mark.parametrize(
+    "group",
+    ["A2", "A3", "A4", "B2", "B3", "D4", "H3", "I2(3)", "I2(4)", "I2(5)",
+     "I2(6)", "B3:2,1,1", "B3:1,2,2", "I2(4):2,1", "I2(4):3,1", "I2(6):2,1"],
+)
+def test_class_characters_group_cells_as_laurent_characters(group):
+    """W-characters at v = 1 on class representatives tell cell modules
+    apart exactly when their H-characters, walked over all of W, differ."""
+    kl = KLContext(shared_engine(group))
+    assert class_character_partition(kl) == laurent_character_partition(kl)
+
+
+def test_cell_modules_are_walked_only_when_balanced(monkeypatch):
+    """On A4, `jdata_from_cells` walks W once for each Gram form and once for
+    each balanced module: 7 irreducibles, 14 walks.  A refused group is
+    refused before any walk, with the dimension sum unchanged."""
+    walks = []
+    walk = Representation.walk
+
+    def counted(rep):
+        walks.append(rep)
+        return walk(rep)
+
+    monkeypatch.setattr(Representation, "walk", counted)
+    at_first_balance = []
+    real_balance = asymptotic.balance
+
+    def first_balance(rep):
+        at_first_balance.append(len(walks))
+        return real_balance(rep)
+
+    monkeypatch.setattr(asymptotic, "balance", first_balance)
+    jd = jdata_from_cells(KLContext(shared_engine("A4")))
+    assert len(jd.reps) == 7 and len(walks) == 14
+    assert at_first_balance[0] == 0
+    for group, total, order in (("B2", 20, 8), ("H3", 188, 120)):
+        walks.clear()
+        with pytest.raises(VerificationError) as exc:
+            irreducible_cell_reps(KLContext(shared_engine(group)))
+        assert f"dimension sum {total} != |W| = {order}" in str(exc.value)
+        assert not walks
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda c: LaurentPoly(), "Schur sum vanishes"),
+        (lambda c: c * LaurentPoly({1: 1}), "Schur element has the wrong valuation"),
+    ],
+    ids=["zero", "shifted"],
+)
+def test_gamma_table_refuses_a_bad_schur_sum(kl_a2, a2, corrupt, message):
+    reps = irreducible_cell_reps(kl_a2)
+    (rep, data), rest = reps[0], reps[1:]
+    bad = [(rep, replace(data, schur=corrupt(data.schur))), *rest]
+    with pytest.raises(VerificationError, match=message):
+        gamma_n_table(a2, bad)

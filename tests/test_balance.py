@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from coxkl.asymptotic import class_character, schur_f
 from coxkl.balance import (
     InvariantForm,
     VerificationError,
@@ -15,7 +16,8 @@ from coxkl.balance import (
     leading_coefficients,
     strictify,
 )
-from coxkl.fixtures import catalogue, reflection_graph
+from coxkl.fixtures import b3_graphs, catalogue, reflection_graph, shared_engine
+from coxkl.kl import KLContext
 from coxkl.laurent import LaurentMatrix, LaurentPoly
 from coxkl.wgraph import WGraph, kl_left_cell_wgraphs, wgraph_matrices
 
@@ -112,7 +114,8 @@ def test_balance_restores_scaled_conjugate(a3, kl_a3):
 def test_balance_refusals_are_verification_failures(a2, entries, message):
     rep = wgraph_matrices(reflection_graph(a2))
     form = InvariantForm(
-        LaurentMatrix(2, 2, [[LaurentPoly(e) for e in row] for row in entries])
+        LaurentMatrix(2, 2, [[LaurentPoly(e) for e in row] for row in entries]),
+        a_value=1,
     )
     with pytest.raises(VerificationError, match=message):
         balance(rep, form)
@@ -188,7 +191,7 @@ def test_strictify_rejects_cross_block_mixing(a2):
         [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(2)]]
     )
     with pytest.raises(ValueError):
-        strictify(rep, InvariantForm(bad), list(g.labels))
+        strictify(rep, InvariantForm(bad, a_value=1), list(g.labels))
 
 
 def test_strictify_identity_on_diagonal_forms(a2):
@@ -221,3 +224,47 @@ def test_gram_block_diagonal_for_fixtures(b3):
             for j in range(g.size):
                 if g.labels[i] != g.labels[j]:
                     assert not res[i][j], (name, i, j)
+
+
+def gram_by_transposes(rep):
+    """The Gram sum from full products, sum_w m^T m, normalized."""
+    omega = LaurentMatrix(rep.dim, rep.dim)
+    for _, m in rep.walk():
+        omega = omega + (m.transpose() @ m)
+    val = omega.valuation()
+    return omega.scale(LaurentPoly({-val: 1})) if val else omega
+
+
+def leading_by_shift(rep, a):
+    """The leading table from the scaled matrices v^a rho(T_w) mod m."""
+    out = {}
+    for w, m in rep.walk():
+        shifted = m.scale(LaurentPoly({a: 1}))
+        if shifted.valuation() == 0:
+            out[w] = shifted.residue()
+    return out
+
+
+def distinct_modules(case):
+    if case == "B3 tables":
+        return [wgraph_matrices(g) for g in b3_graphs().values()]
+    modules = {}
+    for cgraph, _ in kl_left_cell_wgraphs(KLContext(shared_engine(case))):
+        rep = wgraph_matrices(cgraph)
+        modules.setdefault(class_character(rep), rep)
+    return list(modules.values())
+
+
+@pytest.mark.parametrize("case", ["A3", "A4", "B3 tables", "I2(4):2,1", "B3:1,2,2"])
+def test_fused_walks_match_separate_walks(case):
+    """The Gram walk's form and a-value, and the balanced walk's leading
+    table and Schur sum, equal the routes that walk W once per quantity."""
+    for rep in distinct_modules(case):
+        form = gram_invariant_form(rep)
+        assert form.matrix == gram_by_transposes(rep)
+        rep2, data = balance(rep, form)
+        a = data.a_value
+        assert form.a_value == a == a_value(rep) == a_value(rep2)
+        assert data.leading == leading_by_shift(rep2, a)
+        assert leading_coefficients(rep2, a) == data.leading
+        assert data.schur == schur_f(rep2, a)[0]

@@ -6,6 +6,7 @@ import pytest
 
 from coxkl import asymptotic
 from coxkl.cli import main
+from coxkl.fixtures import shared_engine
 
 
 def run(capsys, *argv):
@@ -219,3 +220,36 @@ def test_restrict_cli(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["group"] == "A2"
+
+
+SMOKE_GROUPS = [
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "H3",
+    "I2(3)", "I2(4)", "I2(5)", "I2(6)", "B3:2,1,1", "I2(4):2,1",
+]
+SMOKE_COMMANDS = [
+    ("group",), ("compat",), ("kl",), ("cells", "--kind", "left"),
+    ("cells", "--kind", "two-sided"), ("wgraph", "klgraph"), ("jdata",),
+    ("cellbasis",),
+]
+
+
+@pytest.mark.parametrize("group", SMOKE_GROUPS)
+@pytest.mark.parametrize("command", SMOKE_COMMANDS, ids=" ".join)
+def test_every_group_command_exits_as_documented(capsys, command, group):
+    """0 with a JSON answer; for J, 2 past the order guard, and otherwise
+    0, or 1 with an `error:` line or a failed axiom report; never a
+    traceback.  The CLI builds engines through `shared_engine`."""
+    code = main([*command, "--group", group])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if code == 0:
+        json.loads(captured.out)
+        return
+    assert command[0] in ("jdata", "cellbasis"), (code, captured.err)
+    if shared_engine(group).order > 120:
+        assert code == 2
+        assert "exceeds the structure-constant guard 120" in captured.err
+    elif captured.out:
+        assert code == 1 and not json.loads(captured.out)["axioms_ok"]
+    else:
+        assert code == 1 and captured.err.startswith("error: ")

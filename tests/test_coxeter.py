@@ -333,3 +333,28 @@ def test_critical_pair_needs_one_bruhat_test():
         for w in kl.engine.elements:
             for y in kl.engine.elements:
                 assert kl.critical_pair(y, w) == stepwise_critical_pair(kl, y, w)
+
+
+#: numbers of conjugacy classes; I2(m) has (m+3)/2 of them for odd m and
+#: (m+6)/2 for even m
+CLASS_COUNTS = {"A4": 7, "A5": 11, "B3": 10, "B4": 20, "D4": 13, "H3": 10}
+CLASS_COUNTS.update(
+    {f"I2({m})": (m + 3) // 2 if m % 2 else (m + 6) // 2 for m in (3, 4, 5, 6)}
+)
+
+
+@pytest.mark.parametrize("group", sorted(CLASS_COUNTS))
+def test_conjugacy_class_representatives(group):
+    """One representative per class, of minimal length in it; the classes
+    are closed here by conjugating with every element, not by s w s."""
+    eng = engine(group)
+    reps = eng.conjugacy_class_representatives()
+    assert len(reps) == CLASS_COUNTS[group]
+    assert reps is eng.conjugacy_class_representatives()
+    covered = set()
+    for w in reps:
+        cls = {x * w * x.inverse() for x in eng.elements}
+        assert not cls & covered
+        covered |= cls
+        assert w.length() == min(c.length() for c in cls)
+    assert len(covered) == eng.order
