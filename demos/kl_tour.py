@@ -48,7 +48,8 @@ two = kl.cells("two-sided")
 print(f"and {len(two.blocks)} two-sided cells with sizes",
       sorted(len(b) for b in two.blocks))
 
-# Lusztig's a-function, computed by brute force over the full h-table.
+# Lusztig's a-function, read off the full h-table: the structure constants
+# h_{x,y,z} come column by column from the edges of the KL W-graph.
 adn = kl.lusztig_a_delta_n()
 print("a-values by two-sided cell:",
       sorted({adn.a[z] for z in a3.elements}))

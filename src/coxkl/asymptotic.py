@@ -2,12 +2,15 @@
 cell representations through the leading-coefficient homomorphism, and the
 cellular basis built from balanced representations.
 
-The structure constants are
+J has basis t_w with t_x t_y = sum_z gamma_{x,y,z} t_{z^-1} and unit
+sum_d n_d t_d.  `jdata_from_kl` reads it off the h-table of the KL W-graph
+by Lusztig's definitions, for every type and weight.  The leading-matrix
+route
     gamma_{x,y,z} = sum_l f_l^-1 tr(c^l(x) c^l(y) c^l(z)),
     n_x           = sum_l f_l^-1 tr(c^l(x^-1)),
-computed from one balanced representation per isomorphism type; the table is
-well defined independently of those choices and the test suite exercises
-that.  t_x t_y = sum_z gamma_{x,y,z} t_{z^-1} with unit sum_d n_d t_d.
+from one balanced representation per isomorphism type (`gamma_n_table`),
+serves the cellular basis; the test suite holds the two routes against each
+other.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .balance import (
     VerificationError,
     a_value,
     balance,
-    is_balanced,
     leading_coefficients,
 )
 from .coxeter import Element, GroupEngine
@@ -37,9 +39,7 @@ from .laurent import (
 )
 from .linalg import (
     f_identity,
-    f_mat_eq,
     f_mat_inverse,
-    f_mat_is_zero,
     f_mat_mul,
     f_mat_scale,
     f_mat_trace,
@@ -55,7 +55,7 @@ from .wgraph import (
     wgraph_matrices,
 )
 
-_JDATA_ORDER_LIMIT = 120
+_JDATA_ORDER_LIMIT = 192
 
 
 @dataclass
@@ -73,6 +73,8 @@ class JData:
     """Leading-coefficient structure constants of the asymptotic algebra."""
 
     engine: GroupEngine
+    #: the balanced modules of the leading-matrix route; empty for J read
+    #: off the h-table
     reps: list[IrreducibleDatum]
     #: sparse (x, y) -> {z: gamma_{x,y,z}}
     gamma: dict[tuple[Element, Element], dict[Element, object]]
@@ -142,21 +144,19 @@ def _schur_unit(c: LaurentPoly, a: int):
 # -- the gamma/n table -----------------------------------------------------------
 
 
-def _check_order(engine: GroupEngine, order_limit: int = _JDATA_ORDER_LIMIT):
-    if engine.order > order_limit:
+def _check_order(engine: GroupEngine):
+    if engine.order > _JDATA_ORDER_LIMIT:
         raise ValueError(
             f"|W| = {engine.order} exceeds the structure-constant guard "
-            f"{order_limit}"
+            f"{_JDATA_ORDER_LIMIT}"
         )
 
 
 def gamma_n_table(
-    engine: GroupEngine,
-    reps: list[tuple[Representation, BalancedData]],
-    order_limit: int = _JDATA_ORDER_LIMIT,
+    engine: GroupEngine, reps: list[tuple[Representation, BalancedData]]
 ) -> JData:
     """Structure constants from a complete set of balanced representations."""
-    _check_order(engine, order_limit)
+    _check_order(engine)
     total = sum(r.dim * r.dim for r, _ in reps)
     if total != engine.order:
         raise VerificationError(
@@ -227,65 +227,19 @@ def duflo_from_reps(
 ):
     """Distinguished involutions visible in one balanced representation.
 
-    Filters the leading support by involutivity, weight parity, idempotency
-    of +-c(z), pairwise commuting/absorption pruning, and finally the
-    valuation test a = nu(bar(P*_{1,z})).  Returns (duflo_set, ntilde) where
+    These are the z of the leading support with nu(bar(P*_{1,z})) = a.
+    Returns (duflo_set, ntilde) where
     ntilde[d] = (-1)^l(d) * lowest_term(bar(P*_{1,d})).
     """
     eng = rep.engine
-    a = data.a_value
-    idem_mats: list = []
-    fibers: list[set[Element]] = []
-    for z, cz in data.leading.items():
-        if z * z != eng.identity:
-            continue
-        if (eng.weight(z) - a) % 2:
-            continue
-        sq = f_mat_mul(cz, cz)
-        if f_mat_eq(sq, cz):
-            e = cz
-        elif f_mat_eq(sq, f_mat_scale(cz, -1)):
-            e = f_mat_scale(cz, -1)
-        else:
-            continue
-        placed = False
-        for i, known in enumerate(idem_mats):
-            if f_mat_eq(known, e):
-                fibers[i].add(z)
-                placed = True
-                break
-        if not placed:
-            idem_mats.append(e)
-            fibers.append({z})
-    alive = [True] * len(idem_mats)
-    for i in range(len(idem_mats)):
-        if not alive[i]:
-            continue
-        for j in range(i + 1, len(idem_mats)):
-            if not alive[j]:
-                continue
-            ef = f_mat_mul(idem_mats[i], idem_mats[j])
-            fe = f_mat_mul(idem_mats[j], idem_mats[i])
-            if not f_mat_eq(ef, fe):
-                alive[i] = alive[j] = False
-                break
-            if not f_mat_is_zero(ef):
-                if not f_mat_eq(ef, idem_mats[j]):
-                    alive[i] = False
-                    break
-                if not f_mat_eq(ef, idem_mats[i]):
-                    alive[j] = False
     duflo: set[Element] = set()
     ntilde: dict[Element, object] = {}
-    for i, fiber in enumerate(fibers):
-        if not alive[i]:
-            continue
-        for z in fiber:
-            p = bar(kl.pstar(eng.identity, z))
-            if p and p.valuation() == a:
-                duflo.add(z)
-                sign = -1 if z.length() % 2 else 1
-                ntilde[z] = p.lowest_term() * sign
+    for z in data.leading:
+        p = bar(kl.pstar(eng.identity, z))
+        if p.valuation() == data.a_value:
+            duflo.add(z)
+            sign = -1 if z.length() % 2 else 1
+            ntilde[z] = p.lowest_term() * sign
     return duflo, ntilde
 
 
@@ -369,15 +323,20 @@ def geck_mueller_check(g: WGraph, kl: KLContext) -> GeckMuellerReport:
         return GeckMuellerReport(False, None, None, None, f"invalid graph: {val.failures}")
     rep = wgraph_matrices(g)
     a = a_value(rep)
-    ok, _ = is_balanced(rep, a)
-    if not ok:
+    # the leading walk refuses a valuation below -a; the bound is attained
+    # exactly when the table is nonempty
+    try:
+        leading = leading_coefficients(rep, a)
+    except VerificationError:
+        leading = {}
+    if not leading:
         return GeckMuellerReport(False, a, None, None, "not balanced")
     data = BalancedData(
         a_value=a,
         q=LaurentMatrix.identity(rep.dim),
         q_inv=LaurentMatrix.identity(rep.dim),
         d=[],
-        leading=leading_coefficients(rep, a),
+        leading=leading,
     )
     psi = cell_representation(rep, data, kl)
     equal = all(psi.gens[s] == rep.gens[s] for s in range(rep.engine.datum.rank))
@@ -630,6 +589,36 @@ def irreducible_reps_from_graphs(graphs) -> list[tuple[Representation, BalancedD
         rep2, data = balance(rep)
         out.append((rep2, data))
     return out
+
+
+def jdata_from_kl(kl: KLContext) -> JData:
+    """J read off the h-table of the KL W-graph, for every type and weight.
+
+    gamma and D come from `KLContext.lusztig_a_delta_n`, and
+    n_d = (-1)^l(d) lowest_term(bar(P*_{1,d})) for d in D.  The ring is
+    checked for P7, gamma_{x,y,z} = gamma_{y,z,x}, and for the unit
+    sum_d n_d t_d before it is returned.
+    """
+    # refuse a group too large for the h-table before any KL work
+    _check_order(kl.engine)
+    adn = kl.lusztig_a_delta_n()
+    n = {d: adn.n[d] * (-1 if d.length() % 2 else 1) for d in adn.duflo}
+    jd = JData(kl.engine, [], adn.gamma, n, adn.duflo)
+    for (x, y), row in jd.gamma.items():
+        for z, val in row.items():
+            if jd.gamma_value(y, z, x) != val:
+                raise VerificationError(
+                    f"P7 fails: gamma_{{x,y,z}} != gamma_{{y,z,x}} at "
+                    f"(x, y, z) = ({x.index}, {y.index}, {z.index})"
+                )
+    one = jd.unit()
+    for x in kl.engine.elements:
+        tx = JElement.basis(x)
+        if j_multiply(one, tx, jd) != tx or j_multiply(tx, one, jd) != tx:
+            raise VerificationError(
+                f"sum_d n_d t_d is not the unit of J: it fails on t_{x.index}"
+            )
+    return jd
 
 
 def jdata_from_cells(kl: KLContext) -> JData:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import asymptotic, balance as balance_mod, blocks as blocks_mod
 from .coxeter import bit_indices
-from .fixtures import b3_graphs, catalogue, shared_engine
+from .fixtures import catalogue, shared_engine
 from .kl import KLContext
 from .laurent import LaurentMatrix, format_laurent
 from .scalars import scalar_str
@@ -54,6 +54,11 @@ def _matrix_json(m: LaurentMatrix):
 
 def _fmat_json(m):
     return [[scalar_str(x) for x in row] for row in m]
+
+
+def _label(label) -> str:
+    """A label set as its sorted generator digits, "-" for the empty set."""
+    return "".join(str(s) for s in sorted(label)) or "-"
 
 
 def _load_graph(path: str):
@@ -211,14 +216,13 @@ def cmd_wgraph(args):
 def cmd_compat(args):
     eng = _group_arg(args)
     cg = compatibility_graph(eng.datum)
-    fmt = lambda l: "".join(str(s) for s in sorted(l)) or "-"
     payload = {
-        "vertices": [fmt(v) for v in cg.vertices],
-        "edges": sorted(f"{fmt(i)}<-{fmt(j)}" for (i, j) in cg.edges),
+        "vertices": [_label(v) for v in cg.vertices],
+        "edges": sorted(f"{_label(i)}<-{_label(j)}" for (i, j) in cg.edges),
         "transversal": sorted(
-            f"{fmt(i)}<->{fmt(j)}"
+            f"{_label(i)}<->{_label(j)}"
             for (i, j) in cg.transversal
-            if sorted(map(fmt, (i, j))) == [fmt(i), fmt(j)]
+            if sorted(map(_label, (i, j))) == [_label(i), _label(j)]
         ),
     }
     _emit(payload, args.out)
@@ -228,8 +232,10 @@ def cmd_compat(args):
 def cmd_balance(args):
     g = _load_graph(args.file)
     rep = wgraph_matrices(g)
-    rep2, data = balance_mod.balance(rep)
-    ok, witness = balance_mod.is_balanced(rep2, data.a_value)
+    _, data = balance_mod.balance(rep)
+    # `balance` refuses a valuation below -a on its walk of the balanced
+    # module, and the bound is attained exactly when the table is nonempty
+    ok = bool(data.leading)
     payload = {
         "a_value": data.a_value,
         "D": [scalar_str(x) for x in data.d],
@@ -259,13 +265,7 @@ def cmd_leading(args):
 
 
 def cmd_jdata(args):
-    eng = _group_arg(args)
-    kl = KLContext(eng)
-    if eng.datum.name == "B3" and eng.datum.is_equal_parameter():
-        # six B3 left cells are reducible; the table graphs split them
-        jd = asymptotic.jdata_from_graphs(kl, b3_graphs().values())
-    else:
-        jd = asymptotic.jdata_from_cells(kl)
+    jd = asymptotic.jdata_from_kl(KLContext(_group_arg(args)))
     gamma = {}
     for (x, y), row in jd.gamma.items():
         for z, val in row.items():
@@ -320,7 +320,6 @@ def cmd_blocks(args):
     r1 = wgraph_matrices(g1)
     r2 = wgraph_matrices(g2)
     space = blocks_mod.intertwiner_space(r1, r2)
-    fmt = lambda l: "".join(str(s) for s in sorted(l)) or "-"
     verdicts = []
     all_diag = True
     for a in space:
@@ -331,7 +330,7 @@ def cmd_blocks(args):
                 "diagonal": br.diagonal,
                 "triangular": br.triangular,
                 "offdiag_nonzero": sorted(
-                    f"{fmt(i)},{fmt(j)}"
+                    f"{_label(i)},{_label(j)}"
                     for (i, j), blk in br.offdiag_residues.items()
                     if any(any(x for x in row) for row in blk)
                 ),
@@ -362,15 +361,14 @@ def cmd_blocks(args):
 def cmd_labels(args):
     g = _load_graph(args.file)
     rep = wgraph_matrices(g)
-    fmt = lambda l: "".join(str(s) for s in sorted(l)) or "-"
     from_char = blocks_mod.label_multiset_from_character(rep)
     from_eig = eigenspace_label_multiplicities(rep)
     graph_ms = g.label_multiset()
     agree = from_char == from_eig == graph_ms
     payload = {
-        "from_character": {fmt(k): v for k, v in from_char.items()},
-        "from_eigenspaces": {fmt(k): v for k, v in from_eig.items()},
-        "graph": {fmt(k): v for k, v in graph_ms.items()},
+        "from_character": {_label(k): v for k, v in from_char.items()},
+        "from_eigenspaces": {_label(k): v for k, v in from_eig.items()},
+        "graph": {_label(k): v for k, v in graph_ms.items()},
         "agree": agree,
     }
     _emit(payload, args.out)

@@ -17,9 +17,11 @@ Two independent routes to the C-basis are provided: the P*-recursion
 (`c_basis_by_bar_fixed_point`); the test suite holds them against each other.
 
 How C_s acts on the C-basis is read off the edges of the KL W-graph
-(`wgraph_edges`), and the cells come from those edges.  The structure
-constants `h_structure`, through full T-basis products, give the general
-h_{x,y,z}; the test suite holds the W-graph edges against them.
+(`wgraph_edges`), and the cells come from those edges.  So do the structure
+constants h_{x,y,z}: `h_column` builds C_x C_y for all x at once along
+canonical words, and `h_structure`, Lusztig's a-function, gamma and the
+Duflo set read those columns.  The test suite holds them against full
+T-basis products.
 """
 
 from __future__ import annotations
@@ -80,12 +82,15 @@ class CellPartition:
 
 @dataclass
 class ADeltaN:
-    """Lusztig's a-function data and the Duflo set computed from the h-table."""
+    """Lusztig's a-function data, the Duflo set and the leading coefficients
+    gamma, read off the h-table."""
 
     a: dict[Element, int]
     delta: dict[Element, int]
     n: dict[Element, int]
     duflo: set[Element]
+    #: (x, y) -> {z^-1: gamma_{x,y,z^-1}}
+    gamma: dict[tuple[Element, Element], dict[Element, object]]
 
 
 class KLContext:
@@ -102,6 +107,9 @@ class KLContext:
         self._tinv: dict[Element, HeckeElement] = {}
         self._cbasis: dict[Element, HeckeElement] = {}
         self._cells: dict[str, CellPartition] = {}
+        # C_s C_u per generator, and the h-columns asked for by h_structure
+        self._gen_cols: list | None = None
+        self._hcols: dict[int, list[dict[int, LaurentPoly]]] = {}
         self._adn: ADeltaN | None = None
 
     # -- generator-level Hecke multiplication ---------------------------------
@@ -125,19 +133,6 @@ class KLContext:
 
     def t_element(self, w: Element) -> HeckeElement:
         return HeckeElement("T", {w: ONE})
-
-    def t_multiply(self, h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
-        """Product of two T-basis elements."""
-        if h1.basis != "T" or h2.basis != "T":
-            raise ValueError("t_multiply expects T-basis elements")
-        out = HeckeElement("T", {})
-        for w, c in h1.coeffs.items():
-            word = self.engine.reduced_word(w)
-            acc = h2
-            for s in reversed(word):
-                acc = self._t_mult_gen(self.engine.lmul, s, acc)
-            out = out + acc.scale(c)
-        return out
 
     # -- bar involution ---------------------------------------------------------
 
@@ -347,57 +342,6 @@ class KLContext:
             delta = delta - HeckeElement("T", {target: c})
         return x
 
-    def t_to_c(self, h: HeckeElement) -> HeckeElement:
-        """Convert a T-basis element to the C-basis by unitriangular elimination."""
-        if h.basis != "T":
-            raise ValueError("t_to_c expects a T-basis element")
-        rest = h
-        out: dict[Element, LaurentPoly] = {}
-        while rest:
-            w = max(rest.coeffs, key=lambda e: (e.length(), e.index))
-            c = rest.coefficient(w)
-            out[w] = c
-            rest = rest - self.c_basis(w).scale(c)
-        return HeckeElement("C", out)
-
-    def c_to_t(self, h: HeckeElement) -> HeckeElement:
-        if h.basis != "C":
-            raise ValueError("c_to_t expects a C-basis element")
-        out = HeckeElement("T", {})
-        for w, c in h.coeffs.items():
-            out = out + self.c_basis(w).scale(c)
-        return out
-
-    def h_structure(self, x: Element, y: Element) -> dict[Element, LaurentPoly]:
-        """Structure constants h_{x,y,z} of C_x C_y = sum_z h_{x,y,z} C_z."""
-        prod = self.t_multiply(self.c_basis(x), self.c_basis(y))
-        return dict(self.t_to_c(prod).coeffs)
-
-    # -- a-function, Duflo set ---------------------------------------------------------
-
-    def lusztig_a_delta_n(self) -> ADeltaN:
-        """a(z), Delta(z), n_z and the Duflo set from the full h-table."""
-        if self._adn is not None:
-            return self._adn
-        eng = self.engine
-        a: dict[Element, int] = {z: 0 for z in eng.elements}
-        for x in eng.elements:
-            for y in eng.elements:
-                for z, h in self.h_structure(x, y).items():
-                    val = h.valuation()
-                    if val is not None and -val > a[z]:
-                        a[z] = -val
-        delta: dict[Element, int] = {}
-        n: dict[Element, int] = {}
-        for z in eng.elements:
-            p = self.pstar(eng.identity, z)
-            if p:
-                delta[z] = bar(p).valuation()
-                n[z] = bar(p).lowest_term()
-        duflo = {z for z in eng.elements if z in delta and a[z] == delta[z]}
-        self._adn = ADeltaN(a, delta, n, duflo)
-        return self._adn
-
     # -- the W-graph edges and cells ---------------------------------------------------
 
     def wgraph_edges(self) -> dict[tuple[int, int, int], LaurentPoly]:
@@ -461,3 +405,100 @@ class KLContext:
         )
         self._cells[kind] = part
         return part
+
+    # -- structure constants, a-function, Duflo set ------------------------------------
+
+    def _generator_columns(self) -> list[list[list[tuple[int, LaurentPoly]]]]:
+        """cols[s][u]: C_s C_u as (z index, h_{s,u,z}) pairs.
+
+        Column u of the KL W-graph for s, or -(v_s + v_s^-1) C_u when s is
+        in D_L(u).
+        """
+        if self._gen_cols is None:
+            eng = self.engine
+            ldesc, cols = eng.ldesc, []
+            for s, ls in enumerate(eng.datum.weights):
+                frozen = LaurentPoly({ls: -1, -ls: -1})
+                cols.append(
+                    [[(u, frozen)] if d >> s & 1 else [] for u, d in enumerate(ldesc)]
+                )
+            for (s, z, u), weight in self.wgraph_edges().items():
+                cols[s][u].append((z, weight))
+            self._gen_cols = cols
+        return self._gen_cols
+
+    def h_column(self, y: Element) -> list[dict[int, LaurentPoly]]:
+        """C_x C_y = sum_z h_{x,y,z} C_z for every x: entry x.index is {z.index: h}.
+
+        For x = s x' with s the first letter of the canonical word of x,
+        C_s C_x' = C_x + sum_z w_{s,z,x'} C_z over the descent edges
+        (s, z, x') of the KL W-graph, so
+            C_x C_y = C_s (C_x' C_y) - sum_z w_{s,z,x'} C_z C_y.
+        Canonical indices increase with length, so x' and every such z
+        come before x.
+        """
+        eng = self.engine
+        cols = self._generator_columns()
+        column: list[dict[int, LaurentPoly]] = [{y.index: ONE}]
+        for xi in range(1, eng.order):
+            s = eng.words[xi][0]
+            xp = eng.lmul[s][xi]
+            gen = cols[s]
+            out: dict[int, LaurentPoly] = {}
+            for u, c in column[xp].items():
+                for z, weight in gen[u]:
+                    add_term(out, z, c * weight)
+            for z, weight in gen[xp]:
+                if z != xi:
+                    for t, c in column[z].items():
+                        add_term(out, t, -(c * weight))
+            column.append(out)
+        return column
+
+    def h_structure(self, x: Element, y: Element) -> dict[Element, LaurentPoly]:
+        """Structure constants h_{x,y,z} of C_x C_y = sum_z h_{x,y,z} C_z."""
+        column = self._hcols.get(y.index)
+        if column is None:
+            column = self._hcols[y.index] = self.h_column(y)
+        elements = self.engine.elements
+        return {elements[z]: h for z, h in column[x.index].items()}
+
+    def lusztig_a_delta_n(self) -> ADeltaN:
+        """a, Delta, n, the Duflo set and gamma from one pass over the h-columns.
+
+        a(z) = max over x, y of -nu(h_{x,y,z}); gamma_{x,y,z^-1} is the
+        coefficient of v^-a(z) in h_{x,y,z}, so each z keeps only the terms
+        at its largest degree bound so far.  Delta(z) = nu(bar P*_{1,z}),
+        n_z = its lowest coefficient, D = {z : a(z) = Delta(z)} (Lusztig,
+        Hecke algebras with unequal parameters, ch. 13-14).
+        """
+        if self._adn is not None:
+            return self._adn
+        eng = self.engine
+        elements = eng.elements
+        a = [0] * eng.order
+        lead: list[dict[tuple[int, int], object]] = [{} for _ in elements]
+        for y in elements:
+            for xi, row in enumerate(self.h_column(y)):
+                for zi, h in row.items():
+                    k = -min(h.coeffs)
+                    if k > a[zi]:
+                        a[zi] = k
+                        lead[zi] = {}
+                    if k == a[zi]:
+                        lead[zi][(xi, y.index)] = h.coeffs[-k]
+        gamma: dict[tuple[Element, Element], dict[Element, object]] = {}
+        for zi, terms in enumerate(lead):
+            z_inv = elements[eng.inverses[zi]]
+            for (xi, yi), c in terms.items():
+                gamma.setdefault((elements[xi], elements[yi]), {})[z_inv] = c
+        delta: dict[Element, int] = {}
+        n: dict[Element, int] = {}
+        for z in elements:
+            p = bar(self.pstar(eng.identity, z))
+            delta[z] = p.valuation()
+            n[z] = p.lowest_term()
+        a_of = {z: a[z.index] for z in elements}
+        duflo = {z for z in elements if a_of[z] == delta[z]}
+        self._adn = ADeltaN(a_of, delta, n, duflo, gamma)
+        return self._adn

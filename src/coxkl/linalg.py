@@ -193,10 +193,6 @@ def f_mat_transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def f_mat_eq(a, b):
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
 def f_mat_is_zero(a):
     return all(not x for row in a for x in row)
 

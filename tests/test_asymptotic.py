@@ -21,6 +21,8 @@ from coxkl.asymptotic import (
     irreducible_reps_from_graphs,
     j_multiply,
     jdata_from_cells,
+    jdata_from_graphs,
+    jdata_from_kl,
     lusztig_phi,
     schur_f,
     verify_cell_axioms,
@@ -72,8 +74,9 @@ def test_gamma_n_table_guards(kl_a2, a2):
     reps = irreducible_cell_reps(kl_a2)
     with pytest.raises(VerificationError):
         gamma_n_table(a2, reps[:2])  # incomplete set
-    with pytest.raises(ValueError) as exc:
-        gamma_n_table(a2, reps, order_limit=2)
+    # the order guard comes first, so the A2 modules never meet B4
+    with pytest.raises(ValueError, match="384 exceeds") as exc:
+        gamma_n_table(shared_engine("B4"), reps)
     assert not isinstance(exc.value, VerificationError)  # a usage error
 
 
@@ -108,6 +111,39 @@ def test_gamma_n_table_matches_triple_products(group):
         reps = irreducible_cell_reps(KLContext(eng))
     jd = gamma_n_table(eng, reps)
     assert (jd.gamma, jd.n) == gamma_n_by_triple_products(reps)
+
+
+@pytest.mark.parametrize("group", ["A3", "A4", "B3", "B3:1,2,2", "I2(4):2,1"])
+def test_kl_route_matches_leading_matrices(group):
+    """gamma, n and D read off the h-table equal the leading-matrix table of
+    balanced modules: KL cell modules, or the B3 table graphs."""
+    kl = KLContext(shared_engine(group))
+    if group == "B3":
+        jd = jdata_from_graphs(kl, b3_graphs().values())
+    else:
+        jd = jdata_from_cells(kl)
+    jk = jdata_from_kl(kl)
+    assert (jk.gamma, jk.n, jk.duflo) == (jd.gamma, jd.n, jd.duflo)
+
+
+@pytest.mark.parametrize("group", ["B2", "I2(5)", "I2(6)", "I2(4):3,1"])
+def test_kl_route_is_associative_with_cell_support(group):
+    """On groups with reducible left cells: J is associative, and
+    gamma_{x,y,z} != 0 forces x ~L y^-1, y ~L z^-1 and z ~L x^-1."""
+    kl = KLContext(shared_engine(group))
+    jd = jdata_from_kl(kl)
+    els = kl.engine.elements
+    basis = [JElement.basis(x) for x in els]
+    for tx, ty, tz in product(basis, repeat=3):
+        assert j_multiply(j_multiply(tx, ty, jd), tz, jd) == j_multiply(
+            tx, j_multiply(ty, tz, jd), jd
+        )
+    cells = kl.cells("left")
+    for (x, y), row in jd.gamma.items():
+        for z in row:
+            assert cells.block_of(x) == cells.block_of(y.inverse())
+            assert cells.block_of(y) == cells.block_of(z.inverse())
+            assert cells.block_of(z) == cells.block_of(x.inverse())
 
 
 def test_gamma_well_defined_across_models(kl_a2, a2):
@@ -422,9 +458,6 @@ def test_cell_irreducibility_matches_commutant_oracle(group):
 
 
 def test_b3_reducible_cells_need_table_graphs():
-    from coxkl.asymptotic import jdata_from_graphs
-    from coxkl.fixtures import b3_graphs
-
     eng = shared_engine("B3")
     kl = KLContext(eng)
     # six left cells of B3 are reducible, so the cell route must refuse

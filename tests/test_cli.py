@@ -7,6 +7,8 @@ import pytest
 from coxkl import asymptotic
 from coxkl.cli import main
 from coxkl.fixtures import shared_engine
+from coxkl.kl import KLContext
+from coxkl.wgraph import Representation
 
 
 def run(capsys, *argv):
@@ -153,7 +155,7 @@ def test_jdata_cellrep_cellbasis(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["duflo"] == [0, 1, 2, 5]
-    # B3 routes through the shipped table graphs (reducible left cells)
+    # B3 has reducible left cells; J is read off the h-table all the same
     code, out = run(capsys, "jdata", "--group", "B3")
     assert code == 0
     assert len(json.loads(out)["duflo"]) == 14
@@ -167,7 +169,7 @@ def test_jdata_cellrep_cellbasis(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [("jdata", "--group", "B2"), ("cellbasis", "--group", "I2(5)")]
+    "argv", [("cellbasis", "--group", "B2"), ("cellbasis", "--group", "I2(5)")]
 )
 def test_reducible_cells_are_a_verification_failure(capsys, argv):
     assert main(list(argv)) == 1
@@ -178,13 +180,57 @@ def test_reducible_cells_are_a_verification_failure(capsys, argv):
 
 @pytest.mark.parametrize("command", ["jdata", "cellbasis"])
 def test_order_guard_comes_before_balancing(capsys, monkeypatch, command):
-    balanced = []
-    monkeypatch.setattr(asymptotic, "balance", balanced.append)
-    assert main([command, "--group", "A5"]) == 2
+    """B4 and A5 are refused before any module is balanced and before any
+    h-column or W-graph edge is computed."""
+    work = []
+    monkeypatch.setattr(asymptotic, "balance", work.append)
+    monkeypatch.setattr(KLContext, "h_column", work.append)
+    monkeypatch.setattr(KLContext, "wgraph_edges", work.append)
+    for group, order in (("B4", 384), ("A5", 720)):
+        assert main([command, "--group", group]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert (
+            f"|W| = {order} exceeds the structure-constant guard 192"
+            in captured.err
+        )
+    assert not work
+
+
+def planted(monkeypatch, plant):
+    """Make `lusztig_a_delta_n` hand `plant` its result before returning it."""
+    real = KLContext.lusztig_a_delta_n
+
+    def spoiled(kl):
+        adn = real(kl)
+        plant(kl.engine, adn)
+        return adn
+
+    monkeypatch.setattr(KLContext, "lusztig_a_delta_n", spoiled)
+
+
+def wrong_gamma(eng, adn):
+    # with x != y the rotation (y, z, x) of (x, y, z) is another entry
+    row = next(r for (x, y), r in adn.gamma.items() if x != y)
+    z = next(iter(row))
+    row[z] += 1
+
+
+def wrong_n(eng, adn):
+    adn.n[eng.w0] += 1
+
+
+@pytest.mark.parametrize(
+    "plant, message",
+    [(wrong_gamma, "P7 fails"), (wrong_n, "is not the unit of J")],
+    ids=["gamma", "n"],
+)
+def test_jdata_refuses_a_planted_error(capsys, monkeypatch, plant, message):
+    planted(monkeypatch, plant)
+    assert main(["jdata", "--group", "B2"]) == 1
     captured = capsys.readouterr()
     assert not captured.out
-    assert "|W| = 720 exceeds the structure-constant guard 120" in captured.err
-    assert not balanced
+    assert message in captured.err and "Traceback" not in captured.err
 
 
 def test_compat(capsys):
@@ -246,10 +292,75 @@ def test_every_group_command_exits_as_documented(capsys, command, group):
         json.loads(captured.out)
         return
     assert command[0] in ("jdata", "cellbasis"), (code, captured.err)
-    if shared_engine(group).order > 120:
+    if shared_engine(group).order > 192:
         assert code == 2
-        assert "exceeds the structure-constant guard 120" in captured.err
+        assert "exceeds the structure-constant guard 192" in captured.err
     elif captured.out:
         assert code == 1 and not json.loads(captured.out)["axioms_ok"]
     else:
         assert code == 1 and captured.err.startswith("error: ")
+
+
+def count_walks(monkeypatch):
+    """Record every walk of W a `Representation` makes."""
+    walks = []
+    walk = Representation.walk
+
+    def counted(rep):
+        walks.append(rep)
+        return walk(rep)
+
+    monkeypatch.setattr(Representation, "walk", counted)
+    return walks
+
+
+@pytest.mark.parametrize(
+    "command, count", [("balance", 2), ("cellrep", 4)]
+)
+@pytest.mark.parametrize("fixture", ["a2_refl", "b3_chi7"])
+def test_file_commands_walk_w(tmp_path, capsys, monkeypatch, command, count, fixture):
+    """`balance`: one Gram walk and one walk of the balanced module.
+    `cellrep`: the a-value, the leading table, and one walk each of psi and
+    of the module for the character comparison."""
+    run(capsys, "fixtures", "--out", str(tmp_path))
+    walks = count_walks(monkeypatch)
+    assert main([command, str(tmp_path / f"{fixture}.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["balanced"]
+    assert len(walks) == count
+
+
+SMOKE_FIXTURES = [
+    "a1_sign", "a2_refl", "a3_refl", "a4_trivial", "b2_sign", "b3_trivial",
+    "b4_sign", "d4_trivial", "h3_sign", "i23_trivial", "i24_sign",
+    "i25_trivial", "i26_sign", "b3_chi7",
+]
+SMOKE_FILE_COMMANDS = [
+    ("balance",), ("leading",), ("cellrep",), ("labels",),
+    ("wgraph", "validate"), ("wgraph", "matrices"), ("wgraph", "dual"),
+    ("wgraph", "cells"), ("wgraph", "omegagy"),
+    ("wgraph", "restrict", "--subset", "0"),
+]
+
+
+@pytest.fixture(scope="module")
+def fixture_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fixtures")
+    assert main(["fixtures", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("fixture", SMOKE_FIXTURES)
+@pytest.mark.parametrize("command", SMOKE_FILE_COMMANDS, ids=" ".join)
+def test_every_file_command_exits_as_documented(capsys, fixture_dir, command, fixture):
+    """One fixture per shipped type and one B3 table graph: each run exits
+    0 with a JSON answer and no traceback."""
+    path = str(fixture_dir / f"{fixture}.json")
+    if command[0] == "wgraph":
+        argv = [*command[:2], path, *command[2:]]
+    else:
+        argv = [*command, path]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert code == 0, captured.err
+    json.loads(captured.out)

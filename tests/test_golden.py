@@ -7,11 +7,15 @@ irreducibility was read off the dimension-sum identity, and the A4
 `cellbasis` and B3 `jdata` ones before the v = 1 rank certificate, the
 sparse cell coordinates and the trace-only gamma sums, and the `kl` D4 and
 I2(4):2,1 and `wgraph klgraph` B4, B4:2,1,1,1 and B3:1,2,2 ones before the KL
-recursion ran on mu-lists; any change to them is a change of the printed
-answer, not of its speed.
+recursion ran on mu-lists; the `jdata` A4 one and the demo ones before J
+was read off the h-table of the KL W-graph, and the `jdata` H3 and D4 ones
+once that route held against the T-basis and leading-matrix oracles; any
+change to them is a change of the printed answer, not of its speed.
 """
 
 import hashlib
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +58,19 @@ GOLDEN = {
         "3f92ef7dfee49e5079d947d519ace9475554cada5d1d9bfcfaae30781d6c5557",
     ("wgraph", "klgraph", "--group", "B3", "--weights", "1,2,2"):
         "c3661fc71809e13505d43a743b616324ef6ce1ea689637c549ea99b199db5bc5",
+    ("jdata", "--group", "A4"):
+        "083426ab0505afd8dcfaca703b96b02000cd148318dda46fb00a96ad993c2c6d",
+    ("jdata", "--group", "H3"):
+        "925c7c0f9a12ebfd74dbb8a22aff0100d5f2847721006c2949c44a77a5ca0f53",
+    ("jdata", "--group", "D4"):
+        "b005ad414683cb43eca779cfd074b8151e3e8c4efc38d10e3fb77bd32aaaabb9",
+}
+
+DEMOS = {
+    "kl_tour.py":
+        "44977d0242eb3ba6345c7ec595ec692356e679715b0706f858ad360b99452d31",
+    "blocks_tour.py":
+        "379a4bf89d21f86701951096d6a01103509b081d559fbf60489702d89574fd16",
 }
 
 
@@ -62,3 +79,11 @@ def test_cli_output_is_byte_identical(capsys, argv):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("demo", list(DEMOS))
+def test_demo_output_is_byte_identical(capsys, demo):
+    path = Path(__file__).resolve().parent.parent / "demos" / demo
+    runpy.run_path(str(path), run_name="__main__")
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DEMOS[demo]

@@ -2,14 +2,16 @@
 mu-lists, C-basis dual routes, structure constants, a-function data and
 cells.
 
-The cells and the KL W-graph read how C_s acts off the mu edges; the
-structure constants h_{x,y,z}, through full T-basis products, are the
-independent oracle for those edges here."""
+The cells, the KL W-graph and `KLContext.h_structure` all read how C_s acts
+off the mu edges; the structure constants through full T-basis products
+(`tbasis.TBasis`) are the independent oracle for them here."""
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from tbasis import TBasis
 
 from coxkl.coxeter import bit_indices, build_group
 from coxkl.kl import HeckeElement, KLContext
@@ -281,12 +283,13 @@ def test_t_multiply(kl_a2):
     eng = kl_a2.engine
     s, t = eng.simple
     ts_el = kl_a2.t_element
+    t_multiply = TBasis(kl_a2).t_multiply
     zeta = LaurentPoly({1: 1, -1: -1})
-    prod = kl_a2.t_multiply(ts_el(s), ts_el(s))
+    prod = t_multiply(ts_el(s), ts_el(s))
     assert prod == HeckeElement("T", {eng.identity: ONE, s: zeta})
     h = HeckeElement("T", {s: LaurentPoly({2: 3}), eng.w0: ONE})
-    assert kl_a2.t_multiply(ts_el(eng.identity), h) == h
-    assert kl_a2.t_multiply(ts_el(s), ts_el(t)) == ts_el(s * t)
+    assert t_multiply(ts_el(eng.identity), h) == h
+    assert t_multiply(ts_el(s), ts_el(t)) == ts_el(s * t)
 
 
 def test_hecke_bar(kl_a2):
@@ -302,8 +305,9 @@ def test_hecke_bar(kl_a2):
     assert kl_a2.hecke_bar(kl_a2.hecke_bar(h)) == h
     # multiplicativity of the bar involution
     h2 = HeckeElement("T", {t: ONE, eng.identity: LaurentPoly({1: 1})})
-    lhs = kl_a2.hecke_bar(kl_a2.t_multiply(h, h2))
-    rhs = kl_a2.t_multiply(kl_a2.hecke_bar(h), kl_a2.hecke_bar(h2))
+    t_multiply = TBasis(kl_a2).t_multiply
+    lhs = kl_a2.hecke_bar(t_multiply(h, h2))
+    rhs = t_multiply(kl_a2.hecke_bar(h), kl_a2.hecke_bar(h2))
     assert lhs == rhs
 
 
@@ -332,7 +336,8 @@ def test_c_to_t_roundtrip(kl_a2):
     h = HeckeElement(
         "C", {eng.w0: LaurentPoly({-2: 3}), eng.simple[0]: ONE}
     )
-    assert kl_a2.t_to_c(kl_a2.c_to_t(h)) == h
+    tb = TBasis(kl_a2)
+    assert tb.t_to_c(tb.c_to_t(h)) == h
 
 
 def test_h_structure(kl_a2):
@@ -353,6 +358,25 @@ def test_h_structure(kl_a2):
             for z in kl_a2.h_structure(x, y):
                 bz = cells.block_of(z)
                 assert (bz, by) in cells.leq
+
+
+@pytest.mark.parametrize(
+    "group, pairs",
+    [("A3", None), ("I2(5)", None), ("B3", 200), ("B3:2,1,1", 200)],
+)
+def test_h_structure_matches_t_basis_products(group, pairs):
+    """The W-graph columns give the same h_{x,y,z} as full T-basis products,
+    on every pair or on a seeded sample of pairs."""
+    kl = KLContext(build_group(group))
+    oracle = TBasis(KLContext(kl.engine)).h_structure
+    els = kl.engine.elements
+    if pairs is None:
+        sample = [(x, y) for x in els for y in els]
+    else:
+        rng = random.Random(8)
+        sample = [(rng.choice(els), rng.choice(els)) for _ in range(pairs)]
+    for x, y in sample:
+        assert kl.h_structure(x, y) == oracle(x, y), (x, y)
 
 
 def test_a_delta_n_duflo(kl_a2):
@@ -378,10 +402,11 @@ def h_route_edges(kl, side):
     """adj[y] = {z != y : h_{s,y,z} != 0} ("left") or {z != y : h_{y,s,z} != 0}
     ("right") over the generators s, through full T-basis products."""
     eng = kl.engine
+    oracle = TBasis(kl).h_structure
     adj = [set() for _ in eng.elements]
     for y in eng.elements:
         for gen in eng.simple:
-            h = kl.h_structure(gen, y) if side == "left" else kl.h_structure(y, gen)
+            h = oracle(gen, y) if side == "left" else oracle(y, gen)
             adj[y.index].update(z.index for z, c in h.items() if c and z != y)
     return adj
 
@@ -438,10 +463,11 @@ def test_wgraph_columns_match_h_structure(request, name):
     kl = request.getfixturevalue(name)
     eng = kl.engine
     gens = wgraph_matrices(kl_wgraph(kl)).gens
+    oracle = TBasis(kl).h_structure
     for g, gen in enumerate(eng.simple):
         vg = LaurentPoly({eng.generator_weight(g): 1})
         for w in eng.elements:
-            expect = HeckeElement("C", kl.h_structure(gen, w))
+            expect = HeckeElement("C", oracle(gen, w))
             expect = expect + HeckeElement("C", {w: vg})
             column = {z: gens[g].entries[z.index][w.index] for z in eng.elements}
             assert HeckeElement("C", column) == expect, (g, w)
@@ -494,7 +520,7 @@ def test_trace_form_duality(kl_a2):
     eng = kl_a2.engine
     for u in eng.elements:
         for w in eng.elements:
-            prod = kl_a2.t_multiply(kl_a2.t_element(u), kl_a2.t_element(w))
+            prod = TBasis(kl_a2).t_multiply(kl_a2.t_element(u), kl_a2.t_element(w))
             tau = prod.coefficient(eng.identity)
             if w == u.inverse():
                 assert tau == ONE
