@@ -9,8 +9,8 @@ route
     gamma_{x,y,z} = sum_l f_l^-1 tr(c^l(x) c^l(y) c^l(z)),
     n_x           = sum_l f_l^-1 tr(c^l(x^-1)),
 from one balanced representation per isomorphism type (`gamma_n_table`),
-serves the cellular basis; the test suite holds the two routes against each
-other.
+is the test oracle for that ring.  The cellular basis (Geck 2009) reads only
+the balanced modules and their Schur units (`irreducible_data`), never gamma.
 """
 
 from __future__ import annotations
@@ -152,10 +152,14 @@ def _check_order(engine: GroupEngine):
         )
 
 
-def gamma_n_table(
+def irreducible_data(
     engine: GroupEngine, reps: list[tuple[Representation, BalancedData]]
-) -> JData:
-    """Structure constants from a complete set of balanced representations."""
+) -> list[IrreducibleDatum]:
+    """A complete set of balanced representations with their Schur units.
+
+    Refuses a group past the order guard, a set whose dimension sum is not
+    |W|, and a Schur sum that `_schur_unit` refuses.
+    """
     _check_order(engine)
     total = sum(r.dim * r.dim for r, _ in reps)
     if total != engine.order:
@@ -163,10 +167,17 @@ def gamma_n_table(
             f"dimension sum {total} != |W| = {engine.order}: the "
             f"representation set is incomplete or redundant"
         )
-    irreducibles = [
+    return [
         IrreducibleDatum(rep, data, data.schur, _schur_unit(data.schur, data.a_value))
         for rep, data in reps
     ]
+
+
+def gamma_n_table(
+    engine: GroupEngine, reps: list[tuple[Representation, BalancedData]]
+) -> JData:
+    """Structure constants from a complete set of balanced representations."""
+    irreducibles = irreducible_data(engine, reps)
     gamma: dict[tuple[Element, Element], dict[Element, object]] = {}
     n: dict[Element, object] = {}
     for ir in irreducibles:
@@ -390,14 +401,14 @@ def invariant_form_over_f(ir: IrreducibleDatum):
     return b
 
 
-def cell_basis(data: JData, kl: KLContext) -> CellDatum:
+def cell_basis(irreducibles: list[IrreducibleDatum], kl: KLContext) -> CellDatum:
     """Construct C^lambda_{st} = sum_w (B_l rho_bar_l(t_w))_{st} C_w."""
-    eng = data.engine
+    eng = kl.engine
     two_sided = kl.cells("two-sided")
     dims = []
     basis: dict[tuple[int, int, int], dict[Element, object]] = {}
     cell_block = []
-    for li, ir in enumerate(data.reps):
+    for li, ir in enumerate(irreducibles):
         d = ir.rep.dim
         dims.append(d)
         b = invariant_form_over_f(ir)
@@ -414,8 +425,8 @@ def cell_basis(data: JData, kl: KLContext) -> CellDatum:
                     if m[s][t]:
                         basis.setdefault((li, s, t), {})[w] = m[s][t]
     lambda_lt = set()
-    for i in range(len(data.reps)):
-        for j in range(len(data.reps)):
+    for i in range(len(irreducibles)):
+        for j in range(len(irreducibles)):
             bi, bj = cell_block[i], cell_block[j]
             if bi != bj and (bi, bj) in two_sided.leq:
                 lambda_lt.add((i, j))
@@ -562,6 +573,8 @@ def irreducible_cell_reps(kl: KLContext):
     (Geck-Pfeiffer 2000, Tits deformation; Lusztig, CRM Monogr. 18).
     """
     eng = kl.engine
+    # refuse a group too large for the structure constants before any cell
+    _check_order(eng)
     modules: dict[tuple, Representation] = {}
     for cgraph, _ in kl_left_cell_wgraphs(kl):
         rep = wgraph_matrices(cgraph)
@@ -581,7 +594,7 @@ def irreducible_reps_from_graphs(graphs) -> list[tuple[Representation, BalancedD
 
     This is the route for groups whose KL left cells are reducible (B3 has
     six such cells); completeness is still checked by the dimension sum in
-    `gamma_n_table`.
+    `irreducible_data`.
     """
     out = []
     for g in graphs:
@@ -622,8 +635,6 @@ def jdata_from_kl(kl: KLContext) -> JData:
 
 
 def jdata_from_cells(kl: KLContext) -> JData:
-    # refuse a group too large for `gamma_n_table` before balancing anything
-    _check_order(kl.engine)
     return gamma_n_table(kl.engine, irreducible_cell_reps(kl))
 
 

@@ -297,8 +297,10 @@ def cmd_cellrep(args):
 def cmd_cellbasis(args):
     eng = _group_arg(args)
     kl = KLContext(eng)
-    jd = asymptotic.jdata_from_cells(kl)
-    cd = asymptotic.cell_basis(jd, kl)
+    irreducibles = asymptotic.irreducible_data(
+        eng, asymptotic.irreducible_cell_reps(kl)
+    )
+    cd = asymptotic.cell_basis(irreducibles, kl)
     report = asymptotic.verify_cell_axioms(cd, kl)
     payload = {
         "dims": cd.dims,

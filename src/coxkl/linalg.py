@@ -1,6 +1,10 @@
 """Exact linear algebra: fraction-free elimination over F[v, v^-1] and
 plain Gaussian elimination over the residue field F.
 
+Over F, `f_mat_inverse` eliminates on sparse rows ({column: value} dicts of
+the nonzeros): the A4 cellular-basis matrix, 120 x 120 with 120 nonzeros,
+costs about one update per nonzero.
+
 The Laurent-side routines never form the fraction field: they use
 Bareiss-style two-term updates whose divisions are exact in the ring, and
 kernel vectors are returned with Laurent-polynomial entries (scaled by the
@@ -205,25 +209,36 @@ def f_mat_trace(a):
 
 
 def f_mat_inverse(a):
-    """Inverse over the field by Gauss-Jordan; raises on singular input."""
+    """Inverse over the field by Gauss-Jordan on sparse rows.
+
+    Each row of [a | I] is a {column: value} dict of its nonzeros, so a row
+    update touches only the nonzeros of the pivot row.  The pivot is the
+    first nonzero at or below the diagonal; singular input raises
+    ZeroDivisionError.  Returns a dense list of rows.
+    """
     n = len(a)
-    work = [list(row) + list(ident_row) for row, ident_row in zip(a, f_identity(n))]
+    work = [{j: x for j, x in enumerate(row) if x} for row in a]
+    for i, row in enumerate(work):
+        row[n + i] = Fraction(1)
     for c in range(n):
-        pr = None
-        for r in range(c, n):
-            if work[r][c]:
-                pr = r
-                break
+        pr = next((r for r in range(c, n) if c in work[r]), None)
         if pr is None:
             raise ZeroDivisionError("singular matrix over F")
         work[c], work[pr] = work[pr], work[c]
         inv = scalar_inv(work[c][c])
-        work[c] = [x * inv for x in work[c]]
-        for r in range(n):
-            if r != c and work[r][c]:
-                f = work[r][c]
-                work[r] = [x - f * y for x, y in zip(work[r], work[c])]
-    return [row[n:] for row in work]
+        prow = work[c] = {j: x * inv for j, x in work[c].items()}
+        for r, row in enumerate(work):
+            f = row.get(c)
+            if r == c or f is None:
+                continue
+            for j, y in prow.items():
+                x = row.get(j, 0) - f * y
+                if x:
+                    row[j] = x
+                else:  # f * y != 0, so a zero x cancels an entry of row
+                    del row[j]
+    zero = Fraction(0)
+    return [[row.get(n + j, zero) for j in range(n)] for row in work]
 
 
 def f_mat_rank(a) -> int:

@@ -284,7 +284,7 @@ def test_criterion_11_cell_representation(kl_a2):
 
 def test_criterion_12_cell_basis(kl_a2):
     jd = jdata_from_cells(kl_a2)
-    cd = cell_basis(jd, kl_a2)
+    cd = cell_basis(jd.reps, kl_a2)
     assert len(cd.basis) == 6 and sorted(cd.dims) == [1, 1, 2]
     report = verify_cell_axioms(cd, kl_a2)
     assert report.ok, report.failures

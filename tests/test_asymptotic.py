@@ -368,7 +368,7 @@ def test_invariant_form_over_f(jd_a2):
 
 
 def test_cell_basis_axioms(jd_a2, kl_a2):
-    cd = cell_basis(jd_a2, kl_a2)
+    cd = cell_basis(jd_a2.reps, kl_a2)
     assert sorted(cd.dims) == [1, 1, 2]
     assert len(cd.basis) == 6  # 1 + 4 + 1
     report = verify_cell_axioms(cd, kl_a2)
@@ -381,7 +381,7 @@ def test_cell_basis_axioms(jd_a2, kl_a2):
 
 
 def test_cell_basis_axioms_a3(jd_a3, kl_a3):
-    cd = cell_basis(jd_a3, kl_a3)
+    cd = cell_basis(jd_a3.reps, kl_a3)
     assert len(cd.basis) == 24
     report = verify_cell_axioms(cd, kl_a3)
     assert report.ok, report.failures
@@ -396,7 +396,7 @@ def _failures(cd, kl, basis):
 def test_cell_axioms_reject_a_higher_cell_term(jd_a3, kl_a3):
     """C_w from a two-sided cell above lambda makes T_g C^lambda_{st} leak
     into a type that is not below lambda."""
-    cd = cell_basis(jd_a3, kl_a3)
+    cd = cell_basis(jd_a3.reps, kl_a3)
     two = kl_a3.cells("two-sided")
     lam, mu = min(cd.lambda_lt)
     w = next(w for w in kl_a3.engine.elements
@@ -410,7 +410,7 @@ def test_cell_axioms_reject_a_higher_cell_term(jd_a3, kl_a3):
 
 
 def test_cell_axioms_reject_a_broken_star(jd_a3, kl_a3):
-    cd = cell_basis(jd_a3, kl_a3)
+    cd = cell_basis(jd_a3.reps, kl_a3)
     li, s, t = next(k for k in sorted(cd.basis) if k[1] != k[2])
     basis = dict(cd.basis)
     basis[(li, s, t)] = {w: 2 * c for w, c in basis[(li, s, t)].items()}
@@ -422,7 +422,7 @@ def test_cell_axioms_reject_a_broken_star(jd_a3, kl_a3):
 def test_cell_axioms_reject_swapped_indices(jd_a3, kl_a3):
     """Swapping C^lambda_{st} and C^lambda_{ts} keeps (C2), since * swaps
     them too, but T_g then lands in the wrong column: (C3) fails."""
-    cd = cell_basis(jd_a3, kl_a3)
+    cd = cell_basis(jd_a3.reps, kl_a3)
     li, s, t = next(k for k in sorted(cd.basis) if k[1] != k[2])
     basis = dict(cd.basis)
     basis[(li, s, t)], basis[(li, t, s)] = basis[(li, t, s)], basis[(li, s, t)]
@@ -480,7 +480,7 @@ def test_b3_reducible_cells_need_table_graphs():
 def test_cell_axioms_report_a_dependent_basis(jd_a3, kl_a3):
     """A basis element copied over another makes the basis matrix singular:
     a (C1) failure report, not an error from the elimination."""
-    cd = cell_basis(jd_a3, kl_a3)
+    cd = cell_basis(jd_a3.reps, kl_a3)
     first, second = sorted(cd.basis)[:2]
     basis = dict(cd.basis)
     basis[second] = dict(basis[first])

@@ -1,12 +1,14 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from coxkl import asymptotic
 from coxkl.cli import main
-from coxkl.fixtures import shared_engine
+from coxkl.laurent import LaurentPoly
+from coxkl.fixtures import catalogue, shared_engine
 from coxkl.kl import KLContext
 from coxkl.wgraph import Representation
 
@@ -176,6 +178,56 @@ def test_reducible_cells_are_a_verification_failure(capsys, argv):
     captured = capsys.readouterr()
     assert not captured.out
     assert "reducible" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "group, total, order",
+    [("B2", 20, 8), ("H3", 188, 120), ("I2(5)", 18, 10)],
+)
+def test_cellbasis_refuses_reducible_cells(capsys, group, total, order):
+    assert main(["cellbasis", "--group", group]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == (
+        "error: a KL left cell of this group is reducible; supply explicit "
+        "graphs for its constituents instead (distinct cell modules have "
+        f"dimension sum {total} != |W| = {order})\n"
+    )
+
+
+def test_cellbasis_builds_no_gamma_table(capsys, monkeypatch):
+    """The cellular basis reads the balanced modules only: on A4 the
+    gamma/n loop never runs, and W is walked 14 times, once for each
+    Gram form and once for each balanced module of the 7 irreducibles."""
+    tables = []
+    monkeypatch.setattr(asymptotic, "gamma_n_table", tables.append)
+    walks = count_walks(monkeypatch)
+    assert main(["cellbasis", "--group", "A4"]) == 0
+    assert json.loads(capsys.readouterr().out)["axioms_ok"]
+    assert not tables
+    assert len(walks) == 14
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda c: LaurentPoly(), "Schur sum vanishes"),
+        (lambda c: c * LaurentPoly({1: 1}), "Schur element has the wrong valuation"),
+    ],
+    ids=["zero", "shifted"],
+)
+def test_cellbasis_refuses_a_bad_schur_sum(capsys, monkeypatch, corrupt, message):
+    real_balance = asymptotic.balance
+
+    def spoiled(rep):
+        rep2, data = real_balance(rep)
+        return rep2, replace(data, schur=corrupt(data.schur))
+
+    monkeypatch.setattr(asymptotic, "balance", spoiled)
+    assert main(["cellbasis", "--group", "A2"]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("command", ["jdata", "cellbasis"])
@@ -364,3 +416,34 @@ def test_every_file_command_exits_as_documented(capsys, fixture_dir, command, fi
     assert "Traceback" not in captured.err
     assert code == 0, captured.err
     json.loads(captured.out)
+
+
+BLOCKS_PAIRS = [
+    *[(name, name, "isomorphic") for name in sorted(catalogue())],
+    ("b3_chi9", "b3_chi9_conj", "isomorphic"),
+    ("b3_chi7", "b3_chi8", "not isomorphic"),
+    ("a2_refl", "b3_chi1", "two groups"),
+]
+
+
+@pytest.mark.parametrize("first, second, relation", BLOCKS_PAIRS)
+def test_blocks_exits_as_documented(capsys, fixture_dir, first, second, relation):
+    """Isomorphic graphs have one intertwiner and a passing certificate (exit
+    0); non-isomorphic ones have none and no certificate (exit 0); graphs of
+    two groups are a usage error (exit 2).  Never a traceback."""
+    code = main(["blocks", str(fixture_dir / f"{first}.json"),
+                 str(fixture_dir / f"{second}.json")])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if relation == "two groups":
+        assert code == 2 and not captured.out
+        assert captured.err == "error: intertwiners need a common group\n"
+        return
+    assert code == 0, captured.err
+    payload = json.loads(captured.out)
+    if relation == "isomorphic":
+        assert payload["intertwiner_count"] == 1
+        assert payload["certificate"]["ok"]
+    else:
+        assert payload["intertwiner_count"] == 0
+        assert payload["certificate"] is None

@@ -9,7 +9,9 @@ sparse cell coordinates and the trace-only gamma sums, and the `kl` D4 and
 I2(4):2,1 and `wgraph klgraph` B4, B4:2,1,1,1 and B3:1,2,2 ones before the KL
 recursion ran on mu-lists; the `jdata` A4 one and the demo ones before J
 was read off the h-table of the KL W-graph, and the `jdata` H3 and D4 ones
-once that route held against the T-basis and leading-matrix oracles; any
+once that route held against the T-basis and leading-matrix oracles, and
+the `cellbasis` A2, B3:1,2,2 and I2(4):2,1 ones before `cellbasis` stopped
+building the gamma table and inverted its basis matrix on sparse rows; any
 change to them is a change of the printed answer, not of its speed.
 """
 
@@ -64,6 +66,12 @@ GOLDEN = {
         "925c7c0f9a12ebfd74dbb8a22aff0100d5f2847721006c2949c44a77a5ca0f53",
     ("jdata", "--group", "D4"):
         "b005ad414683cb43eca779cfd074b8151e3e8c4efc38d10e3fb77bd32aaaabb9",
+    ("cellbasis", "--group", "A2"):
+        "6ee3cd876c9a45442e32167217c33ad910ec0bb9903b0d2eb101ad8b22af70a9",
+    ("cellbasis", "--group", "B3:1,2,2"):
+        "e9b487e7bed5cbdfee58195a4127c4810dbdb272bf6f08412dce8fcda5c5760d",
+    ("cellbasis", "--group", "I2(4):2,1"):
+        "d3570ee7d495010b79121bba0fda4cb8372b54f934524f177cc8eb217f210c11",
 }
 
 DEMOS = {

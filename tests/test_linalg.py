@@ -1,4 +1,5 @@
-"""Exact linear algebra: the v = 1 rank certificate and its Bareiss fallback."""
+"""Exact linear algebra: the v = 1 rank certificate and its Bareiss fallback,
+and the sparse Gauss-Jordan inverse over F against the dense one."""
 
 from fractions import Fraction
 
@@ -6,13 +7,25 @@ import pytest
 from hypothesis import given, strategies as st
 
 import coxkl.linalg as linalg
-from coxkl.asymptotic import irreducible_reps_from_graphs
+from coxkl.asymptotic import (
+    cell_basis,
+    irreducible_cell_reps,
+    irreducible_data,
+    irreducible_reps_from_graphs,
+)
 from coxkl.balance import gram_invariant_form
 from coxkl.fixtures import b3_graphs, shared_engine
 from coxkl.kl import KLContext
 from coxkl.laurent import LaurentMatrix, LaurentPoly
-from coxkl.linalg import _jordan_echelonize, laurent_rank
-from coxkl.scalars import GOLDEN
+from coxkl.linalg import (
+    _jordan_echelonize,
+    f_identity,
+    f_mat_inverse,
+    f_mat_mul,
+    f_mat_transpose,
+    laurent_rank,
+)
+from coxkl.scalars import GOLDEN, Sqrt5, scalar_inv
 from coxkl.wgraph import WGraph, kl_left_cell_wgraphs, wgraph_matrices
 
 V = LaurentPoly({1: 1})
@@ -101,3 +114,94 @@ def test_gram_forms_of_b3_table_graphs_match_bareiss():
     for rep, data in irreducible_reps_from_graphs(b3_graphs().values()):
         omega = data.form.matrix
         assert laurent_rank(omega) == bareiss_rank(omega) == rep.dim
+
+
+# -- the inverse over F ---------------------------------------------------------
+
+
+def dense_inverse(a):
+    """Gauss-Jordan on dense rows of [a | I], pivoting on the first nonzero
+    at or below the diagonal; raises ZeroDivisionError on singular input."""
+    n = len(a)
+    work = [list(row) + list(ident_row) for row, ident_row in zip(a, f_identity(n))]
+    for c in range(n):
+        pr = None
+        for r in range(c, n):
+            if work[r][c]:
+                pr = r
+                break
+        if pr is None:
+            raise ZeroDivisionError("singular matrix over F")
+        work[c], work[pr] = work[pr], work[c]
+        inv = scalar_inv(work[c][c])
+        work[c] = [x * inv for x in work[c]]
+        for r in range(n):
+            if r != c and work[r][c]:
+                f = work[r][c]
+                work[r] = [x - f * y for x, y in zip(work[r], work[c])]
+    return [row[n:] for row in work]
+
+
+rationals = st.sampled_from([0, 0, 0, 1, -1, 2, -3]).map(Fraction) | st.fractions(
+    min_value=-3, max_value=3, max_denominator=4
+)
+quadratics = st.builds(Sqrt5, rationals, rationals)
+
+
+@st.composite
+def square_matrices(draw):
+    """A random, signed permutation or singular n x n matrix, n <= 6, over Q
+    or Q(sqrt 5); returns (matrix, known_singular)."""
+    n = draw(st.integers(1, 6))
+    scalars = draw(st.sampled_from([rationals, quadratics]))
+    kind = draw(st.sampled_from(["random", "signed permutation", "singular"]))
+    if kind == "signed permutation":
+        perm = draw(st.permutations(range(n)))
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for i, (j, e) in enumerate(zip(perm, signs)):
+            m[i][j] = Fraction(e)
+        return m, False
+    m = draw(st.lists(st.lists(scalars, min_size=n, max_size=n), min_size=n, max_size=n))
+    if kind == "singular":
+        # one row is a combination of the others (the zero row when n = 1)
+        k = draw(st.integers(0, n - 1))
+        coeffs = draw(st.lists(scalars, min_size=n, max_size=n))
+        m[k] = [
+            sum((coeffs[i] * m[i][j] for i in range(n) if i != k), Fraction(0))
+            for j in range(n)
+        ]
+        return m, True
+    return m, False
+
+
+@given(square_matrices())
+def test_inverse_matches_dense_gauss_jordan(case):
+    m, singular = case
+    try:
+        expected = dense_inverse(m)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            f_mat_inverse(m)
+        return
+    assert not singular
+    got = f_mat_inverse(m)
+    assert got == expected
+    assert f_mat_mul(got, m) == f_identity(len(m))
+
+
+def test_inverse_of_the_a4_cell_basis_matrix():
+    """The A4 basis matrix is a signed permutation matrix of order 120, so its
+    inverse is its transpose."""
+    kl = KLContext(shared_engine("A4"))
+    eng = kl.engine
+    cd = cell_basis(irreducible_data(eng, irreducible_cell_reps(kl)), kl)
+    mat = [
+        [cd.basis[trip].get(w, Fraction(0)) for w in eng.elements]
+        for trip in sorted(cd.basis)
+    ]
+    entries = [x for row in mat for x in row if x]
+    assert len(mat) == 120 and len(entries) == 120
+    assert set(entries) <= {1, -1}
+    inv = f_mat_inverse(mat)
+    assert inv == f_mat_transpose(mat) == dense_inverse(mat)
