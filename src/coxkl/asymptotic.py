@@ -11,6 +11,8 @@ route
 from one balanced representation per isomorphism type (`gamma_n_table`),
 is the test oracle for that ring.  The cellular basis (Geck 2009) reads only
 the balanced modules and their Schur units (`irreducible_data`), never gamma.
+Its axiom check and the cell representations read T_s C_w off the sparse
+columns of `KLContext.t_columns`, never dense KL W-graph matrices.
 """
 
 from __future__ import annotations
@@ -39,18 +41,17 @@ from .laurent import (
 )
 from .linalg import (
     f_identity,
-    f_mat_inverse,
     f_mat_mul,
     f_mat_scale,
     f_mat_trace,
     f_mat_transpose,
+    f_sparse_inverse,
 )
 from .scalars import scalar_inv
 from .wgraph import (
     Representation,
     WGraph,
     kl_left_cell_wgraphs,
-    kl_wgraph,
     validate_wgraph,
     wgraph_matrices,
 )
@@ -282,30 +283,26 @@ def cell_representation(
     """psi = rho_bar . phi, assembled from left-cell W-graph modules.
 
     psi(T_s) = sum over visible Duflo d and z in the left cell of d of
-    ntilde_d sigma(T_s)_{z,d} rho_bar(t_z).
+    ntilde_d sigma(T_s)_{z,d} rho_bar(t_z), where sigma(T_s)_{z,d} is entry
+    z of the column T_s C_d of `KLContext.t_columns`.
     """
     eng = rep.engine
     duflo, ntilde = duflo_from_reps(rep, data, kl)
     if not duflo:
         raise ValueError("no distinguished involution visible in this module")
-    cells = kl_left_cell_wgraphs(kl)
+    left = kl.cells("left")
+    columns = kl.t_columns()
     d = rep.dim
     gens = [LaurentMatrix(d, d) for _ in range(eng.datum.rank)]
     for dd in duflo:
-        cell = next((c, els) for c, els in cells if dd in els)
-        cgraph, els = cell
-        pos = {e: i for i, e in enumerate(els)}
-        sigma = wgraph_matrices(cgraph)
-        for z in els:
-            cz = data.leading.get(z)
-            if cz is None:
-                continue
-            coef_mat = LaurentMatrix.from_scalar_rows(
-                f_mat_scale(cz, ntilde[dd])
-            )
-            for s in range(eng.datum.rank):
-                entry = sigma.gens[s].entries[pos[z]][pos[dd]]
-                if entry:
+        cell = {z.index for z in left.blocks[left.block_of(dd)]}
+        for s, gen in enumerate(columns):
+            for zi, entry in gen[dd.index].items():
+                cz = data.leading.get(eng.elements[zi])
+                if zi in cell and cz is not None:
+                    coef_mat = LaurentMatrix.from_scalar_rows(
+                        f_mat_scale(cz, ntilde[dd])
+                    )
                     gens[s] = gens[s] + coef_mat.scale(entry)
     return Representation(eng, gens)
 
@@ -447,19 +444,15 @@ def verify_cell_axioms(cd: CellDatum, kl: KLContext) -> CellAxiomReport:
     eng = cd.engine
     failures: list[str] = []
     triples = sorted(cd.basis)
-    index_of = {trip: i for i, trip in enumerate(triples)}
     if len(triples) != eng.order:
         failures.append(
             f"(C1) fails: {len(triples)} basis elements for |W| = {eng.order}"
         )
         return CellAxiomReport(False, failures)
-    mat = [
-        [cd.basis[trip].get(w, Fraction(0)) for w in eng.elements]
-        for trip in triples
-    ]
+    rows = [{w.index: c for w, c in cd.basis[trip].items()} for trip in triples]
     try:
         # row w of the inverse converts the C_w coefficient to cell coords
-        minv = f_mat_inverse(mat)
+        minv = f_sparse_inverse(rows)
     except ZeroDivisionError:
         failures.append("(C1) fails: cell elements are linearly dependent")
         return CellAxiomReport(False, failures)
@@ -469,33 +462,18 @@ def verify_cell_axioms(cd: CellDatum, kl: KLContext) -> CellAxiomReport:
         if starred != cd.basis.get((li, t, s), {}):
             failures.append(f"(C2) fails at lambda={li}, (s,t)=({s},{t})")
     # (C3): T_g C^l_{st} = sum_u r_g(u, s) C^l_{ut} modulo strictly smaller types
-    minv_support = [[(r, x) for r, x in enumerate(row) if x] for row in minv]
-
-    def to_cell_coords(h: dict[Element, LaurentPoly]):
-        out = [ZERO] * len(triples)
-        for w, c in h.items():
-            for r, x in minv_support[w.index]:
-                out[r] = out[r] + c * x
-        return out
-
-    # column w of the KL W-graph matrix of T_g is T_g C_w in the C-basis
-    columns = [
-        [
-            [(eng.elements[z], hv) for z, hv in enumerate(col) if hv]
-            for col in m.transpose().entries
-        ]
-        for m in wgraph_matrices(kl_wgraph(kl)).gens
-    ]
+    columns = kl.t_columns()
     for li, dl in enumerate(cd.dims):
         for g in range(eng.datum.rank):
             r_coeffs: dict[tuple[int, int], LaurentPoly] = {}
             for t in range(dl):
                 for s in range(dl):
-                    prod: dict[Element, LaurentPoly] = {}
+                    # T_g C_w = sum_z hv C_z, and C_z = sum_r minv[z][r] C_r
+                    coords = [ZERO] * len(triples)
                     for w, c in cd.basis[(li, s, t)].items():
-                        for z, hv in columns[g][w.index]:
-                            add_term(prod, z, hv * c)
-                    coords = to_cell_coords(prod)
+                        for z, hv in columns[g][w.index].items():
+                            for r, x in minv[z].items():
+                                coords[r] = coords[r] + hv * (c * x)
                     for i, trip in enumerate(triples):
                         coeff = coords[i]
                         if not coeff:

@@ -68,7 +68,9 @@ def gram_invariant_form(rep: Representation) -> InvariantForm:
     (i, j) for i <= j, in place; the lower triangle is filled by symmetry.
     The walk also records min_w nu(trace rho(T_w)).  The invariance identity
     Omega rho(T_s) = rho(T_s)^Tr Omega is verified for every generator (T_s
-    is *-fixed).  A singular form is flagged but still returned.
+    is *-fixed); a failure, which only a module that is not a Hecke module
+    can produce, raises VerificationError.  A singular form is flagged but
+    still returned.
     """
     d = rep.dim
     acc = [[{} for _ in range(d)] for _ in range(d)]
@@ -96,7 +98,7 @@ def gram_invariant_form(rep: Representation) -> InvariantForm:
         omega = omega.scale(LaurentPoly({-val: 1}))
     for s, g in enumerate(rep.gens):
         if (omega @ g) != (g.transpose() @ omega):
-            raise AssertionError(f"Gram form is not invariant for generator {s}")
+            raise VerificationError(f"Gram form is not invariant for generator {s}")
     singular = laurent_rank(omega) < d
     return InvariantForm(omega, -alpha, singular)
 

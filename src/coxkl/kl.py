@@ -17,11 +17,12 @@ Two independent routes to the C-basis are provided: the P*-recursion
 (`c_basis_by_bar_fixed_point`); the test suite holds them against each other.
 
 How C_s acts on the C-basis is read off the edges of the KL W-graph
-(`wgraph_edges`), and the cells come from those edges.  So do the structure
-constants h_{x,y,z}: `h_column` builds C_x C_y for all x at once along
-canonical words, and `h_structure`, Lusztig's a-function, gamma and the
-Duflo set read those columns.  The test suite holds them against full
-T-basis products.
+(`wgraph_edges`).  The cells come from those edges, and so do the sparse
+columns T_s C_u, T_s = C_s + v_s, that the representation side reads
+(`t_columns`), and the structure constants h_{x,y,z}: `h_column` builds
+C_x C_y for all x at once along canonical words, and `h_structure`,
+Lusztig's a-function, gamma and the Duflo set read those columns.  The test
+suite holds them against full T-basis products.
 """
 
 from __future__ import annotations
@@ -426,6 +427,16 @@ class KLContext:
                 cols[s][u].append((z, weight))
             self._gen_cols = cols
         return self._gen_cols
+
+    def t_columns(self) -> list[list[dict[int, LaurentPoly]]]:
+        """cols[s][u]: T_s C_u = C_s C_u + v_s C_u as a {z index: coefficient} map."""
+        out = []
+        for s, gen in enumerate(self._generator_columns()):
+            vs = LaurentPoly({self.engine.generator_weight(s): 1})
+            out.append([dict(col) for col in gen])
+            for u, col in enumerate(out[s]):
+                add_term(col, u, vs)
+        return out
 
     def h_column(self, y: Element) -> list[dict[int, LaurentPoly]]:
         """C_x C_y = sum_z h_{x,y,z} C_z for every x: entry x.index is {z.index: h}.

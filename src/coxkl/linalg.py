@@ -1,9 +1,11 @@
 """Exact linear algebra: fraction-free elimination over F[v, v^-1] and
 plain Gaussian elimination over the residue field F.
 
-Over F, `f_mat_inverse` eliminates on sparse rows ({column: value} dicts of
-the nonzeros): the A4 cellular-basis matrix, 120 x 120 with 120 nonzeros,
-costs about one update per nonzero.
+Over F there is one Gauss-Jordan sweep, `f_row_reduce`, on sparse rows
+({column: value} dicts of the nonzeros).  It gives the rank of the v = 1
+certificate in `laurent_rank` and the inverse (`f_sparse_inverse`, and its
+dense form `f_mat_inverse`): the A4 cellular-basis matrix, 120 x 120 with
+120 nonzeros, costs about one update per nonzero.
 
 The Laurent-side routines never form the fraction field: they use
 Bareiss-style two-term updates whose divisions are exact in the ring, and
@@ -77,7 +79,7 @@ def laurent_rank(m: LaurentMatrix) -> int:
     embedding of F.
     """
     full = min(m.rows, m.cols)
-    if f_mat_rank(m.at_one()) == full:
+    if len(f_row_reduce(_sparse_rows(m.at_one()), m.cols)) == full:
         return full
     rows = [list(r) for r in m.entries]
     return len(_jordan_echelonize(rows))
@@ -208,28 +210,29 @@ def f_mat_trace(a):
     return t
 
 
-def f_mat_inverse(a):
-    """Inverse over the field by Gauss-Jordan on sparse rows.
+def f_row_reduce(rows: list[dict], ncols: int) -> list[int]:
+    """Gauss-Jordan over F on sparse rows, in place; returns the pivot columns.
 
-    Each row of [a | I] is a {column: value} dict of its nonzeros, so a row
-    update touches only the nonzeros of the pivot row.  The pivot is the
-    first nonzero at or below the diagonal; singular input raises
-    ZeroDivisionError.  Returns a dense list of rows.
+    Each row is a {column: value} dict of its nonzeros.  Columns 0..ncols-1
+    are swept in order; a column's pivot is the first nonzero at or below
+    the current row, scaled to 1 and cleared from every other row, so an
+    update touches only the nonzeros of the pivot row.  Afterwards rows[i]
+    is the pivot row of the i-th pivot column.
     """
-    n = len(a)
-    work = [{j: x for j, x in enumerate(row) if x} for row in a]
-    for i, row in enumerate(work):
-        row[n + i] = Fraction(1)
-    for c in range(n):
-        pr = next((r for r in range(c, n) if c in work[r]), None)
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pr = next((i for i in range(r, len(rows)) if c in rows[i]), None)
         if pr is None:
-            raise ZeroDivisionError("singular matrix over F")
-        work[c], work[pr] = work[pr], work[c]
-        inv = scalar_inv(work[c][c])
-        prow = work[c] = {j: x * inv for j, x in work[c].items()}
-        for r, row in enumerate(work):
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = scalar_inv(rows[r][c])
+        prow = rows[r] = {j: x * inv for j, x in rows[r].items()}
+        for i, row in enumerate(rows):
             f = row.get(c)
-            if r == c or f is None:
+            if i == r or f is None:
                 continue
             for j, y in prow.items():
                 x = row.get(j, 0) - f * y
@@ -237,35 +240,28 @@ def f_mat_inverse(a):
                     row[j] = x
                 else:  # f * y != 0, so a zero x cancels an entry of row
                     del row[j]
-    zero = Fraction(0)
-    return [[row.get(n + j, zero) for j in range(n)] for row in work]
+        pivots.append(c)
+    return pivots
 
 
-def f_mat_rank(a) -> int:
-    if not a:
-        return 0
-    work = [list(r) for r in a]
-    n, m = len(work), len(work[0])
-    rank = 0
-    for c in range(m):
-        pr = None
-        for r in range(rank, n):
-            if work[r][c]:
-                pr = r
-                break
-        if pr is None:
-            continue
-        work[rank], work[pr] = work[pr], work[rank]
-        inv = scalar_inv(work[rank][c])
-        work[rank] = [x * inv for x in work[rank]]
-        for r in range(n):
-            if r != rank and work[r][c]:
-                f = work[r][c]
-                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-        if rank == n:
-            break
-    return rank
+def _sparse_rows(a) -> list[dict]:
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
+def f_sparse_inverse(rows: list[dict]) -> list[dict]:
+    """Inverse over F by reducing [a | I], sparse rows in and out; singular
+    input raises ZeroDivisionError."""
+    n = len(rows)
+    work = [{**row, n + i: Fraction(1)} for i, row in enumerate(rows)]
+    if len(f_row_reduce(work, n)) < n:
+        raise ZeroDivisionError("singular matrix over F")
+    return [{j - n: x for j, x in row.items() if j >= n} for row in work]
+
+
+def f_mat_inverse(a):
+    """Inverse over F of a dense square matrix (`f_sparse_inverse`)."""
+    inv = f_sparse_inverse(_sparse_rows(a))
+    return [[row.get(j, Fraction(0)) for j in range(len(a))] for row in inv]
 
 
 def f_ldl(a):

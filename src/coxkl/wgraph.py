@@ -302,12 +302,17 @@ def parabolic_restrict(g: WGraph, j: frozenset[int]):
     Returns (sub_wgraph, sub_engine, index_map) where index_map sends the new
     generator indices 0..|J|-1 to the old ones.  When the sub-diagram is a
     shipped type, the sub-engine is built under that name (so the JSON form
-    round-trips); otherwise it carries an opaque name.
+    round-trips); otherwise it carries an opaque name.  A generator index
+    outside 0..rank-1 raises ValueError.
     """
     from .coxeter import recognize_type
 
+    rank = g.engine.datum.rank
+    bad = sorted(a for a in j if a not in range(rank))
+    if bad:
+        raise ValueError(f"generators {bad} are out of range 0..{rank - 1}")
     j = sorted(j)
-    if frozenset(j) == frozenset(range(g.engine.datum.rank)):
+    if frozenset(j) == frozenset(range(rank)):
         return WGraph(g.engine, list(g.labels), dict(g.edges)), g.engine, j
     old = g.engine.datum
     matrix = [[old.coxeter_matrix[a][b] for b in j] for a in j]
@@ -332,6 +337,18 @@ def parabolic_restrict(g: WGraph, j: frozenset[int]):
     return WGraph(sub, labels, edges), sub, order
 
 
+def induced_wgraph(g: WGraph, verts: list[int]) -> WGraph:
+    """The W-graph that g induces on the vertices verts, renumbered in that
+    order."""
+    pos = {v: i for i, v in enumerate(verts)}
+    edges = {
+        (s, pos[x], pos[y]): w
+        for (s, x, y), w in g.edges.items()
+        if x in pos and y in pos
+    }
+    return WGraph(g.engine, [g.labels[v] for v in verts], edges)
+
+
 def wgraph_cells(g: WGraph) -> list[tuple[WGraph, list[int]]]:
     """Strongly connected components of the edge-support digraph.
 
@@ -344,17 +361,7 @@ def wgraph_cells(g: WGraph) -> list[tuple[WGraph, list[int]]]:
         if w and x != y:
             adj[y].add(x)
     blocks, _ = condensation_order(g.size, adj)
-    out = []
-    for verts in blocks:
-        pos = {v: i for i, v in enumerate(verts)}
-        labels = [g.labels[v] for v in verts]
-        edges = {
-            (s, pos[x], pos[y]): w
-            for (s, x, y), w in g.edges.items()
-            if x in pos and y in pos
-        }
-        out.append((WGraph(g.engine, labels, edges), verts))
-    return out
+    return [(induced_wgraph(g, verts), verts) for verts in blocks]
 
 
 def kl_wgraph(kl: KLContext) -> WGraph:
@@ -370,12 +377,13 @@ def kl_wgraph(kl: KLContext) -> WGraph:
 
 
 def kl_left_cell_wgraphs(kl: KLContext) -> list[tuple[WGraph, list[Element]]]:
-    """Left-cell W-graphs cut out of the full KL W-graph."""
+    """Left-cell W-graphs cut out of the full KL W-graph along the blocks of
+    `KLContext.cells("left")`."""
     full = kl_wgraph(kl)
-    out = []
-    for cell, verts in wgraph_cells(full):
-        out.append((cell, [kl.engine.elements[v] for v in verts]))
-    return out
+    return [
+        (induced_wgraph(full, [w.index for w in block]), block)
+        for block in kl.cells("left").blocks
+    ]
 
 
 # -- Omega matrices and relations -----------------------------------------------------

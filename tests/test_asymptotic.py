@@ -3,6 +3,7 @@ Duflo involutions, cell representations and the cellular basis."""
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -29,7 +30,7 @@ from coxkl.asymptotic import (
 )
 from coxkl.balance import VerificationError, balance, leading_coefficients
 from coxkl.blocks import intertwiner_space
-from coxkl.fixtures import b3_graphs, reflection_graph, shared_engine
+from coxkl.fixtures import b3_graphs, catalogue, reflection_graph, shared_engine
 from coxkl.kl import KLContext
 from coxkl.laurent import LaurentMatrix, LaurentPoly
 from coxkl.linalg import f_mat_mul, f_mat_trace, f_mat_transpose, laurent_rank
@@ -355,6 +356,22 @@ def test_geck_mueller(kl_a2, a2):
     bad.edges[(0, 0, 1)] = LaurentPoly({0: 5})
     report = geck_mueller_check(bad, kl_a2)
     assert report.verdict != "equal"
+
+
+CATALOGUE = catalogue()
+
+
+@lru_cache(maxsize=None)
+def shared_kl(engine):
+    return KLContext(engine)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGUE))
+def test_geck_mueller_reproduces_every_fixture(name):
+    """psi = rho_bar . phi equals the module entrywise on every shipped
+    graph, the ten B3 table graphs and the Q(sqrt 5) ones included."""
+    g = CATALOGUE[name]
+    assert geck_mueller_check(g, shared_kl(g.engine)).verdict == "equal"
 
 
 def test_invariant_form_over_f(jd_a2):

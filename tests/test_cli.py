@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -318,6 +319,65 @@ def test_restrict_cli(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["group"] == "A2"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2d3c9c1b81d7becc8dcf78f8b3e069199b249e7e74b81ddf723735d138f595cc"
+    )
+
+
+@pytest.mark.parametrize("subset, bad", [
+    ("-1", -1), ("3", 3), ("9", 9), ("0,-1", -1),
+])
+def test_restrict_rejects_missing_generators(capsys, fixture_dir, subset, bad):
+    """B3 has generators 0..2; Python's negative indexing must not read -1
+    as the last one."""
+    code = main(["wgraph", "restrict", str(fixture_dir / "b3_chi7.json"),
+                 "--subset", subset])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err == f"error: generators [{bad}] are out of range 0..2\n"
+
+
+def test_balance_refuses_a_module_that_is_not_a_hecke_module(
+    capsys, fixture_dir, tmp_path
+):
+    data = json.loads((fixture_dir / "a2_refl.json").read_text())
+    data["edges"][0]["weight"] = "2"
+    bad = tmp_path / "not_hecke.json"
+    bad.write_text(json.dumps(data))
+    code = main(["balance", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err == "error: Gram form is not invariant for generator 1\n"
+
+
+def spy_on(monkeypatch, module, name):
+    """Record the arguments of every call of module.name."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_cell_modules_read_the_kl_columns(capsys, monkeypatch, fixture_dir):
+    """`cellrep` and the (C3) check take T_s C_d from `KLContext.t_columns`:
+    `cellrep` cuts no left-cell W-graphs and builds the matrices of its own
+    module only, and `cellbasis` builds no W-graph matrices on all of W."""
+    cells = spy_on(monkeypatch, asymptotic, "kl_left_cell_wgraphs")
+    matrices = spy_on(monkeypatch, asymptotic, "wgraph_matrices")
+    assert main(["cellrep", str(fixture_dir / "b3_chi7.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "equal"
+    assert not cells and len(matrices) == 1
+    matrices.clear()
+    assert main(["cellbasis", "--group", "A4"]) == 0
+    assert json.loads(capsys.readouterr().out)["axioms_ok"]
+    # the cell modules of `irreducible_cell_reps`, 26 left cells on A4
+    assert len(cells) == 1 and len(matrices) == 26
+    assert all(g.size < 120 for (g,) in matrices)
 
 
 SMOKE_GROUPS = [

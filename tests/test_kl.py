@@ -456,13 +456,15 @@ def test_cells_match_h_route(request, name):
         assert all(i <= j for i, j in part.leq), kind
 
 
-@pytest.mark.parametrize("name", ["kl_a3", "kl_b3w"])
+@pytest.mark.parametrize("name", ["kl_a3", "kl_b3w", "kl_i25"])
 def test_wgraph_columns_match_h_structure(request, name):
     # T_g = C_g + v^L(g), so T_g C_w = sum_z h_{g,w,z} C_z + v^L(g) C_w is
-    # column w of the W-graph matrix of T_g
+    # column w of the W-graph matrix of T_g, and `t_columns()[g][w]` holds
+    # exactly its nonzero entries
     kl = request.getfixturevalue(name)
     eng = kl.engine
     gens = wgraph_matrices(kl_wgraph(kl)).gens
+    sparse = kl.t_columns()
     oracle = TBasis(kl).h_structure
     for g, gen in enumerate(eng.simple):
         vg = LaurentPoly({eng.generator_weight(g): 1})
@@ -471,6 +473,9 @@ def test_wgraph_columns_match_h_structure(request, name):
             expect = expect + HeckeElement("C", {w: vg})
             column = {z: gens[g].entries[z.index][w.index] for z in eng.elements}
             assert HeckeElement("C", column) == expect, (g, w)
+            assert sparse[g][w.index] == {
+                z.index: c for z, c in column.items() if c
+            }, (g, w)
 
 
 def test_cells(kl_a2):

@@ -1,5 +1,6 @@
 """Exact linear algebra: the v = 1 rank certificate and its Bareiss fallback,
-and the sparse Gauss-Jordan inverse over F against the dense one."""
+and the sparse Gauss-Jordan over F against Bareiss ranks and the dense
+inverse."""
 
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from coxkl.linalg import (
     f_mat_inverse,
     f_mat_mul,
     f_mat_transpose,
+    f_row_reduce,
     laurent_rank,
 )
 from coxkl.scalars import GOLDEN, Sqrt5, scalar_inv
@@ -173,6 +175,35 @@ def square_matrices(draw):
         ]
         return m, True
     return m, False
+
+
+@st.composite
+def scalar_matrices(draw):
+    """A random r x c matrix, r, c <= 5, over Q or Q(sqrt 5); when r > 1 one
+    row may be drawn as a combination of the others."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    scalars = draw(st.sampled_from([rationals, quadratics]))
+    m = draw(st.lists(st.lists(scalars, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    if rows > 1 and draw(st.booleans()):
+        coeffs = draw(st.lists(scalars, min_size=rows - 1, max_size=rows - 1))
+        m[-1] = [
+            sum((c * row[j] for c, row in zip(coeffs, m)), Fraction(0))
+            for j in range(cols)
+        ]
+    return m
+
+
+@given(scalar_matrices())
+def test_rank_over_f_matches_bareiss(m):
+    rows = [{j: x for j, x in enumerate(row) if x} for row in m]
+    pivots = f_row_reduce(rows, len(m[0]))
+    constant = [[LaurentPoly({0: x}) for x in row] for row in m]
+    assert len(pivots) == bareiss_rank(LaurentMatrix(len(m), len(m[0]), constant))
+    # reduced echelon form: each pivot row is 1 at its pivot column and no
+    # other row has a nonzero there
+    for i, c in enumerate(pivots):
+        assert [row.get(c, 0) for row in rows] == [int(r == i) for r in range(len(m))]
 
 
 @given(square_matrices())

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from coxkl import wgraph
 from coxkl.coxeter import build_group
 from coxkl.fixtures import b3_graphs, catalogue, reflection_graph
 from coxkl.kl import KLContext
@@ -17,6 +18,7 @@ from coxkl.wgraph import (
     dual_wgraph,
     eigenspace_label_multiplicities,
     is_geck,
+    kl_left_cell_wgraphs,
     kl_wgraph,
     omega_gy_relations_check,
     omega_matrices,
@@ -355,6 +357,23 @@ def test_cells_of_fixture_cells_are_wgraphs(kl_a3):
         for _, verts in wgraph_cells(full)
     }
     assert cell_sets == kl_a3.cells("left").as_sets()
+
+
+@pytest.mark.parametrize("name", ["kl_a3", "kl_b3", "kl_b3w"])
+def test_kl_left_cell_wgraphs_cut_along_kl_cells(request, monkeypatch, name):
+    """The blocks come from `KLContext.cells("left")`, not from a second
+    component search; `wgraph_cells` of the full KL W-graph is the
+    reference route."""
+    kl = request.getfixturevalue(name)
+    elements = kl.engine.elements
+    reference = [
+        (cg, [elements[v] for v in verts])
+        for cg, verts in wgraph_cells(kl_wgraph(kl))
+    ]
+    monkeypatch.setattr(wgraph, "wgraph_cells", None)
+    cut = kl_left_cell_wgraphs(kl)
+    assert [els for _, els in cut] == kl.cells("left").blocks
+    assert cut == reference
 
 
 def test_arrow_blocks_respect_compatibility():
