@@ -62,7 +62,7 @@ print(f"intertwiner space dimension: {len(space)}")
 report = block_report(space[0], conj.labels, chi9.labels)
 print("residue block diagonal:", report.diagonal)
 
-cert = omega_iso_certificate(chi9, conj)
+cert = omega_iso_certificate(chi9, conj, space)
 print("certificate matrix:", [[str(e) for e in row] for row in cert.matrix.entries])
 print("conjugation residuals:", cert.residuals)
 

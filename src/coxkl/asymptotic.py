@@ -12,7 +12,9 @@ from one balanced representation per isomorphism type (`gamma_n_table`),
 is the test oracle for that ring.  The cellular basis (Geck 2009) reads only
 the balanced modules and their Schur units (`irreducible_data`), never gamma.
 Its axiom check and the cell representations read T_s C_w off the sparse
-columns of `KLContext.t_columns`, never dense KL W-graph matrices.
+columns of `KLContext.t_columns`, never dense KL W-graph matrices.  The
+Schur element from its own walk, Lusztig's homomorphism phi and J from the
+KL cell modules are test oracles in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .balance import (
     leading_coefficients,
 )
 from .coxeter import Element, GroupEngine
-from .kl import CellPartition, KLContext
+from .kl import KLContext
 from .laurent import (
     LaurentMatrix,
     LaurentPoly,
@@ -101,29 +103,6 @@ class JElement(SparseCombination):
 
 
 # -- Schur constants ------------------------------------------------------------
-
-
-def schur_f(rep: Representation, a: int | None = None, entry=(0, 0)):
-    """The Schur element and its leading unit of an irreducible balanced rep.
-
-    c = sum_w rho(T_{w^-1})_{ts} rho(T_w)_{st} at the fixed entry (s, t);
-    f = lowest_term(v^{2a} c).  Vanishing c or a lowest term at the wrong
-    degree signals a non-irreducible or non-balanced input.  `balance`
-    records c at entry (0, 0) from its leading-table walk; this separate
-    walk is the oracle for it.
-    """
-    s, t = entry
-    st_vals: dict[Element, LaurentPoly] = {}
-    ts_vals: dict[Element, LaurentPoly] = {}
-    for w, m in rep.walk():
-        st_vals[w] = m.entries[s][t]
-        ts_vals[w] = m.entries[t][s]
-    c = ZERO
-    for w, x in st_vals.items():
-        c = c + ts_vals[w.inverse()] * x
-    if a is None:
-        a = a_value(rep)
-    return c, _schur_unit(c, a)
 
 
 def _schur_unit(c: LaurentPoly, a: int):
@@ -256,25 +235,6 @@ def duflo_from_reps(
 
 
 # -- the leading-coefficient homomorphism -----------------------------------------------
-
-
-def lusztig_phi(
-    w: Element, data: JData, kl: KLContext, cells: CellPartition
-) -> JElement:
-    """phi(C_w) = sum over d in D and z two-sided-equivalent to d of
-    n_d h_{w,d,z} t_z."""
-    if cells.kind != "two-sided":
-        raise ValueError("phi needs the two-sided cell partition")
-    out: dict[Element, LaurentPoly] = {}
-    for d in data.duflo:
-        bd = cells.block_of(d)
-        block = set(cells.blocks[bd])
-        h = kl.h_structure(w, d)
-        nd = data.n[d]
-        for z, hv in h.items():
-            if z in block and hv:
-                add_term(out, z, hv * nd)
-    return JElement(out)
 
 
 def cell_representation(
@@ -610,10 +570,6 @@ def jdata_from_kl(kl: KLContext) -> JData:
                 f"sum_d n_d t_d is not the unit of J: it fails on t_{x.index}"
             )
     return jd
-
-
-def jdata_from_cells(kl: KLContext) -> JData:
-    return gamma_n_table(kl.engine, irreducible_cell_reps(kl))
 
 
 def jdata_from_graphs(kl: KLContext, graphs) -> JData:

@@ -114,24 +114,6 @@ def a_value(rep: Representation) -> int:
     return -alpha
 
 
-def is_balanced(rep: Representation, a: int):
-    """Check nu(rho(T_w)) >= -a for all w with equality somewhere.
-
-    Returns (ok, witness): on failure the witness violates the bound, on
-    success it attains it.
-    """
-    attained = None
-    for w, m in rep.walk():
-        v = m.valuation()
-        if v is None:
-            continue
-        if v < -a:
-            return False, w
-        if v == -a and attained is None:
-            attained = w
-    return attained is not None, attained
-
-
 def _leading_walk(rep: Representation, a: int):
     """One walk of W: the leading table and the (0, 0) entries rho(T_w)_00.
 

@@ -268,10 +268,14 @@ class OmegaCertificate:
         return self.ok
 
 
-def omega_iso_certificate(g1: WGraph, g2: WGraph) -> OmegaCertificate | None:
+def omega_iso_certificate(
+    g1: WGraph, g2: WGraph, basis: list[LaurentMatrix]
+) -> OmegaCertificate | None:
     """A constant intertwiner conjugating all idempotent/arrow matrices.
 
-    Returns None when no intertwiner exists (different characters).  When an
+    `basis` is the `intertwiner_space` of the modules of g1 and g2, which
+    the caller has already solved.  Returns None when the graphs differ in
+    size or no intertwiner exists (different characters).  When an
     intertwiner exists but no normalized one is constant over F, a failed
     certificate is returned with a note (that situation would contradict the
     rigidity statement and is surfaced, never silently passed).
@@ -280,12 +284,7 @@ def omega_iso_certificate(g1: WGraph, g2: WGraph) -> OmegaCertificate | None:
     ok2, d2 = is_geck(g2)
     if not ok1 or not ok2:
         raise ValueError("both inputs must be Geck graphs: " + "; ".join(d1 + d2))
-    if g1.size != g2.size:
-        return None
-    r1 = wgraph_matrices(g1)
-    r2 = wgraph_matrices(g2)
-    basis = intertwiner_space(r1, r2)
-    if not basis:
+    if g1.size != g2.size or not basis:
         return None
     constant = [a for a in basis if a.is_constant()]
     if not constant:

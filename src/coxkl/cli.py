@@ -5,7 +5,8 @@ cells|klgraph|omegagy), compat, balance, leading, jdata, cellrep, cellbasis,
 blocks, labels, fixtures.  All output is JSON with sorted keys and canonical
 element indices, so identical invocations are byte-identical.
 
-Exit status: 0 on pass, 1 on verification failure, 2 on usage error.
+Exit status: 0 on pass, 1 on verification failure, 2 on usage error,
+including a path that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -339,7 +340,7 @@ def cmd_blocks(args):
             }
         )
         all_diag = all_diag and br.diagonal
-    cert = blocks_mod.omega_iso_certificate(g1, g2)
+    cert = blocks_mod.omega_iso_certificate(g1, g2, space)
     payload = {
         "intertwiner_count": len(space),
         "intertwiners": verdicts,
@@ -510,7 +511,7 @@ def main(argv=None) -> int:
     except balance_mod.VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAIL
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

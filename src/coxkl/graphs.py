@@ -84,6 +84,16 @@ def condensation_reachability(comps: list[list[int]], adj) -> set[tuple[int, int
     return reach
 
 
+def edge_adjacency(n: int, edges) -> list[set[int]]:
+    """adj[y] = {x : (s, x, y) in edges}: the edge y -> x of a W-graph on
+    range(n) for each weight m^s_{x,y}, the digraph whose strongly connected
+    components are its cells."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for _, x, y in edges:
+        adj[y].add(x)
+    return adj
+
+
 def condensation_order(n: int, adj) -> tuple[list[list[int]], set[tuple[int, int]]]:
     """SCCs of the digraph on range(n) in canonical order, with their preorder.
 

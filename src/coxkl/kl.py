@@ -17,12 +17,13 @@ Two independent routes to the C-basis are provided: the P*-recursion
 (`c_basis_by_bar_fixed_point`); the test suite holds them against each other.
 
 How C_s acts on the C-basis is read off the edges of the KL W-graph
-(`wgraph_edges`).  The cells come from those edges, and so do the sparse
-columns T_s C_u, T_s = C_s + v_s, that the representation side reads
-(`t_columns`), and the structure constants h_{x,y,z}: `h_column` builds
-C_x C_y for all x at once along canonical words, and `h_structure`,
-Lusztig's a-function, gamma and the Duflo set read those columns.  The test
-suite holds them against full T-basis products.
+(`wgraph_edges`), a map built once per context.  The cells come from that
+one map, and so do the sparse columns T_s C_u, T_s = C_s + v_s, that the
+representation side reads (`t_columns`), and the structure constants
+h_{x,y,z}: `h_column` builds C_x C_y for all x at once along canonical
+words, and `h_structure`, Lusztig's a-function, gamma and the Duflo set
+read those columns.  The test suite holds them against full T-basis
+products (`tests/tbasis.py`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .coxeter import Element, GroupEngine, bit_indices
-from .graphs import condensation_order
+from .graphs import condensation_order, edge_adjacency
 from .laurent import (
     LaurentPoly,
     ONE,
@@ -58,9 +59,6 @@ class HeckeElement(SparseCombination):
     def coefficient(self, w: Element) -> LaurentPoly:
         return self.coeffs.get(w, ZERO)
 
-    def support(self):
-        return set(self.coeffs)
-
 
 @dataclass
 class CellPartition:
@@ -76,9 +74,6 @@ class CellPartition:
             if w in b:
                 return i
         raise KeyError(w)
-
-    def as_sets(self) -> set[frozenset]:
-        return {frozenset(b) for b in self.blocks}
 
 
 @dataclass
@@ -107,6 +102,7 @@ class KLContext:
         self._descent_masks: list[int] | None = None
         self._tinv: dict[Element, HeckeElement] = {}
         self._cbasis: dict[Element, HeckeElement] = {}
+        self._edges: dict[tuple[int, int, int], LaurentPoly] | None = None
         self._cells: dict[str, CellPartition] = {}
         # C_s C_u per generator, and the h-columns asked for by h_structure
         self._gen_cols: list | None = None
@@ -354,8 +350,11 @@ class KLContext:
         algebras with unequal parameters, Thm 6.6).  So the ascent edge
         y -> sy carries weight 1 and the descent edge y -> x the signed mu,
         read off `mu_list(y, s)`.  Per generator, ascent edges come first in
-        y order, then descent edges in (x, y) order.
+        y order, then descent edges in (x, y) order.  The map is built once
+        per context and shared by every caller, which must not change it.
         """
+        if self._edges is not None:
+            return self._edges
         eng = self.engine
         lengths = eng.lengths
         edges: dict[tuple[int, int, int], LaurentPoly] = {}
@@ -371,6 +370,7 @@ class KLContext:
                     sign = -1 if (lengths[xi] + lengths[yi] + 1) % 2 else 1
                     descents.append(((s, xi, yi), mu * sign))
             edges.update(sorted(descents, key=lambda e: e[0]))
+        self._edges = edges
         return edges
 
     def cells(self, kind: str) -> CellPartition:
@@ -386,9 +386,7 @@ class KLContext:
         if cached is not None:
             return cached
         eng = self.engine
-        left: list[set[int]] = [set() for _ in eng.elements]
-        for _, x, y in self.wgraph_edges():
-            left[y].add(x)
+        left = edge_adjacency(eng.order, self.wgraph_edges())
         if kind == "left":
             adj = left
         else:

@@ -6,8 +6,11 @@ edge weights m^s_{xy}, subject to the support condition
 m^s_{xy} != 0  =>  s in I(x) \\ I(y).  The induced generator matrix has
 -v_s^-1 on labeled diagonal entries, v_s elsewhere, and the weights off the
 diagonal.  Braid relations are checked by direct alternating products, a
-check valid for every weight function; the Chebyshev-style commutator
-identity (tau route), valid for equal weights only, is the test oracle.
+check valid for every weight function.  The KL W-graph reads the edge map
+that `KLContext.wgraph_edges` builds once per context.  The tests keep in
+`tests/oracles.py` the Chebyshev-style commutator identity (tau route,
+valid for equal weights only), the generator matrices rebuilt from the
+idempotent and arrow matrices, and direct sums of modules.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .coxeter import CoxeterDatum, Element, GroupEngine, build_group
-from .graphs import condensation_order
+from .graphs import condensation_order, edge_adjacency
 from .kl import KLContext
 from .laurent import (
     ONE,
@@ -71,12 +74,6 @@ class Representation:
         self.dim = dim
         self.gens = gens
 
-    def gen_inverse(self, s: int) -> LaurentMatrix:
-        """rho(T_s)^-1 = rho(T_s) - (v_s - v_s^-1)."""
-        ls = self.engine.generator_weight(s)
-        zeta = LaurentPoly({ls: 1, -ls: -1})
-        return self.gens[s] - LaurentMatrix.identity(self.dim).scale(zeta)
-
     def t_matrix(self, w: Element) -> LaurentMatrix:
         m = LaurentMatrix.identity(self.dim)
         for s in self.engine.reduced_word(w):
@@ -108,22 +105,6 @@ class Representation:
             if not advanced:
                 stack.pop()
                 path.pop()
-
-    def direct_sum(self, other: "Representation") -> "Representation":
-        if self.engine is not other.engine:
-            raise ValueError("direct sum needs a common group")
-        n, m = self.dim, other.dim
-        gens = []
-        for a, b in zip(self.gens, other.gens):
-            g = LaurentMatrix(n + m, n + m)
-            for i in range(n):
-                for j in range(n):
-                    g.entries[i][j] = a.entries[i][j]
-            for i in range(m):
-                for j in range(m):
-                    g.entries[n + i][n + j] = b.entries[i][j]
-            gens.append(g)
-        return Representation(self.engine, gens)
 
     def conjugate(self, p: LaurentMatrix, p_inv: LaurentMatrix) -> "Representation":
         return Representation(self.engine, [p_inv @ g @ p for g in self.gens])
@@ -186,30 +167,6 @@ def tau_poly(r: int) -> list[int]:
             nxt[i] -= c
         prev, cur = cur, nxt
     return cur
-
-
-def _poly_of_matrix(coeffs: list[int], m: LaurentMatrix) -> LaurentMatrix:
-    """Evaluate an integer polynomial (ascending coefficients) on a matrix."""
-    out = LaurentMatrix(m.rows, m.cols)
-    power = LaurentMatrix.identity(m.rows)
-    for i, c in enumerate(coeffs):
-        if c:
-            out = out + power.scale(LaurentPoly({0: c}))
-        if i + 1 < len(coeffs):
-            power = power @ m
-    return out
-
-
-def braid_commutator_tau(
-    a: LaurentMatrix, b: LaurentMatrix, m: int, zeta: LaurentPoly
-) -> LaurentMatrix:
-    """Delta_m(a, b) via (-1)^(m-1) tau_{m-1}(a + b - zeta) (a - b)."""
-    shifted = a + b - LaurentMatrix.identity(a.rows).scale(zeta)
-    t = _poly_of_matrix(tau_poly(m - 1), shifted)
-    out = t @ (a - b)
-    if (m - 1) % 2:
-        out = -out
-    return out
 
 
 def braid_commutator_direct(
@@ -356,11 +313,7 @@ def wgraph_cells(g: WGraph) -> list[tuple[WGraph, list[int]]]:
     (cell_graph, vertex_indices) in the order of `condensation_order`:
     lowest cells first, ties by smallest vertex index.
     """
-    adj: list[set[int]] = [set() for _ in range(g.size)]
-    for (s, x, y), w in g.edges.items():
-        if w and x != y:
-            adj[y].add(x)
-    blocks, _ = condensation_order(g.size, adj)
+    blocks, _ = condensation_order(g.size, edge_adjacency(g.size, g.edges))
     return [(induced_wgraph(g, verts), verts) for verts in blocks]
 
 
@@ -427,26 +380,6 @@ def omega_matrices(g: WGraph) -> OmegaMatrices:
                 big_x[key] = m
             m.entries[xx][yy] = w
     return OmegaMatrices(e, x, big_e, big_x)
-
-
-def omega_reconstruction(g: WGraph, om: OmegaMatrices | None = None) -> Representation:
-    """rho(T_s) = -v_s^-1 e_s + v_s (1 - e_s) + x_s, entry by entry."""
-    om = om or omega_matrices(g)
-    eng = g.engine
-    d = g.size
-    ident = LaurentMatrix.identity(d)
-    gens = []
-    for s in range(eng.datum.rank):
-        ls = eng.generator_weight(s)
-        vs = LaurentPoly({ls: 1})
-        vs_inv = LaurentPoly({-ls: 1})
-        m = (
-            om.e[s].scale(-vs_inv)
-            + (ident - om.e[s]).scale(vs)
-            + om.x[s]
-        )
-        gens.append(m)
-    return Representation(eng, gens)
 
 
 @dataclass

@@ -1,0 +1,113 @@
+"""Second routes that the tests hold the production code against.
+
+No `coxkl` command calls these.  Each one reaches a fact that `coxkl`
+computes one way by another route: the braid commutator through the
+Chebyshev-style polynomial tau, the generator matrices rebuilt from the
+idempotent and arrow matrices, balancedness and the Schur element from walks
+of their own, Lusztig's homomorphism phi read off the h-table, and J from the
+leading matrices of the KL cell modules.
+"""
+
+from coxkl.asymptotic import (
+    JElement,
+    _schur_unit,
+    gamma_n_table,
+    irreducible_cell_reps,
+)
+from coxkl.laurent import ZERO, LaurentMatrix, LaurentPoly, add_term
+from coxkl.wgraph import Representation, tau_poly
+
+
+def braid_commutator_tau(a, b, m: int, zeta: LaurentPoly) -> LaurentMatrix:
+    """Delta_m(a, b) via (-1)^(m-1) tau_{m-1}(a + b - zeta) (a - b), an
+    identity of equal weights."""
+    shifted = a + b - LaurentMatrix.identity(a.rows).scale(zeta)
+    t = LaurentMatrix(a.rows, a.cols)
+    power = LaurentMatrix.identity(a.rows)
+    for c in tau_poly(m - 1):
+        if c:
+            t = t + power.scale(LaurentPoly({0: c}))
+        power = power @ shifted
+    out = t @ (a - b)
+    return -out if (m - 1) % 2 else out
+
+
+def omega_reconstruction(g, om) -> Representation:
+    """rho(T_s) = -v_s^-1 e_s + v_s (1 - e_s) + x_s, entry by entry."""
+    eng = g.engine
+    ident = LaurentMatrix.identity(g.size)
+    gens = []
+    for s in range(eng.datum.rank):
+        ls = eng.generator_weight(s)
+        gens.append(
+            om.e[s].scale(LaurentPoly({-ls: -1}))
+            + (ident - om.e[s]).scale(LaurentPoly({ls: 1}))
+            + om.x[s]
+        )
+    return Representation(eng, gens)
+
+
+def direct_sum(r1: Representation, r2: Representation) -> Representation:
+    """The block-diagonal module r1 + r2."""
+    n, m = r1.dim, r2.dim
+    gens = []
+    for a, b in zip(r1.gens, r2.gens):
+        g = LaurentMatrix(n + m, n + m)
+        for i in range(n):
+            g.entries[i][:n] = a.entries[i]
+        for i in range(m):
+            g.entries[n + i][n:] = b.entries[i]
+        gens.append(g)
+    return Representation(r1.engine, gens)
+
+
+def is_balanced(rep: Representation, a: int):
+    """Check nu(rho(T_w)) >= -a for all w with equality somewhere.
+
+    Returns (ok, witness): on failure the witness violates the bound, on
+    success it attains it.
+    """
+    attained = None
+    for w, m in rep.walk():
+        v = m.valuation()
+        if v is None:
+            continue
+        if v < -a:
+            return False, w
+        if v == -a and attained is None:
+            attained = w
+    return attained is not None, attained
+
+
+def schur_f(rep: Representation, a: int, entry=(0, 0)):
+    """The Schur element c = sum_w rho(T_{w^-1})_{ts} rho(T_w)_{st} at the
+    entry (s, t) and its unit f = lowest_term(v^{2a} c), from a walk of its
+    own; `balance` records c at entry (0, 0) on its leading-table walk."""
+    s, t = entry
+    st_vals, ts_vals = {}, {}
+    for w, m in rep.walk():
+        st_vals[w] = m.entries[s][t]
+        ts_vals[w] = m.entries[t][s]
+    c = ZERO
+    for w, x in st_vals.items():
+        c = c + ts_vals[w.inverse()] * x
+    return c, _schur_unit(c, a)
+
+
+def lusztig_phi(w, data, kl, cells) -> JElement:
+    """phi(C_w) = sum over d in D and z two-sided-equivalent to d of
+    n_d h_{w,d,z} t_z."""
+    if cells.kind != "two-sided":
+        raise ValueError("phi needs the two-sided cell partition")
+    out = {}
+    for d in data.duflo:
+        block = set(cells.blocks[cells.block_of(d)])
+        for z, hv in kl.h_structure(w, d).items():
+            if z in block and hv:
+                add_term(out, z, hv * data.n[d])
+    return JElement(out)
+
+
+def jdata_from_cells(kl):
+    """J from the leading matrices of one balanced KL cell module per type."""
+    return gamma_n_table(kl.engine, irreducible_cell_reps(kl))

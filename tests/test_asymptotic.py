@@ -7,6 +7,7 @@ from functools import lru_cache
 from itertools import product
 
 import pytest
+from oracles import jdata_from_cells, lusztig_phi, schur_f
 
 from coxkl import asymptotic
 from coxkl.asymptotic import (
@@ -21,11 +22,8 @@ from coxkl.asymptotic import (
     irreducible_cell_reps,
     irreducible_reps_from_graphs,
     j_multiply,
-    jdata_from_cells,
     jdata_from_graphs,
     jdata_from_kl,
-    lusztig_phi,
-    schur_f,
     verify_cell_axioms,
 )
 from coxkl.balance import VerificationError, balance, leading_coefficients

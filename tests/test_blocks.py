@@ -4,6 +4,7 @@ residue block reports and isomorphism certificates."""
 from fractions import Fraction
 
 import pytest
+from oracles import direct_sum
 
 from coxkl.balance import gram_invariant_form
 from coxkl.blocks import (
@@ -169,21 +170,23 @@ def test_chi9_pair_blocks():
     for a in space:
         r = block_report(a, g2.labels, g1.labels)
         assert r.diagonal
-    cert = omega_iso_certificate(g1, g2)
+    cert = omega_iso_certificate(g1, g2, space)
     assert cert is not None and cert.ok
     assert all(v == 0 for v in cert.residuals.values())
 
 
 def test_identity_pair_certificate():
     g = b3_graphs()["chi9"]
-    cert = omega_iso_certificate(g, g)
+    rep = wgraph_matrices(g)
+    cert = omega_iso_certificate(g, g, intertwiner_space(rep, rep))
     assert cert.ok and cert.matrix == LaurentMatrix.identity(3)
 
 
 def test_certificate_absent_for_distinct_characters(a2):
     triv = WGraph(a2, [frozenset()], {})
     sign = WGraph(a2, [frozenset({0, 1})], {})
-    assert omega_iso_certificate(triv, sign) is None
+    space = intertwiner_space(wgraph_matrices(triv), wgraph_matrices(sign))
+    assert omega_iso_certificate(triv, sign, space) is None
 
 
 def test_gram_forms_block_diagonal():
@@ -199,7 +202,7 @@ def test_repeated_label_intertwiners_block_diagonal(a2):
     # reducible pair with repeated labels: refl + refl
     g = reflection_graph(a2)
     rep = wgraph_matrices(g)
-    double = rep.direct_sum(rep)
+    double = direct_sum(rep, rep)
     labels = list(g.labels) + list(g.labels)
     space = intertwiner_space(double, double)
     assert len(space) == 4  # Schur: 2x2 copies of scalars

@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from coxkl import asymptotic
+from coxkl import asymptotic, blocks
 from coxkl.cli import main
 from coxkl.laurent import LaurentPoly
 from coxkl.fixtures import catalogue, shared_engine
@@ -311,6 +315,27 @@ def test_usage_errors(capsys, tmp_path):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["group", "--group", "A2", "--out", "{dir}"], "Is a directory"),
+        (["balance", "{dir}"], "Is a directory"),
+        (["fixtures", "--out", "{file}"], "File exists"),
+    ],
+    ids=["group --out", "balance", "fixtures --out"],
+)
+def test_os_errors_are_usage_errors(capsys, tmp_path, argv, message):
+    """A path that cannot be read or written is a usage error (exit 2) with
+    an `error:` line, not a traceback with the verification-failure code."""
+    (tmp_path / "file").write_text("")
+    paths = {"dir": tmp_path, "file": tmp_path / "file"}
+    code = main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_restrict_cli(tmp_path, capsys):
     run(capsys, "fixtures", "--out", str(tmp_path))
     code, out = run(
@@ -378,6 +403,49 @@ def test_cell_modules_read_the_kl_columns(capsys, monkeypatch, fixture_dir):
     # the cell modules of `irreducible_cell_reps`, 26 left cells on A4
     assert len(cells) == 1 and len(matrices) == 26
     assert all(g.size < 120 for (g,) in matrices)
+
+
+def test_kl_wgraph_edges_are_built_once(capsys, monkeypatch, fixture_dir):
+    """Every reader of the KL W-graph edges gets one map per `KLContext`:
+    `cellbasis` reads it in `kl_wgraph`, in the left and the two-sided cells
+    and in the generator columns, `cellrep` in the left cells and the
+    generator columns."""
+    maps = []
+    real = KLContext.wgraph_edges
+
+    def spy(kl):
+        maps.append(real(kl))
+        return maps[-1]
+
+    monkeypatch.setattr(KLContext, "wgraph_edges", spy)
+    for argv, calls in (
+        (["cellbasis", "--group", "A4"], 4),
+        (["cellrep", str(fixture_dir / "b3_chi7.json")], 2),
+    ):
+        maps.clear()
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(maps) == calls and all(m is maps[0] for m in maps)
+
+
+@pytest.mark.parametrize("mode", ["spans", "counts"])
+def test_tracer_finds_every_pinned_name(capsys, tmp_path, mode):
+    """`benchmark/tracer.py` wraps its SPANS and HOT targets by module and
+    name, so a moved target fails here and not first in a traced benchmark
+    run; the traced job prints the bytes of the plain one."""
+    repo = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(
+        filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")])
+    )
+    job = ["kl", "--group", "A2"]
+    res = subprocess.run(
+        [sys.executable, str(repo / "benchmark" / "tracer.py"), mode,
+         str(tmp_path / "trace.json"), *job],
+        capture_output=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert res.returncode == 0, res.stderr.decode()
+    assert main(job) == 0
+    assert res.stdout == capsys.readouterr().out.encode()
 
 
 SMOKE_GROUPS = [
@@ -487,14 +555,18 @@ BLOCKS_PAIRS = [
 
 
 @pytest.mark.parametrize("first, second, relation", BLOCKS_PAIRS)
-def test_blocks_exits_as_documented(capsys, fixture_dir, first, second, relation):
+def test_blocks_exits_as_documented(
+    capsys, monkeypatch, fixture_dir, first, second, relation
+):
     """Isomorphic graphs have one intertwiner and a passing certificate (exit
     0); non-isomorphic ones have none and no certificate (exit 0); graphs of
-    two groups are a usage error (exit 2).  Never a traceback."""
+    two groups are a usage error (exit 2).  Never a traceback, and the
+    intertwiner system is solved once: the certificate reads that basis."""
+    solves = spy_on(monkeypatch, blocks, "intertwiner_space")
     code = main(["blocks", str(fixture_dir / f"{first}.json"),
                  str(fixture_dir / f"{second}.json")])
     captured = capsys.readouterr()
-    assert "Traceback" not in captured.err
+    assert "Traceback" not in captured.err and len(solves) == 1
     if relation == "two groups":
         assert code == 2 and not captured.out
         assert captured.err == "error: intertwiners need a common group\n"
