@@ -67,7 +67,6 @@ class IrreducibleDatum:
 
     rep: Representation
     data: BalancedData
-    c_poly: LaurentPoly
     f: object  # F-unit
 
 
@@ -148,7 +147,7 @@ def irreducible_data(
             f"representation set is incomplete or redundant"
         )
     return [
-        IrreducibleDatum(rep, data, data.schur, _schur_unit(data.schur, data.a_value))
+        IrreducibleDatum(rep, data, _schur_unit(data.schur, data.a_value))
         for rep, data in reps
     ]
 
@@ -213,21 +212,18 @@ def j_multiply(a: JElement, b: JElement, data: JData) -> JElement:
 # -- distinguished involutions ------------------------------------------------------
 
 
-def duflo_from_reps(
-    rep: Representation, data: BalancedData, kl: KLContext
-):
+def duflo_from_reps(a: int, leading: dict[Element, list], kl: KLContext):
     """Distinguished involutions visible in one balanced representation.
 
-    These are the z of the leading support with nu(bar(P*_{1,z})) = a.
+    These are the z of its leading table with nu(bar(P*_{1,z})) = a.
     Returns (duflo_set, ntilde) where
     ntilde[d] = (-1)^l(d) * lowest_term(bar(P*_{1,d})).
     """
-    eng = rep.engine
     duflo: set[Element] = set()
     ntilde: dict[Element, object] = {}
-    for z in data.leading:
-        p = bar(kl.pstar(eng.identity, z))
-        if p.valuation() == data.a_value:
+    for z in leading:
+        p = bar(kl.pstar(kl.engine.identity, z))
+        if p.valuation() == a:
             duflo.add(z)
             sign = -1 if z.length() % 2 else 1
             ntilde[z] = p.lowest_term() * sign
@@ -238,16 +234,17 @@ def duflo_from_reps(
 
 
 def cell_representation(
-    rep: Representation, data: BalancedData, kl: KLContext
+    rep: Representation, a: int, leading: dict[Element, list], kl: KLContext
 ) -> Representation:
-    """psi = rho_bar . phi, assembled from left-cell W-graph modules.
+    """psi = rho_bar . phi, assembled from left-cell W-graph modules, for a
+    balanced rep with a-value a and leading table rho_bar.
 
     psi(T_s) = sum over visible Duflo d and z in the left cell of d of
     ntilde_d sigma(T_s)_{z,d} rho_bar(t_z), where sigma(T_s)_{z,d} is entry
     z of the column T_s C_d of `KLContext.t_columns`.
     """
     eng = rep.engine
-    duflo, ntilde = duflo_from_reps(rep, data, kl)
+    duflo, ntilde = duflo_from_reps(a, leading, kl)
     if not duflo:
         raise ValueError("no distinguished involution visible in this module")
     left = kl.cells("left")
@@ -258,7 +255,7 @@ def cell_representation(
         cell = {z.index for z in left.blocks[left.block_of(dd)]}
         for s, gen in enumerate(columns):
             for zi, entry in gen[dd.index].items():
-                cz = data.leading.get(eng.elements[zi])
+                cz = leading.get(eng.elements[zi])
                 if zi in cell and cz is not None:
                     coef_mat = LaurentMatrix.from_scalar_rows(
                         f_mat_scale(cz, ntilde[dd])
@@ -299,14 +296,7 @@ def geck_mueller_check(g: WGraph, kl: KLContext) -> GeckMuellerReport:
         leading = {}
     if not leading:
         return GeckMuellerReport(False, a, None, None, "not balanced")
-    data = BalancedData(
-        a_value=a,
-        q=LaurentMatrix.identity(rep.dim),
-        q_inv=LaurentMatrix.identity(rep.dim),
-        d=[],
-        leading=leading,
-    )
-    psi = cell_representation(rep, data, kl)
+    psi = cell_representation(rep, a, leading, kl)
     equal = all(psi.gens[s] == rep.gens[s] for s in range(rep.engine.datum.rank))
     # both walks visit W in the same canonical order
     chars = all(

@@ -4,27 +4,25 @@ leading-coefficient extraction and per-block strictification.
 The invariant form is always produced by the full Gram sum over the standard
 basis (one depth-first sweep with a single running matrix), never by linear
 solving, so every intermediate stays inside the Laurent ring; the same sweep
-gives the a-value.  The balancing base change interleaves monomial diagonal
-steps with residue-field row steps; the maximal entry degree of the form
-never grows from step to step, and the step history is recorded so callers
-can assert that.  One more sweep of the balanced module gives its leading
-table and its Schur sum, so `balance` walks W twice per module.
+gives the a-value.  One symmetric elimination diagonalises the residue of
+the form, in place on a copy: each step scales a row and a column by a
+monomial and then clears the residues right of its pivot by paired column
+and row operations, building no matrix product.  The maximal entry degree
+of the form never grows from step to step, and the step history is recorded
+so callers can assert that.  `balance` runs that elimination on the Gram
+form, and `strictify` runs it on a form whose residue is block diagonal by
+labels.  One more sweep of the balanced module gives its leading table and
+its Schur sum, so `balance` walks W twice per module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .coxeter import Element
 from .laurent import ZERO, LaurentMatrix, LaurentPoly
-from .linalg import (
-    f_identity,
-    f_ldl,
-    f_mat_inverse,
-    f_mat_is_zero,
-    laurent_rank,
-)
+from .linalg import f_mat_transpose
 from .scalars import scalar_inv
 from .wgraph import Representation
 
@@ -40,7 +38,6 @@ class InvariantForm:
 
     matrix: LaurentMatrix
     a_value: int
-    singular: bool = False
 
 
 @dataclass
@@ -51,13 +48,12 @@ class BalancedData:
     q: LaurentMatrix
     q_inv: LaurentMatrix
     d: list  # diagonal residues of the balanced form
-    leading: dict[Element, list] = field(default_factory=dict)
-    #: the Schur sum sum_w rho(T_{w^-1})_00 rho(T_w)_00; None for a
-    #: representation taken as balanced
-    schur: LaurentPoly | None = None
-    degree_history: list = field(default_factory=list)
-    #: the balanced invariant form; None for a representation taken as balanced
-    form: InvariantForm | None = None
+    leading: dict[Element, list]
+    #: the Schur sum sum_w rho(T_{w^-1})_00 rho(T_w)_00
+    schur: LaurentPoly
+    degree_history: list
+    #: the balanced invariant form
+    form: InvariantForm
 
 
 def gram_invariant_form(rep: Representation) -> InvariantForm:
@@ -69,8 +65,7 @@ def gram_invariant_form(rep: Representation) -> InvariantForm:
     The walk also records min_w nu(trace rho(T_w)).  The invariance identity
     Omega rho(T_s) = rho(T_s)^Tr Omega is verified for every generator (T_s
     is *-fixed); a failure, which only a module that is not a Hecke module
-    can produce, raises VerificationError.  A singular form is flagged but
-    still returned.
+    can produce, raises VerificationError.
     """
     d = rep.dim
     acc = [[{} for _ in range(d)] for _ in range(d)]
@@ -99,8 +94,7 @@ def gram_invariant_form(rep: Representation) -> InvariantForm:
     for s, g in enumerate(rep.gens):
         if (omega @ g) != (g.transpose() @ omega):
             raise VerificationError(f"Gram form is not invariant for generator {s}")
-    singular = laurent_rank(omega) < d
-    return InvariantForm(omega, -alpha, singular)
+    return InvariantForm(omega, -alpha)
 
 
 def a_value(rep: Representation) -> int:
@@ -143,28 +137,33 @@ def leading_coefficients(rep: Representation, a: int) -> dict[Element, list]:
     return _leading_walk(rep, a)[0]
 
 
-def balance(rep: Representation, form: InvariantForm | None = None):
-    """Degree-safe balancing base change.
+def _eliminate(matrix: LaurentMatrix):
+    """The degree-safe symmetric elimination, in place on a copy of matrix
+    normalized to valuation 0.
 
-    Returns (rep', data) where rep' = Q^-1 rep Q is balanced, the transformed
-    form is congruent to an invertible diagonal matrix mod m, and
-    data.degree_history records the maximal entry degree after each step
-    (monotonically non-increasing).  The final invariant form is stored on
-    the returned data as `form`.
+    Step i scales row and column i by v^-gamma, gamma = nu(Omega_ii)/2.
+    Then for each j > i with c = -res(Omega_ij)/res(Omega_ii) nonzero it
+    adds c times column i to column j and then c times row i to row j (the
+    congruence by R = I + c E_ij, which leaves Omega_ik alone for k != j);
+    Q takes the same column step and Q^-1 the row step "row i -= c row j".
+    Returns (Q^Tr Omega Q, Q, Q^-1, the diagonal residues, the maximal
+    entry degree before and after each step).  Without a rescaling step the
+    residue of Q^Tr Omega Q is diagonal by construction; a rescaling step
+    can bring a residue back above an earlier pivot.
     """
-    if form is None:
-        form = gram_invariant_form(rep)
-    d = rep.dim
-    omega = form.matrix.copy()
+    d = matrix.rows
+    omega = matrix.copy()
     val = omega.valuation()
     if val:
         omega = omega.scale(LaurentPoly({-val: 1}))
+    w = omega.entries
     q = LaurentMatrix.identity(d)
     q_inv = LaurentMatrix.identity(d)
+    qe, qie = q.entries, q_inv.entries
     diag = []
     history = [omega.max_degree()]
     for i in range(d):
-        vii = omega.entries[i][i].valuation()
+        vii = w[i][i].valuation()
         if vii is None:
             raise VerificationError(
                 f"degenerate pivot chain at step {i}: zero diagonal"
@@ -177,42 +176,50 @@ def balance(rep: Representation, form: InvariantForm | None = None):
         gamma = vii // 2
         if gamma:
             mono_dn = LaurentPoly({-gamma: 1})
-            mono_up = LaurentPoly({gamma: 1})
-            for j in range(d):
-                omega.entries[i][j] = omega.entries[i][j] * mono_dn
-            for j in range(d):
-                omega.entries[j][i] = omega.entries[j][i] * mono_dn
-            for j in range(d):
-                q.entries[j][i] = q.entries[j][i] * mono_dn
-            for j in range(d):
-                q_inv.entries[i][j] = q_inv.entries[i][j] * mono_up
+            w[i] = [x * mono_dn for x in w[i]]
+            for k in range(d):
+                w[k][i] = w[k][i] * mono_dn
+                qe[k][i] = qe[k][i] * mono_dn
+            qie[i] = [x * LaurentPoly({gamma: 1}) for x in qie[i]]
         ov = omega.valuation()
         if ov is not None and ov < 0:
             raise VerificationError(
                 f"degenerate pivot chain at step {i}: pole created"
             )
-        dii = omega.entries[i][i].lowest_term()
+        dii = w[i][i].lowest_term()
         diag.append(dii)
         inv_dii = scalar_inv(dii)
-        # residue-field row step clearing the residues right of the pivot
-        coeffs = {}
+        # residue-field steps clearing the residues right of the pivot
         for j in range(i + 1, d):
-            ct = omega.entries[i][j].constant_term()
-            if ct:
-                coeffs[j] = -ct * inv_dii
-        if coeffs:
-            r = LaurentMatrix.identity(d)
-            r_inv = LaurentMatrix.identity(d)
-            for j, c in coeffs.items():
-                r.entries[i][j] = LaurentPoly({0: c})
-                r_inv.entries[i][j] = LaurentPoly({0: -c})
-            omega = r.transpose() @ omega @ r
-            q = q @ r
-            q_inv = r_inv @ q_inv
+            ct = w[i][j].constant_term()
+            if not ct:
+                continue
+            c = -ct * inv_dii
+            for rows in (w, qe):
+                for row in rows:
+                    if row[i]:
+                        row[j] = row[j] + row[i] * c
+            w[j] = [x + y * c if y else x for x, y in zip(w[j], w[i])]
+            qie[i] = [x - y * c if y else x for x, y in zip(qie[i], qie[j])]
         history.append(omega.max_degree())
+    return omega, q, q_inv, diag, history
+
+
+def balance(rep: Representation, form: InvariantForm | None = None):
+    """Degree-safe balancing base change.
+
+    Returns (rep', data) where rep' = Q^-1 rep Q is balanced, the transformed
+    form is congruent to an invertible diagonal matrix mod m, and
+    data.degree_history records the maximal entry degree after each step
+    (monotonically non-increasing).  The final invariant form is stored on
+    the returned data as `form`.
+    """
+    if form is None:
+        form = gram_invariant_form(rep)
+    omega, q, q_inv, diag, history = _eliminate(form.matrix)
     res = omega.residue()
-    for i in range(d):
-        for j in range(d):
+    for i in range(rep.dim):
+        for j in range(rep.dim):
             if i != j and res[i][j]:
                 raise AssertionError("balance post-state: residue not diagonal")
     rep2 = rep.conjugate(q, q_inv)
@@ -230,7 +237,7 @@ def balance(rep: Representation, form: InvariantForm | None = None):
         leading=leading,
         schur=schur,
         degree_history=history,
-        form=InvariantForm(omega, a, form.singular),
+        form=InvariantForm(omega, a),
     )
     return rep2, data
 
@@ -240,56 +247,34 @@ def strictify(
     form: InvariantForm,
     labels: list[frozenset],
 ):
-    """Per-label-block Cholesky making the residue of the form fully diagonal.
+    """Make the residue of the form fully diagonal inside each label block.
 
     The form's residue must already be block diagonal with respect to the
     label grouping (that is the content of the off-diagonal-vanishing lemma);
-    a violation raises with the offending block pair.  Returns
-    (rep', form', l_matrix) where l_matrix is block unitriangular over F.
+    a violation raises ValueError with the offending block pair.  The
+    residue's pivots must not vanish: then the elimination of `balance`
+    never rescales, and its unit upper-triangular Q is L^-Tr for the
+    LDL^Tr factorization of the residue, block by block.  A vanishing pivot
+    raises VerificationError.  Returns (rep', form', l_matrix) where
+    l_matrix = L is block unitriangular over F.
     """
     d = rep.dim
     if len(labels) != d:
         raise ValueError("need one label per matrix index")
     omega = form.matrix
     val = omega.valuation()
-    if val:
-        omega = omega.scale(LaurentPoly({-val: 1}))
-    res = omega.residue()
-    groups: dict[frozenset, list[int]] = {}
-    for i, l in enumerate(labels):
-        groups.setdefault(l, []).append(i)
-    ordered = sorted(groups, key=lambda l: (-len(l), sorted(l)))
-    for a_l in ordered:
-        for b_l in ordered:
-            if a_l == b_l:
-                continue
-            block = [[res[i][j] for j in groups[b_l]] for i in groups[a_l]]
-            if not f_mat_is_zero(block):
-                raise ValueError(
-                    f"form residue is not block diagonal: block "
-                    f"({sorted(a_l)}, {sorted(b_l)}) is nonzero"
-                )
-    l_full = f_identity(d)
-    for lab in ordered:
-        idx = groups[lab]
-        block = [[res[i][j] for j in idx] for i in idx]
-        l_block, _ = f_ldl(block)
-        for bi, i in enumerate(idx):
-            for bj, j in enumerate(idx):
-                l_full[i][j] = l_block[bi][bj]
-    # residue block = L D L^T, so the diagonalizing base change is L^-T
-    l_inv = f_mat_inverse(l_full)
-    q = LaurentMatrix.from_scalar_rows(
-        [[l_inv[j][i] for j in range(d)] for i in range(d)]
-    )
-    q_inv = LaurentMatrix.from_scalar_rows(
-        [[l_full[j][i] for j in range(d)] for i in range(d)]
-    )
-    rep2 = rep.conjugate(q, q_inv)
-    omega2 = q.transpose() @ omega @ q
-    res2 = omega2.residue()
+    res = (omega.scale(LaurentPoly({-val: 1})) if val else omega).residue()
     for i in range(d):
         for j in range(d):
-            if i != j and res2[i][j]:
-                raise AssertionError("strictify post-state: residue not diagonal")
-    return rep2, InvariantForm(omega2, form.a_value, form.singular), l_full
+            if labels[i] != labels[j] and res[i][j]:
+                raise ValueError(
+                    f"form residue is not block diagonal: block "
+                    f"({sorted(labels[i])}, {sorted(labels[j])}) is nonzero"
+                )
+    omega, q, q_inv, _, _ = _eliminate(omega)
+    if not q.is_constant():
+        raise VerificationError(
+            "a residue pivot vanishes: the form is not definite on a label block"
+        )
+    l_full = f_mat_transpose(q_inv.residue())
+    return rep.conjugate(q, q_inv), InvariantForm(omega, form.a_value), l_full

@@ -67,6 +67,15 @@ def _load_graph(path: str):
     return wgraph_from_json(data, engine=shared_engine(wgraph_group(data)))
 
 
+def _load_valid_graph(path: str):
+    """A W-graph file that `validate_wgraph` accepts, else exit 1."""
+    g = _load_graph(path)
+    report = validate_wgraph(g)
+    if not report.ok:
+        raise balance_mod.VerificationError(report.failures[0])
+    return g
+
+
 def _group_arg(args):
     ts = args.group
     if getattr(args, "weights", None):
@@ -249,7 +258,7 @@ def cmd_balance(args):
 
 
 def cmd_leading(args):
-    g = _load_graph(args.file)
+    g = _load_valid_graph(args.file)
     rep = wgraph_matrices(g)
     a = balance_mod.a_value(rep)
     try:
@@ -318,8 +327,8 @@ def cmd_cellbasis(args):
 
 
 def cmd_blocks(args):
-    g1 = _load_graph(args.file)
-    g2 = _load_graph(args.file2)
+    g1 = _load_valid_graph(args.file)
+    g2 = _load_valid_graph(args.file2)
     r1 = wgraph_matrices(g1)
     r2 = wgraph_matrices(g2)
     space = blocks_mod.intertwiner_space(r1, r2)
@@ -362,7 +371,7 @@ def cmd_blocks(args):
 
 
 def cmd_labels(args):
-    g = _load_graph(args.file)
+    g = _load_valid_graph(args.file)
     rep = wgraph_matrices(g)
     from_char = blocks_mod.label_multiset_from_character(rep)
     from_eig = eigenspace_label_multiplicities(rep)

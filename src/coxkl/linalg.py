@@ -3,9 +3,10 @@ plain Gaussian elimination over the residue field F.
 
 Over F there is one Gauss-Jordan sweep, `f_row_reduce`, on sparse rows
 ({column: value} dicts of the nonzeros).  It gives the rank of the v = 1
-certificate in `laurent_rank` and the inverse (`f_sparse_inverse`, and its
-dense form `f_mat_inverse`): the A4 cellular-basis matrix, 120 x 120 with
-120 nonzeros, costs about one update per nonzero.
+certificate in `laurent_rank` and the inverse `f_sparse_inverse`: the A4
+cellular-basis matrix, 120 x 120 with 120 nonzeros, costs about one update
+per nonzero.  The dense helpers over F seed with the ints 0 and 1, so
+integer matrices stay in int arithmetic.
 
 The Laurent-side routines never form the fraction field: they use
 Bareiss-style two-term updates whose divisions are exact in the ring, and
@@ -164,20 +165,13 @@ def laurent_solve_kernel_matrices(
 # -- residue-field (scalar) matrices ------------------------------------------
 
 
-def f_zero(n: int, m: int):
-    return [[Fraction(0)] * m for _ in range(n)]
-
-
 def f_identity(n: int):
-    out = f_zero(n, n)
-    for i in range(n):
-        out[i][i] = Fraction(1)
-    return out
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def f_mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
-    out = [[Fraction(0)] * m for _ in range(n)]
+    out = [[0] * m for _ in range(n)]
     for i in range(n):
         for t in range(k):
             ait = a[i][t]
@@ -249,40 +243,10 @@ def _sparse_rows(a) -> list[dict]:
 
 
 def f_sparse_inverse(rows: list[dict]) -> list[dict]:
-    """Inverse over F by reducing [a | I], sparse rows in and out; singular
-    input raises ZeroDivisionError."""
+    """Inverse over F by reducing [a | I], sparse rows in and out; a matrix
+    of rank below n raises ZeroDivisionError."""
     n = len(rows)
     work = [{**row, n + i: Fraction(1)} for i, row in enumerate(rows)]
     if len(f_row_reduce(work, n)) < n:
-        raise ZeroDivisionError("singular matrix over F")
+        raise ZeroDivisionError("matrix not invertible over F")
     return [{j - n: x for j, x in row.items() if j >= n} for row in work]
-
-
-def f_mat_inverse(a):
-    """Inverse over F of a dense square matrix (`f_sparse_inverse`)."""
-    inv = f_sparse_inverse(_sparse_rows(a))
-    return [[row.get(j, Fraction(0)) for j in range(len(a))] for row in inv]
-
-
-def f_ldl(a):
-    """LDL^T factorization of a symmetric matrix over F.
-
-    Returns (L, D) with L unit lower triangular and D diagonal entries,
-    requiring all leading principal pivots to be nonzero (true for the
-    residues of positive-definite Gram forms).
-    """
-    n = len(a)
-    l = f_identity(n)
-    d = [Fraction(0)] * n
-    work = [list(r) for r in a]
-    for j in range(n):
-        d[j] = work[j][j]
-        if not d[j]:
-            raise ZeroDivisionError("zero pivot in LDL^T (block not definite)")
-        inv = scalar_inv(d[j])
-        for i in range(j + 1, n):
-            l[i][j] = work[i][j] * inv
-        for i in range(j + 1, n):
-            for k in range(j + 1, n):
-                work[i][k] = work[i][k] - l[i][j] * d[j] * l[k][j]
-    return l, d

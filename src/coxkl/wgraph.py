@@ -645,6 +645,8 @@ def wgraph_from_json(data: dict, engine: GroupEngine | None = None) -> WGraph:
     for name, val in (("vertices", vertices), ("edges", edge_list)):
         if not isinstance(val, list):
             raise WGraphFormatError(f"{name!r} is not a list")
+    if not vertices:
+        raise WGraphFormatError("'vertices' is empty: a W-graph needs a vertex")
     gens = range(engine.datum.rank)
     rows = [_fields(v, ("id", "label"), f"vertex entry {k}")
             for k, v in enumerate(vertices)]

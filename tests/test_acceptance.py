@@ -265,7 +265,7 @@ def test_criterion_10_j_axioms(kl_a2):
 def test_criterion_11_cell_representation(kl_a2):
     eng = kl_a2.engine
     for rep, data in irreducible_cell_reps(kl_a2):
-        psi = cell_representation(rep, data, kl_a2)
+        psi = cell_representation(rep, data.a_value, data.leading, kl_a2)
         ident = LaurentMatrix.identity(psi.dim)
         for s in range(2):
             zeta = LaurentPoly({1: 1, -1: -1})

@@ -290,7 +290,7 @@ def test_schur_relations_leading(jd_a2, a2):
 
 def test_duflo_from_reps(kl_a2, a2):
     for rep, data in irreducible_cell_reps(kl_a2):
-        duflo, ntilde = duflo_from_reps(rep, data, kl_a2)
+        duflo, ntilde = duflo_from_reps(data.a_value, data.leading, kl_a2)
         s, t = a2.simple
         if rep.dim == 2:
             assert duflo == {s, t}
@@ -328,7 +328,7 @@ def test_lusztig_phi(jd_a2, kl_a2, a2):
 
 def test_cell_representation(kl_a2, a2):
     for rep, data in irreducible_cell_reps(kl_a2):
-        psi = cell_representation(rep, data, kl_a2)
+        psi = cell_representation(rep, data.a_value, data.leading, kl_a2)
         # representation relations via the validator machinery
         from coxkl.wgraph import braid_commutator_direct
 

@@ -19,6 +19,7 @@ from coxkl.balance import (
 from coxkl.fixtures import b3_graphs, catalogue, reflection_graph, shared_engine
 from coxkl.kl import KLContext
 from coxkl.laurent import LaurentMatrix, LaurentPoly
+from coxkl.linalg import laurent_rank
 from coxkl.wgraph import WGraph, kl_left_cell_wgraphs, wgraph_matrices
 
 
@@ -28,7 +29,7 @@ def test_gram_form_trivial(a2):
     form = gram_invariant_form(rep)
     # sum_w v^{2 l(w)}, normalized: 1 + 2v^2 + 2v^4 + v^6
     assert form.matrix.entries[0][0] == LaurentPoly({0: 1, 2: 2, 4: 2, 6: 1})
-    assert not form.singular
+    assert laurent_rank(form.matrix) == 1
 
 
 def test_gram_form_invariance_extends_to_all_w(a2):
@@ -192,6 +193,26 @@ def test_strictify_rejects_cross_block_mixing(a2):
     )
     with pytest.raises(ValueError):
         strictify(rep, InvariantForm(bad, a_value=1), list(g.labels))
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([[{0: 1}, {0: 1}], [{0: 1}, {0: 1}]],
+         "degenerate pivot chain at step 1: zero diagonal"),
+        ([[{0: 1}, {0: 1}], [{0: 1}, {0: 1, 2: 1}]], "a residue pivot vanishes"),
+    ],
+)
+def test_strictify_refuses_a_vanishing_residue_pivot(a2, entries, message):
+    """The residue [[1, 1], [1, 1]] on one label block has no LDL^T
+    factorization, whether the second pivot vanishes outright or only mod m."""
+    rep = wgraph_matrices(reflection_graph(a2))
+    form = InvariantForm(
+        LaurentMatrix(2, 2, [[LaurentPoly(e) for e in row] for row in entries]),
+        a_value=1,
+    )
+    with pytest.raises(VerificationError, match=message):
+        strictify(rep, form, [frozenset({0}), frozenset({0})])
 
 
 def test_strictify_identity_on_diagonal_forms(a2):

@@ -140,9 +140,10 @@ def without(key):
         (lambda d: d["vertices"][0].__delitem__("label"),
          "vertex entry 0 has no 'label'"),
         (lambda d: [1, 2], "W-graph file is not a JSON object"),
+        (lambda d: d.update(vertices=[], edges=[]), "'vertices' is empty"),
     ],
     ids=["label", "to", "from", "s", "duplicate",
-         "no-edges", "no-vertices", "no-group", "no-label", "list"],
+         "no-edges", "no-vertices", "no-group", "no-label", "list", "empty"],
 )
 def test_malformed_wgraph_files_are_usage_errors(tmp_path, capsys, edit, message):
     # `edit` changes the fixture in place, or returns the data to write
@@ -373,6 +374,32 @@ def test_balance_refuses_a_module_that_is_not_a_hecke_module(
     captured = capsys.readouterr()
     assert code == 1 and not captured.out
     assert captured.err == "error: Gram form is not invariant for generator 1\n"
+
+
+NOT_A_WGRAPH = {
+    "group": "A2",
+    "vertices": [{"id": 0, "label": [0]}, {"id": 1, "label": [1]}],
+    "edges": [{"s": 0, "from": 1, "to": 0, "weight": "1"}],
+}
+
+
+@pytest.mark.parametrize("command", ["leading", "labels", "blocks"])
+def test_file_commands_refuse_a_graph_whose_braid_relation_fails(
+    capsys, fixture_dir, tmp_path, command
+):
+    """Two A2 vertices joined by one edge satisfy the quadratic relations but
+    not the braid relation; `blocks` refuses it as either of its inputs."""
+    bad = str(tmp_path / "not_a_wgraph.json")
+    Path(bad).write_text(json.dumps(NOT_A_WGRAPH))
+    good = str(fixture_dir / "a2_refl.json")
+    argvs = [[command, bad]]
+    if command == "blocks":
+        argvs = [[command, bad, good], [command, good, bad]]
+    for argv in argvs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and not captured.out
+        assert captured.err == "error: braid relation fails for pair (0,1)\n"
 
 
 def spy_on(monkeypatch, module, name):

@@ -16,6 +16,7 @@ change to them is a change of the printed answer, not of its speed.
 """
 
 import hashlib
+import json
 import runpy
 from pathlib import Path
 
@@ -95,3 +96,21 @@ def test_demo_output_is_byte_identical(capsys, demo):
     runpy.run_path(str(path), run_name="__main__")
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DEMOS[demo]
+
+
+def test_benchmark_jobs_match_their_references(capsys, tmp_path):
+    """Each key is the CLI arguments joined by spaces, `@name` standing for
+    the catalogue file name.json."""
+    repo = Path(__file__).resolve().parent.parent
+    refs = json.loads((repo / "benchmark" / "references.json").read_text())["jobs"]
+    assert main(["fixtures", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    mismatched = []
+    for key, ref in sorted(refs.items()):
+        argv = [str(tmp_path / f"{t[1:]}.json") if t.startswith("@") else t
+                for t in key.split()]
+        code = main(argv)
+        out = capsys.readouterr().out.encode()
+        if (code, hashlib.sha256(out).hexdigest()) != (ref["exit"], ref["sha256"]):
+            mismatched.append(key)
+    assert len(refs) == 82 and not mismatched
