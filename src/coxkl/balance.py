@@ -23,7 +23,7 @@ from fractions import Fraction
 from .coxeter import Element
 from .laurent import ZERO, LaurentMatrix, LaurentPoly
 from .linalg import f_mat_transpose
-from .scalars import scalar_inv
+from .scalars import scalar_inv, scalar_str
 from .wgraph import Representation
 
 
@@ -212,7 +212,9 @@ def balance(rep: Representation, form: InvariantForm | None = None):
     form is congruent to an invertible diagonal matrix mod m, and
     data.degree_history records the maximal entry degree after each step
     (monotonically non-increasing).  The final invariant form is stored on
-    the returned data as `form`.
+    the returned data as `form`.  When a rescaling step brings back a
+    residue that an earlier step cleared, raises VerificationError naming
+    the first nonzero off-diagonal residue.
     """
     if form is None:
         form = gram_invariant_form(rep)
@@ -221,7 +223,10 @@ def balance(rep: Representation, form: InvariantForm | None = None):
     for i in range(rep.dim):
         for j in range(rep.dim):
             if i != j and res[i][j]:
-                raise AssertionError("balance post-state: residue not diagonal")
+                raise VerificationError(
+                    f"the balancing elimination leaves an off-diagonal "
+                    f"residue: entry ({i},{j}) is {scalar_str(res[i][j])}"
+                )
     rep2 = rep.conjugate(q, q_inv)
     # trace(Q^-1 rho Q) = trace(rho): the a-value is the one the Gram walk saw
     a = form.a_value

@@ -18,7 +18,15 @@ from .coxeter import Element
 from .laurent import LaurentMatrix, LaurentPoly, laurent_gcd
 from .linalg import f_mat_is_zero, laurent_solve_kernel_matrices
 from .scalars import scalar_inv
-from .wgraph import Representation, WGraph, is_geck, omega_matrices, wgraph_matrices
+from .wgraph import (
+    Representation,
+    WGraph,
+    is_geck,
+    label_classes,
+    label_subsets,
+    omega_matrices,
+    wgraph_matrices,
+)
 
 
 def block_order_key(label: frozenset):
@@ -79,12 +87,9 @@ def tw_diagonal_congruence(g: WGraph, w: Element, word=None) -> CongruenceReport
 
 def label_multiset_from_character(rep: Representation) -> dict[frozenset, int]:
     """Recover {I(x)} with multiplicities from traces at parabolic longest
-    elements, by downward inclusion-exclusion over label sets."""
+    elements, by Moebius inversion down the lattice of label sets."""
     eng = rep.engine
-    n = eng.datum.rank
-    subsets = sorted(
-        (frozenset(c) for c in _powerset(range(n))), key=lambda l: -len(l)
-    )
+    subsets = sorted(label_subsets(eng.datum.rank), key=len, reverse=True)
     m_of: dict[frozenset, Fraction] = {}
     for j in subsets:
         wj = eng.longest_element(j)
@@ -107,13 +112,6 @@ def label_multiset_from_character(rep: Representation) -> dict[frozenset, int]:
             )
         counts[j] = int(c)
     return {j: c for j, c in counts.items() if c}
-
-
-def _powerset(items):
-    items = list(items)
-    n = len(items)
-    for mask in range(1 << n):
-        yield [items[i] for i in range(n) if mask >> i & 1]
 
 
 @dataclass
@@ -223,12 +221,8 @@ def block_report(
     if val is None or val != 0:
         raise ValueError("block analysis expects a matrix of valuation 0")
     res = a.residue()
-    rgroups: dict[frozenset, list[int]] = {}
-    for i, l in enumerate(labels_rows):
-        rgroups.setdefault(l, []).append(i)
-    cgroups: dict[frozenset, list[int]] = {}
-    for j, l in enumerate(labels_cols):
-        cgroups.setdefault(l, []).append(j)
+    rgroups = label_classes(labels_rows)
+    cgroups = label_classes(labels_cols)
     rlabs = sorted(rgroups, key=block_order_key)
     clabs = sorted(cgroups, key=block_order_key)
     offdiag = {}

@@ -66,10 +66,6 @@ class CoxeterDatum:
                         f"but have different weights"
                     )
 
-    @property
-    def generators(self):
-        return range(self.rank)
-
     def is_equal_parameter(self) -> bool:
         return len(set(self.weights)) == 1
 

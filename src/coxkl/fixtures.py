@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .coxeter import GroupEngine, build_group
 from .laurent import LaurentPoly
-from .wgraph import WGraph, dual_wgraph
+from .wgraph import WGraph, dual_wgraph, label_subsets
 
 _GROUP_CACHE: dict[str, GroupEngine] = {}
 
@@ -88,9 +88,7 @@ def exterior_power_graph(engine: GroupEngine, r: int) -> WGraph:
         for j in range(i + 1, n)
     ):
         raise ValueError("exterior powers are shipped for simply-laced types")
-    from itertools import combinations
-
-    verts = [frozenset(c) for c in combinations(range(n), r)]
+    verts = [l for l in label_subsets(n) if len(l) == r]
     labels = list(verts)
     sign = -1 if r % 2 else 1
     edges = {}

@@ -418,12 +418,6 @@ class LaurentMatrix:
             r, c, [[LaurentPoly({0: x}) if x else ZERO for x in row] for row in rows]
         )
 
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
-
-    def __setitem__(self, ij, val):
-        self.entries[ij[0]][ij[1]] = val
-
     def __eq__(self, other):
         if not isinstance(other, LaurentMatrix):
             return NotImplemented

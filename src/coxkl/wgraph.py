@@ -54,10 +54,22 @@ class WGraph:
         return self.edges.get((s, x, y), ZERO)
 
     def label_multiset(self) -> dict[frozenset, int]:
-        out: dict[frozenset, int] = {}
-        for l in self.labels:
-            out[l] = out.get(l, 0) + 1
-        return out
+        return {l: len(v) for l, v in label_classes(self.labels).items()}
+
+
+def label_subsets(rank: int) -> list[frozenset[int]]:
+    """Every subset of S = {0, ..., rank-1}, by size and then lexicographically."""
+    return [
+        frozenset(c) for r in range(rank + 1) for c in combinations(range(rank), r)
+    ]
+
+
+def label_classes(labels) -> dict[frozenset, list[int]]:
+    """{label: the indices carrying it}, labels in order of first occurrence."""
+    out: dict[frozenset, list[int]] = {}
+    for i, l in enumerate(labels):
+        out.setdefault(l, []).append(i)
+    return out
 
 
 class Representation:
@@ -116,8 +128,6 @@ class OmegaMatrices:
 
     e: dict[int, LaurentMatrix]
     x: dict[int, LaurentMatrix]
-    E: dict[frozenset, LaurentMatrix]
-    X: dict[tuple[frozenset, frozenset, int], LaurentMatrix]
 
 
 # -- matrices of a W-graph -----------------------------------------------------
@@ -134,10 +144,9 @@ def wgraph_matrices(g: WGraph) -> Representation:
         m = LaurentMatrix(d, d)
         for i in range(d):
             m.entries[i][i] = LaurentPoly({-ls: -1} if s in g.labels[i] else {ls: 1})
-        for (es, x, y), wgt in g.edges.items():
-            if es == s:
-                m.entries[x][y] = wgt
         gens.append(m)
+    for (s, x, y), wgt in g.edges.items():
+        gens[s].entries[x][y] = wgt
     return Representation(eng, gens)
 
 
@@ -343,43 +352,18 @@ def kl_left_cell_wgraphs(kl: KLContext) -> list[tuple[WGraph, list[Element]]]:
 
 
 def omega_matrices(g: WGraph) -> OmegaMatrices:
-    """Projections e_s, arrow matrices x_s, and their refinements E_I, X^s_IJ."""
-    eng = g.engine
+    """Projections e_s onto the vertices labelled by s, and arrow matrices
+    x_s holding the weights of the s-edges."""
+    rank = g.engine.datum.rank
     d = g.size
-    e = {}
-    x = {}
-    for s in range(eng.datum.rank):
-        em = LaurentMatrix(d, d)
-        for i in range(d):
-            if s in g.labels[i]:
-                em.entries[i][i] = ONE
-        e[s] = em
-        xm = LaurentMatrix(d, d)
-        for (es, xx, yy), w in g.edges.items():
-            if es == s:
-                xm.entries[xx][yy] = w
-        x[s] = xm
-    big_e = {}
-    for rsize in range(eng.datum.rank + 1):
-        for combo in combinations(range(eng.datum.rank), rsize):
-            label = frozenset(combo)
-            em = LaurentMatrix(d, d)
-            for i in range(d):
-                if g.labels[i] == label:
-                    em.entries[i][i] = ONE
-            big_e[label] = em
-    big_x = {}
-    for s in range(eng.datum.rank):
-        for (es, xx, yy), w in g.edges.items():
-            if es != s:
-                continue
-            key = (g.labels[xx], g.labels[yy], s)
-            m = big_x.get(key)
-            if m is None:
-                m = LaurentMatrix(d, d)
-                big_x[key] = m
-            m.entries[xx][yy] = w
-    return OmegaMatrices(e, x, big_e, big_x)
+    e = {s: LaurentMatrix(d, d) for s in range(rank)}
+    x = {s: LaurentMatrix(d, d) for s in range(rank)}
+    for i, label in enumerate(g.labels):
+        for s in label:
+            e[s].entries[i][i] = ONE
+    for (s, i, j), w in g.edges.items():
+        x[s].entries[i][j] = w
+    return OmegaMatrices(e, x)
 
 
 @dataclass
@@ -395,18 +379,21 @@ class RelationReport:
 def omega_gy_relations_check(g: WGraph) -> RelationReport:
     """Verify the path-sum relations of the one-parameter W-graph algebra.
 
-    For every bonded generator pair s != t of equal weight and the label sets
+    For every generator pair s != t of equal weight and the label sets
     present in the graph, this checks the three relation families:
     (alpha) the tau-coefficient combination of alternating path sums,
     (beta) equality of the two arrow blocks on doubly-labeled edges,
     (gamma) symmetry of even-length path sums.
+    A path sum E_I (x_s x_t ...) E_J is the (I, J) label block of the
+    alternating product, so each relation asks that one block vanish.
     """
     eng = g.engine
     if not eng.datum.is_equal_parameter():
         raise ValueError("path-sum relations are only available for equal parameters")
     om = omega_matrices(g)
     d = g.size
-    present = sorted({l for l in g.labels}, key=lambda l: (len(l), sorted(l)))
+    classes = label_classes(g.labels)
+    present = sorted(classes, key=lambda l: (len(l), sorted(l)))
     failures = []
     checked = 0
 
@@ -424,74 +411,64 @@ def omega_gy_relations_check(g: WGraph) -> RelationReport:
             prods[key] = m
         return m
 
-    def path_sum(i_lab, j_lab, s, t, k) -> LaurentMatrix:
-        # E_I x_s x_t x_s ... (k factors) E_J: mask rows/cols of the product
-        base = alternating(s, t, k)
-        rows_on = [lab == i_lab for lab in g.labels]
-        cols_on = [lab == j_lab for lab in g.labels]
-        out = LaurentMatrix(d, d)
-        for i in range(d):
-            if not rows_on[i]:
-                continue
-            for j in range(d):
-                if cols_on[j]:
-                    out.entries[i][j] = base.entries[i][j]
-        return out
+    def block_vanishes(m: LaurentMatrix, i_lab, j_lab) -> bool:
+        return not any(
+            m.entries[i][j] for i in classes[i_lab] for j in classes[j_lab]
+        )
 
     for s, t in combinations(range(eng.datum.rank), 2):
         m = eng.datum.coxeter_matrix[s][t]
-        taus = tau_poly(m - 1)
-        # (alpha)
-        for i_lab in present:
-            if not (s in i_lab and t not in i_lab):
-                continue
-            for j_lab in present:
-                if m % 2 == 1:
-                    if not (s in j_lab and t not in j_lab):
-                        continue
-                else:
-                    if not (s not in j_lab and t in j_lab):
-                        continue
-                acc = LaurentMatrix(d, d)
-                for k in range(m):
-                    c = taus[k] if k < len(taus) else 0
-                    if k == m - 1:
-                        c = 1
-                    if c:
-                        acc = acc + path_sum(i_lab, j_lab, s, t, k).scale(
-                            LaurentPoly({0: c})
-                        )
+        # (alpha): s in I, t not in I; J likewise for odd m, swapped for even m
+        js, jt = (s, t) if m % 2 == 1 else (t, s)
+        alpha = [
+            (i_lab, j_lab)
+            for i_lab in present
+            if s in i_lab and t not in i_lab
+            for j_lab in present
+            if js in j_lab and jt not in j_lab
+        ]
+        # (beta) and (gamma): {s, t} in I, J disjoint from {s, t}
+        both = [
+            (i_lab, j_lab)
+            for i_lab in present
+            if {s, t} <= i_lab
+            for j_lab in present
+            if not {s, t} & j_lab
+        ]
+        if alpha:
+            # sum_k tau_k (x_s x_t ...)_k over the m coefficients of the
+            # monic tau_poly(m - 1)
+            comb = LaurentMatrix(d, d)
+            for k, c in enumerate(tau_poly(m - 1)):
+                if c:
+                    comb = comb + alternating(s, t, k).scale(LaurentPoly({0: c}))
+            for i_lab, j_lab in alpha:
                 checked += 1
-                if not acc.is_zero():
+                if not block_vanishes(comb, i_lab, j_lab):
                     failures.append(
                         f"(alpha) fails for s={s},t={t},I={sorted(i_lab)},J={sorted(j_lab)}"
                     )
-        # (beta)
-        for i_lab in present:
-            for j_lab in present:
-                if not ({s, t} <= i_lab and not ({s, t} & j_lab)):
-                    continue
-                xs = om.X.get((i_lab, j_lab, s), LaurentMatrix(d, d))
-                xt = om.X.get((i_lab, j_lab, t), LaurentMatrix(d, d))
+        if not both:
+            continue
+        # D_r = (x_s x_t ...)_r - (x_t x_s ...)_r; (beta) compares the
+        # arrow blocks X^s_IJ and X^t_IJ, the r = 1 case
+        diffs = {
+            r: alternating(s, t, r) - alternating(t, s, r) for r in range(1, m + 1)
+        }
+        for i_lab, j_lab in both:
+            checked += 1
+            if not block_vanishes(diffs[1], i_lab, j_lab):
+                failures.append(
+                    f"(beta) fails for s={s},t={t},I={sorted(i_lab)},J={sorted(j_lab)}"
+                )
+        for i_lab, j_lab in both:
+            for r in range(2, m + 1):
                 checked += 1
-                if xs != xt:
+                if not block_vanishes(diffs[r], i_lab, j_lab):
                     failures.append(
-                        f"(beta) fails for s={s},t={t},I={sorted(i_lab)},J={sorted(j_lab)}"
+                        f"(gamma) fails for s={s},t={t},r={r},"
+                        f"I={sorted(i_lab)},J={sorted(j_lab)}"
                     )
-        # (gamma)
-        for i_lab in present:
-            for j_lab in present:
-                if not ({s, t} <= i_lab and not ({s, t} & j_lab)):
-                    continue
-                for r in range(2, m + 1):
-                    checked += 1
-                    if path_sum(i_lab, j_lab, s, t, r) != path_sum(
-                        i_lab, j_lab, t, s, r
-                    ):
-                        failures.append(
-                            f"(gamma) fails for s={s},t={t},r={r},"
-                            f"I={sorted(i_lab)},J={sorted(j_lab)}"
-                        )
     return RelationReport(not failures, failures, checked)
 
 
@@ -503,20 +480,14 @@ class CompatibilityGraph:
     vertices: list[frozenset]
     #: directed edges (target I, source J), i.e. "I <- J"
     edges: set[tuple[frozenset, frozenset]]
-    inclusion: set[tuple[frozenset, frozenset]]
     transversal: set[tuple[frozenset, frozenset]]
 
 
 def compatibility_graph(datum: CoxeterDatum) -> CompatibilityGraph:
     """Edge I <- J iff I\\J is nonempty and each s in I\\J bonds (m > 2)
     with each t in J\\I in the diagram."""
-    n = datum.rank
-    subsets = []
-    for rsize in range(n + 1):
-        for combo in combinations(range(n), rsize):
-            subsets.append(frozenset(combo))
+    subsets = label_subsets(datum.rank)
     edges = set()
-    inclusion = set()
     transversal = set()
     for i_lab in subsets:
         for j_lab in subsets:
@@ -530,9 +501,7 @@ def compatibility_graph(datum: CoxeterDatum) -> CompatibilityGraph:
                 edges.add((i_lab, j_lab))
                 if other:
                     transversal.add((i_lab, j_lab))
-                else:
-                    inclusion.add((i_lab, j_lab))
-    return CompatibilityGraph(subsets, edges, inclusion, transversal)
+    return CompatibilityGraph(subsets, edges, transversal)
 
 
 # -- eigenspace label multiplicities -------------------------------------------------------
@@ -572,11 +541,7 @@ def eigenspace_label_multiplicities(rep: Representation) -> dict[frozenset, int]
         return basis
 
     out: dict[frozenset, int] = {}
-    subsets = []
-    for rsize in range(n + 1):
-        for combo in combinations(range(n), rsize):
-            subsets.append(frozenset(combo))
-    for i_lab in subsets:
+    for i_lab in label_subsets(n):
         top = kernel_of(i_lab)
         dim_top = len(top)
         stacked = []

@@ -298,14 +298,24 @@ def test_compat(capsys):
     assert payload["transversal"] == ["0<->1"]
 
 
-def test_usage_errors(capsys, tmp_path):
-    assert main(["wgraph", "restrict", "--subset", "9"]) == 2  # missing file
+def test_usage_errors(capsys, fixture_dir):
+    for argv, message in [
+        (["wgraph", "restrict", "--subset", "9"],  # missing file
+         "wgraph restrict needs a W-graph file"),
+        (["wgraph", "klgraph"], "klgraph needs --group"),
+        (["wgraph", "restrict", str(fixture_dir / "b3_chi7.json")],
+         "restrict needs --subset"),
+    ]:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert not captured.out and captured.err == f"error: {message}\n"
     code = main(["kl", "--group", "Q9"])
     assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
     # a negative index would silently wrap around to w0
     for pair in ("-1,5", "0,-1", "0,24", "1", "a,b"):
         assert main(["kl", "--group", "A3", f"--pair={pair}"]) == 2
-        assert "bad --pair" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: bad --pair")
     with pytest.raises(SystemExit) as exc:
         main(["group"])  # missing required --group
     assert exc.value.code == 2
@@ -374,6 +384,33 @@ def test_balance_refuses_a_module_that_is_not_a_hecke_module(
     captured = capsys.readouterr()
     assert code == 1 and not captured.out
     assert captured.err == "error: Gram form is not invariant for generator 1\n"
+
+
+def test_balance_refuses_a_residue_the_elimination_leaves(capsys, tmp_path):
+    """B2 KL left cell 2 conjugated by diag(v^-3, v^3, v^2) is a W-graph,
+    but a rescaling step of the elimination brings back an off-diagonal
+    residue: exit 1 with one `error:` line, not an AssertionError."""
+    path = tmp_path / "b2_cell2_conj.json"
+    path.write_text(json.dumps({
+        "group": "B2",
+        "vertices": [{"id": 0, "label": [1]}, {"id": 1, "label": [0]},
+                     {"id": 2, "label": [1]}],
+        "edges": [
+            {"s": 0, "from": 0, "to": 1, "weight": "1*v^-6"},
+            {"s": 0, "from": 2, "to": 1, "weight": "1*v^-1"},
+            {"s": 1, "from": 1, "to": 0, "weight": "1*v^6"},
+            {"s": 1, "from": 1, "to": 2, "weight": "1*v^1"},
+        ],
+    }))
+    assert main(["wgraph", "validate", str(path)]) == 0
+    capsys.readouterr()
+    code = main(["balance", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err == (
+        "error: the balancing elimination leaves an off-diagonal residue: "
+        "entry (0,2) is 1\n"
+    )
 
 
 NOT_A_WGRAPH = {
@@ -606,3 +643,26 @@ def test_blocks_exits_as_documented(
     else:
         assert payload["intertwiner_count"] == 0
         assert payload["certificate"] is None
+
+
+@pytest.mark.parametrize("edge, failures", [
+    ((0, 7, 13), ["(alpha) fails for s=0,t=1,I=[0, 2],J=[0, 2]",
+                  "(beta) fails for s=0,t=2,I=[0, 2],J=[1]"]),
+    ((0, 1, 4), ["(alpha) fails for s=0,t=1,I=[0],J=[0]",
+                 "(gamma) fails for s=0,t=2,r=2,I=[0, 2],J=[1]"]),
+    ((0, 1, 0), ["(gamma) fails for s=0,t=1,r=3,I=[0, 1],J=[]",
+                 "(gamma) fails for s=0,t=2,r=2,I=[0, 2],J=[]"]),
+], ids=["alpha-beta", "alpha-gamma", "gamma"])
+def test_omegagy_reports_each_failed_relation(capsys, tmp_path, edge, failures):
+    """The A3 KL W-graph with one edge weight doubled breaks the path-sum
+    relations; the report lists every failure, in order, and exits 1."""
+    path = tmp_path / "a3_kl.json"
+    assert main(["wgraph", "klgraph", "--group", "A3", "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    (hit,) = [e for e in data["edges"] if (e["s"], e["to"], e["from"]) == edge]
+    assert hit["weight"] == "1"
+    hit["weight"] = "2"
+    path.write_text(json.dumps(data))
+    code, out = run(capsys, "wgraph", "omegagy", str(path))
+    assert code == 1
+    assert json.loads(out) == {"ok": False, "checked": 44, "failures": failures}

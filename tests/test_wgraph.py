@@ -19,6 +19,7 @@ from coxkl.wgraph import (
     eigenspace_label_multiplicities,
     is_geck,
     kl_left_cell_wgraphs,
+    label_classes,
     kl_wgraph,
     omega_gy_relations_check,
     omega_matrices,
@@ -225,28 +226,22 @@ def test_omega_matrices(kl_a2):
     for g in (kl_wgraph(kl_a2), reflection_graph(kl_a2.engine)):
         om = omega_matrices(g)
         d = g.size
-        ident = LaurentMatrix.identity(d)
         for s in range(2):
             assert om.e[s] @ om.e[s] == om.e[s]
             assert om.e[s] @ om.x[s] == om.x[s]
             assert (om.x[s] @ om.e[s]).is_zero()
-        total = LaurentMatrix(d, d)
-        for lab, em in om.E.items():
-            total = total + em
-            for lab2, em2 in om.E.items():
-                prod = em @ em2
-                if lab == lab2:
-                    assert prod == em
-                else:
-                    assert prod.is_zero()
-        assert total == ident
+        # e_s is the diagonal projection onto the vertices labelled by s,
+        # and x_s maps J-labelled vertices to I-labelled ones only when
+        # s is in I and not in J
         for s in range(2):
-            xs = LaurentMatrix(d, d)
-            for (i_lab, j_lab, es), xm in om.X.items():
-                if es == s:
-                    assert s in i_lab and s not in j_lab
-                    xs = xs + xm
-            assert xs == om.x[s]
+            assert om.e[s] == LaurentMatrix.from_scalar_rows(
+                [[int(i == j and s in g.labels[i]) for j in range(d)]
+                 for i in range(d)]
+            )
+            for i in range(d):
+                for j in range(d):
+                    if om.x[s].entries[i][j]:
+                        assert s in g.labels[i] and s not in g.labels[j]
         rep = omega_reconstruction(g, om)
         direct = wgraph_matrices(g)
         assert all(rep.gens[s] == direct.gens[s] for s in range(2))
@@ -255,12 +250,17 @@ def test_omega_matrices(kl_a2):
 def test_omega_gy_relations(kl_a2, kl_a3):
     g = kl_wgraph(kl_a2)
     assert omega_gy_relations_check(g).ok
-    # explicit alpha relation on the reflection graph: X_{12} X_{21} = E_1
+    # explicit alpha relation on the reflection graph: X_{12} X_{21} = E_1,
+    # the ({0}, {0}) block of x_0 x_1 (the only other label is {1})
     refl = reflection_graph(kl_a2.engine)
     om = omega_matrices(refl)
-    l0, l1 = frozenset({0}), frozenset({1})
-    lhs = om.X[(l0, l1, 0)] @ om.X[(l1, l0, 1)]
-    assert lhs == om.E[l0]
+    classes = label_classes(refl.labels)
+    assert set(classes) == {frozenset({0}), frozenset({1})}
+    prod = om.x[0] @ om.x[1]
+    rows = classes[frozenset({0})]
+    assert [[prod.entries[i][j] for j in rows] for i in rows] == [
+        [c(1) if i == j else LaurentPoly() for j in rows] for i in rows
+    ]
     ga3 = kl_wgraph(kl_a3)
     assert omega_gy_relations_check(ga3).ok
     # single-vertex graphs pass vacuously
@@ -288,9 +288,12 @@ def test_compatibility_graph(a3):
         ((0, 2), (1, 2)),
         ((0, 1), (0, 2)),
     }
-    # inclusions I > J always give an edge
-    for (i, j) in cg.inclusion:
-        assert j < i
+    # inclusions I > J always give an edge, and they are the edges that
+    # are not transversal
+    subsets = cg.vertices
+    assert cg.edges - cg.transversal == {
+        (i, j) for i in subsets for j in subsets if j < i
+    }
     i2 = build_group("I2(5)")
     cg2 = compatibility_graph(i2.datum)
     pairs2 = {
@@ -382,8 +385,6 @@ def test_arrow_blocks_respect_compatibility():
     # bipartite bond pattern between I \ J and J \ I
     for name, g in catalogue().items():
         cg = compatibility_graph(g.engine.datum)
-        om = omega_matrices(g)
-        for (i_lab, j_lab, s), xm in om.X.items():
-            if xm.is_zero():
-                continue
+        for s, x, y in g.edges:
+            i_lab, j_lab = g.labels[x], g.labels[y]
             assert (i_lab, j_lab) in cg.edges, (name, i_lab, j_lab)
