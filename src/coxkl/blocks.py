@@ -89,7 +89,11 @@ def label_multiset_from_character(rep: Representation) -> dict[frozenset, int]:
     """Recover {I(x)} with multiplicities from traces at parabolic longest
     elements, by Moebius inversion down the lattice of label sets."""
     eng = rep.engine
-    subsets = sorted(label_subsets(eng.datum.rank), key=len, reverse=True)
+    # largest first, equal sizes by bitmask, so the first refusal names
+    # the same set as before
+    subsets = sorted(
+        label_subsets(eng.datum.rank), key=lambda l: (-len(l), sum(1 << i for i in l))
+    )
     m_of: dict[frozenset, Fraction] = {}
     for j in subsets:
         wj = eng.longest_element(j)
