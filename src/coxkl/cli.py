@@ -20,7 +20,7 @@ from . import asymptotic, balance as balance_mod, blocks as blocks_mod
 from .coxeter import bit_indices
 from .fixtures import catalogue, shared_engine
 from .kl import KLContext
-from .laurent import LaurentMatrix, format_laurent
+from .laurent import LaurentMatrix, LaurentPoly, format_laurent
 from .scalars import scalar_str
 from .wgraph import (
     compatibility_graph,
@@ -112,8 +112,9 @@ def cmd_kl(args):
     kl = KLContext(eng)
     payload = {"group": eng.datum.name, "weights": eng.datum.weights}
     if args.pair == "w0-col":
-        payload["p_w0_column"] = {
-            str(x.index): format_laurent(kl.kl_polynomial(x, eng.w0))
+        row, lw0 = kl.pstar_row(eng.w0), eng.weight(eng.w0)
+        payload["p_w0_column"] = {  # P_{x,w0} = v^(L(w0)-L(x)) P*_{x,w0}
+            str(x.index): format_laurent(row[x.index] * LaurentPoly({lw0 - eng.weight(x): 1}))
             for x in eng.elements
         }
     elif args.pair:
@@ -133,8 +134,9 @@ def cmd_kl(args):
         mu = {}
         for w in eng.elements:
             wi = w.index
+            row = kl.pstar_row(w)
             for yi in bit_indices(eng.bruhat_down(w)):
-                pstar[f"{yi},{wi}"] = format_laurent(kl.pstar(eng.elements[yi], w))
+                pstar[f"{yi},{wi}"] = format_laurent(row[yi])
             for s in range(eng.datum.rank):
                 if s not in eng.left_descent_set(w):
                     for yi, m in kl.mu_list(w, s).items():

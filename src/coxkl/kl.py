@@ -2,9 +2,11 @@
 
 Everything is computed in the normalization where the standard basis
 satisfies T_s^2 = 1 + (v_s - v_s^-1) T_s with v_s = v^L(s).  The inverse
-polynomials P*_{y,w} = v^{L(y)-L(w)} P_{y,w} are the primary objects; they
-are memoized only for critical pairs, and arbitrary lookups are routed
-through the critical-pair reduction first.
+polynomials P*_{y,w} = v^{L(y)-L(w)} P_{y,w} are the primary objects.  They
+are computed and memoized only at critical pairs, those with D_L(w) in D_L(y)
+and D_R(w) in D_R(y); every other entry is a monomial shift of one of them.
+A lookup (`pstar`) runs the critical-pair reduction first; a full row
+P*_{.,w} (`pstar_row`) fills each non-critical entry by one shift.
 
 The edge polynomials mu live in mu-lists: for each w and each s not in
 D_L(w), `mu_list(w, s)` holds the nonzero mu^s_{y,w} and nothing else.
@@ -98,8 +100,9 @@ class KLContext:
         self._pstar: dict[int, LaurentPoly] = {}
         # mu_list(w, s), keyed by w.index * rank + s
         self._mu_lists: dict[int, dict[int, LaurentPoly]] = {}
-        # bit i of _descent_masks[s] is set iff s is a left descent of w_i
-        self._descent_masks: list[int] | None = None
+        # bit i of _descent_masks[0][s] (of [1][s]) is set iff s is a left
+        # (right) descent of w_i
+        self._descent_masks: tuple[list[int], list[int]] | None = None
         self._tinv: dict[Element, HeckeElement] = {}
         self._cbasis: dict[Element, HeckeElement] = {}
         self._edges: dict[tuple[int, int, int], LaurentPoly] | None = None
@@ -175,39 +178,66 @@ class KLContext:
         weights = eng.datum.weights
         yi, wi = y.index, w.index
         gamma = 0
-        while True:
-            moves = eng.ldesc[wi] & ~eng.ldesc[yi]
-            table = eng.lmul
-            if not moves:
-                moves = eng.rdesc[wi] & ~eng.rdesc[yi]
-                table = eng.rmul
-                if not moves:
-                    return gamma, eng.elements[yi], w
-            t = (moves & -moves).bit_length() - 1
-            yi = table[t][yi]
+        step = self._reduction_step(yi, wi)
+        while step is not None:
+            t, yi = step
             gamma += weights[t]
+            step = self._reduction_step(yi, wi)
+        return gamma, eng.elements[yi], w
+
+    def _reduction_step(self, yi: int, wi: int) -> tuple[int, int] | None:
+        """(t, ty) for the smallest t in D_L(w) not in D_L(y), else (t, yt)
+        for the smallest t in D_R(w) not in D_R(y); None when (y, w) is
+        critical, that is D_L(w) in D_L(y) and D_R(w) in D_R(y)."""
+        eng = self.engine
+        moves = eng.ldesc[wi] & ~eng.ldesc[yi]
+        table = eng.lmul
+        if not moves:
+            moves = eng.rdesc[wi] & ~eng.rdesc[yi]
+            table = eng.rmul
+            if not moves:
+                return None
+        t = (moves & -moves).bit_length() - 1
+        return t, table[t][yi]
+
+    def _masks(self) -> tuple[list[int], list[int]]:
+        """Per generator t, the bitsets {w : t in D_L(w)} and {w : t in D_R(w)}."""
+        if self._descent_masks is None:
+            eng = self.engine
+            self._descent_masks = tuple(
+                [sum(1 << i for i, d in enumerate(desc) if d >> t & 1)
+                 for t in range(eng.datum.rank)]
+                for desc in (eng.ldesc, eng.rdesc)
+            )
+        return self._descent_masks
 
     def pstar(self, y: Element, w: Element) -> LaurentPoly:
-        """The inverse Kazhdan-Lusztig polynomial P*_{y,w}.
-
-        For a critical pair (u, v) and t the smallest left descent of v,
-            P*_{u,v} = v_t P*_{u,tv} + P*_{tu,tv} - sum_z P*_{u,z} mu^t_{z,tv}
-        over the z of the mu-list of (tv, t) with u <= z.
-        """
+        """The inverse Kazhdan-Lusztig polynomial P*_{y,w}."""
         gamma, u, v = self.critical_pair(y, w)
         if gamma is None:
             return ZERO
         if u == v:
             return LaurentPoly({-gamma: 1})
+        klp = self._pstar_critical(u.index, v.index)
+        if gamma:
+            return klp * LaurentPoly({-gamma: 1})
+        return klp
+
+    def _pstar_critical(self, ui: int, vi: int) -> LaurentPoly:
+        """P*_{u,v} for a critical pair u < v, memoized.
+
+        For t the smallest left descent of v,
+            P*_{u,v} = v_t P*_{u,tv} + P*_{tu,tv} - sum_z P*_{u,z} mu^t_{z,tv}
+        over the z of the mu-list of (tv, t) with u <= z.
+        """
         eng = self.engine
-        ui, vi = u.index, v.index
         key = ui * eng.order + vi
         klp = self._pstar.get(key)
         if klp is None:
             desc = eng.ldesc[vi]
             t = (desc & -desc).bit_length() - 1
             row, elements = eng.lmul[t], eng.elements
-            tv = elements[row[vi]]
+            u, tv = elements[ui], elements[row[vi]]
             vt = LaurentPoly({eng.generator_weight(t): 1})
             klp = self.pstar(u, tv) * vt + self.pstar(elements[row[ui]], tv)
             down = eng._downsets()
@@ -215,9 +245,26 @@ class KLContext:
                 if down[zi] >> ui & 1:
                     klp = klp - self.pstar(u, elements[zi]) * m
             self._pstar[key] = klp
-        if gamma:
-            return klp * LaurentPoly({-gamma: 1})
         return klp
+
+    def pstar_row(self, w: Element) -> dict[int, LaurentPoly]:
+        """{y.index: P*_{y,w}} over y <= w, filled in decreasing index; not memoized.
+
+        A critical entry comes from the memo.  Any other one is
+        P*_{y,w} = v^-L(t) P*_{ty,w} (or P*_{yt,w}) for the first step of the
+        critical-pair reduction; ty is longer than y, so already in the row.
+        """
+        eng = self.engine
+        wi = w.index
+        row = {wi: ONE}
+        for yi in reversed(list(bit_indices(eng._downsets()[wi] ^ 1 << wi))):
+            step = self._reduction_step(yi, wi)
+            if step is None:
+                row[yi] = self._pstar_critical(yi, wi)
+            else:
+                t, zi = step
+                row[yi] = row[zi] * LaurentPoly({-eng.datum.weights[t]: 1})
+        return row
 
     def kl_polynomial(self, y: Element, w: Element) -> LaurentPoly:
         """P_{y,w} = v^(L(w)-L(y)) P*_{y,w}."""
@@ -241,13 +288,22 @@ class KLContext:
         """The nonzero mu^s_{y,w} over y < w with sy < y, keyed by y's index.
 
         These are the descent edges into w of the KL W-graph; s must not be
-        a left descent of w.  When supp(w) and s carry one weight L, mu is
-        the coefficient of v^-L in P*_{y,w}.  Otherwise mu is
-        alpha + bar(alpha_{>0}) for the part alpha of degree >= 0 of
+        a left descent of w.  The candidates y are taken in decreasing
+        index, that is in decreasing length.
+
+        When supp(w) and s carry one weight L, mu is the coefficient of v^-L
+        in P*_{y,w}.  For (y, w) not critical, P*_{y,w} = v^-gamma P*_{u,w}
+        with gamma >= L, and P*_{u,w} has only negative degrees when u < w
+        (Lusztig, Hecke algebras with unequal parameters, Thm 5.2).  So that
+        coefficient is 0 unless u = w and gamma = L, that is unless y is tw
+        or wt for a descent t of w, where it is 1; only the critical y are
+        read from the memo of critical pairs.
+
+        Otherwise mu is alpha + bar(alpha_{>0}) for the part alpha of
+        degree >= 0 of
             v_s P*_{y,w} - sum_z P*_{y,z} mu^s_{z,w}
-        over y < z < w with sz < z.  The candidates y are taken in decreasing
-        index, that is in decreasing length, so every such z with nonzero mu
-        is already in the list.
+        over y < z < w with sz < z; by the order of the candidates every
+        such z with nonzero mu is already in the list.
         """
         eng = self.engine
         wi = w.index
@@ -257,32 +313,38 @@ class KLContext:
             return out
         if eng.ldesc[wi] >> s & 1:
             raise ValueError(f"generator {s} is a left descent of {w!r}")
-        if self._descent_masks is None:
-            self._descent_masks = [0] * eng.datum.rank
-            for i, d in enumerate(eng.ldesc):
-                for t in bit_indices(d):
-                    self._descent_masks[t] |= 1 << i
         weights = eng.datum.weights
         ls = weights[s]
-        equal = all(weights[t] == ls for t in eng.support(w))
-        vs = LaurentPoly({ls: 1})
+        left, right = self._masks()
         down, elements = eng._downsets(), eng.elements
         out = {}
-        for yi in reversed(list(bit_indices(down[wi] & self._descent_masks[s]))):
-            y = elements[yi]
-            if equal:
-                c = self.pstar(y, w).coeffs.get(-ls)
+        if all(weights[t] == ls for t in eng.support(w)):
+            critical, one_step = down[wi], 0
+            for t in bit_indices(eng.ldesc[wi]):
+                critical &= left[t]
+                one_step |= 1 << eng.lmul[t][wi]
+            for t in bit_indices(eng.rdesc[wi]):
+                critical &= right[t]
+                one_step |= 1 << eng.rmul[t][wi]
+            for yi in reversed(list(bit_indices((critical | one_step) & left[s]))):
+                if one_step >> yi & 1:
+                    out[yi] = ONE
+                    continue
+                c = self._pstar_critical(yi, wi).coeffs.get(-ls)
                 if c:
                     out[yi] = LaurentPoly({0: c})
-                continue
-            alpha = self.pstar(y, w) * vs
-            for zi, mz in out.items():
-                if down[zi] >> yi & 1:
-                    alpha = alpha - self.pstar(y, elements[zi]) * mz
-            alpha = alpha - negative_part(alpha)
-            m = alpha + bar(positive_part(alpha))
-            if m:
-                out[yi] = m
+        else:
+            vs = LaurentPoly({ls: 1})
+            for yi in reversed(list(bit_indices(down[wi] & left[s]))):
+                y = elements[yi]
+                alpha = self.pstar(y, w) * vs
+                for zi, mz in out.items():
+                    if down[zi] >> yi & 1:
+                        alpha = alpha - self.pstar(y, elements[zi]) * mz
+                alpha = alpha - negative_part(alpha)
+                m = alpha + bar(positive_part(alpha))
+                if m:
+                    out[yi] = m
         self._mu_lists[key] = out
         return out
 
@@ -293,16 +355,12 @@ class KLContext:
         cached = self._cbasis.get(w)
         if cached is not None:
             return cached
-        lw = w.length()
-        sign_w = -1 if lw % 2 else 1
+        eng = self.engine
+        row, lengths = self.pstar_row(w), eng.lengths
         coeffs = {}
-        for y in self.engine.elements:
-            if y.length() > lw:
-                continue
-            p = self.pstar(y, w)
-            if p:
-                sign = sign_w * (-1 if y.length() % 2 else 1)
-                coeffs[y] = bar(p) * sign
+        for yi in bit_indices(eng.bruhat_down(w)):
+            sign = -1 if (lengths[yi] + lengths[w.index]) % 2 else 1
+            coeffs[eng.elements[yi]] = bar(row[yi]) * sign
         res = HeckeElement("T", coeffs)
         self._cbasis[w] = res
         return res

@@ -11,8 +11,10 @@ recursion ran on mu-lists; the `jdata` A4 one and the demo ones before J
 was read off the h-table of the KL W-graph, and the `jdata` H3 and D4 ones
 once that route held against the T-basis and leading-matrix oracles, and
 the `cellbasis` A2, B3:1,2,2 and I2(4):2,1 ones before `cellbasis` stopped
-building the gamma table and inverted its basis matrix on sparse rows; any
-change to them is a change of the printed answer, not of its speed.
+building the gamma table and inverted its basis matrix on sparse rows, and
+the `wgraph klgraph` and left `cells` A5 ones before P* was computed only
+at critical pairs; any change to them is a change of the printed answer,
+not of its speed.
 """
 
 import hashlib
@@ -73,6 +75,10 @@ GOLDEN = {
         "e9b487e7bed5cbdfee58195a4127c4810dbdb272bf6f08412dce8fcda5c5760d",
     ("cellbasis", "--group", "I2(4):2,1"):
         "d3570ee7d495010b79121bba0fda4cb8372b54f934524f177cc8eb217f210c11",
+    ("wgraph", "klgraph", "--group", "A5"):
+        "729ea0c1f0b8aa63cdb4247e51043b07c5191fcc98da09bba10d15d34c144488",
+    ("cells", "--group", "A5", "--kind", "left"):
+        "956a278cdd4bccc48366f2984e61a1b94edb88e09e87c476b2680c13e5c8d25f",
 }
 
 DEMOS = {

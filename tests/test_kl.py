@@ -119,7 +119,9 @@ class IntervalScanKL:
         return m
 
 
-ORACLE_GROUPS = ["B3:2,1,1", "B3:1,2,2", "I2(4):2,1", "I2(5)", "H3", "D4"]
+ORACLE_GROUPS = [
+    "B3:2,1,1", "B3:1,2,2", "I2(4):2,1", "I2(5)", "H3", "D4", "A4", "B4",
+]
 
 
 @pytest.mark.parametrize("group", ORACLE_GROUPS)
@@ -162,6 +164,46 @@ def test_pstar_recursion_asks_only_for_pairs_below(group):
             kl.pstar(eng.elements[yi], w)
     kl.wgraph_edges()
     assert len(off_order) <= len(kl._pstar)
+
+
+ROW_GROUPS = [
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "H3",
+    "I2(3)", "I2(4)", "I2(5)", "I2(6)",
+    "B3:2,1,1", "B3:1,2,2", "I2(4):2,1", "B4:2,1,1,1",
+]
+
+
+@pytest.mark.parametrize("group", ROW_GROUPS)
+def test_pstar_row_matches_pstar(group):
+    eng = build_group(group)
+    kl = KLContext(eng)
+    for w in eng.elements:
+        row = kl.pstar_row(w)
+        assert set(row) == set(bit_indices(eng.bruhat_down(w))), w
+        for yi, p in row.items():
+            assert p == kl.pstar(eng.elements[yi], w), (yi, w)
+
+
+def test_pstar_is_computed_only_at_critical_pairs():
+    # the equal-parameter mu-lists read P* at critical pairs only, so the
+    # B4 W-graph needs few critical-pair reductions (31,300 when every
+    # candidate y went through `pstar`)
+    eng = build_group("B4")
+    kl = KLContext(eng)
+    inner, calls = kl.critical_pair, []
+
+    def spy(y, w):
+        calls.append(None)
+        return inner(y, w)
+
+    kl.critical_pair = spy
+    kl_wgraph(kl)
+    assert len(calls) < 5000
+    for key in kl._pstar:
+        ui, vi = divmod(key, eng.order)
+        assert ui != vi and eng.bruhat_down(eng.elements[vi]) >> ui & 1
+        assert eng.ldesc[vi] & ~eng.ldesc[ui] == 0
+        assert eng.rdesc[vi] & ~eng.rdesc[ui] == 0
 
 
 def test_mu_list_needs_an_ascent(kl_a2):
