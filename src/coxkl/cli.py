@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import asymptotic, balance as balance_mod, blocks as blocks_mod
-from .coxeter import bit_indices
+from .coxeter import CATALOGUE, bit_indices
 from .fixtures import catalogue, shared_engine
 from .kl import KLContext
 from .laurent import LaurentMatrix, LaurentPoly, format_laurent
@@ -78,7 +78,7 @@ def _load_valid_graph(path: str):
 
 def _group_arg(args):
     ts = args.group
-    if getattr(args, "weights", None):
+    if getattr(args, "weights", None) is not None:
         ts = ts + ":" + args.weights
     return shared_engine(ts)
 
@@ -195,7 +195,9 @@ def cmd_wgraph(args):
         if not args.subset:
             raise ValueError("restrict needs --subset")
         j = frozenset(int(t) for t in args.subset.split(","))
-        sub, _, _ = parabolic_restrict(g, j)
+        sub, sub_eng, _ = parabolic_restrict(g, j)
+        if sub_eng.datum.name not in CATALOGUE:
+            raise ValueError(f"generators {sorted(j)} span no shipped parabolic type")
         _emit(wgraph_to_json(sub), args.out)
         return PASS
     if args.action == "cells":

@@ -11,19 +11,22 @@ a product of two elements walks one reduced word through the tables.  The
 Bruhat order is one downset bitset per element, built on the first Bruhat
 query: y <= w is one bit test, and an interval is read off two downsets.
 
-Supported types: A1..A5, B2..B4, D4, I2(m) for m in {3,4,5,6}, H3.
+The shipped types are the rows of `CATALOGUE`, one Coxeter matrix and |W|
+per canonical name: A1..A5, I2(m) for m in {3,4,5,6}, B2..B4, D4 and H3.
 Generators are 0-based; in type B the generator 0 carries the bond of order 4,
 in H3 the generator 0 carries the bond of order 5.
 
 A type string names a group, e.g. "A3", "I2(5)", or "B3:2,1,1" where the
-suffix lists the weight L(s) of each generator in generator order.
+suffix lists the weight L(s) of each generator in generator order.  The name
+must be a catalogue key as written; `type_string` gives the canonical
+spelling, which drops an all-ones suffix.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import reduce
+from itertools import permutations
 
 from .scalars import GOLDEN, Sqrt5
 
@@ -435,124 +438,96 @@ def _root_sort_key(root):
 
 # -- type strings -------------------------------------------------------------
 
-_TYPE_RE = re.compile(r"^([ABDH])(\d+)$|^I2\((\d+)\)$")
 
-_SUPPORTED = {
-    "A": range(1, 6),
-    "B": range(2, 5),
-    "D": (4,),
-    "H": (3,),
+def _diagram(rank, *bonds):
+    """The Coxeter matrix with the bonds (i, j, m) and 2 elsewhere."""
+    m = [[1 if i == j else 2 for j in range(rank)] for i in range(rank)]
+    for i, j, order in bonds:
+        m[i][j] = m[j][i] = order
+    return tuple(map(tuple, m))
+
+
+def _path(*orders):
+    """The path diagram 0 - 1 - ... with the given bond orders along it."""
+    return _diagram(len(orders) + 1, *((i, i + 1, m) for i, m in enumerate(orders)))
+
+
+#: canonical name -> (Coxeter matrix, |W|).  `recognize_type` returns the
+#: first row that matches, so A2 comes before I2(3) and I2(4) before B2.
+CATALOGUE = {
+    "A1": (_path(), 2),
+    "A2": (_path(3), 6),
+    "A3": (_path(3, 3), 24),
+    "A4": (_path(3, 3, 3), 120),
+    "A5": (_path(3, 3, 3, 3), 720),
+    "I2(3)": (_path(3), 6),
+    "I2(4)": (_path(4), 8),
+    "I2(5)": (_path(5), 10),
+    "I2(6)": (_path(6), 12),
+    "B2": (_path(4), 8),
+    "B3": (_path(4, 3), 48),
+    "B4": (_path(4, 3, 3), 384),
+    "D4": (_diagram(4, (0, 2, 3), (1, 2, 3), (2, 3, 3)), 192),
+    "H3": (_path(5, 3), 120),
 }
 
-_ORDERS = {
-    ("A", 1): 2, ("A", 2): 6, ("A", 3): 24, ("A", 4): 120, ("A", 5): 720,
-    ("B", 2): 8, ("B", 3): 48, ("B", 4): 384,
-    ("D", 4): 192,
-    ("H", 3): 120,
-}
 
-
-def coxeter_matrix_for(family: str, rank: int):
-    m = [[2] * rank for _ in range(rank)]
-    for i in range(rank):
-        m[i][i] = 1
-    if family == "A":
-        for i in range(rank - 1):
-            m[i][i + 1] = m[i + 1][i] = 3
-    elif family == "B":
-        m[0][1] = m[1][0] = 4
-        for i in range(1, rank - 1):
-            m[i][i + 1] = m[i + 1][i] = 3
-    elif family == "D":
-        if rank != 4:
-            raise ValueError("only D4 is shipped")
-        for a, b in ((0, 2), (1, 2), (2, 3)):
-            m[a][b] = m[b][a] = 3
-    elif family == "H":
-        if rank != 3:
-            raise ValueError("only H3 is shipped")
-        m[0][1] = m[1][0] = 5
-        m[1][2] = m[2][1] = 3
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return m
-
-
-def parse_type_string(type_string: str):
+def parse_type_string(ts: str):
     """Split a type string into (name, coxeter_matrix, weights)."""
-    base, _, wpart = type_string.partition(":")
-    base = base.strip()
-    mm = _TYPE_RE.match(base)
-    if not mm:
-        raise ValueError(f"cannot parse group type {type_string!r}")
-    if mm.group(3) is not None:
-        order = int(mm.group(3))
-        if order not in (3, 4, 5, 6):
-            raise ValueError(f"I2({order}) is not shipped; m must be 3..6")
-        matrix = [[1, order], [order, 1]]
-        rank = 2
-    else:
-        family, rank = mm.group(1), int(mm.group(2))
-        if rank not in _SUPPORTED[family]:
-            raise ValueError(f"type {base} is not in the shipped catalogue")
-        matrix = coxeter_matrix_for(family, rank)
-    if wpart:
-        try:
-            weights = [int(x) for x in wpart.split(",")]
-        except ValueError as exc:
-            raise ValueError(f"bad weight list in {type_string!r}") from exc
-        if len(weights) != rank:
-            raise ValueError(
-                f"expected {rank} weights in {type_string!r}, got {len(weights)}"
-            )
-    else:
-        weights = [1] * rank
-    return base, matrix, weights
+    name, colon, wpart = ts.partition(":")
+    if name not in CATALOGUE:
+        raise ValueError(
+            f"cannot parse group type {ts!r}: the shipped types are "
+            + ", ".join(CATALOGUE)
+        )
+    matrix = CATALOGUE[name][0]
+    if not colon:
+        return name, matrix, [1] * len(matrix)
+    parts = wpart.split(",")
+    if not all(x.isdecimal() for x in parts):
+        raise ValueError(f"bad weight list in {ts!r}")
+    if len(parts) != len(matrix):
+        raise ValueError(
+            f"expected {len(matrix)} weights in {ts!r}, got {len(parts)}"
+        )
+    return name, matrix, [int(x) for x in parts]
+
+
+def type_string(name: str, weights) -> str:
+    """The canonical type string: the name, then ":" and the weights unless
+    all are 1.  The inverse of `parse_type_string`."""
+    if all(w == 1 for w in weights):
+        return name
+    return name + ":" + ",".join(str(w) for w in weights)
 
 
 def recognize_type(matrix) -> tuple[str, tuple[int, ...]] | None:
     """Match a Coxeter matrix against the shipped catalogue.
 
-    Returns (base_type, perm) with perm[new] = old such that relabeling the
-    input by perm yields the catalogue matrix, or None if the diagram is not
-    shipped (e.g. disconnected parabolics).
+    Returns (name, perm) for the first `CATALOGUE` row that matches, with
+    perm[new] = old such that relabeling the input by perm yields that row's
+    matrix, or None if the diagram is not shipped (e.g. disconnected
+    parabolics).
     """
-    from itertools import permutations
-
     rank = len(matrix)
-    candidates: list[str] = []
-    if rank == 1:
-        candidates = ["A1"]
-    elif rank == 2:
-        candidates = ["A2", "I2(4)", "I2(5)", "I2(6)", "B2"]
-    elif rank == 3:
-        candidates = ["A3", "B3", "H3"]
-    elif rank == 4:
-        candidates = ["A4", "B4", "D4"]
-    elif rank == 5:
-        candidates = ["A5"]
-    for ts in candidates:
-        _, cmat, _ = parse_type_string(ts)
+    for name, (cmat, _) in CATALOGUE.items():
+        if len(cmat) != rank:
+            continue
         for perm in permutations(range(rank)):
             if all(
                 cmat[i][j] == matrix[perm[i]][perm[j]]
                 for i in range(rank)
                 for j in range(rank)
             ):
-                return ts, perm
+                return name, perm
     return None
 
 
-def build_group(type_string: str) -> GroupEngine:
+def build_group(ts: str) -> GroupEngine:
     """Build a fully enumerated engine from a type string like "B3:2,1,1"."""
-    name, matrix, weights = parse_type_string(type_string)
-    datum = CoxeterDatum(matrix, weights, name=name)
-    engine = GroupEngine(datum)
-    mm = _TYPE_RE.match(name)
-    if mm.group(3) is not None:
-        expected = 2 * int(mm.group(3))
-    else:
-        expected = _ORDERS[(mm.group(1), int(mm.group(2)))]
+    name, matrix, weights = parse_type_string(ts)
+    engine = GroupEngine(CoxeterDatum(matrix, weights, name=name))
+    expected = CATALOGUE[name][1]
     if engine.order != expected:
         raise AssertionError(
             f"enumerated order {engine.order} != classification order {expected}"

@@ -14,19 +14,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coxeter import GroupEngine, build_group
+from .coxeter import GroupEngine, build_group, parse_type_string, type_string
 from .laurent import LaurentPoly
 from .wgraph import WGraph, dual_wgraph, label_subsets
 
 _GROUP_CACHE: dict[str, GroupEngine] = {}
 
 
-def shared_engine(type_string: str) -> GroupEngine:
-    """Process-wide engine cache; graphs over one type share one engine."""
-    eng = _GROUP_CACHE.get(type_string)
+def shared_engine(ts: str) -> GroupEngine:
+    """Process-wide engine cache keyed by the canonical type string, so
+    graphs over one weighted group share one engine however it is spelled."""
+    name, _, weights = parse_type_string(ts)
+    key = type_string(name, weights)
+    eng = _GROUP_CACHE.get(key)
     if eng is None:
-        eng = build_group(type_string)
-        _GROUP_CACHE[type_string] = eng
+        eng = _GROUP_CACHE[key] = build_group(key)
     return eng
 
 

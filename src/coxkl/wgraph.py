@@ -18,7 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .coxeter import CoxeterDatum, Element, GroupEngine, build_group
+from .coxeter import (
+    CoxeterDatum,
+    Element,
+    GroupEngine,
+    build_group,
+    recognize_type,
+    type_string,
+)
 from .graphs import condensation_order, edge_adjacency
 from .kl import KLContext
 from .laurent import (
@@ -205,7 +212,7 @@ def validate_wgraph(g: WGraph) -> ValidationReport:
 
     Each braid commutator is the difference of the two alternating products
     of m generator matrices (`braid_commutator_direct`), valid for equal and
-    unequal weights alike.  Generators on an odd bond must share a weight.
+    unequal weights alike.
     """
     eng = g.engine
     failures: list[str] = []
@@ -226,12 +233,6 @@ def validate_wgraph(g: WGraph) -> ValidationReport:
     for s, t in combinations(range(eng.datum.rank), 2):
         m = eng.datum.coxeter_matrix[s][t]
         checked.append((s, t))
-        if m % 2 == 1 and eng.generator_weight(s) != eng.generator_weight(t):
-            failures.append(
-                f"generators {s},{t} share an odd bond m={m} but have "
-                f"different weights: invalid configuration"
-            )
-            continue
         if not braid_commutator_direct(rep.gens[s], rep.gens[t], m).is_zero():
             failures.append(f"braid relation fails for pair ({s},{t})")
     return ValidationReport(not failures, failures, checked)
@@ -268,11 +269,9 @@ def parabolic_restrict(g: WGraph, j: frozenset[int]):
     Returns (sub_wgraph, sub_engine, index_map) where index_map sends the new
     generator indices 0..|J|-1 to the old ones.  When the sub-diagram is a
     shipped type, the sub-engine is built under that name (so the JSON form
-    round-trips); otherwise it carries an opaque name.  A generator index
-    outside 0..rank-1 raises ValueError.
+    round-trips); otherwise it carries an opaque name, and `wgraph restrict`
+    refuses it.  A generator index outside 0..rank-1 raises ValueError.
     """
-    from .coxeter import recognize_type
-
     rank = g.engine.datum.rank
     bad = sorted(a for a in j if a not in range(rank))
     if bad:
@@ -287,11 +286,7 @@ def parabolic_restrict(g: WGraph, j: frozenset[int]):
     if rec is not None:
         base, perm = rec
         order = [j[p] for p in perm]  # new index i <-> old generator order[i]
-        sub_weights = [old.weights[a] for a in order]
-        name = base
-        if any(w != 1 for w in sub_weights):
-            name = base + ":" + ",".join(str(w) for w in sub_weights)
-        sub = build_group(name)
+        sub = build_group(type_string(base, [old.weights[a] for a in order]))
     else:
         order = list(j)
         sub = GroupEngine(CoxeterDatum(matrix, weights, name=f"{old.name}|{j}"))
@@ -559,13 +554,6 @@ def eigenspace_label_multiplicities(rep: Representation) -> dict[frozenset, int]
 # -- JSON wire format ------------------------------------------------------------------------
 
 
-def type_string_of(engine: GroupEngine) -> str:
-    w = engine.datum.weights
-    if all(x == 1 for x in w):
-        return engine.datum.name
-    return engine.datum.name + ":" + ",".join(str(x) for x in w)
-
-
 def wgraph_to_json(g: WGraph) -> dict:
     verts = [
         {"id": i, "label": sorted(l)} for i, l in enumerate(g.labels)
@@ -574,7 +562,9 @@ def wgraph_to_json(g: WGraph) -> dict:
         {"s": s, "from": y, "to": x, "weight": format_laurent(w)}
         for (s, x, y), w in sorted(g.edges.items())
     ]
-    return {"group": type_string_of(g.engine), "vertices": verts, "edges": edges}
+    datum = g.engine.datum
+    group = type_string(datum.name, datum.weights)
+    return {"group": group, "vertices": verts, "edges": edges}
 
 
 class WGraphFormatError(ValueError):

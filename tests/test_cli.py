@@ -298,13 +298,17 @@ def test_compat(capsys):
     assert payload["transversal"] == ["0<->1"]
 
 
-def test_usage_errors(capsys, fixture_dir):
+def test_usage_errors(capsys, tmp_path, fixture_dir):
     for argv, message in [
         (["wgraph", "restrict", "--subset", "9"],  # missing file
          "wgraph restrict needs a W-graph file"),
         (["wgraph", "klgraph"], "klgraph needs --group"),
         (["wgraph", "restrict", str(fixture_dir / "b3_chi7.json")],
          "restrict needs --subset"),
+        # on B3 the generators 0 and 2 commute: A1 x A1 is no catalogue
+        # type, so a file over it could not be read back
+        (["wgraph", "restrict", str(fixture_dir / "b3_chi7.json"), "--subset", "0,2"],
+         "generators [0, 2] span no shipped parabolic type"),
     ]:
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -312,6 +316,28 @@ def test_usage_errors(capsys, fixture_dir):
     code = main(["kl", "--group", "Q9"])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+    # a group is one catalogue name as written, and a weight list is never
+    # empty; neither is echoed into an output
+    for argv, message in [
+        (["group", "--group", "A03"], "cannot parse group type 'A03'"),
+        (["group", "--group", "I2(05)"], "cannot parse group type 'I2(05)'"),
+        (["wgraph", "klgraph", "--group", "A03"], "cannot parse group type"),
+        (["group", "--group", "A3:"], "bad weight list in 'A3:'"),
+        (["group", "--group", "A3", "--weights", ""], "bad weight list in 'A3:'"),
+        (["kl", "--group", "A3", "--weights="], "bad weight list in 'A3:'"),
+    ]:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert not captured.out and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {message}")
+    data = json.loads((fixture_dir / "a3_sign.json").read_text())
+    data["group"] = "A03"
+    (tmp_path / "a03.json").write_text(json.dumps(data))
+    for action in ("validate", "dual"):
+        assert main(["wgraph", action, str(tmp_path / "a03.json")]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("error: cannot parse group type 'A03'")
     # a negative index would silently wrap around to w0
     for pair in ("-1,5", "0,-1", "0,24", "1", "a,b"):
         assert main(["kl", "--group", "A3", f"--pair={pair}"]) == 2
@@ -643,6 +669,18 @@ def test_blocks_exits_as_documented(
     else:
         assert payload["intertwiner_count"] == 0
         assert payload["certificate"] is None
+
+
+def test_blocks_reads_one_weighted_group_however_spelled(capsys, fixture_dir, tmp_path):
+    """"B3" and "B3:1,1,1" name one group, so their graphs share one engine."""
+    data = json.loads((fixture_dir / "b3_chi9.json").read_text())
+    data["group"] = "B3:1,1,1"
+    (tmp_path / "unit.json").write_text(json.dumps(data))
+    code = main(["blocks", str(fixture_dir / "b3_chi9.json"), str(tmp_path / "unit.json")])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    payload = json.loads(captured.out)
+    assert payload["intertwiner_count"] == 1 and payload["certificate"]["ok"]
 
 
 @pytest.mark.parametrize("edge, failures", [

@@ -9,10 +9,18 @@ and the stepwise-tested critical-pair reduction.
 
 import random
 from functools import lru_cache
+from itertools import combinations, permutations
 
 import pytest
 
-from coxkl.coxeter import build_group, parse_type_string, recognize_type
+from coxkl.coxeter import (
+    CATALOGUE,
+    CoxeterDatum,
+    build_group,
+    parse_type_string,
+    recognize_type,
+    type_string,
+)
 from coxkl.kl import KLContext
 
 SHIPPED = [
@@ -103,6 +111,11 @@ def test_build_group_orders():
 
 def test_unknown_types_rejected():
     for bad in ("E6", "Z4", "A0", "I2(7)", "H4", "B9"):
+        with pytest.raises(ValueError):
+            build_group(bad)
+    # one spelling per name, and a weight list is never empty
+    for bad in ("A03", "I2(05)", "a3", " A3", "A3:", "A3:1,,1", "A3: 1,1,1",
+                "A3:+1,1,1", "B3:2,1,1:2,1,1"):
         with pytest.raises(ValueError):
             build_group(bad)
     with pytest.raises(ValueError):
@@ -271,8 +284,58 @@ def test_recognize_type():
     ts, perm = recognize_type([[1, 3], [3, 1]])
     assert ts == "A2"
     ts, perm = recognize_type([[1, 4], [4, 1]])
-    assert ts in ("B2", "I2(4)")
+    assert ts == "I2(4)"  # the name `wgraph restrict` writes for B3 on {0, 1}
     assert recognize_type([[1, 2], [2, 1]]) is None  # disconnected A1 x A1
+
+
+def odd_bond_weights(matrix):
+    """Weights 2, 3, ... per class of generators joined by odd bonds: non-unit
+    weights that the odd-bond rule allows."""
+    root = list(range(len(matrix)))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for i, j in combinations(range(len(matrix)), 2):
+        if matrix[i][j] % 2:
+            root[find(j)] = find(i)
+    return [2 + find(i) for i in range(len(matrix))]
+
+
+@pytest.mark.parametrize("name", CATALOGUE)
+def test_catalogue_row_parses_builds_and_round_trips(name):
+    matrix, order = CATALOGUE[name]
+    rank = len(matrix)
+    assert parse_type_string(name) == (name, matrix, [1] * rank)
+    assert engine(name).order == order
+    assert type_string(name, [1] * rank) == name
+    # an explicit all-ones suffix names the same group
+    assert parse_type_string(name + ":" + ",".join("1" * rank)) == parse_type_string(name)
+    weights = odd_bond_weights(matrix)
+    CoxeterDatum(matrix, weights)  # the odd-bond rule holds
+    ts = type_string(name, weights)
+    assert ts == name + ":" + ",".join(map(str, weights))
+    assert parse_type_string(ts) == (name, matrix, weights)
+
+
+@pytest.mark.parametrize("name", CATALOGUE)
+def test_recognize_type_under_every_relabeling(name):
+    """Every relabeling of a catalogue matrix is recognized as a row with
+    that matrix, through a permutation that undoes the relabeling."""
+    matrix = CATALOGUE[name][0]
+    rank = len(matrix)
+    for p in permutations(range(rank)):
+        relabeled = [[matrix[p[i]][p[j]] for j in range(rank)] for i in range(rank)]
+        found, perm = recognize_type(relabeled)
+        cmat = CATALOGUE[found][0]
+        assert cmat == matrix
+        assert all(
+            cmat[i][j] == relabeled[perm[i]][perm[j]]
+            for i in range(rank)
+            for j in range(rank)
+        )
 
 
 def test_table_products_match_permutations():
