@@ -10,14 +10,15 @@ and certify that residue-level intertwiners are block diagonal.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .asymptotic import class_character
 from .balance import a_value
 from .coxeter import Element
-from .laurent import LaurentMatrix, LaurentPoly, laurent_gcd
-from .linalg import f_mat_is_zero, laurent_solve_kernel_matrices
-from .scalars import scalar_inv
+from .laurent import LaurentMatrix, LaurentPoly
+from .linalg import f_mat_is_zero, laurent_rank, laurent_solve_kernel_matrices
 from .wgraph import (
     Representation,
     WGraph,
@@ -141,11 +142,12 @@ def a_bound_check(rep: Representation, labels: dict[frozenset, int]) -> ABoundRe
 
 
 def intertwiner_space(r1: Representation, r2: Representation) -> list[LaurentMatrix]:
-    """Basis of {A : A rho_1(T_s) = rho_2(T_s) A for all s}, normalized.
+    """Basis of {A : A rho_1(T_s) = rho_2(T_s) A for all s}.
 
     Solved by fraction-free elimination over the Laurent ring; each basis
-    matrix is divided by v^nu(A) and by the lowest term of its first nonzero
-    entry, giving canonical certificates.
+    matrix is in the canonical form of `linalg.laurent_kernel` (row-major:
+    content 1, valuation 0, first lowest term 1), giving canonical
+    certificates.
     """
     if r1.engine is not r2.engine:
         raise ValueError("intertwiners need a common group")
@@ -164,34 +166,7 @@ def intertwiner_space(r1: Representation, r2: Representation) -> list[LaurentMat
                     row[k * d1 + j] = cur - g2.entries[i][k]
                 rows.append(row)
     block = LaurentMatrix(len(rows), d1 * d2, rows)
-    sols = laurent_solve_kernel_matrices([block], (d2, d1))
-    return [normalize_intertwiner(a) for a in sols]
-
-
-def normalize_intertwiner(a: LaurentMatrix) -> LaurentMatrix:
-    """Canonical representative: content 1, valuation 0, first lowest term 1."""
-    content = LaurentPoly()
-    for row in a.entries:
-        for e in row:
-            if e:
-                content = laurent_gcd(content, e)
-    if content and content != LaurentPoly({0: 1}):
-        a = LaurentMatrix(
-            a.rows,
-            a.cols,
-            [[e.divexact(content) if e else e for e in row] for row in a.entries],
-        )
-    val = a.valuation()
-    if val:
-        a = a.scale(LaurentPoly({-val: 1}))
-    for row in a.entries:
-        for e in row:
-            if e:
-                lt = e.lowest_term()
-                if lt != 1:
-                    return a.scale(LaurentPoly({0: scalar_inv(lt)}))
-                return a
-    return a
+    return laurent_solve_kernel_matrices([block], (d2, d1))
 
 
 @dataclass
@@ -266,50 +241,56 @@ class OmegaCertificate:
         return self.ok
 
 
-def omega_iso_certificate(
-    g1: WGraph, g2: WGraph, basis: list[LaurentMatrix]
-) -> OmegaCertificate | None:
-    """A constant intertwiner conjugating all idempotent/arrow matrices.
-
-    `basis` is the `intertwiner_space` of the modules of g1 and g2, which
-    the caller has already solved.  Returns None when the graphs differ in
-    size or no intertwiner exists (different characters).  When an
-    intertwiner exists but no normalized one is constant over F, a failed
-    certificate is returned with a note (that situation would contradict the
-    rigidity statement and is surfaced, never silently passed).
-    """
+def require_geck(g1: WGraph, g2: WGraph) -> None:
+    """Refuse a pair unless both graphs are Geck graphs (a usage error)."""
     ok1, d1 = is_geck(g1)
     ok2, d2 = is_geck(g2)
     if not ok1 or not ok2:
         raise ValueError("both inputs must be Geck graphs: " + "; ".join(d1 + d2))
-    if g1.size != g2.size or not basis:
+
+
+def omega_iso_certificate(
+    g1: WGraph, g2: WGraph, basis: list[LaurentMatrix]
+) -> OmegaCertificate | None:
+    """An invertible constant intertwiner conjugating all idempotent/arrow
+    matrices.
+
+    g1 and g2 are Geck graphs (`require_geck`) and `basis` is the
+    `intertwiner_space` of their modules, which the caller has solved.
+    Returns None when the W-characters at v = 1 (`asymptotic.class_character`)
+    differ.  For Geck graphs with a canonical basis, a basis element that is
+    not constant over F means Hom_Omega (x) F(v) != Hom_H: a failed
+    certificate says so.  Otherwise B_1..B_k is an F-basis of Hom_Omega and
+    the certificate is the first invertible sum c_1 B_1 + ... + c_k B_k over
+    c in {0..n}^k, n the dimension, in `itertools.product` order.  Equal
+    characters make the modules isomorphic over F(v), so det(sum c_i B_i) is
+    a nonzero polynomial of degree at most n in each c_i and does not vanish
+    on the whole grid (Alon, Combinatorial Nullstellensatz, Lemma 2.1).  The
+    e_s and x_s residuals of the chosen matrix verify it.
+    """
+    if class_character(wgraph_matrices(g1)) != class_character(wgraph_matrices(g2)):
         return None
-    constant = [a for a in basis if a.is_constant()]
-    if not constant:
-        return OmegaCertificate(
-            basis[0],
-            {},
-            False,
-            "intertwiner exists but is not constant over F after "
-            "normalization: H-isomorphic, Omega-certificate failed",
-        )
-    om1 = omega_matrices(g1)
-    om2 = omega_matrices(g2)
-    best = None
-    for a in constant:
-        residuals = {}
-        n = g1.engine.datum.rank
-        for s in range(n):
-            diff_e = (a @ om1.e[s]) - (om2.e[s] @ a)
-            diff_x = (a @ om1.x[s]) - (om2.x[s] @ a)
-            residuals[f"e_{s}"] = sum(
-                1 for row in diff_e.entries for e in row if e
+    for i, a in enumerate(basis):
+        if not a.is_constant():
+            return OmegaCertificate(
+                a,
+                {},
+                False,
+                f"intertwiner basis element {i} is not constant over F: "
+                "Hom_Omega (x) F(v) != Hom_H, Omega-certificate failed",
             )
-            residuals[f"x_{s}"] = sum(
-                1 for row in diff_x.entries for e in row if e
-            )
-        cert = OmegaCertificate(a, residuals, all(v == 0 for v in residuals.values()))
-        if cert.ok:
-            return cert
-        best = cert
-    return best
+    n = g1.size
+    sums = (
+        sum((b.scale(c) for c, b in zip(cs, basis) if c), LaurentMatrix(n, n))
+        for cs in itertools.product(range(n + 1), repeat=len(basis))
+    )
+    a = next((m for m in sums if laurent_rank(m) == n), None)
+    if a is None:
+        raise ArithmeticError("no invertible intertwiner between equal characters")
+    om1, om2 = omega_matrices(g1), omega_matrices(g2)
+    residuals = {}
+    for s in range(g1.engine.datum.rank):
+        for name, m1, m2 in (("e", om1.e[s], om2.e[s]), ("x", om1.x[s], om2.x[s])):
+            diff = a @ m1 - m2 @ a
+            residuals[f"{name}_{s}"] = sum(1 for row in diff.entries for e in row if e)
+    return OmegaCertificate(a, residuals, all(v == 0 for v in residuals.values()))

@@ -161,6 +161,13 @@ def cmd_cells(args):
 
 
 def cmd_wgraph(args):
+    for flag, value, reader in (
+        ("--group", args.group, "klgraph"),
+        ("--weights", args.weights, "klgraph"),
+        ("--subset", args.subset, "restrict"),
+    ):
+        if value is not None and args.action != reader:
+            raise ValueError(f"wgraph {args.action} does not read {flag}")
     if args.action == "klgraph":
         if not args.group:
             raise ValueError("klgraph needs --group")
@@ -194,7 +201,10 @@ def cmd_wgraph(args):
     if args.action == "restrict":
         if not args.subset:
             raise ValueError("restrict needs --subset")
-        j = frozenset(int(t) for t in args.subset.split(","))
+        try:
+            j = frozenset(int(t) for t in args.subset.split(","))
+        except ValueError as exc:
+            raise ValueError(f"bad --subset {args.subset!r}: {exc}") from None
         sub, sub_eng, _ = parabolic_restrict(g, j)
         if sub_eng.datum.name not in CATALOGUE:
             raise ValueError(f"generators {sorted(j)} span no shipped parabolic type")
@@ -323,6 +333,7 @@ def cmd_cellbasis(args):
 def cmd_blocks(args):
     g1 = _load_valid_graph(args.file)
     g2 = _load_valid_graph(args.file2)
+    blocks_mod.require_geck(g1, g2)
     r1 = wgraph_matrices(g1)
     r2 = wgraph_matrices(g2)
     space = blocks_mod.intertwiner_space(r1, r2)

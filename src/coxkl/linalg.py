@@ -10,15 +10,16 @@ integer matrices stay in int arithmetic.
 
 The Laurent-side routines never form the fraction field: they use
 Bareiss-style two-term updates whose divisions are exact in the ring, and
-kernel vectors are returned with Laurent-polynomial entries (scaled by the
-pivot product).
+kernel vectors are returned with Laurent-polynomial entries in one canonical
+form (`laurent_kernel`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
-from .laurent import ONE, ZERO, LaurentMatrix, LaurentPoly
+from .laurent import ONE, ZERO, LaurentMatrix, LaurentPoly, laurent_gcd
 from .scalars import scalar_inv
 
 # -- fraction-free elimination over the Laurent ring ---------------------------
@@ -91,8 +92,10 @@ def laurent_kernel(m: LaurentMatrix) -> list[list[LaurentPoly]]:
 
     Uses the fraction-free Gauss-Jordan form: for a free column f the kernel
     vector has the last pivot at position f and -R[r][f] at each pivot
-    column, which is a ring element throughout.  The result is verified
-    against the input matrix before returning.
+    column, which is a ring element throughout.  Up to a scalar of F(v) these
+    are the reduced-echelon kernel basis, and each is returned in the
+    canonical form of `_normalize`.  The result is verified against the
+    input matrix before returning.
     """
     rows = [list(r) for r in m.entries]
     pivots = _jordan_echelonize(rows)
@@ -113,7 +116,7 @@ def laurent_kernel(m: LaurentMatrix) -> list[list[LaurentPoly]]:
         vec[fc] = last_pivot
         for (r, c) in pivots:
             vec[c] = -rows[r][fc]
-        basis.append(_strip_content(vec))
+        basis.append(_normalize(vec))
     for vec in basis:
         for row in m.entries:
             acc = ZERO
@@ -125,16 +128,15 @@ def laurent_kernel(m: LaurentMatrix) -> list[list[LaurentPoly]]:
     return basis
 
 
-def _strip_content(vec: list[LaurentPoly]) -> list[LaurentPoly]:
-    """Normalize a Laurent vector: shift by -min valuation (no common v power)."""
-    vals = [e.valuation() for e in vec if e]
-    if not vals:
-        return vec
-    shift = min(vals)
-    if shift:
-        mono = LaurentPoly({-shift: 1})
-        vec = [e * mono for e in vec]
-    return vec
+def _normalize(vec: list[LaurentPoly]) -> list[LaurentPoly]:
+    """The F(v)-multiple of a nonzero vector over F[v, v^-1] with content 1
+    (`laurent_gcd` of its entries), valuation 0 and lowest term 1 in its
+    first nonzero entry."""
+    content = reduce(laurent_gcd, (e for e in vec if e))
+    vec = [e.divexact(content) for e in vec]
+    lead = next(e for e in vec if e).lowest_term()
+    unit = LaurentPoly({-min(e.valuation() for e in vec if e): scalar_inv(lead)})
+    return [e * unit for e in vec]
 
 
 def laurent_solve_kernel_matrices(

@@ -1,7 +1,10 @@
 """Shared engines and KL contexts; building them once keeps the suite fast."""
 
+import json
+
 import pytest
 
+from coxkl.cli import main
 from coxkl.coxeter import build_group
 from coxkl.kl import KLContext
 
@@ -44,3 +47,26 @@ def kl_b3(b3):
 @pytest.fixture(scope="session")
 def kl_b3w(b3w):
     return KLContext(b3w)
+
+
+@pytest.fixture(scope="session")
+def kl_cell_files(tmp_path_factory):
+    """kl_cell_files(group) -> one W-graph file per KL left cell of the group,
+    in the order of `wgraph cells`, written as a user would: `wgraph
+    klgraph`, then `wgraph cells` on its output."""
+    made = {}
+
+    def files(group):
+        if group not in made:
+            out = tmp_path_factory.mktemp("kl_cells")
+            kl, cells = out / "klgraph.json", out / "cells.json"
+            assert main(["wgraph", "klgraph", "--group", group, "--out", str(kl)]) == 0
+            assert main(["wgraph", "cells", str(kl), "--out", str(cells)]) == 0
+            made[group] = []
+            for k, cell in enumerate(json.loads(cells.read_text())["cells"]):
+                path = out / f"cell{k}.json"
+                path.write_text(json.dumps(cell["graph"]))
+                made[group].append(path)
+        return made[group]
+
+    return files

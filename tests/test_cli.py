@@ -12,7 +12,8 @@ import pytest
 
 from coxkl import asymptotic, blocks
 from coxkl.cli import main
-from coxkl.laurent import LaurentPoly
+from coxkl.laurent import LaurentMatrix, LaurentPoly, format_laurent, parse_laurent
+from coxkl.linalg import laurent_rank
 from coxkl.fixtures import catalogue, shared_engine
 from coxkl.kl import KLContext
 from coxkl.wgraph import Representation
@@ -681,6 +682,117 @@ def test_blocks_reads_one_weighted_group_however_spelled(capsys, fixture_dir, tm
     assert code == 0, captured.err
     payload = json.loads(captured.out)
     assert payload["intertwiner_count"] == 1 and payload["certificate"]["ok"]
+
+
+def blocks_payload(capsys, first, second):
+    code = main(["blocks", str(first), str(second)])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    return code, json.loads(captured.out)
+
+
+def test_blocks_gives_no_certificate_between_different_characters(
+    capsys, kl_cell_files
+):
+    """B2 KL left cells 1 and 2 share the reflection constituent, so one
+    intertwiner of rank 2 exists; their W-characters differ, so there is no
+    isomorphism to certify."""
+    cells = kl_cell_files("B2")
+    code, payload = blocks_payload(capsys, cells[1], cells[2])
+    assert code == 0
+    assert payload["intertwiner_count"] == 1 and payload["certificate"] is None
+
+
+@pytest.mark.parametrize("group, first, second, count", [
+    ("B3", 10, 10, 2), ("B3", 1, 2, 2), ("I2(6)", 1, 1, 3),
+])
+def test_blocks_certificate_is_invertible(
+    capsys, kl_cell_files, group, first, second, count
+):
+    """On a reducible cell module Hom has dimension above 1 and single basis
+    elements can be singular; the certificate is an invertible element of
+    their span."""
+    cells = kl_cell_files(group)
+    code, payload = blocks_payload(capsys, cells[first], cells[second])
+    assert code == 0 and payload["intertwiner_count"] == count
+    cert = payload["certificate"]
+    assert cert["ok"] and not any(cert["residuals"].values())
+    entries = [[parse_laurent(e) for e in row] for row in cert["matrix"]]
+    assert laurent_rank(LaurentMatrix(len(entries), len(entries), entries)) == len(entries)
+
+
+def test_blocks_fails_a_basis_element_that_is_not_constant(
+    capsys, monkeypatch, fixture_dir
+):
+    real = blocks.intertwiner_space
+    monkeypatch.setattr(
+        blocks,
+        "intertwiner_space",
+        lambda r1, r2: [a.scale(LaurentPoly({0: 1, 1: 1})) for a in real(r1, r2)],
+    )
+    chi9 = fixture_dir / "b3_chi9.json"
+    code, payload = blocks_payload(capsys, chi9, chi9)
+    assert code == 1
+    cert = payload["certificate"]
+    assert not cert["ok"] and cert["residuals"] == {}
+    assert cert["note"] == (
+        "intertwiner basis element 0 is not constant over F: "
+        "Hom_Omega (x) F(v) != Hom_H, Omega-certificate failed"
+    )
+
+
+def test_blocks_refuses_a_pair_that_is_not_geck_before_solving(
+    capsys, monkeypatch, fixture_dir, tmp_path
+):
+    """b3_chi9 conjugated by diag(1, v, v^2) is a W-graph whose weights are
+    not palindromic: `blocks` refuses it as either input without solving."""
+    chi9 = fixture_dir / "b3_chi9.json"
+    data = json.loads(chi9.read_text())
+    for e in data["edges"]:
+        shift = LaurentPoly({e["from"] - e["to"]: 1})
+        e["weight"] = format_laurent(parse_laurent(e["weight"]) * shift)
+    conj = tmp_path / "chi9_diag.json"
+    conj.write_text(json.dumps(data))
+    code, out = run(capsys, "wgraph", "validate", str(conj))
+    assert code == 0 and not json.loads(out)["geck"]
+    solves = spy_on(monkeypatch, blocks, "intertwiner_space")
+    for argv in (["blocks", str(chi9), str(conj)], ["blocks", str(conj), str(chi9)]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: both inputs must be Geck graphs: weight")
+    assert solves == []
+
+
+@pytest.mark.parametrize(
+    "action", ["validate", "matrices", "dual", "restrict", "cells", "klgraph", "omegagy"]
+)
+def test_wgraph_refuses_flags_its_action_does_not_read(capsys, fixture_dir, action):
+    if action == "klgraph":
+        argv = ["wgraph", action, "--group", "A2"]
+    else:
+        argv = ["wgraph", action, str(fixture_dir / "b3_chi7.json")]
+    if action == "restrict":
+        argv += ["--subset", "1,2"]
+    flags = {"--group": "A2", "--weights": "5", "--subset": "0,1"}
+    readers = {"--group": "klgraph", "--weights": "klgraph", "--subset": "restrict"}
+    for flag, value in flags.items():
+        if readers[flag] == action:
+            continue
+        code = main([*argv, flag, value])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert captured.err == f"error: wgraph {action} does not read {flag}\n"
+
+
+def test_restrict_names_a_bad_subset(capsys, fixture_dir):
+    code = main(["wgraph", "restrict", str(fixture_dir / "b3_chi7.json"),
+                 "--subset", "0,x"])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err == (
+        "error: bad --subset '0,x': invalid literal for int() with base 10: 'x'\n"
+    )
 
 
 @pytest.mark.parametrize("edge, failures", [

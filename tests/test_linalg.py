@@ -3,6 +3,7 @@ and the sparse Gauss-Jordan over F against Bareiss ranks and the dense
 inverse."""
 
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,9 +16,10 @@ from coxkl.asymptotic import (
     irreducible_reps_from_graphs,
 )
 from coxkl.balance import gram_invariant_form
-from coxkl.fixtures import b3_graphs, shared_engine
+from coxkl.blocks import intertwiner_space
+from coxkl.fixtures import b3_chi9_conjugate, b3_graphs, shared_engine
 from coxkl.kl import KLContext
-from coxkl.laurent import LaurentMatrix, LaurentPoly
+from coxkl.laurent import LaurentMatrix, LaurentPoly, laurent_gcd
 from coxkl.linalg import (
     _jordan_echelonize,
     f_identity,
@@ -25,6 +27,7 @@ from coxkl.linalg import (
     f_mat_transpose,
     f_row_reduce,
     f_sparse_inverse,
+    laurent_kernel,
     laurent_rank,
 )
 from coxkl.scalars import GOLDEN, Sqrt5, scalar_inv
@@ -51,6 +54,37 @@ def laurent_matrices(draw):
 
 def bareiss_rank(m: LaurentMatrix) -> int:
     return len(_jordan_echelonize([list(r) for r in m.entries]))
+
+
+def assert_canonical(vec):
+    """Content 1, valuation 0 and lowest term 1 in the first nonzero entry."""
+    nonzero = [e for e in vec if e]
+    assert reduce(laurent_gcd, nonzero, LaurentPoly()) == ONE
+    assert min(e.valuation() for e in nonzero) == 0
+    assert nonzero[0].lowest_term() == 1
+
+
+@given(laurent_matrices())
+def test_kernel_vectors_are_canonical(m):
+    kernel = laurent_kernel(m)
+    assert len(kernel) == m.cols - bareiss_rank(m)
+    for vec in kernel:
+        assert_canonical(vec)
+
+
+def test_kernel_vector_loses_its_content_and_sign():
+    # the Bareiss vector (v^2 - 1, 1 + v) has content 1 + v and lowest term -1
+    m = LaurentMatrix(1, 2, [[ONE + V, ONE - V * V]])
+    assert laurent_kernel(m) == [[ONE - V, -ONE]]
+
+
+def test_kernel_vectors_of_intertwiner_systems_are_canonical(kl_b3):
+    pairs = [(b3_graphs()["chi9"], b3_chi9_conjugate())]
+    pairs += [(g, g) for g, _ in kl_left_cell_wgraphs(kl_b3) if g.size <= 4]
+    for g1, g2 in pairs:
+        r1, r2 = wgraph_matrices(g1), wgraph_matrices(g2)
+        for a in intertwiner_space(r1, r2):
+            assert_canonical([e for row in a.entries for e in row])
 
 
 @pytest.fixture
