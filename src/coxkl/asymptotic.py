@@ -19,9 +19,9 @@ KL cell modules are test oracles in `tests/oracles.py`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .balance import (
     BalancedData,
@@ -61,8 +61,7 @@ from .wgraph import (
 _JDATA_ORDER_LIMIT = 192
 
 
-@dataclass
-class IrreducibleDatum:
+class IrreducibleDatum(NamedTuple):
     """A balanced representation of one isomorphism type with its constants."""
 
     rep: Representation
@@ -70,8 +69,7 @@ class IrreducibleDatum:
     f: object  # F-unit
 
 
-@dataclass
-class JData:
+class JData(NamedTuple):
     """Leading-coefficient structure constants of the asymptotic algebra."""
 
     engine: GroupEngine
@@ -90,11 +88,8 @@ class JData:
         return JElement({d: LaurentPoly({0: self.n[d]}) for d in self.duflo})
 
 
-@dataclass
 class JElement(SparseCombination):
     """An element of J (coefficients may carry v-powers, as phi produces)."""
-
-    coeffs: dict[Element, LaurentPoly] = field(default_factory=dict)
 
     @staticmethod
     def basis(w: Element) -> "JElement":
@@ -264,8 +259,7 @@ def cell_representation(
     return Representation(eng, gens)
 
 
-@dataclass
-class GeckMuellerReport:
+class GeckMuellerReport(NamedTuple):
     balanced: bool
     a_value: int | None
     entrywise_equal: bool | None
@@ -310,8 +304,7 @@ def geck_mueller_check(g: WGraph, kl: KLContext) -> GeckMuellerReport:
 # -- the cellular basis ----------------------------------------------------------------
 
 
-@dataclass
-class CellDatum:
+class CellDatum(NamedTuple):
     """A cellular basis indexed by (type, row, column) triples."""
 
     engine: GroupEngine
@@ -380,8 +373,7 @@ def cell_basis(irreducibles: list[IrreducibleDatum], kl: KLContext) -> CellDatum
     return CellDatum(eng, dims, basis, lambda_lt, cell_block)
 
 
-@dataclass
-class CellAxiomReport:
+class CellAxiomReport(NamedTuple):
     ok: bool
     failures: list[str]
 

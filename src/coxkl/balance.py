@@ -17,8 +17,8 @@ its Schur sum, so `balance` walks W twice per module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .coxeter import Element
 from .laurent import ZERO, LaurentMatrix, LaurentPoly
@@ -31,8 +31,7 @@ class VerificationError(ValueError):
     """A mathematical check failed on well-formed input (CLI exit 1)."""
 
 
-@dataclass
-class InvariantForm:
+class InvariantForm(NamedTuple):
     """A symmetric matrix intertwining rho with its transpose-dual, and the
     a-value -min_w nu(trace rho(T_w)) of rho."""
 
@@ -40,8 +39,7 @@ class InvariantForm:
     a_value: int
 
 
-@dataclass
-class BalancedData:
+class BalancedData(NamedTuple):
     """Outcome of balancing: the a-value, base change and leading table."""
 
     a_value: int

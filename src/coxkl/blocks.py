@@ -11,8 +11,8 @@ and certify that residue-level intertwiners are block diagonal.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .asymptotic import class_character
 from .balance import a_value
@@ -34,8 +34,7 @@ def block_order_key(label: frozenset):
     return (-len(label), sorted(label))
 
 
-@dataclass
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     ok: bool
     failures: list[str]
     residue: list | None
@@ -119,8 +118,7 @@ def label_multiset_from_character(rep: Representation) -> dict[frozenset, int]:
     return {j: c for j, c in counts.items() if c}
 
 
-@dataclass
-class ABoundReport:
+class ABoundReport(NamedTuple):
     ok: bool
     a_value: int
     bound: int
@@ -169,8 +167,7 @@ def intertwiner_space(r1: Representation, r2: Representation) -> list[LaurentMat
     return laurent_solve_kernel_matrices([block], (d2, d1))
 
 
-@dataclass
-class BlockReport:
+class BlockReport(NamedTuple):
     """Residue block analysis of a matrix grouped by row/column labels."""
 
     blocks_rows: list[tuple[frozenset, list[int]]]
@@ -230,8 +227,7 @@ def block_report(
     )
 
 
-@dataclass
-class OmegaCertificate:
+class OmegaCertificate(NamedTuple):
     matrix: LaurentMatrix
     residuals: dict[str, int]
     ok: bool

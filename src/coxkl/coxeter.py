@@ -2,7 +2,7 @@
 
 A group is built once from the permutations its simple reflections induce on
 the full root system, written in the basis of simple roots with exact
-coordinates (rationals for crystallographic types, Q(sqrt 5) for H3 and
+coordinates (integers for crystallographic types, Q(sqrt 5) for H3 and
 I2(5)).  The build enumerates the group breadth-first and fills index tables
 from the products it computes anyway: left and right multiplication by each
 generator, lengths, inverses, canonical reduced words and descent bitmasks.
@@ -24,8 +24,6 @@ spelling, which drops an all-ones suffix.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import reduce
 from itertools import permutations
 
 from .scalars import GOLDEN, Sqrt5
@@ -119,17 +117,24 @@ class Element:
 
 
 def _bond_entries(m):
-    """Cartan-style entries (A_ij, A_ji) with A_ij*A_ji = 4cos^2(pi/m)."""
+    """Cartan-style entries (A_ij, A_ji) with A_ij*A_ji = 4cos^2(pi/m); the
+    diagonal m = 1 gives A_ii = 2.
+
+    They are ints for m = 1, 2, 3, 4, 6, so every type without a bond of
+    order 5 has integer roots; only m = 5 (H3, I2(5)) brings in `Sqrt5`.
+    """
+    if m == 1:
+        return 2, 2
     if m == 2:
-        return Fraction(0), Fraction(0)
+        return 0, 0
     if m == 3:
-        return Fraction(-1), Fraction(-1)
+        return -1, -1
     if m == 4:
-        return Fraction(-2), Fraction(-1)
+        return -2, -1
     if m == 5:
         return -GOLDEN, -GOLDEN
     if m == 6:
-        return Fraction(-3), Fraction(-1)
+        return -3, -1
     raise ValueError(f"unsupported bond order {m}")
 
 
@@ -148,7 +153,9 @@ class GroupEngine:
     Elements are numbered breadth-first along the canonical left-ascent
     spanning tree (ties by generator index); that order is the canonical
     indexing used by every table and JSON output downstream.  Root
-    permutations exist only while the tables are built:
+    coordinates are ints for every type without a bond of order 5, and mix
+    ints with `Sqrt5` for H3 and I2(5).  Root permutations exist only while
+    the tables are built:
 
     - ``lmul[s][i]`` and ``rmul[s][i]``: the indices of s*w_i and w_i*s;
     - ``lengths[i]``, ``inverses[i]`` and ``words[i]``, the canonical
@@ -182,30 +189,18 @@ class GroupEngine:
         cartan = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
-                if i == j:
-                    cartan[i][j] = Fraction(2)
-                else:
-                    a, b = _bond_entries(self.datum.coxeter_matrix[i][j])
-                    # orientation: the smaller index gets the first entry
-                    cartan[i][j] = a if i < j else b
+                a, b = _bond_entries(self.datum.coxeter_matrix[i][j])
+                # orientation: the smaller index gets the first entry
+                cartan[i][j] = a if i <= j else b
         self.cartan = cartan
 
         def reflect(i, root):
-            coeff = reduce(
-                lambda acc, jx: acc + cartan[i][jx[0]] * jx[1],
-                enumerate(root),
-                root[i] * 0,
-            )
+            row = cartan[i]
             new = list(root)
-            new[i] = new[i] - coeff
+            new[i] -= sum(row[j] * c for j, c in enumerate(root))
             return tuple(new)
 
-        zero = Fraction(0)
-        simple_roots = []
-        for i in range(n):
-            coords = [zero] * n
-            coords[i] = Fraction(1)
-            simple_roots.append(tuple(coords))
+        simple_roots = [tuple(int(i == j) for j in range(n)) for i in range(n)]
 
         seen = set(simple_roots)
         queue = list(simple_roots)
@@ -432,7 +427,7 @@ def _root_sort_key(root):
         if isinstance(c, Sqrt5):
             key.append((c.a, c.b))
         else:
-            key.append((Fraction(c), Fraction(0)))
+            key.append((c, 0))
     return key
 
 

@@ -30,7 +30,7 @@ products (`tests/tbasis.py`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .coxeter import Element, GroupEngine, bit_indices
 from .graphs import condensation_order, edge_adjacency
@@ -46,12 +46,17 @@ from .laurent import (
 )
 
 
-@dataclass
 class HeckeElement(SparseCombination):
     """A Hecke-algebra element as a sparse coefficient map over a basis."""
 
-    basis: str  # "T" or "C"
-    coeffs: dict[Element, LaurentPoly] = field(default_factory=dict)
+    def __init__(
+        self, basis: str, coeffs: dict[Element, LaurentPoly] | None = None
+    ):
+        self.basis = basis  # "T" or "C"
+        super().__init__(coeffs)
+
+    def _with(self, coeffs) -> "HeckeElement":
+        return HeckeElement(self.basis, coeffs)
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
         if self.basis != other.basis:
@@ -62,8 +67,7 @@ class HeckeElement(SparseCombination):
         return self.coeffs.get(w, ZERO)
 
 
-@dataclass
-class CellPartition:
+class CellPartition(NamedTuple):
     """Cells of the C-basis multiplication graph with their preorder."""
 
     kind: str  # "left" | "right" | "two-sided"
@@ -78,8 +82,7 @@ class CellPartition:
         raise KeyError(w)
 
 
-@dataclass
-class ADeltaN:
+class ADeltaN(NamedTuple):
     """Lusztig's a-function data, the Duflo set and the leading coefficients
     gamma, read off the h-table."""
 

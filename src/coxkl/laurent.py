@@ -18,7 +18,6 @@ LaurentPoly({-2: 1})
 from __future__ import annotations
 
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 from .scalars import Sqrt5, parse_scalar, scalar_inv, scalar_str
@@ -235,29 +234,40 @@ def add_term(out: dict, key, c) -> None:
 class SparseCombination:
     """A finite linear combination {key: coefficient} that stores no zeros.
 
-    Subclasses are dataclasses with a `coeffs` field; their other fields are
-    carried over unchanged by every operation, and equality is the dataclass
-    comparison of all fields.
+    Every operation builds its result through `_with`; a subclass with
+    attributes besides `coeffs` overrides `_with` to carry them over
+    unchanged.  Two combinations are equal when they are of the same class
+    and all their attributes are equal.
     """
 
-    coeffs: dict
+    def __init__(self, coeffs=None):
+        self.coeffs = {w: c for w, c in coeffs.items() if c} if coeffs else {}
 
-    def __post_init__(self):
-        self.coeffs = {w: c for w, c in self.coeffs.items() if c}
+    def _with(self, coeffs):
+        return type(self)(coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"
 
     def __add__(self, other):
         out = dict(self.coeffs)
         for w, c in other.coeffs.items():
             add_term(out, w, c)
-        return replace(self, coeffs=out)
+        return self._with(out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, f):
         if not f:
-            return replace(self, coeffs={})
-        return replace(self, coeffs={w: c * f for w, c in self.coeffs.items()})
+            return self._with({})
+        return self._with({w: c * f for w, c in self.coeffs.items()})
 
     def __bool__(self):
         return bool(self.coeffs)

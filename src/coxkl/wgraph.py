@@ -15,8 +15,8 @@ idempotent and arrow matrices, and direct sums of modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from .coxeter import (
     CoxeterDatum,
@@ -40,18 +40,26 @@ from .laurent import (
 from .linalg import laurent_kernel, laurent_rank
 
 
-@dataclass
 class WGraph:
     """Vertex labels and generator-indexed edge weights over one group."""
 
-    engine: GroupEngine
-    labels: list[frozenset[int]]
-    #: (s, x, y) -> m^s_{xy}, nonzero entries only
-    edges: dict[tuple[int, int, int], LaurentPoly] = field(default_factory=dict)
+    def __init__(
+        self,
+        engine: GroupEngine,
+        labels: list[frozenset[int]],
+        edges: dict[tuple[int, int, int], LaurentPoly] | None = None,
+    ):
+        self.engine = engine
+        self.labels = [frozenset(l) for l in labels]
+        #: (s, x, y) -> m^s_{xy}, nonzero entries only
+        self.edges = {k: w for k, w in edges.items() if w} if edges else {}
 
-    def __post_init__(self):
-        self.labels = [frozenset(l) for l in self.labels]
-        self.edges = {k: w for k, w in self.edges.items() if w}
+    def __eq__(self, other):
+        if other.__class__ is not WGraph:
+            return NotImplemented
+        return (self.engine, self.labels, self.edges) == (
+            other.engine, other.labels, other.edges
+        )
 
     @property
     def size(self) -> int:
@@ -129,8 +137,7 @@ class Representation:
         return Representation(self.engine, [p_inv @ g @ p for g in self.gens])
 
 
-@dataclass
-class OmegaMatrices:
+class OmegaMatrices(NamedTuple):
     """Idempotent and arrow matrices of a W-graph module."""
 
     e: dict[int, LaurentMatrix]
@@ -197,8 +204,7 @@ def braid_commutator_direct(
     return left - right
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     failures: list[str]
     checked_pairs: list[tuple[int, int]]
@@ -361,8 +367,7 @@ def omega_matrices(g: WGraph) -> OmegaMatrices:
     return OmegaMatrices(e, x)
 
 
-@dataclass
-class RelationReport:
+class RelationReport(NamedTuple):
     ok: bool
     failures: list[str]
     checked: int
@@ -470,8 +475,7 @@ def omega_gy_relations_check(g: WGraph) -> RelationReport:
 # -- compatibility graph -----------------------------------------------------------------
 
 
-@dataclass
-class CompatibilityGraph:
+class CompatibilityGraph(NamedTuple):
     vertices: list[frozenset]
     #: directed edges (target I, source J), i.e. "I <- J"
     edges: set[tuple[frozenset, frozenset]]

@@ -1,7 +1,6 @@
 """Asymptotic algebra: Schur constants, gamma/n tables, J multiplication,
 Duflo involutions, cell representations and the cellular basis."""
 
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -403,7 +402,7 @@ def test_cell_basis_axioms_a3(jd_a3, kl_a3):
 
 
 def _failures(cd, kl, basis):
-    report = verify_cell_axioms(replace(cd, basis=basis), kl)
+    report = verify_cell_axioms(cd._replace(basis=basis), kl)
     assert not report.ok
     return report.failures
 
@@ -573,6 +572,6 @@ def test_cell_modules_are_walked_only_when_balanced(monkeypatch):
 def test_gamma_table_refuses_a_bad_schur_sum(kl_a2, a2, corrupt, message):
     reps = irreducible_cell_reps(kl_a2)
     (rep, data), rest = reps[0], reps[1:]
-    bad = [(rep, replace(data, schur=corrupt(data.schur))), *rest]
+    bad = [(rep, data._replace(schur=corrupt(data.schur))), *rest]
     with pytest.raises(VerificationError, match=message):
         gamma_n_table(a2, bad)

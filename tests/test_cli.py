@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,7 +15,7 @@ from coxkl.laurent import LaurentMatrix, LaurentPoly, format_laurent, parse_laur
 from coxkl.linalg import laurent_rank
 from coxkl.fixtures import catalogue, shared_engine
 from coxkl.kl import KLContext
-from coxkl.wgraph import Representation
+from coxkl.wgraph import Representation, wgraph_to_json
 
 
 def run(capsys, *argv):
@@ -228,7 +227,7 @@ def test_cellbasis_refuses_a_bad_schur_sum(capsys, monkeypatch, corrupt, message
 
     def spoiled(rep):
         rep2, data = real_balance(rep)
-        return rep2, replace(data, schur=corrupt(data.schur))
+        return rep2, data._replace(schur=corrupt(data.schur))
 
     monkeypatch.setattr(asymptotic, "balance", spoiled)
     assert main(["cellbasis", "--group", "A2"]) == 1
@@ -519,24 +518,66 @@ def test_kl_wgraph_edges_are_built_once(capsys, monkeypatch, fixture_dir):
         assert len(maps) == calls and all(m is maps[0] for m in maps)
 
 
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _src_env():
+    path = os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
+    )
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _trace(tmp_path, mode, job):
+    """Run `job` under `benchmark/tracer.py`; return the process and its
+    trace."""
+    out = tmp_path / "trace.json"
+    res = subprocess.run(
+        [sys.executable, str(REPO / "benchmark" / "tracer.py"), mode, str(out), *job],
+        capture_output=True, env=_src_env(),
+    )
+    assert res.returncode == 0, res.stderr.decode()
+    return res, json.loads(out.read_text())
+
+
 @pytest.mark.parametrize("mode", ["spans", "counts"])
 def test_tracer_finds_every_pinned_name(capsys, tmp_path, mode):
     """`benchmark/tracer.py` wraps its SPANS and HOT targets by module and
     name, so a moved target fails here and not first in a traced benchmark
     run; the traced job prints the bytes of the plain one."""
-    repo = Path(__file__).resolve().parents[1]
-    path = os.pathsep.join(
-        filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")])
-    )
     job = ["kl", "--group", "A2"]
-    res = subprocess.run(
-        [sys.executable, str(repo / "benchmark" / "tracer.py"), mode,
-         str(tmp_path / "trace.json"), *job],
-        capture_output=True, env={**os.environ, "PYTHONPATH": path},
-    )
-    assert res.returncode == 0, res.stderr.decode()
+    res, _ = _trace(tmp_path, mode, job)
     assert main(job) == 0
     assert res.stdout == capsys.readouterr().out.encode()
+
+
+def test_tracer_times_the_balance_layer(capsys, tmp_path):
+    """The tracer wraps only modules loaded when it installs its wrappers,
+    so `cli` imports `balance` at module level: a `balance` job records
+    calls in both of its spans."""
+    path = tmp_path / "b3_chi7.json"
+    path.write_text(json.dumps(wgraph_to_json(catalogue()["b3_chi7"])))
+    job = ["balance", str(path)]
+    res, trace = _trace(tmp_path, "spans", job)
+    for name in ("balance.gram_invariant_form", "balance.balance"):
+        assert trace["spans"][name][0] >= 1, name
+    assert main(job) == 0
+    assert res.stdout == capsys.readouterr().out.encode()
+
+
+def test_import_loads_no_dataclasses():
+    """Each CLI call is a fresh process that pays for every import:
+    `coxkl.cli` loads neither `dataclasses` nor the `inspect` it pulls in.
+    `-S` keeps site packages out of the count."""
+    code = (
+        "import coxkl.cli, sys; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    res = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, env=_src_env()
+    )
+    assert res.returncode == 0, res.stderr.decode()
+    assert res.stdout.decode().strip() == "[]"
 
 
 SMOKE_GROUPS = [

@@ -8,11 +8,13 @@ and the stepwise-tested critical-pair reduction.
 """
 
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
 import pytest
 
+from coxkl import coxeter
 from coxkl.coxeter import (
     CATALOGUE,
     CoxeterDatum,
@@ -22,6 +24,7 @@ from coxkl.coxeter import (
     type_string,
 )
 from coxkl.kl import KLContext
+from coxkl.scalars import Sqrt5
 
 SHIPPED = [
     "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "H3",
@@ -336,6 +339,26 @@ def test_recognize_type_under_every_relabeling(name):
             for i in range(rank)
             for j in range(rank)
         )
+
+
+@pytest.mark.parametrize("name", CATALOGUE)
+def test_integer_roots_build_the_tables_of_rational_roots(name, monkeypatch):
+    """A type without a bond of order 5 has int root coordinates, and the
+    group it builds is the one that Fraction Cartan entries build, table for
+    table; H3 and I2(5) keep their Sqrt5 entries in both builds."""
+    shipped = build_group(name)
+    real = coxeter._bond_entries
+
+    def rational(m):
+        return tuple(c if isinstance(c, Sqrt5) else Fraction(c) for c in real(m))
+
+    monkeypatch.setattr(coxeter, "_bond_entries", rational)
+    oracle = build_group(name)
+    assert all(type(c) is not int for row in oracle.cartan for c in row)
+    for attr in ("lmul", "words", "ldesc", "inverses", "order", "roots"):
+        assert getattr(shipped, attr) == getattr(oracle, attr), attr
+    if all(5 not in row for row in CATALOGUE[name][0]):
+        assert all(type(c) is int for root in shipped.roots for c in root)
 
 
 def test_table_products_match_permutations():
