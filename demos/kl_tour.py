@@ -26,16 +26,11 @@ assert all(kl.kl_polynomial(x, a3.w0).coeffs == {0: 1} for x in a3.elements)
 print("P_{x, w0} = 1 for all 24 elements")
 
 # ---------------------------------------------------------------------------
-# The C-basis.  c_basis expands C_w in the standard basis from the
-# P*-recursion; c_basis_by_bar_fixed_point solves for the unique
-# bar-invariant unitriangular element instead.  They agree everywhere.
-
-for w in a3.elements:
-    assert kl.c_basis(w) == kl.c_basis_by_bar_fixed_point(w)
-print("two independent C-basis routes agree on all of A3")
+# The C-basis.  c_basis expands C_w in the standard basis, as the map
+# {y: coefficient of T_y}, from a row of the P*-recursion.
 
 cw = kl.c_basis(s1 * s2)
-print("C_{s1 s2} =", {repr(y): format_laurent(c) for y, c in cw.coeffs.items()})
+print("C_{s1 s2} =", {repr(y): format_laurent(c) for y, c in cw.items()})
 
 # ---------------------------------------------------------------------------
 # Cells: strongly connected components of the C-basis multiplication graph.

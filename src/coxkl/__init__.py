@@ -2,7 +2,7 @@
 asymptotic algebra for finite Coxeter groups with weight functions."""
 
 from .coxeter import CoxeterDatum, Element, GroupEngine, build_group
-from .kl import HeckeElement, KLContext
+from .kl import KLContext
 from .laurent import LaurentMatrix, LaurentPoly, bar, format_laurent, parse_laurent
 from .wgraph import Representation, WGraph, kl_wgraph, validate_wgraph
 
@@ -10,7 +10,6 @@ __all__ = [
     "CoxeterDatum",
     "Element",
     "GroupEngine",
-    "HeckeElement",
     "KLContext",
     "LaurentMatrix",
     "LaurentPoly",

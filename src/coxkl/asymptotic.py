@@ -36,7 +36,6 @@ from .laurent import (
     LaurentMatrix,
     LaurentPoly,
     ONE,
-    SparseCombination,
     ZERO,
     add_term,
     bar,
@@ -88,8 +87,32 @@ class JData(NamedTuple):
         return JElement({d: LaurentPoly({0: self.n[d]}) for d in self.duflo})
 
 
-class JElement(SparseCombination):
-    """An element of J (coefficients may carry v-powers, as phi produces)."""
+class JElement:
+    """An element of J, a sparse map {w: coefficient of t_w} that stores no
+    zeros (coefficients may carry v-powers, as phi produces)."""
+
+    def __init__(self, coeffs=None):
+        self.coeffs = {w: c for w, c in coeffs.items() if c} if coeffs else {}
+
+    def __eq__(self, other):
+        if not isinstance(other, JElement):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __repr__(self):
+        return f"JElement({self.coeffs!r})"
+
+    def __add__(self, other: "JElement") -> "JElement":
+        out = dict(self.coeffs)
+        for w, c in other.coeffs.items():
+            add_term(out, w, c)
+        return JElement(out)
+
+    def scale(self, f) -> "JElement":
+        return JElement({w: c * f for w, c in self.coeffs.items()} if f else {})
+
+    def __bool__(self):
+        return bool(self.coeffs)
 
     @staticmethod
     def basis(w: Element) -> "JElement":

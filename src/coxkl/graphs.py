@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from .coxeter import bit_indices
+
 
 def tarjan_scc(n: int, adj) -> list[list[int]]:
     """SCCs of the digraph on range(n), adjacency `adj[i] = iterable of targets`.
@@ -60,28 +62,25 @@ def tarjan_scc(n: int, adj) -> list[list[int]]:
 def condensation_reachability(comps: list[list[int]], adj) -> set[tuple[int, int]]:
     """Pairs (i, j) with component i reachable from component j.
 
-    Reflexive; follows the direction of `adj` edges.
+    Reflexive; follows the direction of `adj` edges.  Component j's reach is
+    one bitset, the union of the reaches of the components its edges enter.
     """
-    comp_of = {}
+    comp_of = [0] * sum(map(len, comps))
     for ci, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = ci
-    k = len(comps)
-    reach = {(i, i) for i in range(k)}
-    cadj = [set() for _ in range(k)]
+    # comps come out of tarjan_scc in reverse topological order: every edge
+    # enters its own component or an earlier one, whose reach is complete
+    reach: list[int] = []
     for ci, comp in enumerate(comps):
+        bits = 1 << ci
         for v in comp:
             for w in adj[v]:
                 cj = comp_of[w]
                 if cj != ci:
-                    cadj[ci].add(cj)
-    # comps come out of tarjan_scc in reverse topological order: targets first
-    for ci in range(k):
-        for cj in cadj[ci]:
-            for ck in range(k):
-                if (ck, cj) in reach:
-                    reach.add((ck, ci))
-    return reach
+                    bits |= reach[cj]
+        reach.append(bits)
+    return {(i, j) for j, bits in enumerate(reach) for i in bit_indices(bits)}
 
 
 def edge_adjacency(n: int, edges) -> list[set[int]]:

@@ -14,9 +14,10 @@ These are the descent edges into w of the KL W-graph, and the P* recursion
 reads only them, with one Bruhat bit test per entry (the organisation of
 du Cloux's Coxeter and of Geck's PyCox).  Zero values are never stored.
 
-Two independent routes to the C-basis are provided: the P*-recursion
-(`c_basis`) and a bar-invariant fixed-point solver
-(`c_basis_by_bar_fixed_point`); the test suite holds them against each other.
+The C-basis has one route here: `c_basis` reads C_w in the T-basis off a
+row of the P*-recursion.  Arithmetic in the T-basis itself (products, the
+bar involution and the bar-invariant fixed-point solver for C_w) is the
+test oracle in `tests/tbasis.py`.
 
 How C_s acts on the C-basis is read off the edges of the KL W-graph
 (`wgraph_edges`), a map built once per context.  The cells come from that
@@ -37,34 +38,12 @@ from .graphs import condensation_order, edge_adjacency
 from .laurent import (
     LaurentPoly,
     ONE,
-    SparseCombination,
     ZERO,
     add_term,
     bar,
     negative_part,
     positive_part,
 )
-
-
-class HeckeElement(SparseCombination):
-    """A Hecke-algebra element as a sparse coefficient map over a basis."""
-
-    def __init__(
-        self, basis: str, coeffs: dict[Element, LaurentPoly] | None = None
-    ):
-        self.basis = basis  # "T" or "C"
-        super().__init__(coeffs)
-
-    def _with(self, coeffs) -> "HeckeElement":
-        return HeckeElement(self.basis, coeffs)
-
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        if self.basis != other.basis:
-            raise ValueError("cannot add elements in different bases")
-        return super().__add__(other)
-
-    def coefficient(self, w: Element) -> LaurentPoly:
-        return self.coeffs.get(w, ZERO)
 
 
 class CellPartition(NamedTuple):
@@ -106,64 +85,13 @@ class KLContext:
         # bit i of _descent_masks[0][s] (of [1][s]) is set iff s is a left
         # (right) descent of w_i
         self._descent_masks: tuple[list[int], list[int]] | None = None
-        self._tinv: dict[Element, HeckeElement] = {}
-        self._cbasis: dict[Element, HeckeElement] = {}
+        self._cbasis: dict[Element, dict[Element, LaurentPoly]] = {}
         self._edges: dict[tuple[int, int, int], LaurentPoly] | None = None
         self._cells: dict[str, CellPartition] = {}
         # C_s C_u per generator, and the h-columns asked for by h_structure
         self._gen_cols: list | None = None
         self._hcols: dict[int, list[dict[int, LaurentPoly]]] = {}
         self._adn: ADeltaN | None = None
-
-    # -- generator-level Hecke multiplication ---------------------------------
-
-    def _zeta(self, s: int) -> LaurentPoly:
-        ls = self.engine.generator_weight(s)
-        return LaurentPoly({ls: 1, -ls: -1})
-
-    def _t_mult_gen(self, table: list[list[int]], s: int, h: HeckeElement):
-        """T_s h (table lmul) or h T_s (table rmul) in the T-basis."""
-        elements = self.engine.elements
-        row = table[s]
-        zeta = self._zeta(s)
-        out: dict[Element, LaurentPoly] = {}
-        for w, c in h.coeffs.items():
-            sw = elements[row[w.index]]
-            add_term(out, sw, c)
-            if sw.length() < w.length():
-                add_term(out, w, c * zeta)
-        return HeckeElement("T", out)
-
-    def t_element(self, w: Element) -> HeckeElement:
-        return HeckeElement("T", {w: ONE})
-
-    # -- bar involution ---------------------------------------------------------
-
-    def t_inverse(self, w: Element) -> HeckeElement:
-        """(T_w)^-1 expanded in the T-basis."""
-        cached = self._tinv.get(w)
-        if cached is not None:
-            return cached
-        eng = self.engine
-        if w.is_identity():
-            res = self.t_element(w)
-        else:
-            s = min(eng.left_descent_set(w))
-            sw = eng.simple[s] * w
-            # T_w = T_s T_sw, so T_w^-1 = T_sw^-1 * (T_s - zeta_s)
-            rest = self.t_inverse(sw)
-            res = self._t_mult_gen(eng.rmul, s, rest) - rest.scale(self._zeta(s))
-        self._tinv[w] = res
-        return res
-
-    def hecke_bar(self, h: HeckeElement) -> HeckeElement:
-        """The semilinear involution: bar on coefficients, T_w to (T_{w^-1})^-1."""
-        if h.basis != "T":
-            raise ValueError("hecke_bar expects a T-basis element")
-        out = HeckeElement("T", {})
-        for w, c in h.coeffs.items():
-            out = out + self.t_inverse(w.inverse()).scale(bar(c))
-        return out
 
     # -- P* and mu ---------------------------------------------------------------
 
@@ -353,8 +281,10 @@ class KLContext:
 
     # -- the C-basis -----------------------------------------------------------------
 
-    def c_basis(self, w: Element) -> HeckeElement:
-        """C_w expanded in the T-basis, from the P*-recursion."""
+    def c_basis(self, w: Element) -> dict[Element, LaurentPoly]:
+        """C_w expanded in the T-basis, {y: coefficient of T_y}, from the
+        P*-recursion.  The map is memoized and shared: callers must not
+        change it."""
         cached = self._cbasis.get(w)
         if cached is not None:
             return cached
@@ -364,41 +294,8 @@ class KLContext:
         for yi in bit_indices(eng.bruhat_down(w)):
             sign = -1 if (lengths[yi] + lengths[w.index]) % 2 else 1
             coeffs[eng.elements[yi]] = bar(row[yi]) * sign
-        res = HeckeElement("T", coeffs)
-        self._cbasis[w] = res
-        return res
-
-    def c_basis_by_bar_fixed_point(self, w: Element) -> HeckeElement:
-        """C_w as the unique bar-invariant element of T_w + sum F[v>0] T_y.
-
-        Independent of the P*-recursion: starts from T_w and repeatedly
-        corrects the largest coefficient whose bar-discrepancy is nonzero.
-        """
-        x = self.t_element(w)
-        delta = self.hecke_bar(x) - x
-        order = sorted(
-            self.engine.elements, key=lambda e: (e.length(), e.index), reverse=True
-        )
-        guard = 0
-        while delta:
-            guard += 1
-            if guard > 4 * self.engine.order:
-                raise ArithmeticError("bar fixed point iteration did not converge")
-            target = None
-            for y in order:
-                if delta.coefficient(y):
-                    target = y
-                    break
-            d = delta.coefficient(target)
-            # d is bar-antisymmetric; the correction c in F[v>0] solves
-            # c - bar(c) = d
-            c = positive_part(d)
-            if c - bar(c) != d:
-                raise ArithmeticError("discrepancy is not bar-antisymmetric")
-            x = x + HeckeElement("T", {target: c})
-            delta = delta + self.t_inverse(target.inverse()).scale(bar(c))
-            delta = delta - HeckeElement("T", {target: c})
-        return x
+        self._cbasis[w] = coeffs
+        return coeffs
 
     # -- the W-graph edges and cells ---------------------------------------------------
 

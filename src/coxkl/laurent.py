@@ -218,7 +218,7 @@ ONE = LaurentPoly({0: 1})
 # -- sparse linear combinations ------------------------------------------------
 #
 # `LaurentPoly` arithmetic keeps its own inline loops: a call per term would
-# show in its hot products.  Everything else that sums sparse maps uses these.
+# show in its hot products.  Everything else that sums sparse maps uses this.
 
 
 def add_term(out: dict, key, c) -> None:
@@ -229,48 +229,6 @@ def add_term(out: dict, key, c) -> None:
         out[key] = s
     else:
         out.pop(key, None)
-
-
-class SparseCombination:
-    """A finite linear combination {key: coefficient} that stores no zeros.
-
-    Every operation builds its result through `_with`; a subclass with
-    attributes besides `coeffs` overrides `_with` to carry them over
-    unchanged.  Two combinations are equal when they are of the same class
-    and all their attributes are equal.
-    """
-
-    def __init__(self, coeffs=None):
-        self.coeffs = {w: c for w, c in coeffs.items() if c} if coeffs else {}
-
-    def _with(self, coeffs):
-        return type(self)(coeffs)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self):
-        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
-        return f"{type(self).__name__}({fields})"
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            add_term(out, w, c)
-        return self._with(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, f):
-        if not f:
-            return self._with({})
-        return self._with({w: c * f for w, c in self.coeffs.items()})
-
-    def __bool__(self):
-        return bool(self.coeffs)
 
 
 def bar(f: LaurentPoly) -> LaurentPoly:

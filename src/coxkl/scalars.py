@@ -113,24 +113,6 @@ class Sqrt5:
         sa = 1 if a > 0 else -1
         return sa * ((d > 0) - (d < 0))
 
-    def __lt__(self, other):
-        a, b = _parts(other)
-        if a is None:
-            return NotImplemented
-        return (self - Sqrt5(a, b)).sign() < 0
-
-    def __le__(self, other):
-        return self == other or self < other
-
-    def __gt__(self, other):
-        a, b = _parts(other)
-        if a is None:
-            return NotImplemented
-        return (self - Sqrt5(a, b)).sign() > 0
-
-    def __ge__(self, other):
-        return self == other or self > other
-
 
 def _parts(x):
     """Rational/quadratic parts of a scalar, or (None, None) if foreign."""

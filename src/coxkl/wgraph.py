@@ -385,11 +385,17 @@ def omega_gy_relations_check(g: WGraph) -> RelationReport:
     (beta) equality of the two arrow blocks on doubly-labeled edges,
     (gamma) symmetry of even-length path sums.
     A path sum E_I (x_s x_t ...) E_J is the (I, J) label block of the
-    alternating product, so each relation asks that one block vanish.
+    alternating product, so each relation asks that one block vanish.  A
+    graph that breaks the support condition fails before any relation is
+    checked, as in `validate_wgraph`.
     """
     eng = g.engine
     if not eng.datum.is_equal_parameter():
         raise ValueError("path-sum relations are only available for equal parameters")
+    try:
+        _check_support(g)
+    except ValueError as exc:
+        return RelationReport(False, [str(exc)], 0)
     om = omega_matrices(g)
     d = g.size
     classes = label_classes(g.labels)

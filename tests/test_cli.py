@@ -857,3 +857,21 @@ def test_omegagy_reports_each_failed_relation(capsys, tmp_path, edge, failures):
     code, out = run(capsys, "wgraph", "omegagy", str(path))
     assert code == 1
     assert json.loads(out) == {"ok": False, "checked": 44, "failures": failures}
+
+
+def test_omegagy_refuses_a_graph_that_breaks_the_support_condition(
+    capsys, fixture_dir, tmp_path
+):
+    """An edge 0 -> 1 for s = 0 needs 0 in I(1) minus I(0); `omegagy`
+    refuses the graph as `wgraph validate` does, with its JSON report."""
+    data = json.loads((fixture_dir / "a2_refl.json").read_text())
+    data["edges"].append({"s": 0, "from": 0, "to": 1, "weight": "1"})
+    path = tmp_path / "a2_bad_support.json"
+    path.write_text(json.dumps(data))
+    msg = ("support condition violated at s=0, edge 0->1: "
+           "s must lie in I(x) minus I(y)")
+    code, out = run(capsys, "wgraph", "omegagy", str(path))
+    assert code == 1
+    assert json.loads(out) == {"ok": False, "checked": 0, "failures": [msg]}
+    code, out = run(capsys, "wgraph", "validate", str(path))
+    assert code == 1 and json.loads(out)["failures"] == [msg]

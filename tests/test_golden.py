@@ -83,7 +83,7 @@ GOLDEN = {
 
 DEMOS = {
     "kl_tour.py":
-        "44977d0242eb3ba6345c7ec595ec692356e679715b0706f858ad360b99452d31",
+        "5aa5a7a83e8f383efb4d15f8be2cebba79c5eef6e63dad7c4e081322d96ef63c",
     "blocks_tour.py":
         "379a4bf89d21f86701951096d6a01103509b081d559fbf60489702d89574fd16",
 }
