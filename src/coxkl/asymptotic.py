@@ -36,9 +36,10 @@ from .laurent import (
     LaurentMatrix,
     LaurentPoly,
     ONE,
-    ZERO,
     add_term,
     bar,
+    from_sum,
+    shift,
 )
 from .linalg import (
     f_identity,
@@ -129,7 +130,7 @@ def _schur_unit(c: LaurentPoly, a: int):
         raise VerificationError(
             "Schur sum vanishes: representation is not irreducible"
         )
-    shifted = c * LaurentPoly({2 * a: 1})
+    shifted = shift(c, 2 * a)
     if shifted.valuation() != 0:
         raise VerificationError(
             "Schur element has the wrong valuation: representation is not "
@@ -433,17 +434,25 @@ def verify_cell_axioms(cd: CellDatum, kl: KLContext) -> CellAxiomReport:
             r_coeffs: dict[tuple[int, int], LaurentPoly] = {}
             for t in range(dl):
                 for s in range(dl):
-                    # T_g C_w = sum_z hv C_z, and C_z = sum_r minv[z][r] C_r
-                    coords = [ZERO] * len(triples)
+                    # T_g C_w = sum_z hv C_z, and C_z = sum_r minv[z][r] C_r;
+                    # coordinate r accumulates in a bare map, wrapped once
+                    coords: dict[int, dict] = {}
                     for w, c in cd.basis[(li, s, t)].items():
                         for z, hv in columns[g][w.index].items():
+                            hc = hv.coeffs
                             for r, x in minv[z].items():
-                                coords[r] = coords[r] + hv * (c * x)
-                    for i, trip in enumerate(triples):
-                        coeff = coords[i]
+                                cx = c * x
+                                out = coords.get(r)
+                                if out is None:
+                                    out = coords[r] = {}
+                                for k, h in hc.items():
+                                    cur = out.get(k)
+                                    out[k] = h * cx if cur is None else cur + h * cx
+                    for i in sorted(coords):
+                        coeff = from_sum(coords[i])
                         if not coeff:
                             continue
-                        mu, u, vv = trip
+                        mu, u, vv = triples[i]
                         if mu == li:
                             if vv != t:
                                 failures.append(

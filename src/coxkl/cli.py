@@ -20,7 +20,7 @@ from . import asymptotic, balance as balance_mod, blocks as blocks_mod
 from .coxeter import CATALOGUE, bit_indices
 from .fixtures import catalogue, shared_engine
 from .kl import KLContext
-from .laurent import LaurentMatrix, LaurentPoly, format_laurent
+from .laurent import LaurentMatrix, format_laurent, laurent_formatter, shift
 from .scalars import scalar_str
 from .wgraph import (
     compatibility_graph,
@@ -111,10 +111,11 @@ def cmd_kl(args):
     eng = _group_arg(args)
     kl = KLContext(eng)
     payload = {"group": eng.datum.name, "weights": eng.datum.weights}
+    fmt = laurent_formatter()  # a table repeats few distinct polynomials
     if args.pair == "w0-col":
         row, lw0 = kl.pstar_row(eng.w0), eng.weight(eng.w0)
         payload["p_w0_column"] = {  # P_{x,w0} = v^(L(w0)-L(x)) P*_{x,w0}
-            str(x.index): format_laurent(row[x.index] * LaurentPoly({lw0 - eng.weight(x): 1}))
+            str(x.index): fmt(shift(row[x.index], lw0 - eng.weight(x)))
             for x in eng.elements
         }
     elif args.pair:
@@ -125,8 +126,8 @@ def cmd_kl(args):
         if not (0 <= yi < eng.order and 0 <= wi < eng.order):
             raise ValueError(f"bad --pair {args.pair!r}")
         y, w = eng.elements[yi], eng.elements[wi]
-        payload["pstar"] = {f"{yi},{wi}": format_laurent(kl.pstar(y, w))}
-        payload["p"] = {f"{yi},{wi}": format_laurent(kl.kl_polynomial(y, w))}
+        payload["pstar"] = {f"{yi},{wi}": fmt(kl.pstar(y, w))}
+        payload["p"] = {f"{yi},{wi}": fmt(kl.kl_polynomial(y, w))}
     else:
         # P*_{y,w} is nonzero exactly for y <= w; the mu-lists hold every
         # nonzero mu
@@ -136,11 +137,11 @@ def cmd_kl(args):
             wi = w.index
             row = kl.pstar_row(w)
             for yi in bit_indices(eng.bruhat_down(w)):
-                pstar[f"{yi},{wi}"] = format_laurent(row[yi])
+                pstar[f"{yi},{wi}"] = fmt(row[yi])
             for s in range(eng.datum.rank):
                 if s not in eng.left_descent_set(w):
                     for yi, m in kl.mu_list(w, s).items():
-                        mu[f"{yi},{wi},{s}"] = format_laurent(m)
+                        mu[f"{yi},{wi},{s}"] = fmt(m)
         payload["pstar"] = pstar
         payload["mu"] = mu
     _emit(payload, args.out)

@@ -24,6 +24,7 @@ spelling, which drops an all-ones suffix.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations
 
 from .scalars import GOLDEN, Sqrt5
@@ -138,6 +139,25 @@ def _bond_entries(m):
     raise ValueError(f"unsupported bond order {m}")
 
 
+def _phi_pair(c):
+    """The pair (a, b) with c = a + b*phi, phi = (1 + sqrt 5)/2."""
+    if isinstance(c, Sqrt5):
+        b = 2 * c.b
+        a = c.a - c.b
+        # Fraction parts with denominator 1 become ints
+        return tuple(x.numerator if x.denominator == 1 else x for x in (a, b))
+    return c, 0
+
+
+def _phi_scalar(pair):
+    """a + b*phi as a root coordinate: the rational a when b = 0, else Sqrt5."""
+    a, b = pair
+    if not b:
+        return a
+    half = Fraction(b, 2)
+    return Sqrt5(a + half, half)
+
+
 def bit_indices(bits: int):
     """The positions of the set bits of a nonnegative int, increasing."""
     digits = bin(bits)[:1:-1]
@@ -193,14 +213,25 @@ class GroupEngine:
                 # orientation: the smaller index gets the first entry
                 cartan[i][j] = a if i <= j else b
         self.cartan = cartan
+        # roots are found in Z[phi] pairs (a, b) = a + b*phi, phi^2 = phi + 1,
+        # so no Sqrt5 arithmetic runs in the search; row i keeps its nonzero
+        # entries (j, p, q) only
+        pairs = [
+            [(j, *_phi_pair(c)) for j, c in enumerate(row) if c] for row in cartan
+        ]
 
         def reflect(i, root):
-            row = cartan[i]
-            new = list(root)
-            new[i] -= sum(row[j] * c for j, c in enumerate(root))
-            return tuple(new)
+            sa = sb = 0
+            for j, p, q in pairs[i]:
+                a, b = root[j]
+                sa += p * a + q * b
+                sb += p * b + q * a + q * b
+            a, b = root[i]
+            return root[:i] + ((a - sa, b - sb),) + root[i + 1:]
 
-        simple_roots = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        simple_roots = [
+            tuple((int(i == j), 0) for j in range(n)) for i in range(n)
+        ]
 
         seen = set(simple_roots)
         queue = list(simple_roots)
@@ -214,18 +245,21 @@ class GroupEngine:
                     if len(seen) > _ROOT_BOUND:
                         raise ValueError("root system is not finite (bound hit)")
 
+        scalar = {r: tuple(_phi_scalar(c) for c in r) for r in seen}
         positives = sorted(
-            (r for r in seen if _root_sign(r) > 0), key=_root_sort_key
+            (r for r in seen if _root_sign(scalar[r]) > 0),
+            key=lambda r: _root_sort_key(scalar[r]),
         )
-        negatives = [tuple(-c for c in r) for r in positives]
-        self.roots = positives + negatives
+        negatives = [tuple((-a, -b) for a, b in r) for r in positives]
+        self._phi_roots = positives + negatives
+        self.roots = [scalar[r] for r in self._phi_roots]
         self.n_positive = len(positives)
-        self._root_index = {r: i for i, r in enumerate(self.roots)}
+        self._root_index = {r: i for i, r in enumerate(self._phi_roots)}
         self._reflect = reflect
 
     def _simple_perm(self, i) -> tuple:
         return tuple(
-            self._root_index[self._reflect(i, r)] for r in self.roots
+            self._root_index[self._reflect(i, r)] for r in self._phi_roots
         )
 
     # -- the tables -------------------------------------------------------------

@@ -41,8 +41,10 @@ from .laurent import (
     ZERO,
     add_term,
     bar,
+    from_sum,
     negative_part,
     positive_part,
+    shift,
 )
 
 
@@ -149,10 +151,7 @@ class KLContext:
             return ZERO
         if u == v:
             return LaurentPoly({-gamma: 1})
-        klp = self._pstar_critical(u.index, v.index)
-        if gamma:
-            return klp * LaurentPoly({-gamma: 1})
-        return klp
+        return shift(self._pstar_critical(u.index, v.index), -gamma)
 
     def _pstar_critical(self, ui: int, vi: int) -> LaurentPoly:
         """P*_{u,v} for a critical pair u < v, memoized.
@@ -169,13 +168,21 @@ class KLContext:
             t = (desc & -desc).bit_length() - 1
             row, elements = eng.lmul[t], eng.elements
             u, tv = elements[ui], elements[row[vi]]
-            vt = LaurentPoly({eng.generator_weight(t): 1})
-            klp = self.pstar(u, tv) * vt + self.pstar(elements[row[ui]], tv)
+            # the sum accumulates in one bare map, wrapped once
+            lt = eng.generator_weight(t)
+            out = {k + lt: c for k, c in self.pstar(u, tv).coeffs.items()}
+            for k, c in self.pstar(elements[row[ui]], tv).coeffs.items():
+                add_term(out, k, c)
             down = eng._downsets()
             for zi, m in self.mu_list(tv, t).items():
                 if down[zi] >> ui & 1:
-                    klp = klp - self.pstar(u, elements[zi]) * m
-            self._pstar[key] = klp
+                    mc = m.coeffs.items()
+                    for k1, c1 in self.pstar(u, elements[zi]).coeffs.items():
+                        for k2, c2 in mc:
+                            k = k1 + k2
+                            cur = out.get(k)
+                            out[k] = -(c1 * c2) if cur is None else cur - c1 * c2
+            klp = self._pstar[key] = from_sum(out)
         return klp
 
     def pstar_row(self, w: Element) -> dict[int, LaurentPoly]:
@@ -183,7 +190,8 @@ class KLContext:
 
         A critical entry comes from the memo.  Any other one is
         P*_{y,w} = v^-L(t) P*_{ty,w} (or P*_{yt,w}) for the first step of the
-        critical-pair reduction; ty is longer than y, so already in the row.
+        critical-pair reduction; ty is longer than y, so already in the row,
+        and the entry is one `shift` of its keys.
         """
         eng = self.engine
         wi = w.index
@@ -194,14 +202,13 @@ class KLContext:
                 row[yi] = self._pstar_critical(yi, wi)
             else:
                 t, zi = step
-                row[yi] = row[zi] * LaurentPoly({-eng.datum.weights[t]: 1})
+                row[yi] = shift(row[zi], -eng.datum.weights[t])
         return row
 
     def kl_polynomial(self, y: Element, w: Element) -> LaurentPoly:
         """P_{y,w} = v^(L(w)-L(y)) P*_{y,w}."""
         eng = self.engine
-        shift = eng.weight(w) - eng.weight(y)
-        return self.pstar(y, w) * LaurentPoly({shift: 1})
+        return shift(self.pstar(y, w), eng.weight(w) - eng.weight(y))
 
     def mu(self, y: Element, w: Element, s: int) -> LaurentPoly:
         """The edge polynomial mu^s_{y,w}; zero unless sy < y < w < sw."""
@@ -411,15 +418,38 @@ class KLContext:
             s = eng.words[xi][0]
             xp = eng.lmul[s][xi]
             gen = cols[s]
-            out: dict[int, LaurentPoly] = {}
+            # h_{x,y,z} accumulates in acc[z], a bare map wrapped once
+            acc: dict[int, dict] = {}
             for u, c in column[xp].items():
+                cc = c.coeffs.items()
                 for z, weight in gen[u]:
-                    add_term(out, z, c * weight)
+                    out = acc.get(z)
+                    if out is None:
+                        out = acc[z] = {}
+                    for k2, c2 in weight.coeffs.items():
+                        for k1, c1 in cc:
+                            k = k1 + k2
+                            cur = out.get(k)
+                            out[k] = c1 * c2 if cur is None else cur + c1 * c2
             for z, weight in gen[xp]:
                 if z != xi:
+                    neg = [(k, -c) for k, c in weight.coeffs.items()]
                     for t, c in column[z].items():
-                        add_term(out, t, -(c * weight))
-            column.append(out)
+                        out = acc.get(t)
+                        if out is None:
+                            out = acc[t] = {}
+                        cc = c.coeffs.items()
+                        for k2, c2 in neg:
+                            for k1, c1 in cc:
+                                k = k1 + k2
+                                cur = out.get(k)
+                                out[k] = c1 * c2 if cur is None else cur + c1 * c2
+            row: dict[int, LaurentPoly] = {}
+            for z, out in acc.items():
+                h = from_sum(out)
+                if h.coeffs:
+                    row[z] = h
+            column.append(row)
         return column
 
     def h_structure(self, x: Element, y: Element) -> dict[Element, LaurentPoly]:

@@ -217,8 +217,14 @@ ONE = LaurentPoly({0: 1})
 
 # -- sparse linear combinations ------------------------------------------------
 #
-# `LaurentPoly` arithmetic keeps its own inline loops: a call per term would
-# show in its hot products.  Everything else that sums sparse maps uses this.
+# A sum of products is accumulated in one bare {exponent: coefficient} map per
+# output entry and wrapped once by `from_sum`, which drops the zeros:
+# `out = out + a * b` would build two polynomials per term.  The loops that
+# do this (`LaurentMatrix.__matmul__`, `KLContext.h_column` and
+# `_pstar_critical`, the (C3) check of `asymptotic.verify_cell_axioms`) and
+# `LaurentPoly` arithmetic itself keep the double loop inline, since a call
+# per product shows there.  A product by a monomial v^k is `shift`, one pass
+# over the keys.  Everything else that sums sparse maps uses `add_term`.
 
 
 def add_term(out: dict, key, c) -> None:
@@ -229,6 +235,24 @@ def add_term(out: dict, key, c) -> None:
         out[key] = s
     else:
         out.pop(key, None)
+
+
+def from_sum(out: dict) -> LaurentPoly:
+    """The polynomial of an accumulated map, which it takes over: `out` is
+    kept as it is unless it holds a cancelled term, and must not be used
+    after the call."""
+    res = LaurentPoly.__new__(LaurentPoly)
+    res.coeffs = out if all(out.values()) else {k: c for k, c in out.items() if c}
+    return res
+
+
+def shift(f: LaurentPoly, k: int) -> LaurentPoly:
+    """f * v^k by one pass over the keys; shift(f, 0) is f itself."""
+    if not k:
+        return f
+    res = LaurentPoly.__new__(LaurentPoly)
+    res.coeffs = {e + k: c for e, c in f.coeffs.items()}
+    return res
 
 
 def bar(f: LaurentPoly) -> LaurentPoly:
@@ -257,8 +281,7 @@ def laurent_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     to that normalization.
     """
     def norm(p: LaurentPoly) -> LaurentPoly:
-        val = p.valuation()
-        shifted = p * LaurentPoly({-val: 1}) if val else p
+        shifted = shift(p, -p.valuation())
         lt = shifted.coeffs[0]
         if lt != 1:
             shifted = shifted * scalar_inv(lt)
@@ -303,6 +326,22 @@ def format_laurent(f: LaurentPoly) -> str:
             cs = f"({cs})"
         parts.append(cs if k == 0 else f"{cs}*v^{k}")
     return " + ".join(parts)
+
+
+def laurent_formatter():
+    """`format_laurent` for one output with repeated values: each distinct
+    polynomial, keyed by its coefficient items, is formatted once, in a dict
+    that lives as long as the returned function."""
+    texts: dict = {}
+
+    def fmt(f: LaurentPoly) -> str:
+        key = tuple(f.coeffs.items())
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = format_laurent(f)
+        return text
+
+    return fmt
 
 
 def parse_laurent(text: str) -> LaurentPoly:
@@ -438,21 +477,29 @@ class LaurentMatrix:
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if self.cols != other.rows:
             raise ValueError("matrix shape mismatch in product")
-        out = LaurentMatrix(self.rows, other.cols)
-        bt = other.entries
-        for i in range(self.rows):
-            arow = self.entries[i]
-            orow = out.entries[i]
-            for k in range(self.cols):
-                a = arow[k]
+        ncols = other.cols
+        entries = []
+        for arow in self.entries:
+            # entry j accumulates in acc[j], created at its first term
+            acc: list = [None] * ncols
+            for a, brow in zip(arow, other.entries):
                 if not a.coeffs:
                     continue
-                brow = bt[k]
-                for j in range(other.cols):
-                    b = brow[j]
-                    if b.coeffs:
-                        orow[j] = orow[j] + a * b
-        return out
+                ac = a.coeffs.items()
+                for j, b in enumerate(brow):
+                    bc = b.coeffs
+                    if not bc:
+                        continue
+                    out = acc[j]
+                    if out is None:
+                        out = acc[j] = {}
+                    for k2, c2 in bc.items():
+                        for k1, c1 in ac:
+                            k = k1 + k2
+                            cur = out.get(k)
+                            out[k] = c1 * c2 if cur is None else cur + c1 * c2
+            entries.append([ZERO if out is None else from_sum(out) for out in acc])
+        return LaurentMatrix(self.rows, ncols, entries)
 
     def scale(self, f) -> "LaurentMatrix":
         """Multiply every entry by a LaurentPoly or scalar."""

@@ -135,6 +135,8 @@ def scalar_inv(c):
 
 
 def scalar_str(c) -> str:
+    if c.__class__ is int:
+        return str(c)
     if isinstance(c, Sqrt5):
         return str(c)
     c = Fraction(c)

@@ -33,8 +33,8 @@ from .laurent import (
     ZERO,
     LaurentMatrix,
     LaurentPoly,
-    format_laurent,
     is_bar_invariant,
+    laurent_formatter,
     parse_laurent,
 )
 from .linalg import laurent_kernel, laurent_rank
@@ -568,8 +568,9 @@ def wgraph_to_json(g: WGraph) -> dict:
     verts = [
         {"id": i, "label": sorted(l)} for i, l in enumerate(g.labels)
     ]
+    fmt = laurent_formatter()  # edge weights repeat a few values
     edges = [
-        {"s": s, "from": y, "to": x, "weight": format_laurent(w)}
+        {"s": s, "from": y, "to": x, "weight": fmt(w)}
         for (s, x, y), w in sorted(g.edges.items())
     ]
     datum = g.engine.datum

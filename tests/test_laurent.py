@@ -10,10 +10,12 @@ from coxkl.laurent import (
     LaurentPoly,
     bar,
     format_laurent,
+    from_sum,
     laurent_gcd,
     negative_part,
     parse_laurent,
     positive_part,
+    shift,
 )
 from coxkl.scalars import GOLDEN, Sqrt5
 
@@ -106,6 +108,62 @@ def test_sub_agrees_with_adding_the_negative(f, g, c):
             k: type(x) for k, x in rhs.coeffs.items()
         }
     assert f - g + g == f
+
+
+def matrices(rows, cols):
+    grid = st.lists(field_polys, min_size=cols, max_size=cols)
+    return st.lists(grid, min_size=rows, max_size=rows).map(
+        lambda entries: LaurentMatrix(rows, cols, entries)
+    )
+
+
+def term_product(a, b):
+    """a @ b as the sum of LaurentPoly products, one term at a time."""
+    out = LaurentMatrix(a.rows, b.cols)
+    for i in range(a.rows):
+        for j in range(b.cols):
+            for k in range(a.cols):
+                out.entries[i][j] = out.entries[i][j] + a.entries[i][k] * b.entries[k][j]
+    return out
+
+
+def stores_no_zero(m):
+    return all(c for row in m.entries for e in row for c in e.coeffs.values())
+
+
+@given(st.data())
+def test_matmul_sums_the_term_products(data):
+    """Over ints, Fraction and Sqrt5, and for products that cancel to 0:
+    [a | a] @ [b ; -b] is zero in every entry."""
+    m, n, p = data.draw(st.tuples(*[st.integers(1, 3)] * 3))
+    a, b = data.draw(matrices(m, n)), data.draw(matrices(n, p))
+    prod = a @ b
+    assert prod == term_product(a, b)
+    assert stores_no_zero(prod)
+    aa = LaurentMatrix(m, 2 * n, [row + row for row in a.entries])
+    bb = LaurentMatrix(2 * n, p, b.entries + (-b).entries)
+    cancelled = aa @ bb
+    assert cancelled == term_product(aa, bb)
+    assert cancelled.is_zero() and stores_no_zero(cancelled)
+
+
+@given(field_polys, field_polys)
+def test_from_sum_drops_cancelled_terms(f, g):
+    out = dict(f.coeffs)
+    for k, c in g.coeffs.items():
+        out[k] = out.get(k, 0) + c
+    for k, c in g.coeffs.items():
+        out[k] -= c
+    h = from_sum(out)
+    assert h == f and all(h.coeffs.values())
+
+
+@given(field_polys, st.integers(-6, 6))
+def test_shift_is_a_monomial_product(f, k):
+    g = shift(f, k)
+    assert g == f * LaurentPoly({k: 1})
+    assert all(g.coeffs.values())
+    assert shift(f, 0) is f
 
 
 def test_sqrt5_wire_format():
