@@ -39,7 +39,6 @@ from .laurent import (
     add_term,
     bar,
     from_sum,
-    shift,
 )
 from .linalg import (
     f_identity,
@@ -123,20 +122,24 @@ class JElement:
 # -- Schur constants ------------------------------------------------------------
 
 
-def _schur_unit(c: LaurentPoly, a: int):
-    """f = lowest_term(v^{2a} c), refusing a Schur sum that vanishes or whose
-    lowest term sits at the wrong degree."""
-    if not c:
+def _schur_unit(leading: dict[Element, list]):
+    """f = sum_w c(w)_00 c(w^-1)_00 over the leading table, refusing f = 0.
+
+    Every entry of a module balanced at a has valuation >= -a, so f is the
+    coefficient of v^-2a in the Schur sum sum_w rho(T_{w^-1})_00 rho(T_w)_00,
+    and f = 0 exactly when that sum vanishes or starts above v^-2a.
+    """
+    f = sum(
+        c[0][0] * leading[w.inverse()][0][0]
+        for w, c in leading.items()
+        if w.inverse() in leading
+    )
+    if not f:
         raise VerificationError(
-            "Schur sum vanishes: representation is not irreducible"
+            "the Schur element has no term at v^-2a: representation is not "
+            "irreducible"
         )
-    shifted = shift(c, 2 * a)
-    if shifted.valuation() != 0:
-        raise VerificationError(
-            "Schur element has the wrong valuation: representation is not "
-            "balanced or not irreducible"
-        )
-    return shifted.lowest_term()
+    return f
 
 
 # -- the gamma/n table -----------------------------------------------------------
@@ -156,7 +159,7 @@ def irreducible_data(
     """A complete set of balanced representations with their Schur units.
 
     Refuses a group past the order guard, a set whose dimension sum is not
-    |W|, and a Schur sum that `_schur_unit` refuses.
+    |W|, and a leading table whose Schur unit `_schur_unit` finds to be 0.
     """
     _check_order(engine)
     total = sum(r.dim * r.dim for r, _ in reps)
@@ -166,7 +169,7 @@ def irreducible_data(
             f"representation set is incomplete or redundant"
         )
     return [
-        IrreducibleDatum(rep, data, _schur_unit(data.schur, data.a_value))
+        IrreducibleDatum(rep, data, _schur_unit(data.leading))
         for rep, data in reps
     ]
 

@@ -11,8 +11,8 @@ and row operations, building no matrix product.  The maximal entry degree
 of the form never grows from step to step, and the step history is recorded
 so callers can assert that.  `balance` runs that elimination on the Gram
 form, and `strictify` runs it on a form whose residue is block diagonal by
-labels.  One more sweep of the balanced module gives its leading table and
-its Schur sum, so `balance` walks W twice per module.
+labels.  One more sweep of the balanced module gives its leading table, so
+`balance` walks W twice per module.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .coxeter import Element
-from .laurent import ZERO, LaurentMatrix, LaurentPoly
+from .laurent import LaurentMatrix, LaurentPoly
 from .linalg import f_mat_transpose
 from .scalars import scalar_inv, scalar_str
 from .wgraph import Representation
@@ -47,8 +47,6 @@ class BalancedData(NamedTuple):
     q_inv: LaurentMatrix
     d: list  # diagonal residues of the balanced form
     leading: dict[Element, list]
-    #: the Schur sum sum_w rho(T_{w^-1})_00 rho(T_w)_00
-    schur: LaurentPoly
     degree_history: list
     #: the balanced invariant form
     form: InvariantForm
@@ -106,16 +104,14 @@ def a_value(rep: Representation) -> int:
     return -alpha
 
 
-def _leading_walk(rep: Representation, a: int):
-    """One walk of W: the leading table and the (0, 0) entries rho(T_w)_00.
+def leading_coefficients(rep: Representation, a: int) -> dict[Element, list]:
+    """The sparse leading table c(w) = (v^a rho(T_w)) mod m over F.
 
     Raises as soon as the traversal meets a matrix with valuation below -a.
     """
     out: dict[Element, list] = {}
-    corner: dict[Element, LaurentPoly] = {}
     zero, low = Fraction(0), -a
     for w, m in rep.walk():
-        corner[w] = m.entries[0][0]
         v = m.valuation()
         if v is None:
             continue
@@ -124,15 +120,7 @@ def _leading_walk(rep: Representation, a: int):
         if v == low:
             # the residue of v^a rho(T_w): the coefficients of v^-a
             out[w] = [[e.coeffs.get(low, zero) for e in row] for row in m.entries]
-    return out, corner
-
-
-def leading_coefficients(rep: Representation, a: int) -> dict[Element, list]:
-    """The sparse leading table c(w) = (v^a rho(T_w)) mod m over F.
-
-    Raises as soon as the traversal meets a matrix with valuation below -a.
-    """
-    return _leading_walk(rep, a)[0]
+    return out
 
 
 def _eliminate(matrix: LaurentMatrix):
@@ -228,17 +216,12 @@ def balance(rep: Representation, form: InvariantForm | None = None):
     rep2 = rep.conjugate(q, q_inv)
     # trace(Q^-1 rho Q) = trace(rho): the a-value is the one the Gram walk saw
     a = form.a_value
-    leading, corner = _leading_walk(rep2, a)
-    schur = ZERO
-    for w, x in corner.items():
-        schur = schur + corner[w.inverse()] * x
     data = BalancedData(
         a_value=a,
         q=q,
         q_inv=q_inv,
         d=diag,
-        leading=leading,
-        schur=schur,
+        leading=leading_coefficients(rep2, a),
         degree_history=history,
         form=InvariantForm(omega, a),
     )

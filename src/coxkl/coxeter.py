@@ -1,15 +1,19 @@
-"""Finite Coxeter groups as index tables built from their root systems.
+"""Finite Coxeter groups as index tables built from one chamber orbit.
 
-A group is built once from the permutations its simple reflections induce on
-the full root system, written in the basis of simple roots with exact
-coordinates (integers for crystallographic types, Q(sqrt 5) for H3 and
-I2(5)).  The build enumerates the group breadth-first and fills index tables
-from the products it computes anyway: left and right multiplication by each
-generator, lengths, inverses, canonical reduced words and descent bitmasks.
-After that the permutations are dropped; every query is a table lookup, and
-a product of two elements walks one reduced word through the tables.  The
-Bruhat order is one downset bitset per element, built on the first Bruhat
-query: y <= w is one bit test, and an interval is read off two downsets.
+W acts simply transitively on the chambers of its reflection representation,
+so the image w.x0 of one point x0 of the fundamental chamber names w
+(Humphreys, Reflection Groups and Coxeter Groups, 5.13).  A point is written
+in the coordinates y_j = <x, alpha_j> against the simple roots, exact in
+Z[phi], phi = (1 + sqrt 5)/2 (integers unless a bond has order 5, as in H3
+and I2(5)); x0 has y = (1, ..., 1), and s_i sends y to y' with
+y'_j = y_j - A_ij y_i.  The build enumerates the orbit breadth-first and
+fills index tables from the products it computes anyway: left and right
+multiplication by each generator, lengths, inverses, canonical reduced words
+and descent bitmasks.  After that the points are dropped; every query is a
+table lookup, and a product of two elements walks one reduced word through
+the tables.  The Bruhat order is one downset bitset per element, built on
+the first Bruhat query: y <= w is one bit test, and an interval is read off
+two downsets.
 
 The shipped types are the rows of `CATALOGUE`, one Coxeter matrix and |W|
 per canonical name: A1..A5, I2(m) for m in {3,4,5,6}, B2..B4, D4 and H3.
@@ -24,12 +28,7 @@ spelling, which drops an all-ones suffix.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations
-
-from .scalars import GOLDEN, Sqrt5
-
-_ROOT_BOUND = 2000
 
 
 class CoxeterDatum:
@@ -75,16 +74,15 @@ class CoxeterDatum:
 class Element:
     """A group element: a canonical index into the tables of its engine.
 
-    Elements are interned, one object per index, so equality is identity.
-    The hash is that of the element's root permutation, fixed at build time.
+    Elements are interned, one object per index, so equality is identity,
+    and the hash is the index.
     """
 
-    __slots__ = ("engine", "index", "_hash")
+    __slots__ = ("engine", "index")
 
-    def __init__(self, engine, index: int, perm_hash: int):
+    def __init__(self, engine, index: int):
         self.engine = engine
         self.index = index
-        self._hash = perm_hash
 
     def __mul__(self, other: "Element") -> "Element":
         eng = self.engine
@@ -101,7 +99,7 @@ class Element:
         return eng.elements[x]
 
     def __hash__(self):
-        return self._hash
+        return self.index
 
     def __repr__(self):
         word = "".join(str(s) for s in self.engine.words[self.index])
@@ -118,44 +116,25 @@ class Element:
 
 
 def _bond_entries(m):
-    """Cartan-style entries (A_ij, A_ji) with A_ij*A_ji = 4cos^2(pi/m); the
-    diagonal m = 1 gives A_ii = 2.
+    """Oriented Cartan entries (A_ij, A_ji) with A_ij*A_ji = 4cos^2(pi/m), as
+    Z[phi] pairs (a, b) = a + b*phi, phi = (1 + sqrt 5)/2; the diagonal m = 1
+    gives A_ii = 2.
 
-    They are ints for m = 1, 2, 3, 4, 6, so every type without a bond of
-    order 5 has integer roots; only m = 5 (H3, I2(5)) brings in `Sqrt5`.
+    Only m = 5 (H3, I2(5)) has b != 0: its entries are -phi.
     """
     if m == 1:
-        return 2, 2
+        return (2, 0), (2, 0)
     if m == 2:
-        return 0, 0
+        return (0, 0), (0, 0)
     if m == 3:
-        return -1, -1
+        return (-1, 0), (-1, 0)
     if m == 4:
-        return -2, -1
+        return (-2, 0), (-1, 0)
     if m == 5:
-        return -GOLDEN, -GOLDEN
+        return (0, -1), (0, -1)
     if m == 6:
-        return -3, -1
+        return (-3, 0), (-1, 0)
     raise ValueError(f"unsupported bond order {m}")
-
-
-def _phi_pair(c):
-    """The pair (a, b) with c = a + b*phi, phi = (1 + sqrt 5)/2."""
-    if isinstance(c, Sqrt5):
-        b = 2 * c.b
-        a = c.a - c.b
-        # Fraction parts with denominator 1 become ints
-        return tuple(x.numerator if x.denominator == 1 else x for x in (a, b))
-    return c, 0
-
-
-def _phi_scalar(pair):
-    """a + b*phi as a root coordinate: the rational a when b = 0, else Sqrt5."""
-    a, b = pair
-    if not b:
-        return a
-    half = Fraction(b, 2)
-    return Sqrt5(a + half, half)
 
 
 def bit_indices(bits: int):
@@ -172,29 +151,30 @@ class GroupEngine:
 
     Elements are numbered breadth-first along the canonical left-ascent
     spanning tree (ties by generator index); that order is the canonical
-    indexing used by every table and JSON output downstream.  Root
-    coordinates are ints for every type without a bond of order 5, and mix
-    ints with `Sqrt5` for H3 and I2(5).  Root permutations exist only while
-    the tables are built:
+    indexing used by every table and JSON output downstream.  The orbit
+    points of x0 exist only while the tables are built:
 
     - ``lmul[s][i]`` and ``rmul[s][i]``: the indices of s*w_i and w_i*s;
     - ``lengths[i]``, ``inverses[i]`` and ``words[i]``, the canonical
       reduced word (strip the smallest left descent repeatedly);
     - ``ldesc[i]`` and ``rdesc[i]``: left and right descent sets as
-      bitmasks over the generators.
+      bitmasks over the generators;
+    - ``n_positive``: the number of positive roots, the length of w0.
 
-    The Bruhat order (one downset bitset per element) and the conjugacy
-    class representatives are built on first use.
+    An orbit that grows past the largest catalogue order raises ValueError:
+    the diagram is infinite or not shipped.  The Bruhat order (one downset
+    bitset per element) and the conjugacy class representatives are built
+    on first use.
     """
 
     def __init__(self, datum: CoxeterDatum):
         self.datum = datum
-        self._build_roots()
         self._enumerate()
         rank = datum.rank
         self.identity = self.elements[0]
         self.simple = [self.elements[self.lmul[s][0]] for s in range(rank)]
         self.w0 = self.elements[-1]
+        self.n_positive = self.lengths[-1]
         self._desc_sets = [
             frozenset(s for s in range(rank) if m >> s & 1)
             for m in range(1 << rank)
@@ -202,93 +182,57 @@ class GroupEngine:
         self._down: list[int] | None = None
         self._class_reps: tuple[Element, ...] | None = None
 
-    # -- root system ----------------------------------------------------------
-
-    def _build_roots(self):
-        n = self.datum.rank
-        cartan = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                a, b = _bond_entries(self.datum.coxeter_matrix[i][j])
-                # orientation: the smaller index gets the first entry
-                cartan[i][j] = a if i <= j else b
-        self.cartan = cartan
-        # roots are found in Z[phi] pairs (a, b) = a + b*phi, phi^2 = phi + 1,
-        # so no Sqrt5 arithmetic runs in the search; row i keeps its nonzero
-        # entries (j, p, q) only
-        pairs = [
-            [(j, *_phi_pair(c)) for j, c in enumerate(row) if c] for row in cartan
-        ]
-
-        def reflect(i, root):
-            sa = sb = 0
-            for j, p, q in pairs[i]:
-                a, b = root[j]
-                sa += p * a + q * b
-                sb += p * b + q * a + q * b
-            a, b = root[i]
-            return root[:i] + ((a - sa, b - sb),) + root[i + 1:]
-
-        simple_roots = [
-            tuple((int(i == j), 0) for j in range(n)) for i in range(n)
-        ]
-
-        seen = set(simple_roots)
-        queue = list(simple_roots)
-        while queue:
-            root = queue.pop()
-            for i in range(n):
-                img = reflect(i, root)
-                if img not in seen:
-                    seen.add(img)
-                    queue.append(img)
-                    if len(seen) > _ROOT_BOUND:
-                        raise ValueError("root system is not finite (bound hit)")
-
-        scalar = {r: tuple(_phi_scalar(c) for c in r) for r in seen}
-        positives = sorted(
-            (r for r in seen if _root_sign(scalar[r]) > 0),
-            key=lambda r: _root_sort_key(scalar[r]),
-        )
-        negatives = [tuple((-a, -b) for a, b in r) for r in positives]
-        self._phi_roots = positives + negatives
-        self.roots = [scalar[r] for r in self._phi_roots]
-        self.n_positive = len(positives)
-        self._root_index = {r: i for i, r in enumerate(self._phi_roots)}
-        self._reflect = reflect
-
-    def _simple_perm(self, i) -> tuple:
-        return tuple(
-            self._root_index[self._reflect(i, r)] for r in self._phi_roots
-        )
-
     # -- the tables -------------------------------------------------------------
 
     def _enumerate(self):
         rank = self.datum.rank
-        gens = [self._simple_perm(s) for s in range(rank)]
-        perms = [tuple(range(len(self.roots)))]
+        matrix = self.datum.coxeter_matrix
+        # a point is the flat tuple of its coordinates y_j = <x, alpha_j> as
+        # Z[phi] pairs (a, b) = a + b*phi, phi^2 = phi + 1; row s keeps the
+        # nonzero Cartan entries A_sj as (2j, a, b), the smaller index of a
+        # bond taking its first entry
+        rows = [[] for _ in range(rank)]
+        for s, row in enumerate(rows):
+            for j in range(rank):
+                p, q = _bond_entries(matrix[s][j])[s > j]
+                if p or q:
+                    row.append((2 * j, p, q))
+
+        def reflect(s, y):
+            # the reflection s sends y to y' with y'_j = y_j - A_sj * y_s
+            a, b = y[2 * s], y[2 * s + 1]
+            out = list(y)
+            for k, p, q in rows[s]:
+                out[k] -= p * a + q * b
+                out[k + 1] -= p * b + q * a + q * b
+            return tuple(out)
+
+        points = [(1, 0) * rank]
         lengths, words, ldesc = [0], [()], [0]
         lmul: list[list] = [[None] for _ in range(rank)]
         level = [0]
         while level:
-            # every ascent product s*w of the level, keyed by permutation; the
+            # every ascent product s*w of the level, keyed by its point; the
             # generators over one child's products are exactly its left descents
             found: dict[tuple, list[tuple[int, int]]] = {}
             for w in level:
-                q, dw = perms[w], ldesc[w]
+                y, dw = points[w], ldesc[w]
                 for s in range(rank):
                     if not dw >> s & 1:
-                        child = tuple(map(gens[s].__getitem__, q))
-                        found.setdefault(child, []).append((s, w))
+                        found.setdefault(reflect(s, y), []).append((s, w))
             # the tree parent strips the smallest left descent s; the next
             # level is ordered by (parent, s)
             children = sorted(found.items(), key=lambda kv: min(kv[1])[::-1])
             level = []
-            for perm, prods in children:
-                i = len(perms)
+            for point, prods in children:
+                i = len(points)
+                if i == _ORDER_BOUND:
+                    raise ValueError(
+                        f"the group has more than {_ORDER_BOUND} elements, the "
+                        f"largest catalogue order: it is infinite or not shipped"
+                    )
                 s0, parent = min(prods)
-                perms.append(perm)
+                points.append(point)
                 lengths.append(lengths[parent] + 1)
                 words.append((s0,) + words[parent])
                 ldesc.append(sum(1 << s for s, _ in prods))
@@ -298,9 +242,6 @@ class GroupEngine:
                     lmul[s][w] = i
                     lmul[s][i] = w
                 level.append(i)
-        npos = self.n_positive
-        if sum(j >= npos for j in perms[-1][:npos]) != npos:
-            raise AssertionError("longest element does not flip all positives")
         # w = s1...sk has inverse sk...s1: apply s1, ..., sk on the left
         inv = []
         for word in words:
@@ -308,12 +249,12 @@ class GroupEngine:
             for s in word:
                 x = lmul[s][x]
             inv.append(x)
-        self.order = len(perms)
+        self.order = len(points)
         self.lengths, self.words, self.ldesc, self.lmul = lengths, words, ldesc, lmul
         self.inverses = inv
         self.rdesc = [ldesc[j] for j in inv]
         self.rmul = [[inv[row[j]] for j in inv] for row in lmul]
-        self.elements = [Element(self, i, hash(p)) for i, p in enumerate(perms)]
+        self.elements = [Element(self, i) for i in range(self.order)]
 
     # -- length/descent queries -------------------------------------------------
 
@@ -443,28 +384,6 @@ class GroupEngine:
                 return w
 
 
-def _root_sign(root):
-    for c in root:
-        if isinstance(c, Sqrt5):
-            s = c.sign()
-        else:
-            s = (c > 0) - (c < 0)
-        if s:
-            return s
-    return 0
-
-
-def _root_sort_key(root):
-    # deterministic order on roots; exact, so independent of the platform
-    key = []
-    for c in root:
-        if isinstance(c, Sqrt5):
-            key.append((c.a, c.b))
-        else:
-            key.append((c, 0))
-    return key
-
-
 # -- type strings -------------------------------------------------------------
 
 
@@ -499,6 +418,9 @@ CATALOGUE = {
     "D4": (_diagram(4, (0, 2, 3), (1, 2, 3), (2, 3, 3)), 192),
     "H3": (_path(5, 3), 120),
 }
+
+#: the largest catalogue order; `GroupEngine` refuses an orbit that passes it
+_ORDER_BOUND = max(order for _, order in CATALOGUE.values())
 
 
 def parse_type_string(ts: str):

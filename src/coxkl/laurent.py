@@ -345,6 +345,8 @@ def laurent_formatter():
 
 
 def parse_laurent(text: str) -> LaurentPoly:
+    """Inverse of `format_laurent`; malformed text or a coefficient with a
+    zero denominator raises ValueError."""
     s = "".join(text.split())
     if not s or s == "0":
         return LaurentPoly()
@@ -379,7 +381,7 @@ def parse_laurent(text: str) -> LaurentPoly:
         elif cs.startswith("#"):
             c = parens[int(cs[1:])]
         else:
-            c = Fraction(cs)
+            c = parse_scalar(cs)
         if m.group("var"):
             es = m.group("exp")
             k = int(es) if es is not None else 1

@@ -123,7 +123,7 @@ def _parts(x):
     return None, None
 
 
-#: the golden ratio (1 + sqrt(5)) / 2, the Cartan entry driver for m = 5 bonds
+#: the golden ratio (1 + sqrt(5)) / 2
 GOLDEN = Sqrt5(Fraction(1, 2), Fraction(1, 2))
 
 
@@ -151,11 +151,16 @@ _SQRT5_RE = re.compile(
 
 
 def parse_scalar(text: str):
-    """Inverse of `scalar_str`: "a", "a+br5", "a-br5" or "br5"."""
+    """Inverse of `scalar_str`: "a", "a+br5", "a-br5" or "br5".
+
+    A zero denominator raises ValueError."""
     m = _SQRT5_RE.match(text)
     if not text or not m:
         raise ValueError(f"bad scalar {text!r}")
-    a = Fraction(m.group("a") or 0)
-    if m.group("b") is None:
-        return a
-    return Sqrt5(a, Fraction(m.group("b")))
+    try:
+        a = Fraction(m.group("a") or 0)
+        if m.group("b") is None:
+            return a
+        return Sqrt5(a, Fraction(m.group("b")))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar {text!r}") from None

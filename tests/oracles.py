@@ -8,13 +8,9 @@ of their own, Lusztig's homomorphism phi read off the h-table, and J from the
 leading matrices of the KL cell modules.
 """
 
-from coxkl.asymptotic import (
-    JElement,
-    _schur_unit,
-    gamma_n_table,
-    irreducible_cell_reps,
-)
-from coxkl.laurent import ZERO, LaurentMatrix, LaurentPoly, add_term
+from coxkl.asymptotic import JElement, gamma_n_table, irreducible_cell_reps
+from coxkl.balance import VerificationError
+from coxkl.laurent import ZERO, LaurentMatrix, LaurentPoly, add_term, shift
 from coxkl.wgraph import Representation, tau_poly
 
 
@@ -82,7 +78,9 @@ def is_balanced(rep: Representation, a: int):
 def schur_f(rep: Representation, a: int, entry=(0, 0)):
     """The Schur element c = sum_w rho(T_{w^-1})_{ts} rho(T_w)_{st} at the
     entry (s, t) and its unit f = lowest_term(v^{2a} c), from a walk of its
-    own; `balance` records c at entry (0, 0) on its leading-table walk."""
+    own; `asymptotic._schur_unit` reads f at entry (0, 0) off the leading
+    table.  Refuses a sum that vanishes or whose lowest term is not at
+    v^-2a."""
     s, t = entry
     st_vals, ts_vals = {}, {}
     for w, m in rep.walk():
@@ -91,7 +89,12 @@ def schur_f(rep: Representation, a: int, entry=(0, 0)):
     c = ZERO
     for w, x in st_vals.items():
         c = c + ts_vals[w.inverse()] * x
-    return c, _schur_unit(c, a)
+    if not c:
+        raise VerificationError("Schur sum vanishes")
+    shifted = shift(c, 2 * a)
+    if shifted.valuation() != 0:
+        raise VerificationError("Schur element has the wrong valuation")
+    return c, shifted.lowest_term()
 
 
 def lusztig_phi(w, data, kl, cells) -> JElement:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from oracles import direct_sum, is_balanced, schur_f
 
-from coxkl.asymptotic import class_character
+from coxkl.asymptotic import _schur_unit, class_character
 from coxkl.balance import (
     InvariantForm,
     VerificationError,
@@ -278,8 +278,9 @@ def distinct_modules(case):
 
 @pytest.mark.parametrize("case", ["A3", "A4", "B3 tables", "I2(4):2,1", "B3:1,2,2"])
 def test_fused_walks_match_separate_walks(case):
-    """The Gram walk's form and a-value, and the balanced walk's leading
-    table and Schur sum, equal the routes that walk W once per quantity."""
+    """The Gram walk's form and a-value, the balanced walk's leading table,
+    and the Schur unit read off that table, equal the routes that walk W
+    once per quantity."""
     for rep in distinct_modules(case):
         form = gram_invariant_form(rep)
         assert form.matrix == gram_by_transposes(rep)
@@ -288,4 +289,4 @@ def test_fused_walks_match_separate_walks(case):
         assert form.a_value == a == a_value(rep) == a_value(rep2)
         assert data.leading == leading_by_shift(rep2, a)
         assert leading_coefficients(rep2, a) == data.leading
-        assert data.schur == schur_f(rep2, a)[0]
+        assert _schur_unit(data.leading) == schur_f(rep2, a)[1]

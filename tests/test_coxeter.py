@@ -2,9 +2,10 @@
 
 The engine answers every query from index tables and downset bitsets.  The
 tests hold those tables against independent routes kept here as oracles:
-composition of root permutations for products, lengths, inverses and
-descents; the lifting property and subword products for the Bruhat order;
-and the stepwise-tested critical-pair reduction.
+composition of permutations of a root system built here over Q(sqrt 5) for
+products, lengths, inverses and descents; the lifting property and subword
+products for the Bruhat order; and the stepwise-tested critical-pair
+reduction.
 """
 
 import random
@@ -18,13 +19,14 @@ from coxkl import coxeter
 from coxkl.coxeter import (
     CATALOGUE,
     CoxeterDatum,
+    GroupEngine,
     build_group,
     parse_type_string,
     recognize_type,
     type_string,
 )
 from coxkl.kl import KLContext
-from coxkl.scalars import Sqrt5
+from coxkl.scalars import GOLDEN, Sqrt5
 
 SHIPPED = [
     "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "H3",
@@ -43,13 +45,64 @@ def compose(p, q):
     return tuple(p[j] for j in q)
 
 
-def root_perms(eng):
-    """The permutation of the root system of every element, by composition
-    of simple reflections along its reduced word: (p*q)[i] = p[q[i]]."""
-    gens = [eng._simple_perm(s) for s in range(eng.datum.rank)]
+#: oriented Cartan entries (A_ij, A_ji) for i < j by bond order, over
+#: Q(sqrt 5): A_ij * A_ji = 4 cos^2(pi/m), with the even bonds oriented
+#: against the entries the engine builds with; an odd bond joins conjugate
+#: roots of one length, so its entries are equal, -phi for m = 5
+ORACLE_BONDS = {
+    2: (0, 0),
+    3: (-1, -1),
+    4: (-1, -2),
+    5: (-GOLDEN, -GOLDEN),
+    6: (-1, -3),
+}
+
+
+@lru_cache(maxsize=None)
+def root_system(ts):
+    """The number of positive roots, the indices of the simple roots and the
+    permutation of the roots (positives first) by each simple reflection.
+
+    The roots are the closure of the simple roots under the reflections
+    s_i(r) = r - (sum_j A_ij r_j) alpha_i, with Sqrt5 coordinates in the
+    basis of simple roots; a root is positive when its coordinates are."""
+    matrix = engine(ts).datum.coxeter_matrix
+    n = len(matrix)
+    cartan = [
+        [Sqrt5() + (2 if i == j else ORACLE_BONDS[row[j]][i > j]) for j in range(n)]
+        for i, row in enumerate(matrix)
+    ]
+
+    def reflect(i, root):
+        c = sum((a * x for a, x in zip(cartan[i], root)), Sqrt5())
+        return root[:i] + (root[i] - c,) + root[i + 1:]
+
+    simple = [tuple(Sqrt5(int(i == j)) for j in range(n)) for i in range(n)]
+    seen, queue = set(simple), list(simple)
+    while queue:
+        root = queue.pop()
+        for i in range(n):
+            img = reflect(i, root)
+            if img not in seen:
+                seen.add(img)
+                queue.append(img)
+    positives = [r for r in seen if all(c.sign() >= 0 for c in r)]
+    roots = positives + [tuple(-c for c in r) for r in positives]
+    assert set(roots) == seen  # every root is positive or negative
+    index = {r: k for k, r in enumerate(roots)}
+    gens = [tuple(index[reflect(i, r)] for r in roots) for i in range(n)]
+    return len(positives), [index[r] for r in simple], gens
+
+
+def root_perms(ts):
+    """The root permutation of every element of the group, by composition of
+    the oracle's simple reflections along its reduced word:
+    (p*q)[i] = p[q[i]]."""
+    eng = engine(ts)
+    gens = root_system(ts)[2]
     perms = []
     for w in eng.elements:
-        p = tuple(range(len(eng.roots)))
+        p = tuple(range(len(gens[0])))
         for s in eng.reduced_word(w):
             p = compose(p, gens[s])
         perms.append(p)
@@ -343,40 +396,35 @@ def test_recognize_type_under_every_relabeling(name):
 
 @pytest.mark.parametrize("name", CATALOGUE)
 def test_integer_roots_build_the_tables_of_rational_roots(name, monkeypatch):
-    """A type without a bond of order 5 has int root coordinates, and the
-    group it builds is the one that Fraction Cartan entries build, table for
-    table; H3 and I2(5) keep their Sqrt5 entries in both builds."""
+    """The orbit points have int coordinates (Z[phi] pairs), and the group
+    they build is the one that Fraction Cartan entries build, table for
+    table."""
     shipped = build_group(name)
     real = coxeter._bond_entries
+    bonds = []
 
     def rational(m):
-        return tuple(c if isinstance(c, Sqrt5) else Fraction(c) for c in real(m))
+        bonds.append(m)
+        return tuple((Fraction(a), Fraction(b)) for a, b in real(m))
 
     monkeypatch.setattr(coxeter, "_bond_entries", rational)
     oracle = build_group(name)
-    assert all(type(c) is not int for row in oracle.cartan for c in row)
-    for attr in ("lmul", "words", "ldesc", "inverses", "order", "roots"):
+    assert bonds
+    for attr in ("lmul", "words", "ldesc", "inverses", "order", "n_positive"):
         assert getattr(shipped, attr) == getattr(oracle, attr), attr
-    if all(5 not in row for row in CATALOGUE[name][0]):
-        assert all(type(c) is int for root in shipped.roots for c in root)
 
 
 def test_table_products_match_permutations():
-    """Products, inverses, lengths, descents and hashes against the root
+    """Products, inverses, lengths and descents against the oracle's root
     permutations: every (x, s) on both sides and a seeded sample of (x, y)."""
     for ts in SHIPPED:
         eng = engine(ts)
-        perms = root_perms(eng)
+        npos, simple_roots, _ = root_system(ts)
+        assert eng.n_positive == npos
+        perms = root_perms(ts)
         assert len(set(perms)) == eng.order
-        npos = eng.n_positive
-        # a simple reflection makes exactly one positive root negative
-        simple_roots = [
-            next(i for i in range(npos) if perms[g.index][i] >= npos)
-            for g in eng.simple
-        ]
         for x in eng.elements:
             p = perms[x.index]
-            assert hash(x) == hash(p)
             assert x.length() == sum(j >= npos for j in p[:npos])
             inv = perms[x.inverse().index]
             assert compose(p, inv) == tuple(range(len(p)))
@@ -392,6 +440,26 @@ def test_table_products_match_permutations():
                 assert perms[(x * g).index] == compose(p, q), (ts, x, s)
         for x, y in sample_pairs(eng, 300):
             assert perms[(x * y).index] == compose(perms[x.index], perms[y.index])
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        (coxeter._path(4, 4), "more than 720 elements"),  # affine C~2
+        (coxeter._path(7), "unsupported bond order 7"),
+    ],
+    ids=["affine C2", "bond 7"],
+)
+def test_engine_refuses_a_diagram_outside_the_catalogue(matrix, message):
+    with pytest.raises(ValueError, match=message):
+        GroupEngine(CoxeterDatum(matrix))
+
+
+def test_build_group_checks_the_catalogue_order(monkeypatch):
+    matrix, order = CATALOGUE["A3"]
+    monkeypatch.setitem(CATALOGUE, "A3", (matrix, order + 1))
+    with pytest.raises(AssertionError, match="order 24 != classification order 25"):
+        build_group("A3")
 
 
 def stepwise_critical_pair(kl, y, w):
