@@ -6,8 +6,9 @@ basis (one depth-first sweep with a single running matrix), never by linear
 solving, so every intermediate stays inside the Laurent ring; the same sweep
 gives the a-value.  One symmetric elimination diagonalises the residue of
 the form, in place on a copy: each step scales a row and a column by a
-monomial and then clears the residues right of its pivot by paired column
-and row operations, building no matrix product.  The maximal entry degree
+monomial, clears any residue this brings back above its pivot, and then
+clears the residues right of its pivot, all by paired column and row
+operations, building no matrix product.  The maximal entry degree
 of the form never grows from step to step, and the step history is recorded
 so callers can assert that.  `balance` runs that elimination on the Gram
 form, and `strictify` runs it on a form whose residue is block diagonal by
@@ -128,14 +129,19 @@ def _eliminate(matrix: LaurentMatrix):
     normalized to valuation 0.
 
     Step i scales row and column i by v^-gamma, gamma = nu(Omega_ii)/2.
-    Then for each j > i with c = -res(Omega_ij)/res(Omega_ii) nonzero it
-    adds c times column i to column j and then c times row i to row j (the
-    congruence by R = I + c E_ij, which leaves Omega_ik alone for k != j);
-    Q takes the same column step and Q^-1 the row step "row i -= c row j".
-    Returns (Q^Tr Omega Q, Q, Q^-1, the diagonal residues, the maximal
-    entry degree before and after each step).  Without a rescaling step the
-    residue of Q^Tr Omega Q is diagonal by construction; a rescaling step
-    can bring a residue back above an earlier pivot.
+    That can bring back a residue at (k, i) above an earlier pivot k; it is
+    cleared against pivot k as below, which can raise nu(Omega_ii) again, so
+    the step rescales until nu(Omega_ii) = 0.  A clearing keeps det(Omega)
+    and a rescaling lowers its valuation by 2 gamma.  Without a pole that
+    valuation stays >= 0, and it starts at most d times the maximal entry
+    degree D unless det(Omega) = 0; so rescalings worth more than d D
+    that create no pole prove the form singular, which ends the chain.  Then for each j > i with
+    c = -res(Omega_ij)/res(Omega_ii) nonzero it adds c times column i to
+    column j and then c times row i to row j (the congruence by
+    R = I + c E_ij, which leaves Omega_ik alone for k != j); Q takes the
+    same column step and Q^-1 the row step "row i -= c row j".  Returns
+    (Q^Tr Omega Q, Q, Q^-1, the diagonal residues, the maximal entry degree
+    before and after each step).  The residue of Q^Tr Omega Q is diagonal.
     """
     d = matrix.rows
     omega = matrix.copy()
@@ -146,47 +152,64 @@ def _eliminate(matrix: LaurentMatrix):
     q = LaurentMatrix.identity(d)
     q_inv = LaurentMatrix.identity(d)
     qe, qie = q.entries, q_inv.entries
+
+    def clear(p, t, c):
+        # the congruence by I + c E_pt, and the same step on Q and Q^-1
+        for rows in (w, qe):
+            for row in rows:
+                if row[p]:
+                    row[t] = row[t] + row[p] * c
+        w[t] = [x + y * c if y else x for x, y in zip(w[t], w[p])]
+        qie[p] = [x - y * c if y else x for x, y in zip(qie[p], qie[t])]
+
     diag = []
     history = [omega.max_degree()]
+    budget = d * (history[0] or 0)
     for i in range(d):
-        vii = w[i][i].valuation()
-        if vii is None:
-            raise VerificationError(
-                f"degenerate pivot chain at step {i}: zero diagonal"
-            )
-        if vii % 2:
-            raise VerificationError(
-                f"half-integral scaling exponent at step {i}: "
-                f"the leading Gram is not definite"
-            )
-        gamma = vii // 2
-        if gamma:
+        while True:
+            vii = w[i][i].valuation()
+            if vii is None:
+                raise VerificationError(
+                    f"degenerate pivot chain at step {i}: zero diagonal"
+                )
+            if not vii:
+                break
+            if vii % 2:
+                raise VerificationError(
+                    f"half-integral scaling exponent at step {i}: "
+                    f"the leading Gram is not definite"
+                )
+            gamma = vii // 2
             mono_dn = LaurentPoly({-gamma: 1})
             w[i] = [x * mono_dn for x in w[i]]
             for k in range(d):
                 w[k][i] = w[k][i] * mono_dn
                 qe[k][i] = qe[k][i] * mono_dn
             qie[i] = [x * LaurentPoly({gamma: 1}) for x in qie[i]]
-        ov = omega.valuation()
-        if ov is not None and ov < 0:
-            raise VerificationError(
-                f"degenerate pivot chain at step {i}: pole created"
-            )
+            ov = omega.valuation()
+            if ov is not None and ov < 0:
+                raise VerificationError(
+                    f"degenerate pivot chain at step {i}: pole created"
+                )
+            budget -= vii
+            if budget < 0:
+                raise VerificationError(
+                    f"degenerate pivot chain at step {i}: the form is singular"
+                )
+            # residue-field steps clearing the residues the rescaling
+            # brought back above the pivot
+            for k in range(i):
+                ct = w[k][i].constant_term()
+                if ct:
+                    clear(k, i, -ct * scalar_inv(diag[k]))
         dii = w[i][i].lowest_term()
         diag.append(dii)
         inv_dii = scalar_inv(dii)
         # residue-field steps clearing the residues right of the pivot
         for j in range(i + 1, d):
             ct = w[i][j].constant_term()
-            if not ct:
-                continue
-            c = -ct * inv_dii
-            for rows in (w, qe):
-                for row in rows:
-                    if row[i]:
-                        row[j] = row[j] + row[i] * c
-            w[j] = [x + y * c if y else x for x, y in zip(w[j], w[i])]
-            qie[i] = [x - y * c if y else x for x, y in zip(qie[i], qie[j])]
+            if ct:
+                clear(i, j, -ct * inv_dii)
         history.append(omega.max_degree())
     return omega, q, q_inv, diag, history
 
@@ -198,9 +221,9 @@ def balance(rep: Representation, form: InvariantForm | None = None):
     form is congruent to an invertible diagonal matrix mod m, and
     data.degree_history records the maximal entry degree after each step
     (monotonically non-increasing).  The final invariant form is stored on
-    the returned data as `form`.  When a rescaling step brings back a
-    residue that an earlier step cleared, raises VerificationError naming
-    the first nonzero off-diagonal residue.
+    the returned data as `form`.  The elimination leaves a diagonal
+    residue; a nonzero off-diagonal residue would raise VerificationError
+    naming the first one.
     """
     if form is None:
         form = gram_invariant_form(rep)

@@ -1,11 +1,11 @@
 """Block structure of H-linear operators between W-graph modules.
 
 Rows and columns of every matrix attached to a W-graph representation are
-grouped by vertex label; blocks are indexed by subsets of S and ordered by
-(|I| descending, then lexicographically).  The operations here verify the
-diagonal congruence of v^L(w) rho(T_w), recover the label multiset from the
-character, bound the a-invariant, compute intertwiner spaces fraction-free,
-and certify that residue-level intertwiners are block diagonal.
+grouped by vertex label, so blocks are indexed by subsets of S.  The
+operations here verify the diagonal congruence of v^L(w) rho(T_w), recover
+the label multiset from the character, bound the a-invariant, compute
+intertwiner spaces fraction-free, and certify that residue-level
+intertwiners are block diagonal.
 """
 
 from __future__ import annotations
@@ -28,10 +28,6 @@ from .wgraph import (
     omega_matrices,
     wgraph_matrices,
 )
-
-
-def block_order_key(label: frozenset):
-    return (-len(label), sorted(label))
 
 
 class CongruenceReport(NamedTuple):
@@ -89,8 +85,9 @@ def label_multiset_from_character(rep: Representation) -> dict[frozenset, int]:
     """Recover {I(x)} with multiplicities from traces at parabolic longest
     elements, by Moebius inversion down the lattice of label sets."""
     eng = rep.engine
-    # largest first, equal sizes by bitmask, so the first refusal names
-    # the same set as before
+    # largest first, equal sizes by bitmask: the Moebius inversion needs
+    # every superset of a set before the set, and a refusal names the first
+    # offending set in this order
     subsets = sorted(
         label_subsets(eng.datum.rank), key=lambda l: (-len(l), sum(1 << i for i in l))
     )
@@ -170,8 +167,7 @@ def intertwiner_space(r1: Representation, r2: Representation) -> list[LaurentMat
 class BlockReport(NamedTuple):
     """Residue block analysis of a matrix grouped by row/column labels."""
 
-    blocks_rows: list[tuple[frozenset, list[int]]]
-    blocks_cols: list[tuple[frozenset, list[int]]]
+    #: the nonzero off-label residue blocks, keyed by (row label, column label)
     offdiag_residues: dict[tuple[frozenset, frozenset], list]
     triangular: bool
     diagonal: bool
@@ -187,9 +183,9 @@ def block_report(
 ) -> BlockReport:
     """Partition the residue of `a` into label blocks and test the two flags.
 
-    Triangularity: a nonzero residue block forces row-label containing
-    column-label.   Diagonality: off-label blocks vanish identically.
-    Requires nu(a) = 0 and matching index partitions.
+    Diagonality: every off-label block vanishes.  Triangularity: a nonzero
+    off-label block has a row label strictly containing its column label.
+    Requires nu(a) = 0 and one label per row and per column.
     """
     if len(labels_rows) != a.rows or len(labels_cols) != a.cols:
         raise ValueError("label lists must match the matrix dimensions")
@@ -197,34 +193,15 @@ def block_report(
     if val is None or val != 0:
         raise ValueError("block analysis expects a matrix of valuation 0")
     res = a.residue()
-    rgroups = label_classes(labels_rows)
     cgroups = label_classes(labels_cols)
-    rlabs = sorted(rgroups, key=block_order_key)
-    clabs = sorted(cgroups, key=block_order_key)
     offdiag = {}
-    triangular = True
-    diagonal = True
-    for rl in rlabs:
-        for cl in clabs:
-            block = [[res[i][j] for j in cgroups[cl]] for i in rgroups[rl]]
-            if rl == cl:
-                continue
-            offdiag[(rl, cl)] = block
-            if not f_mat_is_zero(block):
-                diagonal = False
-                # triangularity allows a nonzero block only when the row
-                # label strictly contains the column label
-                if not (cl < rl):
-                    triangular = False
-    if diagonal and not triangular:
-        raise AssertionError("flag inconsistency: diagonal but not triangular")
-    return BlockReport(
-        [(l, rgroups[l]) for l in rlabs],
-        [(l, cgroups[l]) for l in clabs],
-        offdiag,
-        triangular,
-        diagonal,
-    )
+    for rl, rows in label_classes(labels_rows).items():
+        for cl, cols in cgroups.items():
+            if rl != cl:
+                block = [[res[i][j] for j in cols] for i in rows]
+                if not f_mat_is_zero(block):
+                    offdiag[(rl, cl)] = block
+    return BlockReport(offdiag, all(cl < rl for rl, cl in offdiag), not offdiag)
 
 
 class OmegaCertificate(NamedTuple):

@@ -348,9 +348,7 @@ def cmd_blocks(args):
                 "diagonal": br.diagonal,
                 "triangular": br.triangular,
                 "offdiag_nonzero": sorted(
-                    f"{_label(i)},{_label(j)}"
-                    for (i, j), blk in br.offdiag_residues.items()
-                    if any(any(x for x in row) for row in blk)
+                    f"{_label(i)},{_label(j)}" for i, j in br.offdiag_residues
                 ),
             }
         )

@@ -111,9 +111,6 @@ class Element:
     def length(self) -> int:
         return self.engine.lengths[self.index]
 
-    def is_identity(self) -> bool:
-        return self.index == 0
-
 
 def _bond_entries(m):
     """Oriented Cartan entries (A_ij, A_ji) with A_ij*A_ji = 4cos^2(pi/m), as

@@ -5,9 +5,6 @@ Two coefficient fields are supported: the rationals, represented by
 real quadratic field Q(sqrt 5), represented by `Sqrt5`.  Everything is
 duck-typed: the Laurent-polynomial layer only needs `+`, `-`, `*`, `/`,
 `==`, truthiness and hashing from its coefficients.
-
-The embedding of Q(sqrt 5) into the reals is fixed with sqrt(5) > 0; all
-sign tests use that embedding.
 """
 
 from __future__ import annotations
@@ -99,20 +96,6 @@ class Sqrt5:
             return NotImplemented
         return Sqrt5(a, b) * self.inverse()
 
-    def sign(self):
-        """Sign of a + b*sqrt(5) under the real embedding with sqrt(5) > 0."""
-        a, b = self.a, self.b
-        if not b:
-            return (a > 0) - (a < 0)
-        if not a:
-            return 1 if b > 0 else -1
-        if (a > 0) == (b > 0):
-            return 1 if a > 0 else -1
-        # opposite signs: compare |a| with |b|*sqrt(5)
-        d = a * a - 5 * b * b
-        sa = 1 if a > 0 else -1
-        return sa * ((d > 0) - (d < 0))
-
 
 def _parts(x):
     """Rational/quadratic parts of a scalar, or (None, None) if foreign."""
@@ -121,10 +104,6 @@ def _parts(x):
     if isinstance(x, (int, Fraction)):
         return Fraction(x), Fraction(0)
     return None, None
-
-
-#: the golden ratio (1 + sqrt(5)) / 2
-GOLDEN = Sqrt5(Fraction(1, 2), Fraction(1, 2))
 
 
 def scalar_inv(c):

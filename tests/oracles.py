@@ -5,13 +5,37 @@ computes one way by another route: the braid commutator through the
 Chebyshev-style polynomial tau, the generator matrices rebuilt from the
 idempotent and arrow matrices, balancedness and the Schur element from walks
 of their own, Lusztig's homomorphism phi read off the h-table, and J from the
-leading matrices of the KL cell modules.
+leading matrices of the KL cell modules.  The golden ratio and the real sign
+of a Q(sqrt 5) element serve the tests of that field and the root-system
+oracle of the group tables.
 """
+
+from fractions import Fraction
 
 from coxkl.asymptotic import JElement, gamma_n_table, irreducible_cell_reps
 from coxkl.balance import VerificationError
 from coxkl.laurent import ZERO, LaurentMatrix, LaurentPoly, add_term, shift
+from coxkl.scalars import Sqrt5
 from coxkl.wgraph import Representation, tau_poly
+
+
+#: the golden ratio (1 + sqrt(5)) / 2
+GOLDEN = Sqrt5(Fraction(1, 2), Fraction(1, 2))
+
+
+def sqrt5_sign(x: Sqrt5) -> int:
+    """Sign of a + b*sqrt(5) under the real embedding with sqrt(5) > 0."""
+    a, b = x.a, x.b
+    if not b:
+        return (a > 0) - (a < 0)
+    if not a:
+        return 1 if b > 0 else -1
+    if (a > 0) == (b > 0):
+        return 1 if a > 0 else -1
+    # opposite signs: compare |a| with |b|*sqrt(5)
+    d = a * a - 5 * b * b
+    sa = 1 if a > 0 else -1
+    return sa * ((d > 0) - (d < 0))
 
 
 def braid_commutator_tau(a, b, m: int, zeta: LaurentPoly) -> LaurentMatrix:

@@ -67,7 +67,7 @@ class TBasis:
         res = self._tinv.get(w)
         if res is None:
             eng = self.engine
-            if w.is_identity():
+            if w == eng.identity:
                 res = {w: ONE}
             else:
                 s = min(eng.left_descent_set(w))

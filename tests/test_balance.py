@@ -1,6 +1,7 @@
 """Balancing: Gram forms, a-values, the degree-safe base change, leading
 tables and per-block strictification."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,30 @@ def test_balance_restores_scaled_conjugate(a3, kl_a3):
         break
 
 
+@pytest.mark.parametrize("group", ["B2", "I2(5)", "I2(6)", "B3:2,1,1"])
+def test_balance_undoes_monomial_base_changes(group):
+    """A KL left cell conjugated by diag(v^e_1, ..., v^e_d) is balanced by a
+    monomial base change followed by the cell's own, so `balance` balances
+    it with the cell's a-value, wherever a rescaling step brings a residue
+    back above an earlier pivot.  An elimination that leaves such residues
+    refuses some of these conjugates on each of the four groups."""
+    rng = random.Random(1)
+    for cgraph, _ in kl_left_cell_wgraphs(KLContext(shared_engine(group))):
+        rep = wgraph_matrices(cgraph)
+        d, a = rep.dim, a_value(rep)
+        for _ in range(6):
+            shifts = [rng.randint(-4, 4) for _ in range(d)]
+            q = LaurentMatrix.identity(d)
+            q_inv = LaurentMatrix.identity(d)
+            for i, e in enumerate(shifts):
+                q.entries[i][i] = LaurentPoly({e: 1})
+                q_inv.entries[i][i] = LaurentPoly({-e: 1})
+            rep2, data = balance(rep.conjugate(q, q_inv))
+            assert data.a_value == a and is_balanced(rep2, a)[0], shifts
+            hist = data.degree_history
+            assert all(x >= y for x, y in zip(hist, hist[1:])), shifts
+
+
 @pytest.mark.parametrize(
     "entries, message",
     [
@@ -119,6 +144,21 @@ def test_balance_refusals_are_verification_failures(a2, entries, message):
         a_value=1,
     )
     with pytest.raises(VerificationError, match=message):
+        balance(rep, form)
+
+
+def test_balance_refuses_a_singular_form_whose_pivot_keeps_vanishing(a2):
+    """B^Tr B for the row B = (v^2 + v^3, -1) is singular.  At step 1 each
+    rescaling brings back the residue above pivot 0, and clearing it leaves
+    Omega_11 = v^2 again; the determinant bound on the rescalings ends that
+    cycle."""
+    rep = wgraph_matrices(reflection_graph(a2))
+    entries = [[{4: 1, 5: 2, 6: 1}, {2: -1, 3: -1}], [{2: -1, 3: -1}, {0: 1}]]
+    form = InvariantForm(
+        LaurentMatrix(2, 2, [[LaurentPoly(e) for e in row] for row in entries]),
+        a_value=1,
+    )
+    with pytest.raises(VerificationError, match="step 1: the form is singular"):
         balance(rep, form)
 
 

@@ -40,7 +40,7 @@ def test_congruence_all_a2(kl_a2):
 
 
 def all_reduced_words(eng, w):
-    if w.is_identity():
+    if w == eng.identity:
         yield []
         return
     for s in sorted(eng.left_descent_set(w)):
@@ -158,6 +158,16 @@ def test_block_report_flags():
     assert not r2.diagonal and not r2.triangular
     with pytest.raises(ValueError):
         block_report(m.scale(LaurentPoly({1: 1})), labels, labels)
+
+
+def test_block_report_keeps_only_nonzero_off_label_blocks():
+    """Of the six off-label blocks only ({0}, {0,1}) has a nonzero residue;
+    its column label is not inside its row label."""
+    labels = [frozenset({0, 1}), frozenset({0}), frozenset({1})]
+    m = LaurentMatrix.from_scalar_rows([[1, 0, 0], [1, 1, 0], [0, 0, 1]])
+    r = block_report(m, labels, labels)
+    assert r.offdiag_residues == {(frozenset({0}), frozenset({0, 1})): [[1]]}
+    assert not r.diagonal and not r.triangular
 
 
 def test_chi9_pair_blocks():

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -414,10 +415,11 @@ def test_balance_refuses_a_module_that_is_not_a_hecke_module(
     assert captured.err == "error: Gram form is not invariant for generator 1\n"
 
 
-def test_balance_refuses_a_residue_the_elimination_leaves(capsys, tmp_path):
-    """B2 KL left cell 2 conjugated by diag(v^-3, v^3, v^2) is a W-graph,
-    but a rescaling step of the elimination brings back an off-diagonal
-    residue: exit 1 with one `error:` line, not an AssertionError."""
+def test_balance_clears_a_residue_a_rescaling_brings_back(capsys, tmp_path):
+    """B2 KL left cell 2 conjugated by diag(v^-3, v^3, v^2) is a W-graph.
+    A rescaling step of the elimination brings back the residue at (0,2),
+    above an earlier pivot; the step clears it and the module balances with
+    the a-value of the cell, the maximal degree never growing."""
     path = tmp_path / "b2_cell2_conj.json"
     path.write_text(json.dumps({
         "group": "B2",
@@ -434,11 +436,12 @@ def test_balance_refuses_a_residue_the_elimination_leaves(capsys, tmp_path):
     capsys.readouterr()
     code = main(["balance", str(path)])
     captured = capsys.readouterr()
-    assert code == 1 and not captured.out
-    assert captured.err == (
-        "error: the balancing elimination leaves an off-diagonal residue: "
-        "entry (0,2) is 1\n"
-    )
+    assert code == 0 and not captured.err
+    payload = json.loads(captured.out)
+    assert payload["a_value"] == 1 and payload["balanced"]
+    history = payload["degree_history"]
+    assert history == [28, 28, 26, 16]
+    assert all(a >= b for a, b in zip(history, history[1:]))
 
 
 NOT_A_WGRAPH = {
@@ -784,6 +787,22 @@ def test_blocks_fails_a_basis_element_that_is_not_constant(
     )
 
 
+def test_blocks_reports_a_nonzero_off_label_block(capsys, monkeypatch, fixture_dir):
+    """A planted constant intertwiner with a residue in the block of row
+    label {0,2} and column label {0}: not diagonal, but triangular, since the
+    row label contains the column label.  It does not conjugate the arrow
+    matrices, so the certificate fails too: exit 1."""
+    planted = LaurentMatrix.from_scalar_rows([[1, 0, 0], [0, 1, 0], [1, 0, 1]])
+    monkeypatch.setattr(blocks, "intertwiner_space", lambda r1, r2: [planted])
+    chi9 = fixture_dir / "b3_chi9.json"
+    code, payload = blocks_payload(capsys, chi9, chi9)
+    assert code == 1
+    [verdict] = payload["intertwiners"]
+    assert verdict["offdiag_nonzero"] == ["02,0"]
+    assert not verdict["diagonal"] and verdict["triangular"]
+    assert not payload["certificate"]["ok"]
+
+
 def test_blocks_refuses_a_pair_that_is_not_geck_before_solving(
     capsys, monkeypatch, fixture_dir, tmp_path
 ):
@@ -877,3 +896,27 @@ def test_omegagy_refuses_a_graph_that_breaks_the_support_condition(
     assert json.loads(out) == {"ok": False, "checked": 0, "failures": [msg]}
     code, out = run(capsys, "wgraph", "validate", str(path))
     assert code == 1 and json.loads(out)["failures"] == [msg]
+
+
+def readme_cli_lines():
+    """The argument lists of the `coxkl ...` lines of the README's CLI block."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    lines = [
+        shlex.split(line, comments=True)
+        for section in readme.split("```sh\n")[1:]
+        for line in section.split("```")[0].splitlines()
+    ]
+    return [argv[1:] for argv in lines if argv[:1] == ["coxkl"]]
+
+
+def test_readme_cli_lines_exit_0(capsys, monkeypatch, tmp_path):
+    """Every documented command runs as written, from a directory holding
+    the shipped fixtures."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["fixtures", "--out", "fixtures"]) == 0
+    lines = readme_cli_lines()
+    assert len(lines) == 18
+    for argv in lines:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0, (argv, captured.err)

@@ -14,6 +14,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 import pytest
+from oracles import GOLDEN, sqrt5_sign
 
 from coxkl import coxeter
 from coxkl.coxeter import (
@@ -26,7 +27,7 @@ from coxkl.coxeter import (
     type_string,
 )
 from coxkl.kl import KLContext
-from coxkl.scalars import GOLDEN, Sqrt5
+from coxkl.scalars import Sqrt5
 
 SHIPPED = [
     "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "H3",
@@ -86,7 +87,7 @@ def root_system(ts):
             if img not in seen:
                 seen.add(img)
                 queue.append(img)
-    positives = [r for r in seen if all(c.sign() >= 0 for c in r)]
+    positives = [r for r in seen if all(sqrt5_sign(c) >= 0 for c in r)]
     roots = positives + [tuple(-c for c in r) for r in positives]
     assert set(roots) == seen  # every root is positive or negative
     index = {r: k for k, r in enumerate(roots)}

@@ -519,6 +519,27 @@ def test_condensation_order_matches_reachability(adj):
     assert all(i <= j for i, j in leq)
 
 
+DEEP = 5000
+
+
+@pytest.mark.parametrize("adj, blocks, leq", [
+    # a directed cycle: one block, closed only when the sweep is back at 0
+    ([{(i + 1) % DEEP} for i in range(DEEP)], [list(range(DEEP))], {(0, 0)}),
+    # a path with edges both ways: one block
+    ([{j for j in (i - 1, i + 1) if 0 <= j < DEEP} for i in range(DEEP)],
+     [list(range(DEEP))], {(0, 0)}),
+    # a path whose last vertex is a sink and whose other vertices close into
+    # a cycle: the sink is reached 5000 levels deep and comes first
+    ([{i + 1} for i in range(DEEP - 2)] + [{0, DEEP - 1}, set()],
+     [[DEEP - 1], list(range(DEEP - 1))], {(0, 0), (1, 1), (0, 1)}),
+], ids=["cycle", "two-way path", "path into a sink"])
+def test_condensation_order_on_deep_digraphs(adj, blocks, leq):
+    """The sweep is iterative: depth 5000 is far past the recursion limit.
+    (A one-way path of this length would do too, but its preorder holds
+    n(n+1)/2 pairs.)"""
+    assert condensation_order(DEEP, adj) == (blocks, leq)
+
+
 @pytest.mark.parametrize("name", ["kl_a3", "kl_b3w", "kl_i25"])
 def test_wgraph_columns_match_h_structure(request, name):
     # T_g = C_g + v^L(g), so T_g C_w = sum_z h_{g,w,z} C_z + v^L(g) C_w is

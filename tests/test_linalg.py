@@ -7,6 +7,7 @@ from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
+from oracles import GOLDEN
 
 import coxkl.linalg as linalg
 from coxkl.asymptotic import (
@@ -30,7 +31,7 @@ from coxkl.linalg import (
     laurent_kernel,
     laurent_rank,
 )
-from coxkl.scalars import GOLDEN, Sqrt5, scalar_inv
+from coxkl.scalars import Sqrt5, scalar_inv
 from coxkl.wgraph import WGraph, kl_left_cell_wgraphs, wgraph_matrices
 
 V = LaurentPoly({1: 1})
