@@ -41,7 +41,8 @@ print("chi9 labels from its character:",
 rep2, data = balance(rep9)
 print(f"chi9 balanced with a = {data.a_value}; form residue diagonal:",
       [str(x) for x in data.d])
-lead = leading_coefficients(rep2, data.a_value)
+# one walk of W reads the a-value and the leading table together
+a, lead = leading_coefficients(rep2)
 print(f"leading table supported on {len(lead)} of 48 group elements")
 
 # v^L(w) omega(T_w) is integral with residue diag(+-1 or 0): the sign is

@@ -25,8 +25,8 @@ from typing import NamedTuple
 
 from .balance import (
     BalancedData,
+    NotBalancedError,
     VerificationError,
-    a_value,
     balance,
     leading_coefficients,
 )
@@ -308,21 +308,17 @@ def geck_mueller_check(g: WGraph, kl: KLContext) -> GeckMuellerReport:
     if not val.ok:
         return GeckMuellerReport(False, None, None, None, f"invalid graph: {val.failures}")
     rep = wgraph_matrices(g)
-    a = a_value(rep)
-    # the leading walk refuses a valuation below -a; the bound is attained
-    # exactly when the table is nonempty
     try:
-        leading = leading_coefficients(rep, a)
-    except VerificationError:
-        leading = {}
-    if not leading:
-        return GeckMuellerReport(False, a, None, None, "not balanced")
+        a, leading = leading_coefficients(rep)
+    except NotBalancedError as err:
+        return GeckMuellerReport(False, err.a_value, None, None, "not balanced")
     psi = cell_representation(rep, a, leading, kl)
     equal = all(psi.gens[s] == rep.gens[s] for s in range(rep.engine.datum.rank))
-    # both walks visit W in the same canonical order
+    # a trace function on H is fixed by its values at one element of
+    # minimal length per conjugacy class (Geck-Pfeiffer, 8.2)
     chars = all(
-        mp.trace() == mr.trace()
-        for (_, mp), (_, mr) in zip(psi.walk(), rep.walk())
+        psi.character(w) == rep.character(w)
+        for w in rep.engine.conjugacy_class_representatives()
     )
     verdict = "equal" if equal else ("H-isomorphic-but-unequal" if chars else "mismatch")
     return GeckMuellerReport(True, a, equal, chars, verdict)

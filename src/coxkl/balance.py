@@ -2,18 +2,22 @@
 leading-coefficient extraction and per-block strictification.
 
 The invariant form is always produced by the full Gram sum over the standard
-basis (one depth-first sweep with a single running matrix), never by linear
-solving, so every intermediate stays inside the Laurent ring; the same sweep
-gives the a-value.  One symmetric elimination diagonalises the residue of
-the form, in place on a copy: each step scales a row and a column by a
-monomial, clears any residue this brings back above its pivot, and then
-clears the residues right of its pivot, all by paired column and row
-operations, building no matrix product.  The maximal entry degree
-of the form never grows from step to step, and the step history is recorded
+basis, never by linear solving, so every intermediate stays inside the
+Laurent ring.  The sum runs over the cosets of a chain of parabolic
+subgroups: each w is x d with x in the smaller subgroup, d a distinguished
+coset representative and T_w = T_x T_d, so a level of the recursion sums
+rho(T_d)^Tr Omega rho(T_d) over the representatives d, a few dozen terms
+where W has hundreds of elements.  One symmetric elimination diagonalises
+the residue of the form, in place on a copy: each step scales a row and a
+column by a monomial, clears any residue this brings back above its pivot,
+and then clears the residues right of its pivot, all by paired column and
+row operations, building no matrix product.  The maximal entry degree of
+the form never grows from step to step, and the step history is recorded
 so callers can assert that.  `balance` runs that elimination on the Gram
 form, and `strictify` runs it on a form whose residue is block diagonal by
-labels.  One more sweep of the balanced module gives its leading table, so
-`balance` walks W twice per module.
+labels.  One depth-first sweep of the balanced module with a single running
+matrix gives its a-value and its leading table, so `balance` walks W once
+per module.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .coxeter import Element
-from .laurent import LaurentMatrix, LaurentPoly
+from .laurent import LaurentMatrix, LaurentPoly, from_sum
 from .linalg import f_mat_transpose
 from .scalars import scalar_inv, scalar_str
 from .wgraph import Representation
@@ -32,12 +36,21 @@ class VerificationError(ValueError):
     """A mathematical check failed on well-formed input (CLI exit 1)."""
 
 
+class NotBalancedError(VerificationError):
+    """rho(T_w) has valuation below -a; carries the a-value of the walk."""
+
+    def __init__(self, witness: Element, a: int):
+        super().__init__(f"Representation not balanced! (witness {witness!r})")
+        self.a_value = a
+
+
 class InvariantForm(NamedTuple):
     """A symmetric matrix intertwining rho with its transpose-dual, and the
-    a-value -min_w nu(trace rho(T_w)) of rho."""
+    a-value -min_w nu(trace rho(T_w)) of rho where it is known: `balance`
+    records it, the Gram sum leaves it None."""
 
     matrix: LaurentMatrix
-    a_value: int
+    a_value: int | None = None
 
 
 class BalancedData(NamedTuple):
@@ -55,43 +68,44 @@ class BalancedData(NamedTuple):
 
 def gram_invariant_form(rep: Representation) -> InvariantForm:
     """Omega = v^-nu * sum_w rho(T_w)^Tr rho(T_w), normalized to valuation 0,
-    and the a-value, from one walk of W.
+    by the parabolic coset recursion.
 
-    Each row r of rho(T_w) adds r_i r_j to the coefficient table of entry
-    (i, j) for i <= j, in place; the lower triangle is filled by symmetry.
-    The walk also records min_w nu(trace rho(T_w)).  The invariance identity
-    Omega rho(T_s) = rho(T_s)^Tr Omega is verified for every generator (T_s
-    is *-fixed); a failure, which only a module that is not a Hecke module
-    can produce, raises VerificationError.
+    Along the chain of `GroupEngine.coset_chain`, T_xd = T_x T_d for x in
+    W_k and d in D_k, so the partial sum Omega_k over W_k gives
+    Omega_(k+1) = sum_(d in D_k) rho(T_d)^Tr Omega_k rho(T_d).  The term of
+    d = p s is rho(T_s)^Tr (term of p) rho(T_s), so each representative
+    costs two products with one generator.  A level sums its terms in
+    place, upper triangle only, and wraps each entry once.  The invariance
+    identity Omega rho(T_s) = rho(T_s)^Tr Omega is verified for every
+    generator (T_s is *-fixed); a failure, which only a module that is not
+    a Hecke module can produce, raises VerificationError.
     """
     d = rep.dim
-    acc = [[{} for _ in range(d)] for _ in range(d)]
-    alpha = 0
-    for _, m in rep.walk():
-        v = m.trace().valuation()
-        if v is not None and v < alpha:
-            alpha = v
-        for row in m.entries:
-            nz = [(i, e.coeffs) for i, e in enumerate(row) if e.coeffs]
-            for p, (i, ci) in enumerate(nz):
+    gens_tr = [g.transpose() for g in rep.gens]
+    omega = LaurentMatrix.identity(d)
+    for level in rep.engine.coset_chain():
+        acc = [[{} for _ in range(d)] for _ in range(d)]
+        terms = {}
+        for x, p, s in level:
+            term = omega if p is None else gens_tr[s] @ terms[p] @ rep.gens[s]
+            terms[x] = term
+            for i, row in enumerate(term.entries):
                 acc_i = acc[i]
-                for j, cj in nz[p:]:
+                for j in range(i, d):
                     cell = acc_i[j]
-                    for k1, c1 in ci.items():
-                        for k2, c2 in cj.items():
-                            k = k1 + k2
-                            cell[k] = cell.get(k, 0) + c1 * c2
-    omega = LaurentMatrix(d, d)
-    for i in range(d):
-        for j in range(i, d):
-            omega.entries[i][j] = omega.entries[j][i] = LaurentPoly(acc[i][j])
+                    for k, c in row[j].coeffs.items():
+                        cell[k] = cell.get(k, 0) + c
+        omega = LaurentMatrix(d, d)
+        for i in range(d):
+            for j in range(i, d):
+                omega.entries[i][j] = omega.entries[j][i] = from_sum(acc[i][j])
     val = omega.valuation()
     if val:
         omega = omega.scale(LaurentPoly({-val: 1}))
     for s, g in enumerate(rep.gens):
         if (omega @ g) != (g.transpose() @ omega):
             raise VerificationError(f"Gram form is not invariant for generator {s}")
-    return InvariantForm(omega, -alpha)
+    return InvariantForm(omega)
 
 
 def a_value(rep: Representation) -> int:
@@ -105,23 +119,42 @@ def a_value(rep: Representation) -> int:
     return -alpha
 
 
-def leading_coefficients(rep: Representation, a: int) -> dict[Element, list]:
-    """The sparse leading table c(w) = (v^a rho(T_w)) mod m over F.
+def leading_coefficients(rep: Representation, a: int | None = None):
+    """The a-value and the sparse leading table c(w) = (v^a rho(T_w)) mod m
+    over F, as (a, table), from one walk of W.
 
-    Raises as soon as the traversal meets a matrix with valuation below -a.
+    The walk reads a = -min_w nu(trace rho(T_w)) and keeps the residues at
+    the lowest matrix valuation met so far, starting afresh each time that
+    valuation drops.  A matrix with valuation below -a raises
+    NotBalancedError, naming the first such w of the walk: it is one of the
+    drops.  Given a, the walk reads no traces, checks that bound and
+    returns the table alone.
     """
-    out: dict[Element, list] = {}
-    zero, low = Fraction(0), -a
+    zero = Fraction(0)
+    alpha = low = 0
+    drops = []
+    table: dict[Element, list] = {}
     for w, m in rep.walk():
         v = m.valuation()
         if v is None:
             continue
+        if a is None:
+            t = m.trace().valuation()
+            if t is not None and t < alpha:
+                alpha = t
         if v < low:
-            raise VerificationError(f"Representation not balanced! (witness {w!r})")
+            low, table = v, {}
+            drops.append((v, w))
         if v == low:
-            # the residue of v^a rho(T_w): the coefficients of v^-a
-            out[w] = [[e.coeffs.get(low, zero) for e in row] for row in m.entries]
-    return out
+            # the residue of v^-low rho(T_w): the coefficients of v^low
+            table[w] = [[e.coeffs.get(low, zero) for e in row] for row in m.entries]
+    bound = -alpha if a is None else a
+    for v, w in drops:
+        if v < -bound:
+            raise NotBalancedError(w, bound)
+    if low != -bound:
+        table = {}
+    return (bound, table) if a is None else table
 
 
 def _eliminate(matrix: LaurentMatrix):
@@ -221,9 +254,11 @@ def balance(rep: Representation, form: InvariantForm | None = None):
     form is congruent to an invertible diagonal matrix mod m, and
     data.degree_history records the maximal entry degree after each step
     (monotonically non-increasing).  The final invariant form is stored on
-    the returned data as `form`.  The elimination leaves a diagonal
-    residue; a nonzero off-diagonal residue would raise VerificationError
-    naming the first one.
+    the returned data as `form`; the a-value and the leading table come
+    from one walk of rep' (`leading_coefficients`), and only the matrix of
+    a given form is read.  The elimination leaves a diagonal residue; a
+    nonzero off-diagonal residue would raise VerificationError naming the
+    first one.
     """
     if form is None:
         form = gram_invariant_form(rep)
@@ -237,14 +272,14 @@ def balance(rep: Representation, form: InvariantForm | None = None):
                     f"residue: entry ({i},{j}) is {scalar_str(res[i][j])}"
                 )
     rep2 = rep.conjugate(q, q_inv)
-    # trace(Q^-1 rho Q) = trace(rho): the a-value is the one the Gram walk saw
-    a = form.a_value
+    # trace(Q^-1 rho Q) = trace(rho): the a-value is the one of rho
+    a, leading = leading_coefficients(rep2)
     data = BalancedData(
         a_value=a,
         q=q,
         q_inv=q_inv,
         d=diag,
-        leading=leading_coefficients(rep2, a),
+        leading=leading,
         degree_history=history,
         form=InvariantForm(omega, a),
     )

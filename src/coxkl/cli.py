@@ -269,8 +269,7 @@ def cmd_balance(args):
 def cmd_leading(args):
     g = _load_valid_graph(args.file)
     rep = wgraph_matrices(g)
-    a = balance_mod.a_value(rep)
-    table = balance_mod.leading_coefficients(rep, a)
+    a, table = balance_mod.leading_coefficients(rep)
     payload = {
         "a_value": a,
         "leading": {str(w.index): _fmat_json(c) for w, c in table.items()},

@@ -380,6 +380,32 @@ class GroupEngine:
             else:
                 return w
 
+    def coset_chain(self) -> list[list[tuple]]:
+        """Distinguished coset representatives along W_0 = 1 < ... < W_r = W,
+        W_k = <s_0, ..., s_(k-1)>.
+
+        Level k lists D_k, the d in W_(k+1) with no left descent in W_k, as
+        canonical index triples (d, p, s): d = p s with l(d) = l(p) + 1, s
+        the smallest right descent of d, and p listed before d; the identity
+        comes first as (0, None, None).  Each w in W_(k+1) is x d for one
+        x in W_k and one d in D_k, with l(w) = l(x) + l(d) (Geck-Pfeiffer,
+        2.1.1), and a prefix of a distinguished d is distinguished.
+        """
+        rmul, lengths, ldesc, rdesc = self.rmul, self.lengths, self.ldesc, self.rdesc
+        chain = []
+        for k in range(self.datum.rank):
+            below = (1 << k) - 1
+            level = [(0, None, None)]
+            # the loop reads the triples it appends: each d is expanded in turn
+            for d, _, _ in level:
+                for s in range(k + 1):
+                    e = rmul[s][d]
+                    if (lengths[e] > lengths[d] and not ldesc[e] & below
+                            and rdesc[e] & -rdesc[e] == 1 << s):
+                        level.append((e, d, s))
+            chain.append(level)
+        return chain
+
 
 # -- type strings -------------------------------------------------------------
 

@@ -519,10 +519,11 @@ class LaurentMatrix:
     def trace(self) -> LaurentPoly:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
-        t = ZERO
-        for i in range(self.rows):
-            t = t + self.entries[i][i]
-        return t
+        out: dict = {}
+        for i, row in enumerate(self.entries):
+            for k, c in row[i].coeffs.items():
+                out[k] = out.get(k, 0) + c
+        return from_sum(out)
 
     def is_zero(self) -> bool:
         return all(not e for row in self.entries for e in row)

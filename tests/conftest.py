@@ -7,6 +7,7 @@ import pytest
 from coxkl.cli import main
 from coxkl.coxeter import build_group
 from coxkl.kl import KLContext
+from coxkl.wgraph import Representation
 
 
 @pytest.fixture(scope="session")
@@ -70,3 +71,17 @@ def kl_cell_files(tmp_path_factory):
         return made[group]
 
     return files
+
+
+@pytest.fixture
+def count_walks(monkeypatch):
+    """Every walk of W a `Representation` makes from here on, in order."""
+    walks = []
+    walk = Representation.walk
+
+    def counted(rep):
+        walks.append(rep)
+        return walk(rep)
+
+    monkeypatch.setattr(Representation, "walk", counted)
+    return walks

@@ -371,6 +371,52 @@ def test_geck_mueller_reproduces_every_fixture(name):
     assert geck_mueller_check(g, shared_kl(g.engine)).verdict == "equal"
 
 
+def characters_by_walks(psi, rep):
+    """The H-characters compared at every T_w; both walks visit W in the
+    same canonical order."""
+    return all(
+        mp.trace() == mr.trace() for (_, mp), (_, mr) in zip(psi.walk(), rep.walk())
+    )
+
+
+def record_psi(monkeypatch, perturb):
+    """Record each psi `geck_mueller_check` builds; with perturb, first add
+    1 to entry (0, 0) of its generator 0, which moves the trace at T_s0."""
+    made = []
+    real = asymptotic.cell_representation
+
+    def record(rep, a, leading, kl):
+        psi = real(rep, a, leading, kl)
+        if perturb:
+            g0 = psi.gens[0].copy()
+            g0.entries[0][0] = g0.entries[0][0] + LaurentPoly({0: 1})
+            psi = Representation(psi.engine, [g0, *psi.gens[1:]])
+        made.append(psi)
+        return psi
+
+    monkeypatch.setattr(asymptotic, "cell_representation", record)
+    return made
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGUE))
+def test_class_characters_decide_as_the_full_walk(monkeypatch, name):
+    """Characters compared on conjugacy class representatives agree with
+    the comparison at every T_w."""
+    made = record_psi(monkeypatch, perturb=False)
+    g = CATALOGUE[name]
+    report = geck_mueller_check(g, shared_kl(g.engine))
+    assert report.characters_equal == characters_by_walks(made[0], wgraph_matrices(g))
+
+
+@pytest.mark.parametrize("name", ["a2_refl", "a3_ext2", "b3_chi7", "h3_sign"])
+def test_a_perturbed_psi_fails_both_character_routes(monkeypatch, name):
+    made = record_psi(monkeypatch, perturb=True)
+    g = CATALOGUE[name]
+    report = geck_mueller_check(g, shared_kl(g.engine))
+    assert report.characters_equal is False and report.verdict == "mismatch"
+    assert not characters_by_walks(made[0], wgraph_matrices(g))
+
+
 def test_invariant_form_over_f(jd_a2):
     for ir in jd_a2.reps:
         b = invariant_form_over_f(ir)
@@ -545,18 +591,11 @@ def test_class_characters_group_cells_as_laurent_characters(group):
     assert class_character_partition(kl) == laurent_character_partition(kl)
 
 
-def test_cell_modules_are_walked_only_when_balanced(monkeypatch):
-    """On A4, `jdata_from_cells` walks W once for each Gram form and once for
-    each balanced module: 7 irreducibles, 14 walks.  A refused group is
-    refused before any walk, with the dimension sum unchanged."""
-    walks = []
-    walk = Representation.walk
-
-    def counted(rep):
-        walks.append(rep)
-        return walk(rep)
-
-    monkeypatch.setattr(Representation, "walk", counted)
+def test_cell_modules_are_walked_only_when_balanced(monkeypatch, count_walks):
+    """On A4, `jdata_from_cells` walks W once for each balanced module: 7
+    irreducibles, 7 walks.  A refused group is refused before any walk,
+    with the dimension sum unchanged."""
+    walks = count_walks
     at_first_balance = []
     real_balance = asymptotic.balance
 
@@ -566,7 +605,7 @@ def test_cell_modules_are_walked_only_when_balanced(monkeypatch):
 
     monkeypatch.setattr(asymptotic, "balance", first_balance)
     jd = jdata_from_cells(KLContext(shared_engine("A4")))
-    assert len(jd.reps) == 7 and len(walks) == 14
+    assert len(jd.reps) == 7 and len(walks) == 7
     assert at_first_balance[0] == 0
     for group, total, order in (("B2", 20, 8), ("H3", 188, 120)):
         walks.clear()

@@ -3,8 +3,10 @@ tables and per-block strictification."""
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from oracles import direct_sum, is_balanced, schur_f
 
 from coxkl.asymptotic import _schur_unit, class_character
@@ -17,7 +19,13 @@ from coxkl.balance import (
     leading_coefficients,
     strictify,
 )
-from coxkl.fixtures import b3_graphs, catalogue, reflection_graph, shared_engine
+from coxkl.fixtures import (
+    b3_graphs,
+    catalogue,
+    reflection_graph,
+    shared_engine,
+    trivial_graph,
+)
 from coxkl.kl import KLContext
 from coxkl.laurent import LaurentMatrix, LaurentPoly
 from coxkl.linalg import laurent_rank
@@ -318,7 +326,7 @@ def distinct_modules(case):
 
 @pytest.mark.parametrize("case", ["A3", "A4", "B3 tables", "I2(4):2,1", "B3:1,2,2"])
 def test_fused_walks_match_separate_walks(case):
-    """The Gram walk's form and a-value, the balanced walk's leading table,
+    """The coset Gram form, the balanced walk's a-value and leading table,
     and the Schur unit read off that table, equal the routes that walk W
     once per quantity."""
     for rep in distinct_modules(case):
@@ -326,7 +334,124 @@ def test_fused_walks_match_separate_walks(case):
         assert form.matrix == gram_by_transposes(rep)
         rep2, data = balance(rep, form)
         a = data.a_value
-        assert form.a_value == a == a_value(rep) == a_value(rep2)
+        assert data.a_value == a_value(rep) == a_value(rep2)
         assert data.leading == leading_by_shift(rep2, a)
-        assert leading_coefficients(rep2, a) == data.leading
+        assert leading_coefficients(rep2) == (a, data.leading)
         assert _schur_unit(data.leading) == schur_f(rep2, a)[1]
+
+
+GRAM_CASES = [
+    "A3", "A4", "H3", "I2(5)", "B3:1,2,2", "B3:3,1,1", "I2(4):2,1", "B3 tables",
+]
+
+
+@lru_cache(maxsize=None)
+def left_cell_modules(case):
+    """The module of every KL left cell of a group, or of each B3 table."""
+    if case == "B3 tables":
+        graphs = b3_graphs().values()
+    else:
+        kl = KLContext(shared_engine(case))
+        graphs = [cgraph for cgraph, _ in kl_left_cell_wgraphs(kl)]
+    return tuple(wgraph_matrices(g) for g in graphs)
+
+
+@pytest.mark.parametrize("case", GRAM_CASES)
+def test_coset_gram_equals_the_walk_sum(case):
+    for rep in left_cell_modules(case):
+        assert gram_invariant_form(rep).matrix == gram_by_transposes(rep)
+
+
+def unitriangular_inverse(u):
+    """U^-1 = I + N + ... + N^(d-1) for U = I - N, N strictly upper."""
+    d = u.rows
+    n = LaurentMatrix.identity(d) - u
+    inv, power = LaurentMatrix.identity(d), LaurentMatrix.identity(d)
+    for _ in range(d - 1):
+        power = power @ n
+        inv = inv + power
+    return inv
+
+
+small_polys = st.dictionaries(
+    st.integers(-2, 2), st.integers(-2, 2).map(Fraction), max_size=2
+).map(LaurentPoly)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(GRAM_CASES), st.data())
+def test_coset_gram_equals_the_walk_sum_on_dense_conjugates(case, data):
+    """Conjugates by a monomial matrix diag(c_i v^e_i) P, or by a
+    unitriangular one, whose generators are dense."""
+    rep = data.draw(st.sampled_from(left_cell_modules(case)))
+    d = rep.dim
+    if data.draw(st.booleans()):
+        perm = data.draw(st.permutations(range(d)))
+        shifts = data.draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+        units = st.sampled_from([-2, -1, 1, 3])
+        scalars = data.draw(st.lists(units, min_size=d, max_size=d))
+        q, q_inv = LaurentMatrix(d, d), LaurentMatrix(d, d)
+        for i, (j, e, c) in enumerate(zip(perm, shifts, scalars)):
+            q.entries[i][j] = LaurentPoly({e: Fraction(c)})
+            q_inv.entries[j][i] = LaurentPoly({-e: 1 / Fraction(c)})
+    else:
+        q = LaurentMatrix.identity(d)
+        for i in range(d):
+            for j in range(i + 1, d):
+                q.entries[i][j] = data.draw(small_polys)
+        q_inv = unitriangular_inverse(q)
+    assert q @ q_inv == LaurentMatrix.identity(d)
+    conj = rep.conjugate(q, q_inv)
+    assert gram_invariant_form(conj).matrix == gram_by_transposes(conj)
+
+
+@pytest.mark.parametrize("group, count", [("A4", 14), ("B3", 12), ("H3", 19)])
+def test_coset_chain_has_one_representative_per_coset(monkeypatch, group, count):
+    """Level k of the chain lists D_k, and W_(k+1) = W_k D_k with lengths
+    adding and each product met once, so the Gram sum over the chain visits
+    sum_k [W_(k+1) : W_k] representatives: two products with a generator
+    for each one but the identities, and two for each generator's
+    invariance check."""
+    eng = shared_engine(group)
+    products = []
+    matmul = LaurentMatrix.__matmul__
+
+    def counted(x, y):
+        products.append(1)
+        return matmul(x, y)
+
+    monkeypatch.setattr(LaurentMatrix, "__matmul__", counted)
+    gram_invariant_form(wgraph_matrices(trivial_graph(eng)))
+    assert len(products) == 2 * count
+    monkeypatch.undo()
+    chain = eng.coset_chain()
+    assert len(chain) == eng.datum.rank
+    assert sum(len(level) for level in chain) == count
+    parabolic = [0]
+    for k, level in enumerate(chain):
+        reps = [d for d, _, _ in level]
+        for d, parent, s in level:
+            if parent is not None:
+                assert eng.rmul[s][parent] == d and parent in reps[: reps.index(d)]
+        pairs = [(x, d) for x in parabolic for d in reps]
+        products = [(eng.elements[x] * eng.elements[d]).index for x, d in pairs]
+        assert all(
+            eng.lengths[p] == eng.lengths[x] + eng.lengths[d]
+            for p, (x, d) in zip(products, pairs)
+        )
+        parabolic = sorted(products)
+        assert parabolic == [
+            w.index for w in eng.elements if eng.support(w) <= set(range(k + 1))
+        ]
+    assert len(parabolic) == eng.order
+
+
+def test_gram_refuses_a_module_that_is_not_a_hecke_module():
+    """b3_chi7 with one edge weight doubled breaks the braid relations; the
+    invariance check on the summed form refuses it."""
+    g = b3_graphs()["chi7"]
+    edges = dict(g.edges)
+    edges[0, 0, 1] = edges[0, 0, 1] * 2
+    rep = wgraph_matrices(WGraph(g.engine, g.labels, edges))
+    with pytest.raises(VerificationError, match="Gram form is not invariant"):
+        gram_invariant_form(rep)

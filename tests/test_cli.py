@@ -17,7 +17,7 @@ from coxkl.laurent import LaurentMatrix, LaurentPoly, format_laurent, parse_laur
 from coxkl.linalg import laurent_rank
 from coxkl.fixtures import catalogue, shared_engine
 from coxkl.kl import KLContext
-from coxkl.wgraph import Representation, wgraph_to_json
+from coxkl.wgraph import wgraph_to_json
 
 
 def run(capsys, *argv):
@@ -208,17 +208,16 @@ def test_cellbasis_refuses_reducible_cells(capsys, group, total, order):
     )
 
 
-def test_cellbasis_builds_no_gamma_table(capsys, monkeypatch):
+def test_cellbasis_builds_no_gamma_table(capsys, monkeypatch, count_walks):
     """The cellular basis reads the balanced modules only: on A4 the
-    gamma/n loop never runs, and W is walked 14 times, once for each
-    Gram form and once for each balanced module of the 7 irreducibles."""
+    gamma/n loop never runs, and W is walked 7 times, once for each
+    balanced module of the 7 irreducibles."""
     tables = []
     monkeypatch.setattr(asymptotic, "gamma_n_table", tables.append)
-    walks = count_walks(monkeypatch)
     assert main(["cellbasis", "--group", "A4"]) == 0
     assert json.loads(capsys.readouterr().out)["axioms_ok"]
     assert not tables
-    assert len(walks) == 14
+    assert len(count_walks) == 7
 
 
 def test_cellbasis_refuses_a_bad_schur_sum(capsys, monkeypatch):
@@ -618,32 +617,21 @@ def test_every_group_command_exits_as_documented(capsys, command, group):
         assert code == 1 and captured.err.startswith("error: ")
 
 
-def count_walks(monkeypatch):
-    """Record every walk of W a `Representation` makes."""
-    walks = []
-    walk = Representation.walk
-
-    def counted(rep):
-        walks.append(rep)
-        return walk(rep)
-
-    monkeypatch.setattr(Representation, "walk", counted)
-    return walks
-
-
 @pytest.mark.parametrize(
-    "command, count", [("balance", 2), ("cellrep", 4)]
+    "command, count", [("balance", 1), ("leading", 1), ("cellrep", 1)]
 )
 @pytest.mark.parametrize("fixture", ["a2_refl", "b3_chi7"])
-def test_file_commands_walk_w(tmp_path, capsys, monkeypatch, command, count, fixture):
-    """`balance`: one Gram walk and one walk of the balanced module.
-    `cellrep`: the a-value, the leading table, and one walk each of psi and
-    of the module for the character comparison."""
+def test_file_commands_walk_w(tmp_path, capsys, count_walks, command, count, fixture):
+    """`balance` walks the balanced module once for its a-value and leading
+    table, the Gram form being a sum over parabolic cosets; `leading` walks
+    the module once; `cellrep` walks it once and compares characters on
+    conjugacy class representatives."""
     run(capsys, "fixtures", "--out", str(tmp_path))
-    walks = count_walks(monkeypatch)
+    count_walks.clear()
     assert main([command, str(tmp_path / f"{fixture}.json")]) == 0
-    assert json.loads(capsys.readouterr().out)["balanced"]
-    assert len(walks) == count
+    out = json.loads(capsys.readouterr().out)
+    assert out.get("balanced", True)
+    assert len(count_walks) == count
 
 
 SMOKE_FIXTURES = [

@@ -13,7 +13,9 @@ once that route held against the T-basis and leading-matrix oracles, and
 the `cellbasis` A2, B3:1,2,2 and I2(4):2,1 ones before `cellbasis` stopped
 building the gamma table and inverted its basis matrix on sparse rows, and
 the `wgraph klgraph` and left `cells` A5 ones before P* was computed only
-at critical pairs; any change to them is a change of the printed answer,
+at critical pairs, and the `cellbasis` B3:3,1,1 and I2(3) ones and the
+file-command ones before the Gram form was summed over parabolic cosets;
+any change to them is a change of the printed answer,
 not of its speed.
 """
 
@@ -79,6 +81,20 @@ GOLDEN = {
         "729ea0c1f0b8aa63cdb4247e51043b07c5191fcc98da09bba10d15d34c144488",
     ("cells", "--group", "A5", "--kind", "left"):
         "956a278cdd4bccc48366f2984e61a1b94edb88e09e87c476b2680c13e5c8d25f",
+    ("cellbasis", "--group", "B3:3,1,1"):
+        "fb2fe44b9994dd5e3a7a445e55cc7b0e22de59f09ef91af9fbc38532ace4e643",
+    ("cellbasis", "--group", "I2(3)"):
+        "6ee3cd876c9a45442e32167217c33ad910ec0bb9903b0d2eb101ad8b22af70a9",
+}
+
+#: file commands on catalogue graphs, keyed by (command, file name)
+FILE_GOLDEN = {
+    ("balance", "a3_ext2"):
+        "75c958cb125d107464b303b0857fe736c1af4f17cf0521f5277c1e7ec8338e52",
+    ("leading", "a3_refl"):
+        "c9cca426ac93dbbf435a4d9a49ceb41537e6468af23044bfc1be602bf229f325",
+    ("cellrep", "a3_refl"):
+        "09db7dffd23cceb9d7f51d2ac779598162404613d59ce4ec50735855f3019354",
 }
 
 DEMOS = {
@@ -94,6 +110,15 @@ def test_cli_output_is_byte_identical(capsys, argv):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("command, name", list(FILE_GOLDEN), ids=" ".join)
+def test_file_command_output_is_byte_identical(capsys, tmp_path, command, name):
+    assert main(["fixtures", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main([command, str(tmp_path / f"{name}.json")]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FILE_GOLDEN[command, name]
 
 
 @pytest.mark.parametrize("demo", list(DEMOS))
