@@ -45,12 +45,9 @@ class NotBalancedError(VerificationError):
 
 
 class InvariantForm(NamedTuple):
-    """A symmetric matrix intertwining rho with its transpose-dual, and the
-    a-value -min_w nu(trace rho(T_w)) of rho where it is known: `balance`
-    records it, the Gram sum leaves it None."""
+    """A symmetric matrix intertwining rho with its transpose-dual."""
 
     matrix: LaurentMatrix
-    a_value: int | None = None
 
 
 class BalancedData(NamedTuple):
@@ -119,7 +116,7 @@ def a_value(rep: Representation) -> int:
     return -alpha
 
 
-def leading_coefficients(rep: Representation, a: int | None = None):
+def leading_coefficients(rep: Representation):
     """The a-value and the sparse leading table c(w) = (v^a rho(T_w)) mod m
     over F, as (a, table), from one walk of W.
 
@@ -127,8 +124,8 @@ def leading_coefficients(rep: Representation, a: int | None = None):
     the lowest matrix valuation met so far, starting afresh each time that
     valuation drops.  A matrix with valuation below -a raises
     NotBalancedError, naming the first such w of the walk: it is one of the
-    drops.  Given a, the walk reads no traces, checks that bound and
-    returns the table alone.
+    drops.  Otherwise the lowest matrix valuation is -a, since no trace has
+    a lower valuation than its matrix.
     """
     zero = Fraction(0)
     alpha = low = 0
@@ -138,23 +135,19 @@ def leading_coefficients(rep: Representation, a: int | None = None):
         v = m.valuation()
         if v is None:
             continue
-        if a is None:
-            t = m.trace().valuation()
-            if t is not None and t < alpha:
-                alpha = t
+        t = m.trace().valuation()
+        if t is not None and t < alpha:
+            alpha = t
         if v < low:
             low, table = v, {}
             drops.append((v, w))
         if v == low:
             # the residue of v^-low rho(T_w): the coefficients of v^low
             table[w] = [[e.coeffs.get(low, zero) for e in row] for row in m.entries]
-    bound = -alpha if a is None else a
     for v, w in drops:
-        if v < -bound:
-            raise NotBalancedError(w, bound)
-    if low != -bound:
-        table = {}
-    return (bound, table) if a is None else table
+        if v < alpha:
+            raise NotBalancedError(w, -alpha)
+    return -alpha, table
 
 
 def _eliminate(matrix: LaurentMatrix):
@@ -281,7 +274,7 @@ def balance(rep: Representation, form: InvariantForm | None = None):
         d=diag,
         leading=leading,
         degree_history=history,
-        form=InvariantForm(omega, a),
+        form=InvariantForm(omega),
     )
     return rep2, data
 
@@ -321,4 +314,4 @@ def strictify(
             "a residue pivot vanishes: the form is not definite on a label block"
         )
     l_full = f_mat_transpose(q_inv.residue())
-    return rep.conjugate(q, q_inv), InvariantForm(omega, form.a_value), l_full
+    return rep.conjugate(q, q_inv), InvariantForm(omega), l_full

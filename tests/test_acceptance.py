@@ -277,7 +277,7 @@ def test_criterion_11_cell_representation(kl_a2):
         assert ok
         for w in eng.elements:
             assert psi.character(w) == rep.character(w)
-        assert leading_coefficients(psi, data.a_value) == data.leading
+        assert leading_coefficients(psi) == (data.a_value, data.leading)
     _report(11, "psi is a balanced representation with matching character "
                 "and leading table for each A2 cell")
 
@@ -346,8 +346,8 @@ def test_criterion_14_strictification(a2):
     d = [res[i][i] for i in range(2)]
     assert all(d)
     assert all(not res[i][j] for i in range(2) for j in range(2) if i != j)
-    a = a_value(rep2)
-    table = leading_coefficients(rep2, a)
+    a, table = leading_coefficients(rep2)
+    assert a == a_value(rep2)
     for w in a2.elements:
         cw = table.get(w)
         cwi = table.get(w.inverse())

@@ -339,7 +339,7 @@ def test_cell_representation(kl_a2, a2):
         # same character, balanced, leading table equal to rho_bar
         for w in a2.elements:
             assert psi.character(w) == rep.character(w)
-        assert leading_coefficients(psi, data.a_value) == data.leading
+        assert leading_coefficients(psi) == (data.a_value, data.leading)
 
 
 def test_geck_mueller(kl_a2, a2):

@@ -12,6 +12,7 @@ from oracles import direct_sum, is_balanced, schur_f
 from coxkl.asymptotic import _schur_unit, class_character
 from coxkl.balance import (
     InvariantForm,
+    NotBalancedError,
     VerificationError,
     a_value,
     balance,
@@ -149,7 +150,6 @@ def test_balance_refusals_are_verification_failures(a2, entries, message):
     rep = wgraph_matrices(reflection_graph(a2))
     form = InvariantForm(
         LaurentMatrix(2, 2, [[LaurentPoly(e) for e in row] for row in entries]),
-        a_value=1,
     )
     with pytest.raises(VerificationError, match=message):
         balance(rep, form)
@@ -164,7 +164,6 @@ def test_balance_refuses_a_singular_form_whose_pivot_keeps_vanishing(a2):
     entries = [[{4: 1, 5: 2, 6: 1}, {2: -1, 3: -1}], [{2: -1, 3: -1}, {0: 1}]]
     form = InvariantForm(
         LaurentMatrix(2, 2, [[LaurentPoly(e) for e in row] for row in entries]),
-        a_value=1,
     )
     with pytest.raises(VerificationError, match="step 1: the form is singular"):
         balance(rep, form)
@@ -172,19 +171,32 @@ def test_balance_refuses_a_singular_form_whose_pivot_keeps_vanishing(a2):
 
 def test_leading_coefficients(a2):
     triv = wgraph_matrices(WGraph(a2, [frozenset()], {}))
-    table = leading_coefficients(triv, 0)
-    assert set(table) == {a2.identity}
-    assert table[a2.identity] == [[Fraction(1)]]
+    assert leading_coefficients(triv) == (0, {a2.identity: [[Fraction(1)]]})
     sign = wgraph_matrices(WGraph(a2, [frozenset({0, 1})], {}))
-    table = leading_coefficients(sign, 3)
-    assert set(table) == {a2.w0}
-    assert table[a2.w0] == [[Fraction(-1)]]
+    assert leading_coefficients(sign) == (3, {a2.w0: [[Fraction(-1)]]})
     refl = wgraph_matrices(reflection_graph(a2))
-    table = leading_coefficients(refl, 1)
+    a, table = leading_coefficients(refl)
     s, t = a2.simple
+    assert a == 1
     assert set(table) == {s, t, s * t, t * s}  # the middle two-sided cell
-    with pytest.raises(ValueError):
-        leading_coefficients(refl, 0)
+
+
+def test_leading_coefficients_refuse_an_unbalanced_module(a2):
+    """The reflection module conjugated by diag(1, v^2) has an entry of
+    valuation -2 < -a = -1; the refusal names the first such w of the walk
+    and carries the a-value, which conjugation leaves alone."""
+    rep = wgraph_matrices(reflection_graph(a2))
+    q = LaurentMatrix.identity(2)
+    q_inv = LaurentMatrix.identity(2)
+    q.entries[1][1] = LaurentPoly({2: 1})
+    q_inv.entries[1][1] = LaurentPoly({-2: 1})
+    twisted = rep.conjugate(q, q_inv)
+    ok, witness = is_balanced(twisted, 1)
+    assert not ok
+    with pytest.raises(NotBalancedError) as err:
+        leading_coefficients(twisted)
+    assert err.value.a_value == 1
+    assert str(err.value) == f"Representation not balanced! (witness {witness!r})"
 
 
 def test_strictify_roundtrip(a2):
@@ -215,12 +227,12 @@ def test_strictify_roundtrip(a2):
     rep2, form2, l_full = strictify(twisted, form, labels)
     res2 = form2.matrix.residue()
     assert all(not res2[i][j] for i in range(4) for j in range(4) if i != j)
-    a = a_value(rep2)
+    a, table = leading_coefficients(rep2)
+    assert a == a_value(rep2)
     ok, _ = is_balanced(rep2, a)
     assert ok
     # strict-balance relation d_t c(w^-1)_{ts} = d_s c(w)_{st}
     d = [res2[i][i] for i in range(4)]
-    table = leading_coefficients(rep2, a)
     for w, cw in table.items():
         cwi = table[w.inverse()]
         for s_i in range(4):
@@ -240,7 +252,7 @@ def test_strictify_rejects_cross_block_mixing(a2):
         [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(2)]]
     )
     with pytest.raises(ValueError):
-        strictify(rep, InvariantForm(bad, a_value=1), list(g.labels))
+        strictify(rep, InvariantForm(bad), list(g.labels))
 
 
 @pytest.mark.parametrize(
@@ -257,7 +269,6 @@ def test_strictify_refuses_a_vanishing_residue_pivot(a2, entries, message):
     rep = wgraph_matrices(reflection_graph(a2))
     form = InvariantForm(
         LaurentMatrix(2, 2, [[LaurentPoly(e) for e in row] for row in entries]),
-        a_value=1,
     )
     with pytest.raises(VerificationError, match=message):
         strictify(rep, form, [frozenset({0}), frozenset({0})])
