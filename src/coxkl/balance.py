@@ -15,14 +15,15 @@ row operations, building no matrix product.  The maximal entry degree of
 the form never grows from step to step, and the step history is recorded
 so callers can assert that.  `balance` runs that elimination on the Gram
 form, and `strictify` runs it on a form whose residue is block diagonal by
-labels.  One depth-first sweep of the balanced module with a single running
-matrix gives its a-value and its leading table, so `balance` walks W once
-per module.
+labels.  One depth-first sweep of the balanced module gives its a-value
+and its leading table, so `balance` walks W once per module.  Over Q the
+sweep runs on packed integers (`Representation.packed_walk`), exact at a
+width fixed by a coefficient bound; over Q(sqrt 5) it runs on Laurent
+matrices.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .coxeter import Element
@@ -37,10 +38,12 @@ class VerificationError(ValueError):
 
 
 class NotBalancedError(VerificationError):
-    """rho(T_w) has valuation below -a; carries the a-value of the walk."""
+    """rho(T_w) has valuation below -a; carries that w and the a-value of
+    the walk."""
 
     def __init__(self, witness: Element, a: int):
         super().__init__(f"Representation not balanced! (witness {witness!r})")
+        self.witness = witness
         self.a_value = a
 
 
@@ -108,17 +111,15 @@ def gram_invariant_form(rep: Representation) -> InvariantForm:
 def a_value(rep: Representation) -> int:
     """-min_w nu(trace rho(T_w)), by depth-first traversal."""
     alpha = 0
-    for _, m in rep.walk():
-        tr = m.trace()
-        v = tr.valuation()
-        if v is not None and v < alpha:
-            alpha = v
+    for _, _, t, _ in rep.valuation_walk():
+        if t is not None and t < alpha:
+            alpha = t
     return -alpha
 
 
 def leading_coefficients(rep: Representation):
     """The a-value and the sparse leading table c(w) = (v^a rho(T_w)) mod m
-    over F, as (a, table), from one walk of W.
+    over F, as (a, table), from one walk of W (`valuation_walk`).
 
     The walk reads a = -min_w nu(trace rho(T_w)) and keeps the residues at
     the lowest matrix valuation met so far, starting afresh each time that
@@ -127,15 +128,12 @@ def leading_coefficients(rep: Representation):
     drops.  Otherwise the lowest matrix valuation is -a, since no trace has
     a lower valuation than its matrix.
     """
-    zero = Fraction(0)
     alpha = low = 0
     drops = []
     table: dict[Element, list] = {}
-    for w, m in rep.walk():
-        v = m.valuation()
+    for w, v, t, lowest in rep.valuation_walk():
         if v is None:
             continue
-        t = m.trace().valuation()
         if t is not None and t < alpha:
             alpha = t
         if v < low:
@@ -143,7 +141,7 @@ def leading_coefficients(rep: Representation):
             drops.append((v, w))
         if v == low:
             # the residue of v^-low rho(T_w): the coefficients of v^low
-            table[w] = [[e.coeffs.get(low, zero) for e in row] for row in m.entries]
+            table[w] = lowest()
     for v, w in drops:
         if v < alpha:
             raise NotBalancedError(w, -alpha)
@@ -264,7 +262,9 @@ def balance(rep: Representation, form: InvariantForm | None = None):
                     f"the balancing elimination leaves an off-diagonal "
                     f"residue: entry ({i},{j}) is {scalar_str(res[i][j])}"
                 )
-    rep2 = rep.conjugate(q, q_inv)
+    # the elimination often leaves Q = I (every KL left cell of A4 is
+    # balanced as it comes), and then rep is its own conjugate
+    rep2 = rep if q == LaurentMatrix.identity(rep.dim) else rep.conjugate(q, q_inv)
     # trace(Q^-1 rho Q) = trace(rho): the a-value is the one of rho
     a, leading = leading_coefficients(rep2)
     data = BalancedData(

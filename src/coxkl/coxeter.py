@@ -178,6 +178,7 @@ class GroupEngine:
         ]
         self._down: list[int] | None = None
         self._class_reps: tuple[Element, ...] | None = None
+        self._ascent_walk: list[tuple[int, int, int]] | None = None
 
     # -- the tables -------------------------------------------------------------
 
@@ -273,6 +274,25 @@ class GroupEngine:
             s for s in range(self.datum.rank)
             if self.words[self.lmul[s][i]][:1] == (s,)
         ]
+
+    def ascent_walk(self) -> list[tuple[int, int, int]]:
+        """The canonical spanning tree in depth-first preorder, children in
+        increasing s, the identity left out, as index triples (w, s, l):
+        w = s p for its tree parent p, and l = l(w).  The parent of w is the
+        last entry of length l - 1 before it (the identity when l = 1), so a
+        walk keeps one running value per length.  Built on first use."""
+        if self._ascent_walk is None:
+            lmul, lengths, elements = self.lmul, self.lengths, self.elements
+            walk = []
+            ascents = self.canonical_left_ascent_set
+            stack = [(0, s) for s in reversed(ascents(self.identity))]
+            while stack:
+                p, s = stack.pop()
+                w = lmul[s][p]
+                walk.append((w, s, lengths[w]))
+                stack.extend((w, t) for t in reversed(ascents(elements[w])))
+            self._ascent_walk = walk
+        return self._ascent_walk
 
     # -- words and weights --------------------------------------------------------
 

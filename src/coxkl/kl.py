@@ -25,8 +25,12 @@ one map, and so do the sparse columns T_s C_u, T_s = C_s + v_s, that the
 representation side reads (`t_columns`), and the structure constants
 h_{x,y,z}: `h_column` builds C_x C_y for all x at once along canonical
 words, and `h_structure`, Lusztig's a-function, gamma and the Duflo set
-read those columns.  The test suite holds them against full T-basis
-products (`tests/tbasis.py`).
+read those columns.  KL data has integer coefficients, so the columns are
+packed integers (`laurent.pack`), at one width per context fixed by a
+coefficient bound proved before any packing; a and gamma are read off
+their lowest digits, and `h_structure` unpacks them.  The test suite holds
+them against full T-basis products (`tests/tbasis.py`) and against the
+same recursion in Laurent polynomials (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -42,9 +46,15 @@ from .laurent import (
     add_term,
     bar,
     from_sum,
+    l1_norm,
     negative_part,
+    pack,
+    packed_digit,
+    packed_valuation,
+    packed_width,
     positive_part,
     shift,
+    unpack,
 )
 
 
@@ -92,7 +102,9 @@ class KLContext:
         self._cells: dict[str, CellPartition] = {}
         # C_s C_u per generator, and the h-columns asked for by h_structure
         self._gen_cols: list | None = None
-        self._hcols: dict[int, list[dict[int, LaurentPoly]]] = {}
+        self._hcols: dict[int, list[dict[int, int]]] = {}
+        # the generator columns packed for h_column, see _packed_columns
+        self._packed: tuple | None = None
         self._adn: ADeltaN | None = None
 
     # -- P* and mu ---------------------------------------------------------------
@@ -401,55 +413,79 @@ class KLContext:
                 add_term(col, u, vs)
         return out
 
-    def h_column(self, y: Element) -> list[dict[int, LaurentPoly]]:
-        """C_x C_y = sum_z h_{x,y,z} C_z for every x: entry x.index is {z.index: h}.
+    def _packed_columns(self):
+        """(B, L, cols) for the packed h-table: cols[s][u] lists C_s C_u as
+        (z index, v^L(s) h_{s,u,z} packed at width B) pairs, and L[x] is
+        the weight of the element of index x.
+
+        Bound.  Let M_x bound every coefficient of every h_{x,y,z}, over all
+        y and z.  In the recursion of `h_column`, a coefficient of
+        C_s (C_x' C_y) is at most rho_s M_x', where rho_s is the largest sum
+        over u of L1(h_{s,u,t}) for one t, and one of w_{s,z,x'} C_z C_y at
+        most L1(w_{s,z,x'}) M_z.  So
+            M_x = M_x' rho_s + sum_z L1(w_{s,z,x'}) M_z,  M_e = 1,
+        bounds them all.  It does not depend on y, so B = packed_width(max M)
+        is fixed once per context, and every digit read back is exact.
+        """
+        if self._packed is None:
+            eng = self.engine
+            weights, words, lmul = eng.datum.weights, eng.words, eng.lmul
+            gens = self._generator_columns()
+            rho = []
+            for gen in gens:
+                sums = [0] * eng.order
+                for col in gen:
+                    for z, weight in col:
+                        sums[z] += l1_norm(weight)
+                rho.append(max(sums))
+            bound = [1]
+            for xi in range(1, eng.order):
+                s = words[xi][0]
+                xp = lmul[s][xi]
+                bound.append(bound[xp] * rho[s] + sum(
+                    l1_norm(weight) * bound[z] for z, weight in gens[s][xp] if z != xi
+                ))
+            width = packed_width(max(bound))
+            cols = [
+                [[(z, pack(weight, width, -weights[s])) for z, weight in col]
+                 for col in gen]
+                for s, gen in enumerate(gens)
+            ]
+            self._packed = (width, [eng.weight(w) for w in eng.elements], cols)
+        return self._packed
+
+    def h_column(self, y: Element) -> list[dict[int, int]]:
+        """C_x C_y = sum_z h_{x,y,z} C_z for every x: entry x.index is
+        {z.index: v^L(x) h_{x,y,z}}, packed at the width of `_packed_columns`.
 
         For x = s x' with s the first letter of the canonical word of x,
         C_s C_x' = C_x + sum_z w_{s,z,x'} C_z over the descent edges
         (s, z, x') of the KL W-graph, so
             C_x C_y = C_s (C_x' C_y) - sum_z w_{s,z,x'} C_z C_y.
         Canonical indices increase with length, so x' and every such z
-        come before x.
+        come before x.  With L(x) = L(s) + L(x') and L(z) <= L(x'), the
+        packed sum is (v^L(s) h_s) times the packed h of x', less
+        (v^L(s) w_{s,z,x'}) v^(L(x')-L(z)) times the packed h of z: every
+        exponent stays >= 0.
         """
         eng = self.engine
-        cols = self._generator_columns()
-        column: list[dict[int, LaurentPoly]] = [{y.index: ONE}]
+        width, lw, cols = self._packed_columns()
+        column: list[dict[int, int]] = [{y.index: 1}]
         for xi in range(1, eng.order):
             s = eng.words[xi][0]
             xp = eng.lmul[s][xi]
             gen = cols[s]
-            # h_{x,y,z} accumulates in acc[z], a bare map wrapped once
-            acc: dict[int, dict] = {}
+            acc: dict[int, int] = {}
             for u, c in column[xp].items():
-                cc = c.coeffs.items()
-                for z, weight in gen[u]:
-                    out = acc.get(z)
-                    if out is None:
-                        out = acc[z] = {}
-                    for k2, c2 in weight.coeffs.items():
-                        for k1, c1 in cc:
-                            k = k1 + k2
-                            cur = out.get(k)
-                            out[k] = c1 * c2 if cur is None else cur + c1 * c2
-            for z, weight in gen[xp]:
+                for z, g in gen[u]:
+                    acc[z] = acc.get(z, 0) + c * g
+            lp = lw[xp]
+            for z, g in gen[xp]:
                 if z != xi:
-                    neg = [(k, -c) for k, c in weight.coeffs.items()]
+                    g = -g << width * (lp - lw[z])
                     for t, c in column[z].items():
-                        out = acc.get(t)
-                        if out is None:
-                            out = acc[t] = {}
-                        cc = c.coeffs.items()
-                        for k2, c2 in neg:
-                            for k1, c1 in cc:
-                                k = k1 + k2
-                                cur = out.get(k)
-                                out[k] = c1 * c2 if cur is None else cur + c1 * c2
-            row: dict[int, LaurentPoly] = {}
-            for z, out in acc.items():
-                h = from_sum(out)
-                if h.coeffs:
-                    row[z] = h
-            column.append(row)
+                        acc[t] = acc.get(t, 0) + c * g
+            column.append({z: h for z, h in acc.items() if h})
         return column
 
     def h_structure(self, x: Element, y: Element) -> dict[Element, LaurentPoly]:
@@ -457,8 +493,12 @@ class KLContext:
         column = self._hcols.get(y.index)
         if column is None:
             column = self._hcols[y.index] = self.h_column(y)
+        width, lw, _ = self._packed_columns()
         elements = self.engine.elements
-        return {elements[z]: h for z, h in column[x.index].items()}
+        return {
+            elements[z]: unpack(h, width, -lw[x.index])
+            for z, h in column[x.index].items()
+        }
 
     def lusztig_a_delta_n(self) -> ADeltaN:
         """a, Delta, n, the Duflo set and gamma from one pass over the h-columns.
@@ -473,17 +513,23 @@ class KLContext:
             return self._adn
         eng = self.engine
         elements = eng.elements
+        width, lw, _ = self._packed_columns()
         a = [0] * eng.order
         lead: list[dict[tuple[int, int], object]] = [{} for _ in elements]
         for y in elements:
+            yi = y.index
             for xi, row in enumerate(self.h_column(y)):
+                lx = lw[xi]
                 for zi, h in row.items():
-                    k = -min(h.coeffs)
+                    # h holds v^L(x) h_{x,y,z}: its lowest digit position p
+                    # is L(x) + nu(h_{x,y,z})
+                    p = packed_valuation(h, width)
+                    k = lx - p
                     if k > a[zi]:
                         a[zi] = k
                         lead[zi] = {}
                     if k == a[zi]:
-                        lead[zi][(xi, y.index)] = h.coeffs[-k]
+                        lead[zi][(xi, yi)] = packed_digit(h, p, width)
         gamma: dict[tuple[Element, Element], dict[Element, object]] = {}
         for zi, terms in enumerate(lead):
             z_inv = elements[eng.inverses[zi]]

@@ -220,11 +220,11 @@ ONE = LaurentPoly({0: 1})
 # A sum of products is accumulated in one bare {exponent: coefficient} map per
 # output entry and wrapped once by `from_sum`, which drops the zeros:
 # `out = out + a * b` would build two polynomials per term.  The loops that
-# do this (`LaurentMatrix.__matmul__`, `KLContext.h_column` and
-# `_pstar_critical`, the (C3) check of `asymptotic.verify_cell_axioms`) and
-# `LaurentPoly` arithmetic itself keep the double loop inline, since a call
-# per product shows there.  A product by a monomial v^k is `shift`, one pass
-# over the keys.  Everything else that sums sparse maps uses `add_term`.
+# do this (`LaurentMatrix.__matmul__`, `KLContext._pstar_critical`, the (C3)
+# check of `asymptotic.verify_cell_axioms`) and `LaurentPoly` arithmetic
+# itself keep the double loop inline, since a call per product shows there.
+# A product by a monomial v^k is `shift`, one pass over the keys.  Everything
+# else that sums sparse maps uses `add_term`.
 
 
 def add_term(out: dict, key, c) -> None:
@@ -253,6 +253,106 @@ def shift(f: LaurentPoly, k: int) -> LaurentPoly:
     res = LaurentPoly.__new__(LaurentPoly)
     res.coeffs = {e + k: c for e, c in f.coeffs.items()}
     return res
+
+
+# -- packed integers -----------------------------------------------------------
+#
+# Kronecker substitution (Harvey, J. Symbolic Comput. 44, 2009): a Laurent
+# polynomial f = sum_k c_k v^k over Z, with every exponent >= an offset e and
+# every |c_k| < 2^(B-1), is stored as the integer x = (v^-e f)(2^B).  Evaluation
+# at 2^B is a ring map Z[v] -> Z, so sums and products of packed integers are
+# exact whatever B is; only reading digits back needs the bound, and it needs
+# it on the result alone, never on an intermediate.  The width B comes from
+# `packed_width` of a coefficient bound proved before any packing.
+
+
+def packed_width(bound: int) -> int:
+    """The width B that holds every coefficient of absolute value <= bound:
+    2^(B-1) = 2^bound.bit_length() > bound.
+
+    >>> packed_width(7), packed_width(8)
+    (4, 5)
+    """
+    return bound.bit_length() + 1
+
+
+def pack(f: LaurentPoly, width: int, offset: int = 0) -> int:
+    """(v^-offset f)(2^width) for f over Z with no exponent below offset.
+
+    >>> pack(LaurentPoly({-1: -3, 0: 1, 2: 5}), 4, -1)
+    20493
+    >>> -3 + 1 * 16 + 5 * 16 ** 3
+    20493
+    """
+    return sum(c << width * (k - offset) for k, c in f.coeffs.items())
+
+
+def packed_valuation(x: int, width: int):
+    """The lowest digit position of x, None for 0.
+
+    The lowest set bit of x = c_k 2^(Bk) + 2^(B(k+1)) * (higher digits),
+    c_k != 0, is the one of c_k 2^(Bk), at Bk + nu_2(c_k), and
+    nu_2(c_k) < B - 1 since |c_k| < 2^(B-1).  It holds for negative x too,
+    since x & -x is the lowest set bit of |x|.
+
+    >>> packed_valuation(pack(LaurentPoly({-1: -3, 2: 5}), 4, -2), 4)
+    1
+    """
+    return ((x & -x).bit_length() - 1) // width if x else None
+
+
+def packed_digit(x: int, k: int, width: int) -> int:
+    """The signed digit c_k of x at position k.
+
+    With L = sum_(j<k) c_j 2^(Bj), |L| <= (2^(B-1) - 1)(2^(Bk) - 1)/(2^B - 1)
+    < 2^(Bk-1), so adding 2^(Bk-1) (none for k = 0) and shifting by Bk
+    drops L exactly and leaves X = sum_(j>=k) c_j 2^(B(j-k)).  Then
+    c_k + 2^(B-1) lies in (0, 2^B), so it is X + 2^(B-1) mod 2^B.
+
+    >>> x = pack(LaurentPoly({-1: -3, 0: 1, 2: -5}), 4, -1)
+    >>> [packed_digit(x, k, 4) for k in range(5)]
+    [-3, 1, 0, -5, 0]
+    """
+    half = 1 << width - 1
+    shift_by = width * k
+    if shift_by:
+        x = (x + (1 << shift_by - 1)) >> shift_by
+    return ((x + half) & ((half << 1) - 1)) - half
+
+
+def unpack(x: int, width: int, offset: int = 0) -> LaurentPoly:
+    """The polynomial f with pack(f, width, offset) = x, given that every
+    coefficient of f has absolute value < 2^(width-1).
+
+    >>> f = LaurentPoly({-3: -7, -1: 1, 4: -1})
+    >>> unpack(pack(f, 4, -3), 4, -3) == f
+    True
+    >>> unpack(pack(-f, 4, -5), 4, -5) == -f
+    True
+    """
+    half = 1 << width - 1
+    mask = (half << 1) - 1
+    out = {}
+    k = packed_valuation(x, width)
+    if k is not None:
+        # no digit below k: x is exactly the shift of the higher ones
+        x >>= width * k
+        k += offset
+        while x:
+            c = ((x + half) & mask) - half
+            if c:
+                out[k] = c
+            x = (x - c) >> width
+            k += 1
+    res = LaurentPoly.__new__(LaurentPoly)
+    res.coeffs = out
+    return res
+
+
+def l1_norm(f: LaurentPoly):
+    """sum_k |c_k|: the factor by which a product with f can raise the
+    largest absolute coefficient."""
+    return sum(abs(c) for c in f.coeffs.values())
 
 
 def bar(f: LaurentPoly) -> LaurentPoly:

@@ -15,7 +15,9 @@ idempotent and arrow matrices, and direct sums of modules.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import NamedTuple
 
 from .coxeter import (
@@ -34,7 +36,12 @@ from .laurent import (
     LaurentMatrix,
     LaurentPoly,
     is_bar_invariant,
+    l1_norm,
     laurent_formatter,
+    pack,
+    packed_digit,
+    packed_valuation,
+    packed_width,
     parse_laurent,
 )
 from .linalg import laurent_kernel, laurent_rank
@@ -112,26 +119,126 @@ class Representation:
 
     def walk(self):
         """Yield (w, rho(T_w)) over all of W, depth-first along the canonical
-        ascent tree, touching one running matrix."""
+        ascent tree (`GroupEngine.ascent_walk`), keeping one running matrix
+        per length."""
         eng = self.engine
-        stack = [(eng.identity, iter(eng.canonical_left_ascent_set(eng.identity)))]
+        elements, gens = eng.elements, self.gens
         m = LaurentMatrix.identity(self.dim)
         yield eng.identity, m
         path = [m]
-        while stack:
-            w, it = stack[-1]
-            advanced = False
-            for s in it:
-                child = eng.simple[s] * w
-                m = self.gens[s] @ path[-1]
-                path.append(m)
-                yield child, m
-                stack.append((child, iter(eng.canonical_left_ascent_set(child))))
-                advanced = True
-                break
-            if not advanced:
-                stack.pop()
-                path.pop()
+        for wi, s, l in eng.ascent_walk():
+            m = gens[s] @ path[l - 1]
+            del path[l:]
+            path.append(m)
+            yield elements[wi], m
+
+    def valuation_walk(self):
+        """Yield (w, nu(rho(T_w)), nu(trace rho(T_w)), lowest) in the order
+        of `walk`, lowest() being the grid of coefficients of v^nu(rho(T_w))
+        (None stands for the valuation of 0).  Over Q the matrices are packed
+        integers (`packed_walk`); over Q(sqrt 5) they are read off `walk`."""
+        packed = self.packed_walk()
+        if packed is not None:
+            yield from packed
+            return
+        zero = Fraction(0)
+        for w, m in self.walk():
+            v = m.valuation()
+            yield (
+                w,
+                v,
+                m.trace().valuation(),
+                lambda m=m, v=v: [[e.coeffs.get(v, zero) for e in row] for row in m.entries],
+            )
+
+    def packed_walk(self):
+        """The walk of `valuation_walk` over packed integers, or None when a
+        coefficient of a generator is not rational.
+
+        Let D be the lcm of the denominators of the generator coefficients,
+        e_s the valuation of rho(T_s) and G_s = D v^-e_s rho(T_s), a matrix
+        over Z[v].  Along the path s_1, ..., s_l from 1 to w, at depth
+        l = l(w), G_(s_l) ... G_(s_1) = D^l v^-e(w) rho(T_w) with
+        e(w) = e_(s_1) + ... + e_(s_l); so a coefficient of rho(T_w) is the
+        decoded digit over D^l.  Bound: with R the largest row sum of
+        |coefficient| over the G_s, each coefficient of G_s M is at most R
+        times the largest one of M, so the depth-l product has coefficients
+        at most R^l and its trace at most d R^l <= d R^l(w0) (R >= 1, since
+        every row of an invertible matrix is nonzero).  Packed at width
+        `packed_width(d R^l(w0))`, every valuation and digit read back is
+        exact (`laurent.packed_valuation`, `laurent.packed_digit`).
+        """
+        coeffs = [
+            c for g in self.gens for row in g.entries for e in row
+            for c in e.coeffs.values()
+        ]
+        if not all(isinstance(c, (int, Fraction)) for c in coeffs):
+            return None
+        den = lcm(*(c.denominator for c in coeffs))
+        lows = [g.valuation() or 0 for g in self.gens]
+        # rows of G_s as (column, polynomial over Z) pairs, zeros left out
+        scaled = [
+            [
+                [
+                    (j, LaurentPoly({
+                        k - lows[s]: c.numerator * (den // c.denominator)
+                        for k, c in e.coeffs.items()
+                    }))
+                    for j, e in enumerate(row) if e
+                ]
+                for row in g.entries
+            ]
+            for s, g in enumerate(self.gens)
+        ]
+        row_sum = max(sum(l1_norm(f) for _, f in row) for g in scaled for row in g)
+        width = packed_width(self.dim * row_sum ** self.engine.n_positive)
+        gens = [[[(j, pack(f, width)) for j, f in row] for row in g] for g in scaled]
+        return self._packed_nodes(gens, lows, den, width)
+
+    def _packed_nodes(self, gens, lows, den, width):
+        """The generator of `packed_walk`: one running packed matrix per
+        length and its exponent offset e(w).  The valuation of the matrix
+        is that of the bitwise or of its entries, whose lowest set bit is
+        the lowest one among them."""
+        eng, d = self.engine, self.dim
+        elements = eng.elements
+        ident = [[int(i == j) for j in range(d)] for i in range(d)]
+
+        def lowest(m, k, depth):
+            # the digits at position k over D^depth; no entry has a lower one
+            if den == 1:
+                return [[packed_digit(x, k, width) for x in row] for row in m]
+            scale = den ** depth
+            return [[Fraction(packed_digit(x, k, width), scale) for x in row]
+                    for row in m]
+
+        yield eng.identity, 0, 0, lambda: lowest(ident, 0, 0)
+        path = [(ident, 0)]
+        for wi, s, l in eng.ascent_walk():
+            pm, off = path[l - 1]
+            m = []
+            for row in gens[s]:
+                acc = None
+                for t, g in row:
+                    pt = pm[t]
+                    acc = ([g * x for x in pt] if acc is None
+                           else [a + g * x for a, x in zip(acc, pt)])
+                m.append([0] * d if acc is None else acc)
+            off += lows[s]
+            del path[l:]
+            path.append((m, off))
+            low = 0
+            for row in m:
+                for x in row:
+                    low |= x
+            k = packed_valuation(low, width)
+            t = packed_valuation(sum(m[i][i] for i in range(d)), width)
+            yield (
+                elements[wi],
+                None if k is None else k + off,
+                None if t is None else t + off,
+                lambda m=m, k=k, l=l: lowest(m, k, l),
+            )
 
     def conjugate(self, p: LaurentMatrix, p_inv: LaurentMatrix) -> "Representation":
         return Representation(self.engine, [p_inv @ g @ p for g in self.gens])

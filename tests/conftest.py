@@ -75,13 +75,21 @@ def kl_cell_files(tmp_path_factory):
 
 @pytest.fixture
 def count_walks(monkeypatch):
-    """Every walk of W a `Representation` makes from here on, in order."""
+    """Every walk of W a `Representation` makes from here on, in order: a
+    Laurent `walk`, or a `packed_walk` over Q."""
     walks = []
-    walk = Representation.walk
+    walk, packed_walk = Representation.walk, Representation.packed_walk
 
     def counted(rep):
         walks.append(rep)
         return walk(rep)
 
+    def counted_packed(rep):
+        nodes = packed_walk(rep)
+        if nodes is not None:
+            walks.append(rep)
+        return nodes
+
     monkeypatch.setattr(Representation, "walk", counted)
+    monkeypatch.setattr(Representation, "packed_walk", counted_packed)
     return walks

@@ -3,18 +3,28 @@
 No `coxkl` command calls these.  Each one reaches a fact that `coxkl`
 computes one way by another route: the braid commutator through the
 Chebyshev-style polynomial tau, the generator matrices rebuilt from the
-idempotent and arrow matrices, balancedness and the Schur element from walks
-of their own, Lusztig's homomorphism phi read off the h-table, and J from the
-leading matrices of the KL cell modules.  The golden ratio and the real sign
-of a Q(sqrt 5) element serve the tests of that field and the root-system
-oracle of the group tables.
+idempotent and arrow matrices, balancedness, the leading table and the
+Schur element from Laurent walks of their own, the h-table in Laurent
+polynomials, Lusztig's homomorphism phi read off the h-table, and J from
+the leading matrices of the KL cell modules.  The golden ratio and the real
+sign of a Q(sqrt 5) element serve the tests of that field and the
+root-system oracle of the group tables.
 """
 
 from fractions import Fraction
 
 from coxkl.asymptotic import JElement, gamma_n_table, irreducible_cell_reps
 from coxkl.balance import VerificationError
-from coxkl.laurent import ZERO, LaurentMatrix, LaurentPoly, add_term, shift
+from coxkl.kl import ADeltaN
+from coxkl.laurent import (
+    ZERO,
+    LaurentMatrix,
+    LaurentPoly,
+    add_term,
+    bar,
+    from_sum,
+    shift,
+)
 from coxkl.scalars import Sqrt5
 from coxkl.wgraph import Representation, tau_poly
 
@@ -99,6 +109,25 @@ def is_balanced(rep: Representation, a: int):
     return attained is not None, attained
 
 
+def leading_by_walk(rep: Representation):
+    """(a, leading table, witness) by the Laurent `walk`: a from the
+    traces, the table of residues of v^a rho(T_w) over the w of valuation
+    -a in walk order, and the first w of valuation below -a, or None.  The
+    table is None when there is a witness."""
+    walked = list(rep.walk())
+    a = -min(t for t in (m.trace().valuation() for _, m in walked) if t is not None)
+    for w, m in walked:
+        if m.valuation() < -a:
+            return a, None, w
+    zero = Fraction(0)
+    table = {
+        w: [[e.coeffs.get(-a, zero) for e in row] for row in m.entries]
+        for w, m in walked
+        if m.valuation() == -a
+    }
+    return a, table, None
+
+
 def schur_f(rep: Representation, a: int, entry=(0, 0)):
     """The Schur element c = sum_w rho(T_{w^-1})_{ts} rho(T_w)_{st} at the
     entry (s, t) and its unit f = lowest_term(v^{2a} c), from a walk of its
@@ -119,6 +148,70 @@ def schur_f(rep: Representation, a: int, entry=(0, 0)):
     if shifted.valuation() != 0:
         raise VerificationError("Schur element has the wrong valuation")
     return c, shifted.lowest_term()
+
+
+def h_column(kl, y) -> list[dict[int, LaurentPoly]]:
+    """C_x C_y = sum_z h_{x,y,z} C_z for every x, in Laurent polynomials:
+    entry x.index is {z.index: h}.  The recursion of `KLContext.h_column`,
+    C_x C_y = C_s (C_x' C_y) - sum_z w_{s,z,x'} C_z C_y for x = s x', with
+    no packing."""
+    eng = kl.engine
+    cols = kl._generator_columns()
+    column: list[dict[int, LaurentPoly]] = [{y.index: LaurentPoly({0: 1})}]
+    for xi in range(1, eng.order):
+        s = eng.words[xi][0]
+        xp = eng.lmul[s][xi]
+        gen = cols[s]
+        acc: dict[int, dict] = {}
+        for u, c in column[xp].items():
+            for z, weight in gen[u]:
+                out = acc.setdefault(z, {})
+                for k1, c1 in c.coeffs.items():
+                    for k2, c2 in weight.coeffs.items():
+                        add_term(out, k1 + k2, c1 * c2)
+        for z, weight in gen[xp]:
+            if z != xi:
+                for t, c in column[z].items():
+                    out = acc.setdefault(t, {})
+                    for k1, c1 in c.coeffs.items():
+                        for k2, c2 in weight.coeffs.items():
+                            add_term(out, k1 + k2, -c1 * c2)
+        row = {}
+        for z, out in acc.items():
+            h = from_sum(out)
+            if h:
+                row[z] = h
+        column.append(row)
+    return column
+
+
+def lusztig_a_delta_n(kl) -> ADeltaN:
+    """a, Delta, n, the Duflo set and gamma as `KLContext.lusztig_a_delta_n`
+    defines them, read off the Laurent h-columns of `h_column`."""
+    eng = kl.engine
+    elements = eng.elements
+    a = [0] * eng.order
+    lead = [{} for _ in elements]
+    for y in elements:
+        for xi, row in enumerate(h_column(kl, y)):
+            for zi, h in row.items():
+                k = -h.valuation()
+                if k > a[zi]:
+                    a[zi], lead[zi] = k, {}
+                if k == a[zi]:
+                    lead[zi][(xi, y.index)] = h.coeffs[-k]
+    gamma = {}
+    for zi, terms in enumerate(lead):
+        z_inv = elements[eng.inverses[zi]]
+        for (xi, yi), c in terms.items():
+            gamma.setdefault((elements[xi], elements[yi]), {})[z_inv] = c
+    a_of = {z: a[z.index] for z in elements}
+    delta, n = {}, {}
+    for z in elements:
+        p = bar(kl.pstar(eng.identity, z))
+        delta[z], n[z] = p.valuation(), p.lowest_term()
+    duflo = {z for z in elements if a_of[z] == delta[z]}
+    return ADeltaN(a_of, delta, n, duflo, gamma)
 
 
 def lusztig_phi(w, data, kl, cells) -> JElement:

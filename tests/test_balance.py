@@ -7,8 +7,9 @@ from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import direct_sum, is_balanced, schur_f
+from oracles import direct_sum, is_balanced, leading_by_walk, schur_f
 
+from coxkl import wgraph
 from coxkl.asymptotic import _schur_unit, class_character
 from coxkl.balance import (
     InvariantForm,
@@ -388,13 +389,18 @@ small_polys = st.dictionaries(
     st.integers(-2, 2), st.integers(-2, 2).map(Fraction), max_size=2
 ).map(LaurentPoly)
 
+#: as small_polys, with the non-integral coefficients -1/2 and 1/3
+small_fraction_polys = st.dictionaries(
+    st.integers(-2, 2),
+    st.sampled_from([-2, -1, Fraction(-1, 2), Fraction(1, 3), 1, 2]).map(Fraction),
+    max_size=2,
+).map(LaurentPoly)
 
-@settings(max_examples=25, deadline=None)
-@given(st.sampled_from(GRAM_CASES), st.data())
-def test_coset_gram_equals_the_walk_sum_on_dense_conjugates(case, data):
-    """Conjugates by a monomial matrix diag(c_i v^e_i) P, or by a
-    unitriangular one, whose generators are dense."""
-    rep = data.draw(st.sampled_from(left_cell_modules(case)))
+
+def draw_dense_conjugate(data, rep, polys=small_polys):
+    """A conjugate of rep by a monomial matrix diag(c_i v^e_i) P, c_i in
+    {-2, -1, 1, 3}, or by a unitriangular one with entries drawn from
+    polys; its generators are dense."""
     d = rep.dim
     if data.draw(st.booleans()):
         perm = data.draw(st.permutations(range(d)))
@@ -409,11 +415,62 @@ def test_coset_gram_equals_the_walk_sum_on_dense_conjugates(case, data):
         q = LaurentMatrix.identity(d)
         for i in range(d):
             for j in range(i + 1, d):
-                q.entries[i][j] = data.draw(small_polys)
+                q.entries[i][j] = data.draw(polys)
         q_inv = unitriangular_inverse(q)
     assert q @ q_inv == LaurentMatrix.identity(d)
-    conj = rep.conjugate(q, q_inv)
+    return rep.conjugate(q, q_inv)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(GRAM_CASES), st.data())
+def test_coset_gram_equals_the_walk_sum_on_dense_conjugates(case, data):
+    """Conjugates by a monomial matrix diag(c_i v^e_i) P, or by a
+    unitriangular one, whose generators are dense."""
+    rep = data.draw(st.sampled_from(left_cell_modules(case)))
+    conj = draw_dense_conjugate(data, rep)
     assert gram_invariant_form(conj).matrix == gram_by_transposes(conj)
+
+
+def packed_outcome(rep):
+    """`leading_coefficients` in the form of `oracles.leading_by_walk`, the
+    table as its list of items so that the key order counts."""
+    try:
+        a, table = leading_coefficients(rep)
+    except NotBalancedError as exc:
+        return exc.a_value, None, exc.witness
+    return a, list(table.items()), None
+
+
+def laurent_outcome(rep):
+    a, table, witness = leading_by_walk(rep)
+    return a, None if table is None else list(table.items()), witness
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([c for c in GRAM_CASES if c not in ("A4", "H3")]), st.data())
+def test_packed_walk_matches_the_laurent_walk(case, data):
+    """On dense conjugates with Fraction coefficients, balanced or not, the
+    packed walk gives the a-value, the leading table in walk order and the
+    refusal's witness of the Laurent walk.  A4 and H3 are left out: on a
+    dense conjugate of their cells the Laurent walk takes tens of seconds."""
+    rep = data.draw(st.sampled_from(left_cell_modules(case)))
+    conj = draw_dense_conjugate(data, rep, small_fraction_polys)
+    assert conj.packed_walk() is not None
+    assert packed_outcome(conj) == laurent_outcome(conj)
+
+
+def test_packed_walk_comparison_fails_at_a_planted_width(monkeypatch):
+    """A width of 3 bits holds digits up to 3 in absolute value only; the
+    packed walk then misreads a conjugate of the 6-dimensional KL left cell
+    module of A4 by I + 2 E_01, and the comparison with the Laurent walk
+    sees it."""
+    rep = max(left_cell_modules("A4"), key=lambda r: r.dim)
+    q, q_inv = LaurentMatrix.identity(6), LaurentMatrix.identity(6)
+    q.entries[0][1], q_inv.entries[0][1] = LaurentPoly({0: 2}), LaurentPoly({0: -2})
+    rep = rep.conjugate(q, q_inv)
+    assert packed_outcome(rep) == laurent_outcome(rep)
+    monkeypatch.setattr(wgraph, "packed_width", lambda bound: 3)
+    assert packed_outcome(rep) != laurent_outcome(rep)
 
 
 @pytest.mark.parametrize("group, count", [("A4", 14), ("B3", 12), ("H3", 19)])

@@ -10,10 +10,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from oracles import GOLDEN
 
 from coxkl import asymptotic, blocks
 from coxkl.cli import main
 from coxkl.laurent import LaurentMatrix, LaurentPoly, format_laurent, parse_laurent
+from coxkl.scalars import parse_scalar
 from coxkl.linalg import laurent_rank
 from coxkl.fixtures import catalogue, shared_engine
 from coxkl.kl import KLContext
@@ -632,6 +634,63 @@ def test_file_commands_walk_w(tmp_path, capsys, count_walks, command, count, fix
     out = json.loads(capsys.readouterr().out)
     assert out.get("balanced", True)
     assert len(count_walks) == count
+
+
+def test_balance_refuses_a_module_it_cannot_balance(capsys, tmp_path):
+    """b3_chi7 with one edge weight doubled is not a Hecke module: `balance`
+    exits 1 with an `error:` line and prints nothing on stdout, rather than
+    a report with `"balanced": false`."""
+    run(capsys, "fixtures", "--out", str(tmp_path))
+    path = tmp_path / "b3_chi7.json"
+    data = json.loads(path.read_text())
+    (hit,) = [e for e in data["edges"] if (e["s"], e["to"], e["from"]) == (0, 0, 1)]
+    hit["weight"] = format_laurent(parse_laurent(hit["weight"]) * 2)
+    path.write_text(json.dumps(data))
+    assert main(["balance", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == "error: Gram form is not invariant for generator 0\n"
+
+
+def test_a_module_over_q_sqrt5_keeps_the_laurent_walk(
+    tmp_path, capsys, count_walks, kl_cell_files
+):
+    """The 4-dimensional KL left cell of I2(5) with vertex 1 scaled by phi,
+    the conjugate by S = diag(1, phi, 1, 1), has edge weights phi and
+    1/phi.  Its generators lie over Q(sqrt 5), so `balance` and `leading`
+    walk it once in Laurent polynomials, where the cell itself takes the
+    packed walk.  Both commands exit 0 with the a-value of the cell, and
+    the leading table is S^-1 c(w) S for the table c of the cell."""
+    plain = next(p for p in kl_cell_files("I2(5)") if "\"id\": 3" in p.read_text())
+    data = json.loads(plain.read_text())
+    for e in data["edges"]:
+        w = parse_laurent(e["weight"])
+        if e["from"] == 1:
+            e["weight"] = format_laurent(w * GOLDEN)
+        elif e["to"] == 1:
+            e["weight"] = format_laurent(w * (GOLDEN - 1))
+    scaled = tmp_path / "i25_cell_phi.json"
+    scaled.write_text(json.dumps(data))
+    assert "r5" in scaled.read_text()
+    out = {}
+    for path in (plain, scaled):
+        for command in ("balance", "leading"):
+            count_walks.clear()
+            assert main([command, str(path)]) == 0
+            out[path, command] = json.loads(capsys.readouterr().out)
+            ((rep,),) = [count_walks]
+            assert (rep.packed_walk() is None) == (path == scaled)
+    assert out[scaled, "balance"]["balanced"]
+    assert out[scaled, "balance"]["a_value"] == out[plain, "balance"]["a_value"] == 1
+    lead, lead_phi = out[plain, "leading"], out[scaled, "leading"]
+    assert lead_phi["a_value"] == lead["a_value"] == 1
+    assert list(lead_phi["leading"]) == list(lead["leading"])
+    s = [1, GOLDEN, 1, 1]
+    for w, c in lead["leading"].items():
+        c_phi = lead_phi["leading"][w]
+        for i in range(4):
+            for j in range(4):
+                assert parse_scalar(c_phi[i][j]) == parse_scalar(c[i][j]) * s[j] / s[i]
 
 
 SMOKE_FIXTURES = [

@@ -12,9 +12,12 @@ from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
+from oracles import h_column as oracle_h_column
+from oracles import lusztig_a_delta_n as oracle_a_delta_n
 from tbasis import TBasis
 
-from coxkl.coxeter import bit_indices, build_group
+from coxkl import kl as kl_module
+from coxkl.coxeter import CATALOGUE, bit_indices, build_group
 from coxkl.graphs import condensation_order
 from coxkl.kl import KLContext
 from coxkl.laurent import (
@@ -421,6 +424,51 @@ def test_h_structure_matches_t_basis_products(group, pairs):
         sample = [(rng.choice(els), rng.choice(els)) for _ in range(pairs)]
     for x, y in sample:
         assert kl.h_structure(x, y) == oracle(x, y), (x, y)
+
+
+#: every shipped type with |W| <= 192, the structure-constant guard, and
+#: the unequal weights of its types B and I2(even)
+H_TABLE_GROUPS = [name for name, (_, order) in CATALOGUE.items() if order <= 192] + [
+    "B2:2,1", "B2:1,2", "B3:2,1,1", "B3:1,2,2", "B3:3,1,1",
+    "I2(4):2,1", "I2(4):3,1", "I2(6):2,1", "I2(6):3,1",
+]
+
+
+@pytest.mark.parametrize("group", H_TABLE_GROUPS)
+def test_packed_h_table_matches_the_laurent_oracle(group):
+    """a, Delta, n, the Duflo set and gamma read off the packed h-columns
+    equal those read off the Laurent h-columns of `oracles.h_column`."""
+    kl = KLContext(build_group(group))
+    assert kl.lusztig_a_delta_n() == oracle_a_delta_n(KLContext(kl.engine))
+
+
+def test_h_structure_comparison_fails_at_a_planted_width(monkeypatch):
+    """A width of 3 bits holds digits up to 3 in absolute value only.  The
+    h-table of B3 has coefficients up to 18, so the unpacked columns no
+    longer match the Laurent ones.  (a and gamma read only lowest digits,
+    which a too narrow width can leave intact.)"""
+    monkeypatch.setattr(kl_module, "packed_width", lambda bound: 3)
+    kl = KLContext(build_group("B3"))
+    y = kl.engine.w0
+    column = oracle_h_column(KLContext(kl.engine), y)
+    assert any(
+        kl.h_structure(x, y) != {kl.engine.elements[z]: h for z, h in column[x.index].items()}
+        for x in kl.engine.elements
+    )
+
+
+@pytest.mark.parametrize("group", ["A3", "I2(5)", "B3:2,1,1", "I2(6):3,1"])
+def test_h_structure_unpacks_the_laurent_columns(group):
+    """Every h_{x,y,.} unpacked from the packed columns is the Laurent one,
+    with its keys in the same order."""
+    kl = KLContext(build_group(group))
+    laurent = KLContext(kl.engine)
+    els = kl.engine.elements
+    for y in els:
+        column = oracle_h_column(laurent, y)
+        for x in els:
+            h = kl.h_structure(x, y)
+            assert list(h.items()) == [(els[z], p) for z, p in column[x.index].items()]
 
 
 def test_a_delta_n_duflo(kl_a2):

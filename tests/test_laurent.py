@@ -13,10 +13,16 @@ from coxkl.laurent import (
     format_laurent,
     from_sum,
     laurent_gcd,
+    l1_norm,
     negative_part,
+    pack,
+    packed_digit,
+    packed_valuation,
+    packed_width,
     parse_laurent,
     positive_part,
     shift,
+    unpack,
 )
 from coxkl.scalars import Sqrt5
 
@@ -249,3 +255,29 @@ def test_matrix_arithmetic_checks_shapes():
     assert (a @ b).cols == 3
     with pytest.raises(ValueError):
         b @ b
+
+
+int_polys = st.dictionaries(
+    st.integers(-6, 6), st.integers(-300, 300), max_size=6
+).map(LaurentPoly)
+
+
+@given(int_polys, int_polys)
+def test_packed_form_is_exact_below_its_width(f, g):
+    """pack, unpack, the valuation and every digit round-trip at the width of
+    the largest coefficient, and the packed product at the width of the
+    bound L1(f) * max|g| is the product of the packed factors."""
+    offset = -6
+    width = packed_width(max(map(abs, f.coeffs.values()), default=0))
+    x = pack(f, width, offset)
+    assert unpack(x, width, offset) == f
+    assert packed_valuation(x, width) == (
+        None if not f else f.valuation() - offset
+    )
+    assert [packed_digit(x, k, width) for k in range(14)] == [
+        f.coeffs.get(k + offset, 0) for k in range(14)
+    ]
+    bound = l1_norm(f) * max(map(abs, g.coeffs.values()), default=0)
+    width = packed_width(bound)
+    product = pack(f, width, offset) * pack(g, width, offset)
+    assert unpack(product, width, 2 * offset) == f * g
