@@ -70,4 +70,4 @@ print("conjugation residuals:", cert.residuals)
 # The invariant form itself is block diagonal mod m as well.
 form = gram_invariant_form(rep9)
 print("gram form residue block diagonal:",
-      block_report(form.matrix, chi9.labels, chi9.labels).diagonal)
+      block_report(form, chi9.labels, chi9.labels).diagonal)

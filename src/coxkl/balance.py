@@ -16,10 +16,10 @@ the form never grows from step to step, and the step history is recorded
 so callers can assert that.  `balance` runs that elimination on the Gram
 form, and `strictify` runs it on a form whose residue is block diagonal by
 labels.  One depth-first sweep of the balanced module gives its a-value
-and its leading table, so `balance` walks W once per module.  Over Q the
-sweep runs on packed integers (`Representation.packed_walk`), exact at a
-width fixed by a coefficient bound; over Q(sqrt 5) it runs on Laurent
-matrices.
+and its leading table, so `balance` walks W once per module.  The sweep
+runs on packed integers (`Representation.valuation_walk`), exact at a width
+fixed by a coefficient bound; a module over Q(sqrt 5) is swept as its
+restriction of scalars to Q.
 """
 
 from __future__ import annotations
@@ -47,12 +47,6 @@ class NotBalancedError(VerificationError):
         self.a_value = a
 
 
-class InvariantForm(NamedTuple):
-    """A symmetric matrix intertwining rho with its transpose-dual."""
-
-    matrix: LaurentMatrix
-
-
 class BalancedData(NamedTuple):
     """Outcome of balancing: the a-value, base change and leading table."""
 
@@ -63,12 +57,13 @@ class BalancedData(NamedTuple):
     leading: dict[Element, list]
     degree_history: list
     #: the balanced invariant form
-    form: InvariantForm
+    form: LaurentMatrix
 
 
-def gram_invariant_form(rep: Representation) -> InvariantForm:
+def gram_invariant_form(rep: Representation) -> LaurentMatrix:
     """Omega = v^-nu * sum_w rho(T_w)^Tr rho(T_w), normalized to valuation 0,
-    by the parabolic coset recursion.
+    by the parabolic coset recursion: a symmetric matrix intertwining rho
+    with its transpose-dual.
 
     Along the chain of `GroupEngine.coset_chain`, T_xd = T_x T_d for x in
     W_k and d in D_k, so the partial sum Omega_k over W_k gives
@@ -105,7 +100,7 @@ def gram_invariant_form(rep: Representation) -> InvariantForm:
     for s, g in enumerate(rep.gens):
         if (omega @ g) != (g.transpose() @ omega):
             raise VerificationError(f"Gram form is not invariant for generator {s}")
-    return InvariantForm(omega)
+    return omega
 
 
 def a_value(rep: Representation) -> int:
@@ -238,7 +233,7 @@ def _eliminate(matrix: LaurentMatrix):
     return omega, q, q_inv, diag, history
 
 
-def balance(rep: Representation, form: InvariantForm | None = None):
+def balance(rep: Representation, form: LaurentMatrix | None = None):
     """Degree-safe balancing base change.
 
     Returns (rep', data) where rep' = Q^-1 rep Q is balanced, the transformed
@@ -246,14 +241,13 @@ def balance(rep: Representation, form: InvariantForm | None = None):
     data.degree_history records the maximal entry degree after each step
     (monotonically non-increasing).  The final invariant form is stored on
     the returned data as `form`; the a-value and the leading table come
-    from one walk of rep' (`leading_coefficients`), and only the matrix of
-    a given form is read.  The elimination leaves a diagonal residue; a
-    nonzero off-diagonal residue would raise VerificationError naming the
-    first one.
+    from one walk of rep' (`leading_coefficients`).  The elimination leaves
+    a diagonal residue; a nonzero off-diagonal residue would raise
+    VerificationError naming the first one.
     """
     if form is None:
         form = gram_invariant_form(rep)
-    omega, q, q_inv, diag, history = _eliminate(form.matrix)
+    omega, q, q_inv, diag, history = _eliminate(form)
     res = omega.residue()
     for i in range(rep.dim):
         for j in range(rep.dim):
@@ -274,14 +268,14 @@ def balance(rep: Representation, form: InvariantForm | None = None):
         d=diag,
         leading=leading,
         degree_history=history,
-        form=InvariantForm(omega),
+        form=omega,
     )
     return rep2, data
 
 
 def strictify(
     rep: Representation,
-    form: InvariantForm,
+    form: LaurentMatrix,
     labels: list[frozenset],
 ):
     """Make the residue of the form fully diagonal inside each label block.
@@ -298,9 +292,8 @@ def strictify(
     d = rep.dim
     if len(labels) != d:
         raise ValueError("need one label per matrix index")
-    omega = form.matrix
-    val = omega.valuation()
-    res = (omega.scale(LaurentPoly({-val: 1})) if val else omega).residue()
+    val = form.valuation()
+    res = (form.scale(LaurentPoly({-val: 1})) if val else form).residue()
     for i in range(d):
         for j in range(d):
             if labels[i] != labels[j] and res[i][j]:
@@ -308,10 +301,10 @@ def strictify(
                     f"form residue is not block diagonal: block "
                     f"({sorted(labels[i])}, {sorted(labels[j])}) is nonzero"
                 )
-    omega, q, q_inv, _, _ = _eliminate(omega)
+    omega, q, q_inv, _, _ = _eliminate(form)
     if not q.is_constant():
         raise VerificationError(
             "a residue pivot vanishes: the form is not definite on a label block"
         )
     l_full = f_mat_transpose(q_inv.residue())
-    return rep.conjugate(q, q_inv), InvariantForm(omega), l_full
+    return rep.conjugate(q, q_inv), omega, l_full

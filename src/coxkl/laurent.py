@@ -406,13 +406,15 @@ def laurent_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
 #
 # Wire format: sum of terms "c*v^k", constants written bare, e.g.
 # "-1*v^-1 + 2 + 1*v^3".  A Q(sqrt 5) coefficient with an irrational part is
-# parenthesized, e.g. "(1/2+1/2r5)*v^1".  The parser is whitespace-insensitive
-# and accepts omitted unit coefficients ("v^3", "-v^-1") and "v" for v^1.
+# parenthesized, e.g. "(1/2+1/2r5)*v^1".  Whitespace may not split a number
+# or a name, and a "*" needs a coefficient before it.  The parser accepts
+# omitted unit coefficients ("v^3", "-v^-1") and "v" for v^1.
 
 _TERM_RE = re.compile(
-    r"^(?P<coeff>\d+(?:/\d+)?|#\d+)?(?P<var>\*?v(?:\^(?P<exp>[+-]?\d+))?)?$"
+    r"^(?:(?P<coeff>\d+(?:/\d+)?|#\d+)(?:\*(?=v))?)?(?P<var>v(?:\^(?P<exp>[+-]?\d+))?)?$"
 )
 _PAREN_RE = re.compile(r"\(([^()]*)\)")
+_SPLIT_RE = re.compile(r"\w\s+\w")
 
 
 def format_laurent(f: LaurentPoly) -> str:
@@ -447,11 +449,11 @@ def laurent_formatter():
 def parse_laurent(text: str) -> LaurentPoly:
     """Inverse of `format_laurent`; malformed text or a coefficient with a
     zero denominator raises ValueError."""
+    if "#" in text or _SPLIT_RE.search(text):
+        raise ValueError(f"bad Laurent polynomial {text!r}")
     s = "".join(text.split())
     if not s or s == "0":
         return LaurentPoly()
-    if "#" in s:
-        raise ValueError(f"bad Laurent polynomial {text!r}")
     # parenthesized coefficients become "#i" before the split on signs
     parens: list = []
 

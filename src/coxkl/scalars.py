@@ -106,6 +106,23 @@ def _parts(x):
     return None, None
 
 
+def rational_block(c) -> list[list[Fraction]]:
+    """[[a, 5b], [b, a]], the matrix of multiplication by c = a + b sqrt(5)
+    on the Q-basis (1, sqrt(5)): a ring homomorphism from Q(sqrt 5) to the
+    2 x 2 matrices over Q (restriction of scalars).
+
+    >>> phi, y = Sqrt5(Fraction(1, 2), Fraction(1, 2)), Sqrt5(-1, Fraction(1, 2))
+    >>> [[str(x) for x in row] for row in rational_block(phi)]
+    [['1/2', '5/2'], ['1/2', '1/2']]
+    >>> p, q = rational_block(phi), rational_block(y)
+    >>> rational_block(phi * y) == [[p[i][0] * q[0][j] + p[i][1] * q[1][j]
+    ...                              for j in (0, 1)] for i in (0, 1)]
+    True
+    """
+    a, b = _parts(c)
+    return [[a, 5 * b], [b, a]]
+
+
 def scalar_inv(c):
     """Multiplicative inverse in whichever field `c` lives in."""
     if isinstance(c, Sqrt5):

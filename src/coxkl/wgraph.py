@@ -6,11 +6,14 @@ edge weights m^s_{xy}, subject to the support condition
 m^s_{xy} != 0  =>  s in I(x) \\ I(y).  The induced generator matrix has
 -v_s^-1 on labeled diagonal entries, v_s elsewhere, and the weights off the
 diagonal.  Braid relations are checked by direct alternating products, a
-check valid for every weight function.  The KL W-graph reads the edge map
-that `KLContext.wgraph_edges` builds once per context.  The tests keep in
-`tests/oracles.py` the Chebyshev-style commutator identity (tau route,
-valid for equal weights only), the generator matrices rebuilt from the
-idempotent and arrow matrices, and direct sums of modules.
+check valid for every weight function.  A module walks W once, in packed
+integers over Q, through the restriction of scalars when its coefficients
+lie in Q(sqrt 5) (`Representation.valuation_walk`).  The KL W-graph reads
+the edge map that `KLContext.wgraph_edges` builds once per context.  The
+tests keep in `tests/oracles.py` the walk in Laurent matrices, the
+Chebyshev-style commutator identity (tau route, valid for equal weights
+only), the generator matrices rebuilt from the idempotent and arrow
+matrices, and direct sums of modules.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .laurent import (
     parse_laurent,
 )
 from .linalg import laurent_kernel, laurent_rank
+from .scalars import Sqrt5, rational_block
 
 
 class WGraph:
@@ -117,101 +121,82 @@ class Representation:
     def character(self, w: Element) -> LaurentPoly:
         return self.t_matrix(w).trace()
 
-    def walk(self):
-        """Yield (w, rho(T_w)) over all of W, depth-first along the canonical
-        ascent tree (`GroupEngine.ascent_walk`), keeping one running matrix
-        per length."""
-        eng = self.engine
-        elements, gens = eng.elements, self.gens
-        m = LaurentMatrix.identity(self.dim)
-        yield eng.identity, m
-        path = [m]
-        for wi, s, l in eng.ascent_walk():
-            m = gens[s] @ path[l - 1]
-            del path[l:]
-            path.append(m)
-            yield elements[wi], m
-
     def valuation_walk(self):
-        """Yield (w, nu(rho(T_w)), nu(trace rho(T_w)), lowest) in the order
-        of `walk`, lowest() being the grid of coefficients of v^nu(rho(T_w))
-        (None stands for the valuation of 0).  Over Q the matrices are packed
-        integers (`packed_walk`); over Q(sqrt 5) they are read off `walk`."""
-        packed = self.packed_walk()
-        if packed is not None:
-            yield from packed
-            return
-        zero = Fraction(0)
-        for w, m in self.walk():
-            v = m.valuation()
-            yield (
-                w,
-                v,
-                m.trace().valuation(),
-                lambda m=m, v=v: [[e.coeffs.get(v, zero) for e in row] for row in m.entries],
-            )
+        """Yield (w, nu(rho(T_w)), nu(trace rho(T_w)), lowest) over all of W,
+        depth-first along the canonical ascent tree (`GroupEngine.ascent_walk`),
+        keeping one running matrix of packed integers per length; lowest() is
+        the grid of coefficients of v^nu(rho(T_w)), and None stands for the
+        valuation of 0.
 
-    def packed_walk(self):
-        """The walk of `valuation_walk` over packed integers, or None when a
-        coefficient of a generator is not rational.
+        The walk runs over Q: rho_Q is rho, k = 1, or, when a coefficient
+        lies in Q(sqrt 5), its restriction of scalars, k = 2, with each
+        coefficient c replaced by the block `scalars.rational_block(c)`.  A
+        block is fixed by its first column, so the running matrices keep the
+        columns k j only (kd x d); entry (i, j) of rho(T_w) has its parts in
+        rows k i and k i + 1 of column j.
 
-        Let D be the lcm of the denominators of the generator coefficients,
-        e_s the valuation of rho(T_s) and G_s = D v^-e_s rho(T_s), a matrix
-        over Z[v].  Along the path s_1, ..., s_l from 1 to w, at depth
-        l = l(w), G_(s_l) ... G_(s_1) = D^l v^-e(w) rho(T_w) with
+        Let D be the lcm of the denominators of rho_Q, e_s the valuation of
+        rho(T_s) and G_s = D v^-e_s rho_Q(T_s), a matrix over Z[v].  Along
+        the path s_1, ..., s_l from 1 to w, at depth l = l(w),
+        G_(s_l) ... G_(s_1) = D^l v^-e(w) rho_Q(T_w) with
         e(w) = e_(s_1) + ... + e_(s_l); so a coefficient of rho(T_w) is the
         decoded digit over D^l.  Bound: with R the largest row sum of
         |coefficient| over the G_s, each coefficient of G_s M is at most R
         times the largest one of M, so the depth-l product has coefficients
-        at most R^l and its trace at most d R^l <= d R^l(w0) (R >= 1, since
-        every row of an invertible matrix is nonzero).  Packed at width
-        `packed_width(d R^l(w0))`, every valuation and digit read back is
-        exact (`laurent.packed_valuation`, `laurent.packed_digit`).
+        at most R^l and each part of its trace at most d R^l <= d R^l(w0)
+        (R >= 1, since every row of an invertible matrix is nonzero).  Packed
+        at width `packed_width(d R^l(w0))`, every valuation and digit read
+        back is exact (`laurent.packed_valuation`, `laurent.packed_digit`).
+        The valuation of a matrix, or of both parts of a trace, is that of
+        the bitwise or of its entries, whose lowest set bit is the lowest one
+        among them.
         """
-        coeffs = [
-            c for g in self.gens for row in g.entries for e in row
-            for c in e.coeffs.values()
-        ]
-        if not all(isinstance(c, (int, Fraction)) for c in coeffs):
-            return None
-        den = lcm(*(c.denominator for c in coeffs))
-        lows = [g.valuation() or 0 for g in self.gens]
+        eng, d = self.engine, self.dim
+        elements = eng.elements
+        gens, k = self.gens, 1
+        if any(isinstance(c, Sqrt5) for g in gens for row in g.entries
+               for x in row for c in x.coeffs.values()):
+            gens, k = [LaurentMatrix(2 * d, 2 * d, [
+                [LaurentPoly({e: rational_block(c)[r][t] for e, c in x.coeffs.items()})
+                 for x in row for t in (0, 1)]
+                for row in g.entries for r in (0, 1)
+            ]) for g in gens], 2
+        den = lcm(*(c.denominator for g in gens for row in g.entries
+                    for x in row for c in x.coeffs.values()))
+        lows = [g.valuation() or 0 for g in gens]
         # rows of G_s as (column, polynomial over Z) pairs, zeros left out
         scaled = [
             [
                 [
                     (j, LaurentPoly({
-                        k - lows[s]: c.numerator * (den // c.denominator)
-                        for k, c in e.coeffs.items()
+                        e - lows[s]: c.numerator * (den // c.denominator)
+                        for e, c in x.coeffs.items()
                     }))
-                    for j, e in enumerate(row) if e
+                    for j, x in enumerate(row) if x
                 ]
                 for row in g.entries
             ]
-            for s, g in enumerate(self.gens)
+            for s, g in enumerate(gens)
         ]
         row_sum = max(sum(l1_norm(f) for _, f in row) for g in scaled for row in g)
-        width = packed_width(self.dim * row_sum ** self.engine.n_positive)
+        width = packed_width(d * row_sum ** eng.n_positive)
         gens = [[[(j, pack(f, width)) for j, f in row] for row in g] for g in scaled]
-        return self._packed_nodes(gens, lows, den, width)
+        traces = [[(k * i + r, i) for i in range(d)] for r in range(k)]
 
-    def _packed_nodes(self, gens, lows, den, width):
-        """The generator of `packed_walk`: one running packed matrix per
-        length and its exponent offset e(w).  The valuation of the matrix
-        is that of the bitwise or of its entries, whose lowest set bit is
-        the lowest one among them."""
-        eng, d = self.engine, self.dim
-        elements = eng.elements
-        ident = [[int(i == j) for j in range(d)] for i in range(d)]
-
-        def lowest(m, k, depth):
-            # the digits at position k over D^depth; no entry has a lower one
+        def lowest(m, v, depth):
+            # the digits at position v over D^depth; no entry has a lower one
             if den == 1:
-                return [[packed_digit(x, k, width) for x in row] for row in m]
-            scale = den ** depth
-            return [[Fraction(packed_digit(x, k, width), scale) for x in row]
-                    for row in m]
+                grid = [[packed_digit(x, v, width) for x in row] for row in m]
+            else:
+                scale = den ** depth
+                grid = [[Fraction(packed_digit(x, v, width), scale) for x in row]
+                        for row in m]
+            if k == 1:
+                return grid
+            return [[Sqrt5(a, b) for a, b in zip(ra, rb)]
+                    for ra, rb in zip(grid[::2], grid[1::2])]
 
+        ident = [[int(i == k * j) for j in range(d)] for i in range(k * d)]
         yield eng.identity, 0, 0, lambda: lowest(ident, 0, 0)
         path = [(ident, 0)]
         for wi, s, l in eng.ascent_walk():
@@ -227,17 +212,19 @@ class Representation:
             off += lows[s]
             del path[l:]
             path.append((m, off))
-            low = 0
+            low = tr = 0
             for row in m:
                 for x in row:
                     low |= x
-            k = packed_valuation(low, width)
-            t = packed_valuation(sum(m[i][i] for i in range(d)), width)
+            for cells in traces:
+                tr |= sum(m[i][j] for i, j in cells)
+            v = packed_valuation(low, width)
+            t = packed_valuation(tr, width)
             yield (
                 elements[wi],
-                None if k is None else k + off,
+                None if v is None else v + off,
                 None if t is None else t + off,
-                lambda m=m, k=k, l=l: lowest(m, k, l),
+                lambda m=m, v=v, l=l: lowest(m, v, l),
             )
 
     def conjugate(self, p: LaurentMatrix, p_inv: LaurentMatrix) -> "Representation":

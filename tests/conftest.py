@@ -3,10 +3,13 @@
 import json
 
 import pytest
+from oracles import GOLDEN
 
 from coxkl.cli import main
 from coxkl.coxeter import build_group
 from coxkl.kl import KLContext
+from coxkl.laurent import format_laurent, parse_laurent
+from coxkl.scalars import Sqrt5, scalar_inv
 from coxkl.wgraph import Representation
 
 
@@ -73,23 +76,40 @@ def kl_cell_files(tmp_path_factory):
     return files
 
 
+@pytest.fixture(scope="session")
+def sqrt5_cell_files(kl_cell_files, tmp_path_factory):
+    """W-graph files over Q(sqrt 5), by name: "i25_cell" is the
+    4-dimensional KL left cell of I2(5), "i25_cell_phi" its conjugate by
+    S = diag(1, phi, 1, 1) and "i25_cell_phi_2r5" its conjugate by
+    diag(2 + sqrt 5, phi, 1, 1).  Under S = diag(s) the weight of the edge
+    y -> x becomes s_y / s_x times itself."""
+    plain = next(p for p in kl_cell_files("I2(5)") if "\"id\": 3" in p.read_text())
+    out = tmp_path_factory.mktemp("sqrt5_cells")
+    files = {"i25_cell": plain}
+    for name, scales in (
+        ("i25_cell_phi", [1, GOLDEN, 1, 1]),
+        ("i25_cell_phi_2r5", [Sqrt5(2, 1), GOLDEN, 1, 1]),
+    ):
+        data = json.loads(plain.read_text())
+        for e in data["edges"]:
+            factor = scales[e["from"]] * scalar_inv(scales[e["to"]])
+            if factor != 1:
+                e["weight"] = format_laurent(parse_laurent(e["weight"]) * factor)
+        files[name] = out / f"{name}.json"
+        files[name].write_text(json.dumps(data))
+    return files
+
+
 @pytest.fixture
 def count_walks(monkeypatch):
-    """Every walk of W a `Representation` makes from here on, in order: a
-    Laurent `walk`, or a `packed_walk` over Q."""
+    """Every walk of W a `Representation` makes from here on, in order: each
+    call of `valuation_walk`."""
     walks = []
-    walk, packed_walk = Representation.walk, Representation.packed_walk
+    valuation_walk = Representation.valuation_walk
 
     def counted(rep):
         walks.append(rep)
-        return walk(rep)
+        return valuation_walk(rep)
 
-    def counted_packed(rep):
-        nodes = packed_walk(rep)
-        if nodes is not None:
-            walks.append(rep)
-        return nodes
-
-    monkeypatch.setattr(Representation, "walk", counted)
-    monkeypatch.setattr(Representation, "packed_walk", counted_packed)
+    monkeypatch.setattr(Representation, "valuation_walk", counted)
     return walks

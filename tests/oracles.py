@@ -3,8 +3,9 @@
 No `coxkl` command calls these.  Each one reaches a fact that `coxkl`
 computes one way by another route: the braid commutator through the
 Chebyshev-style polynomial tau, the generator matrices rebuilt from the
-idempotent and arrow matrices, balancedness, the leading table and the
-Schur element from Laurent walks of their own, the h-table in Laurent
+idempotent and arrow matrices, the walk of W in Laurent matrices over Q or
+Q(sqrt 5) where `coxkl` walks packed integers over Q, and from it
+balancedness, the leading table and the Schur element, the h-table in Laurent
 polynomials, Lusztig's homomorphism phi read off the h-table, and J from
 the leading matrices of the KL cell modules.  The golden ratio and the real
 sign of a Q(sqrt 5) element serve the tests of that field and the
@@ -91,6 +92,22 @@ def direct_sum(r1: Representation, r2: Representation) -> Representation:
     return Representation(r1.engine, gens)
 
 
+def walk(rep: Representation):
+    """Yield (w, rho(T_w)) over all of W in Laurent matrices, in the order of
+    `Representation.valuation_walk`: depth-first along the canonical ascent
+    tree (`GroupEngine.ascent_walk`), keeping one running matrix per
+    length."""
+    eng = rep.engine
+    m = LaurentMatrix.identity(rep.dim)
+    yield eng.identity, m
+    path = [m]
+    for wi, s, l in eng.ascent_walk():
+        m = rep.gens[s] @ path[l - 1]
+        del path[l:]
+        path.append(m)
+        yield eng.elements[wi], m
+
+
 def is_balanced(rep: Representation, a: int):
     """Check nu(rho(T_w)) >= -a for all w with equality somewhere.
 
@@ -98,7 +115,7 @@ def is_balanced(rep: Representation, a: int):
     success it attains it.
     """
     attained = None
-    for w, m in rep.walk():
+    for w, m in walk(rep):
         v = m.valuation()
         if v is None:
             continue
@@ -114,7 +131,7 @@ def leading_by_walk(rep: Representation):
     traces, the table of residues of v^a rho(T_w) over the w of valuation
     -a in walk order, and the first w of valuation below -a, or None.  The
     table is None when there is a witness."""
-    walked = list(rep.walk())
+    walked = list(walk(rep))
     a = -min(t for t in (m.trace().valuation() for _, m in walked) if t is not None)
     for w, m in walked:
         if m.valuation() < -a:
@@ -136,7 +153,7 @@ def schur_f(rep: Representation, a: int, entry=(0, 0)):
     v^-2a."""
     s, t = entry
     st_vals, ts_vals = {}, {}
-    for w, m in rep.walk():
+    for w, m in walk(rep):
         st_vals[w] = m.entries[s][t]
         ts_vals[w] = m.entries[t][s]
     c = ZERO

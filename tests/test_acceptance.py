@@ -331,7 +331,7 @@ def test_criterion_13_block_diagonality():
             assert rep.diagonal, name
         for g, r in ((g1, r1), (g2, r2)):
             form = gram_invariant_form(r)
-            rep = block_report(form.matrix, g.labels, g.labels)
+            rep = block_report(form, g.labels, g.labels)
             assert rep.diagonal, name
     _report(13, "intertwiners and invariant forms block diagonal mod m on "
                 "3 constructed pairs")
@@ -342,7 +342,7 @@ def test_criterion_14_strictification(a2):
     rep = wgraph_matrices(g)
     form = gram_invariant_form(rep)
     rep2, form2, _l = strictify(rep, form, list(g.labels))
-    res = form2.matrix.residue()
+    res = form2.residue()
     d = [res[i][i] for i in range(2)]
     assert all(d)
     assert all(not res[i][j] for i in range(2) for j in range(2) if i != j)

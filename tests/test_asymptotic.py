@@ -6,7 +6,7 @@ from functools import lru_cache
 from itertools import product
 
 import pytest
-from oracles import jdata_from_cells, lusztig_phi, schur_f
+from oracles import jdata_from_cells, lusztig_phi, schur_f, walk
 
 from coxkl import asymptotic
 from coxkl.asymptotic import (
@@ -375,7 +375,7 @@ def characters_by_walks(psi, rep):
     """The H-characters compared at every T_w; both walks visit W in the
     same canonical order."""
     return all(
-        mp.trace() == mr.trace() for (_, mp), (_, mr) in zip(psi.walk(), rep.walk())
+        mp.trace() == mr.trace() for (_, mp), (_, mr) in zip(walk(psi), walk(rep))
     )
 
 
@@ -567,7 +567,7 @@ def laurent_character_partition(kl):
     """Left cells grouped by full Laurent characters, one walk per cell."""
     groups: dict = {}
     for k, (cgraph, _) in enumerate(kl_left_cell_wgraphs(kl)):
-        char = tuple(m.trace() for _, m in wgraph_matrices(cgraph).walk())
+        char = tuple(m.trace() for _, m in walk(wgraph_matrices(cgraph)))
         groups.setdefault(char, []).append(k)
     return sorted(groups.values())
 

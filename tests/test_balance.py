@@ -7,12 +7,11 @@ from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import direct_sum, is_balanced, leading_by_walk, schur_f
+from oracles import GOLDEN, direct_sum, is_balanced, leading_by_walk, schur_f, walk
 
 from coxkl import wgraph
 from coxkl.asymptotic import _schur_unit, class_character
 from coxkl.balance import (
-    InvariantForm,
     NotBalancedError,
     VerificationError,
     a_value,
@@ -31,6 +30,7 @@ from coxkl.fixtures import (
 from coxkl.kl import KLContext
 from coxkl.laurent import LaurentMatrix, LaurentPoly
 from coxkl.linalg import laurent_rank
+from coxkl.scalars import Sqrt5, scalar_inv
 from coxkl.wgraph import WGraph, kl_left_cell_wgraphs, wgraph_matrices
 
 
@@ -39,14 +39,14 @@ def test_gram_form_trivial(a2):
     rep = wgraph_matrices(triv)
     form = gram_invariant_form(rep)
     # sum_w v^{2 l(w)}, normalized: 1 + 2v^2 + 2v^4 + v^6
-    assert form.matrix.entries[0][0] == LaurentPoly({0: 1, 2: 2, 4: 2, 6: 1})
-    assert laurent_rank(form.matrix) == 1
+    assert form.entries[0][0] == LaurentPoly({0: 1, 2: 2, 4: 2, 6: 1})
+    assert laurent_rank(form) == 1
 
 
 def test_gram_form_invariance_extends_to_all_w(a2):
     g = reflection_graph(a2)
     rep = wgraph_matrices(g)
-    omega = gram_invariant_form(rep).matrix
+    omega = gram_invariant_form(rep)
     for w in a2.elements:
         m = rep.t_matrix(w)
         mi = rep.t_matrix(w.inverse())
@@ -149,9 +149,7 @@ def test_balance_undoes_monomial_base_changes(group):
 )
 def test_balance_refusals_are_verification_failures(a2, entries, message):
     rep = wgraph_matrices(reflection_graph(a2))
-    form = InvariantForm(
-        LaurentMatrix(2, 2, [[LaurentPoly(e) for e in row] for row in entries]),
-    )
+    form = LaurentMatrix(2, 2, [[LaurentPoly(e) for e in row] for row in entries])
     with pytest.raises(VerificationError, match=message):
         balance(rep, form)
 
@@ -163,9 +161,7 @@ def test_balance_refuses_a_singular_form_whose_pivot_keeps_vanishing(a2):
     cycle."""
     rep = wgraph_matrices(reflection_graph(a2))
     entries = [[{4: 1, 5: 2, 6: 1}, {2: -1, 3: -1}], [{2: -1, 3: -1}, {0: 1}]]
-    form = InvariantForm(
-        LaurentMatrix(2, 2, [[LaurentPoly(e) for e in row] for row in entries]),
-    )
+    form = LaurentMatrix(2, 2, [[LaurentPoly(e) for e in row] for row in entries])
     with pytest.raises(VerificationError, match="step 1: the form is singular"):
         balance(rep, form)
 
@@ -223,10 +219,10 @@ def test_strictify_roundtrip(a2):
     p_inv = LaurentMatrix.from_scalar_rows(mix_inv)
     twisted = double.conjugate(p, p_inv)
     form = gram_invariant_form(twisted)
-    res = form.matrix.residue()
+    res = form.residue()
     assert any(res[i][j] for i in range(4) for j in range(4) if i != j)
     rep2, form2, l_full = strictify(twisted, form, labels)
-    res2 = form2.matrix.residue()
+    res2 = form2.residue()
     assert all(not res2[i][j] for i in range(4) for j in range(4) if i != j)
     a, table = leading_coefficients(rep2)
     assert a == a_value(rep2)
@@ -247,13 +243,13 @@ def test_strictify_rejects_cross_block_mixing(a2):
     form = gram_invariant_form(rep)
     # claim a wrong grouping: both vertices share a label -> fine, block 2x2
     rep2, form2, _ = strictify(rep, form, [frozenset({0}), frozenset({0})])
-    assert form2.matrix.residue()[0][1] == 0
+    assert form2.residue()[0][1] == 0
     # but residues that genuinely cross distinct labels must be rejected
     bad = LaurentMatrix.from_scalar_rows(
         [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(2)]]
     )
     with pytest.raises(ValueError):
-        strictify(rep, InvariantForm(bad), list(g.labels))
+        strictify(rep, bad, list(g.labels))
 
 
 @pytest.mark.parametrize(
@@ -268,9 +264,7 @@ def test_strictify_refuses_a_vanishing_residue_pivot(a2, entries, message):
     """The residue [[1, 1], [1, 1]] on one label block has no LDL^T
     factorization, whether the second pivot vanishes outright or only mod m."""
     rep = wgraph_matrices(reflection_graph(a2))
-    form = InvariantForm(
-        LaurentMatrix(2, 2, [[LaurentPoly(e) for e in row] for row in entries]),
-    )
+    form = LaurentMatrix(2, 2, [[LaurentPoly(e) for e in row] for row in entries])
     with pytest.raises(VerificationError, match=message):
         strictify(rep, form, [frozenset({0}), frozenset({0})])
 
@@ -300,7 +294,7 @@ def test_gram_block_diagonal_for_fixtures(b3):
         g = cat[name]
         rep = wgraph_matrices(g)
         form = gram_invariant_form(rep)
-        res = form.matrix.residue()
+        res = form.residue()
         for i in range(g.size):
             for j in range(g.size):
                 if g.labels[i] != g.labels[j]:
@@ -310,7 +304,7 @@ def test_gram_block_diagonal_for_fixtures(b3):
 def gram_by_transposes(rep):
     """The Gram sum from full products, sum_w m^T m, normalized."""
     omega = LaurentMatrix(rep.dim, rep.dim)
-    for _, m in rep.walk():
+    for _, m in walk(rep):
         omega = omega + (m.transpose() @ m)
     val = omega.valuation()
     return omega.scale(LaurentPoly({-val: 1})) if val else omega
@@ -319,7 +313,7 @@ def gram_by_transposes(rep):
 def leading_by_shift(rep, a):
     """The leading table from the scaled matrices v^a rho(T_w) mod m."""
     out = {}
-    for w, m in rep.walk():
+    for w, m in walk(rep):
         shifted = m.scale(LaurentPoly({a: 1}))
         if shifted.valuation() == 0:
             out[w] = shifted.residue()
@@ -343,7 +337,7 @@ def test_fused_walks_match_separate_walks(case):
     once per quantity."""
     for rep in distinct_modules(case):
         form = gram_invariant_form(rep)
-        assert form.matrix == gram_by_transposes(rep)
+        assert form == gram_by_transposes(rep)
         rep2, data = balance(rep, form)
         a = data.a_value
         assert data.a_value == a_value(rep) == a_value(rep2)
@@ -371,7 +365,7 @@ def left_cell_modules(case):
 @pytest.mark.parametrize("case", GRAM_CASES)
 def test_coset_gram_equals_the_walk_sum(case):
     for rep in left_cell_modules(case):
-        assert gram_invariant_form(rep).matrix == gram_by_transposes(rep)
+        assert gram_invariant_form(rep) == gram_by_transposes(rep)
 
 
 def unitriangular_inverse(u):
@@ -396,21 +390,33 @@ small_fraction_polys = st.dictionaries(
     max_size=2,
 ).map(LaurentPoly)
 
+#: the units c_i of a monomial conjugate
+small_units = st.sampled_from([-2, -1, 1, 3]).map(Fraction)
 
-def draw_dense_conjugate(data, rep, polys=small_polys):
-    """A conjugate of rep by a monomial matrix diag(c_i v^e_i) P, c_i in
-    {-2, -1, 1, 3}, or by a unitriangular one with entries drawn from
-    polys; its generators are dense."""
+#: over Q(sqrt 5): 1/2 + 1/2 sqrt 5, -1 + 1/2 sqrt 5, 2 + sqrt 5 and -1
+sqrt5_scalars = st.sampled_from(
+    [GOLDEN, Sqrt5(-1, Fraction(1, 2)), Sqrt5(2, 1), Fraction(-1)]
+)
+#: exponent 0 is drawn twice as often as -1 or 1, so that fewer of the
+#: conjugates are refused
+small_sqrt5_polys = st.dictionaries(
+    st.sampled_from([-1, 0, 0, 1]), sqrt5_scalars, max_size=2
+).map(LaurentPoly)
+
+
+def draw_dense_conjugate(data, rep, polys=small_polys, units=small_units):
+    """A conjugate of rep by a monomial matrix diag(c_i v^e_i) P, c_i drawn
+    from units, or by a unitriangular one with entries drawn from polys;
+    its generators are dense."""
     d = rep.dim
     if data.draw(st.booleans()):
         perm = data.draw(st.permutations(range(d)))
         shifts = data.draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
-        units = st.sampled_from([-2, -1, 1, 3])
         scalars = data.draw(st.lists(units, min_size=d, max_size=d))
         q, q_inv = LaurentMatrix(d, d), LaurentMatrix(d, d)
         for i, (j, e, c) in enumerate(zip(perm, shifts, scalars)):
-            q.entries[i][j] = LaurentPoly({e: Fraction(c)})
-            q_inv.entries[j][i] = LaurentPoly({-e: 1 / Fraction(c)})
+            q.entries[i][j] = LaurentPoly({e: c})
+            q_inv.entries[j][i] = LaurentPoly({-e: scalar_inv(c)})
     else:
         q = LaurentMatrix.identity(d)
         for i in range(d):
@@ -428,7 +434,7 @@ def test_coset_gram_equals_the_walk_sum_on_dense_conjugates(case, data):
     unitriangular one, whose generators are dense."""
     rep = data.draw(st.sampled_from(left_cell_modules(case)))
     conj = draw_dense_conjugate(data, rep)
-    assert gram_invariant_form(conj).matrix == gram_by_transposes(conj)
+    assert gram_invariant_form(conj) == gram_by_transposes(conj)
 
 
 def packed_outcome(rep):
@@ -446,31 +452,47 @@ def laurent_outcome(rep):
     return a, None if table is None else list(table.items()), witness
 
 
+#: the entries of dense conjugates over each coefficient field
+CONJUGATE_ENTRIES = {
+    "Q": (small_fraction_polys, small_units),
+    "Q(sqrt 5)": (small_sqrt5_polys, sqrt5_scalars),
+}
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([c for c in GRAM_CASES if c not in ("A4", "H3")]), st.data())
-def test_packed_walk_matches_the_laurent_walk(case, data):
-    """On dense conjugates with Fraction coefficients, balanced or not, the
-    packed walk gives the a-value, the leading table in walk order and the
-    refusal's witness of the Laurent walk.  A4 and H3 are left out: on a
-    dense conjugate of their cells the Laurent walk takes tens of seconds."""
+@given(
+    st.sampled_from([c for c in GRAM_CASES if c not in ("A4", "H3")]),
+    st.sampled_from(list(CONJUGATE_ENTRIES)),
+    st.data(),
+)
+def test_packed_walk_matches_the_laurent_walk(case, field, data):
+    """On dense conjugates with Fraction or Q(sqrt 5) coefficients, balanced
+    or not, the packed walk gives the a-value, the leading table in walk
+    order and the refusal's witness of the Laurent walk.  A4 and H3 are
+    left out: on a dense conjugate of their cells the Laurent walk takes
+    tens of seconds."""
     rep = data.draw(st.sampled_from(left_cell_modules(case)))
-    conj = draw_dense_conjugate(data, rep, small_fraction_polys)
-    assert conj.packed_walk() is not None
+    conj = draw_dense_conjugate(data, rep, *CONJUGATE_ENTRIES[field])
     assert packed_outcome(conj) == laurent_outcome(conj)
 
 
 def test_packed_walk_comparison_fails_at_a_planted_width(monkeypatch):
     """A width of 3 bits holds digits up to 3 in absolute value only; the
-    packed walk then misreads a conjugate of the 6-dimensional KL left cell
-    module of A4 by I + 2 E_01, and the comparison with the Laurent walk
-    sees it."""
-    rep = max(left_cell_modules("A4"), key=lambda r: r.dim)
-    q, q_inv = LaurentMatrix.identity(6), LaurentMatrix.identity(6)
-    q.entries[0][1], q_inv.entries[0][1] = LaurentPoly({0: 2}), LaurentPoly({0: -2})
-    rep = rep.conjugate(q, q_inv)
-    assert packed_outcome(rep) == laurent_outcome(rep)
+    packed walk then misreads the conjugate of the 6-dimensional KL left
+    cell module of A4 by I + 2 E_01, and that of the 4-dimensional one of
+    I2(5) by I + phi E_01, a module over Q(sqrt 5); the comparison with the
+    Laurent walk sees both."""
+    conjugates = []
+    for case, c in (("A4", 2), ("I2(5)", GOLDEN)):
+        rep = max(left_cell_modules(case), key=lambda r: r.dim)
+        q, q_inv = LaurentMatrix.identity(rep.dim), LaurentMatrix.identity(rep.dim)
+        q.entries[0][1], q_inv.entries[0][1] = LaurentPoly({0: c}), LaurentPoly({0: -c})
+        conjugates.append(rep.conjugate(q, q_inv))
+    for rep in conjugates:
+        assert packed_outcome(rep) == laurent_outcome(rep)
     monkeypatch.setattr(wgraph, "packed_width", lambda bound: 3)
-    assert packed_outcome(rep) != laurent_outcome(rep)
+    for rep in conjugates:
+        assert packed_outcome(rep) != laurent_outcome(rep)
 
 
 @pytest.mark.parametrize("group, count", [("A4", 14), ("B3", 12), ("H3", 19)])

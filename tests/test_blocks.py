@@ -204,7 +204,7 @@ def test_gram_forms_block_diagonal():
         g = catalogue()[name]
         rep = wgraph_matrices(g)
         form = gram_invariant_form(rep)
-        r = block_report(form.matrix, g.labels, g.labels)
+        r = block_report(form, g.labels, g.labels)
         assert r.diagonal, name
 
 

@@ -14,8 +14,9 @@ the `cellbasis` A2, B3:1,2,2 and I2(4):2,1 ones before `cellbasis` stopped
 building the gamma table and inverted its basis matrix on sparse rows, and
 the `wgraph klgraph` and left `cells` A5 ones before P* was computed only
 at critical pairs, and the `cellbasis` B3:3,1,1 and I2(3) ones and the
-file-command ones before the Gram form was summed over parabolic cosets;
-any change to them is a change of the printed answer,
+file-command ones before the Gram form was summed over parabolic cosets,
+and the Q(sqrt 5) file-command ones before modules over that field walked W
+in packed integers; any change to them is a change of the printed answer,
 not of its speed.
 """
 
@@ -95,6 +96,19 @@ FILE_GOLDEN = {
         "c9cca426ac93dbbf435a4d9a49ceb41537e6468af23044bfc1be602bf229f325",
     ("cellrep", "a3_refl"):
         "09db7dffd23cceb9d7f51d2ac779598162404613d59ce4ec50735855f3019354",
+    # over Q(sqrt 5): the files of the `sqrt5_cell_files` fixture
+    ("balance", "i25_cell_phi"):
+        "cbcaf0e4dae8236b5266cbbdf84745763ec3b91c0587c913b54b62ac04a36242",
+    ("leading", "i25_cell_phi"):
+        "1ed65b725b560a2ec57bd8e31bf8e49ccbc47fc4231f66ae875acc3124470d22",
+    ("cellrep", "i25_cell_phi"):
+        "09db7dffd23cceb9d7f51d2ac779598162404613d59ce4ec50735855f3019354",
+    ("balance", "i25_cell_phi_2r5"):
+        "f61c25ad0202705b7e6228c764c53919a74c74c61b33d8588fc623581d9813c3",
+    ("leading", "i25_cell_phi_2r5"):
+        "54e76695da3d2c0e9f4847c3acfaa057a5a62b0fe60ecfd5d5bbfe7b9ab2ae04",
+    ("cellrep", "i25_cell_phi_2r5"):
+        "09db7dffd23cceb9d7f51d2ac779598162404613d59ce4ec50735855f3019354",
 }
 
 DEMOS = {
@@ -113,10 +127,15 @@ def test_cli_output_is_byte_identical(capsys, argv):
 
 
 @pytest.mark.parametrize("command, name", list(FILE_GOLDEN), ids=" ".join)
-def test_file_command_output_is_byte_identical(capsys, tmp_path, command, name):
-    assert main(["fixtures", "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    assert main([command, str(tmp_path / f"{name}.json")]) == 0
+def test_file_command_output_is_byte_identical(
+    capsys, tmp_path, sqrt5_cell_files, command, name
+):
+    path = sqrt5_cell_files.get(name)
+    if path is None:
+        assert main(["fixtures", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        path = tmp_path / f"{name}.json"
+    assert main([command, str(path)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == FILE_GOLDEN[command, name]
 

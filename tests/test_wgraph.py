@@ -4,7 +4,7 @@ path-sum relations, compatibility graph, eigenspace label recovery."""
 from fractions import Fraction
 
 import pytest
-from oracles import braid_commutator_tau, omega_reconstruction
+from oracles import braid_commutator_tau, omega_reconstruction, walk
 
 from coxkl import wgraph
 from coxkl.coxeter import build_group
@@ -215,7 +215,7 @@ def test_representation_walk_matches_word_products(kl_a2):
     g = reflection_graph(kl_a2.engine)
     rep = wgraph_matrices(g)
     seen = {}
-    for w, m in rep.walk():
+    for w, m in walk(rep):
         assert w not in seen
         seen[w] = m
         assert m == rep.t_matrix(w)
