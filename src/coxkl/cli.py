@@ -2,11 +2,14 @@
 
 Subcommands: group, kl, cells, wgraph (validate|matrices|dual|restrict|
 cells|klgraph|omegagy), compat, balance, leading, jdata, cellrep, cellbasis,
-blocks, labels, fixtures.  All output is JSON with sorted keys and canonical
-element indices, so identical invocations are byte-identical.
+blocks, labels, fixtures, one row each of `COMMANDS`.  A handler takes the
+parsed arguments and returns a JSON payload and a verdict; `main` alone
+writes the payload, as JSON with sorted keys, to stdout or to `--out`.
+Element indices are canonical, so identical invocations are byte-identical.
 
-Exit status: 0 on pass, 1 on verification failure, 2 on usage error,
-including a path that cannot be read or written.
+Exit status: 0 when the verdict passes, 1 when it fails or a
+`VerificationError` is raised, 2 on usage error, including a path that
+cannot be read or written.
 """
 
 from __future__ import annotations
@@ -41,20 +44,13 @@ from .wgraph import (
 PASS, FAIL, USAGE = 0, 1, 2
 
 
-def _emit(payload, out_path):
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if out_path:
-        Path(out_path).write_text(text)
-    else:
-        sys.stdout.write(text)
+def json_text(payload) -> str:
+    """The one text form of every output: sorted keys, two-space indent."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _matrix_json(m: LaurentMatrix):
     return [[format_laurent(e) for e in row] for row in m.entries]
-
-
-def _fmat_json(m):
-    return [[scalar_str(x) for x in row] for row in m]
 
 
 def _label(label) -> str:
@@ -85,7 +81,7 @@ def _group_arg(args):
 
 def cmd_group(args):
     eng = _group_arg(args)
-    payload = {
+    return {
         "type": eng.datum.name,
         "weights": eng.datum.weights,
         "order": eng.order,
@@ -102,9 +98,7 @@ def cmd_group(args):
         "right_descents": {
             str(w.index): sorted(eng.right_descent_set(w)) for w in eng.elements
         },
-    }
-    _emit(payload, args.out)
-    return PASS
+    }, True
 
 
 def cmd_kl(args):
@@ -131,8 +125,7 @@ def cmd_kl(args):
     else:
         # P*_{y,w} is nonzero exactly for y <= w; the mu-lists hold every
         # nonzero mu
-        pstar = {}
-        mu = {}
+        pstar, mu = {}, {}
         for w in eng.elements:
             wi = w.index
             row = kl.pstar_row(w)
@@ -144,98 +137,96 @@ def cmd_kl(args):
                         mu[f"{yi},{wi},{s}"] = fmt(m)
         payload["pstar"] = pstar
         payload["mu"] = mu
-    _emit(payload, args.out)
-    return PASS
+    return payload, True
 
 
 def cmd_cells(args):
-    eng = _group_arg(args)
-    kl = KLContext(eng)
-    part = kl.cells(args.kind)
-    payload = {
+    part = KLContext(_group_arg(args)).cells(args.kind)
+    return {
         "kind": part.kind,
         "blocks": [[w.index for w in b] for b in part.blocks],
         "leq": sorted([i, j] for (i, j) in part.leq),
-    }
-    _emit(payload, args.out)
-    return PASS
+    }, True
+
+
+def _wgraph_validate(g, args):
+    report = validate_wgraph(g)
+    geck_ok, geck_diag = is_geck(g)
+    return {
+        "valid": report.ok,
+        "geck": geck_ok,
+        "failures": report.failures + geck_diag,
+        "checked_pairs": [list(p) for p in report.checked_pairs],
+    }, report.ok
+
+
+def _wgraph_matrices(g, args):
+    rep = wgraph_matrices(g)
+    return {str(s): _matrix_json(m) for s, m in enumerate(rep.gens)}, True
+
+
+def _wgraph_restrict(g, args):
+    if not args.subset:
+        raise ValueError("restrict needs --subset")
+    try:
+        j = frozenset(int(t) for t in args.subset.split(","))
+    except ValueError as exc:
+        raise ValueError(f"bad --subset {args.subset!r}: {exc}") from None
+    sub, sub_eng, _ = parabolic_restrict(g, j)
+    if sub_eng.datum.name not in CATALOGUE:
+        raise ValueError(f"generators {sorted(j)} span no shipped parabolic type")
+    return wgraph_to_json(sub), True
+
+
+def _wgraph_cells(g, args):
+    cells = [{"vertices": v, "graph": wgraph_to_json(cg)} for cg, v in wgraph_cells(g)]
+    return {"cells": cells}, True
+
+
+def _wgraph_omegagy(g, args):
+    report = omega_gy_relations_check(g)
+    payload = {"ok": report.ok, "checked": report.checked, "failures": report.failures}
+    return payload, report.ok
+
+
+# The `wgraph` actions on a W-graph file, each a handler of the loaded
+# graph and the arguments; `klgraph` builds its graph from --group instead.
+WGRAPH_FILE_ACTIONS = {
+    "validate": _wgraph_validate,
+    "matrices": _wgraph_matrices,
+    "dual": lambda g, args: (wgraph_to_json(dual_wgraph(g)), True),
+    "restrict": _wgraph_restrict,
+    "cells": _wgraph_cells,
+    "omegagy": _wgraph_omegagy,
+}
+# The inputs of `wgraph` as its refusals name them, with their arguments.
+# An action reads a W-graph file and nothing else unless WGRAPH_READS says
+# otherwise; `cmd_wgraph` refuses every input its action does not read.
+WGRAPH_INPUTS = {"a W-graph file": "file", "--group": "group",
+                 "--weights": "weights", "--subset": "subset"}
+WGRAPH_READS = {
+    "klgraph": ("--group", "--weights"),
+    "restrict": ("a W-graph file", "--subset"),
+}
 
 
 def cmd_wgraph(args):
-    for flag, value, reader in (
-        ("--group", args.group, "klgraph"),
-        ("--weights", args.weights, "klgraph"),
-        ("--subset", args.subset, "restrict"),
-    ):
-        if value is not None and args.action != reader:
-            raise ValueError(f"wgraph {args.action} does not read {flag}")
+    reads = WGRAPH_READS.get(args.action, ("a W-graph file",))
+    for name, dest in WGRAPH_INPUTS.items():
+        if getattr(args, dest) is not None and name not in reads:
+            raise ValueError(f"wgraph {args.action} does not read {name}")
     if args.action == "klgraph":
         if not args.group:
             raise ValueError("klgraph needs --group")
-        eng = _group_arg(args)
-        kl = KLContext(eng)
-        g = kl_wgraph(kl)
-        _emit(wgraph_to_json(g), args.out)
-        return PASS
+        return wgraph_to_json(kl_wgraph(KLContext(_group_arg(args)))), True
     if not args.file:
         raise ValueError(f"wgraph {args.action} needs a W-graph file")
-    g = _load_graph(args.file)
-    if args.action == "validate":
-        report = validate_wgraph(g)
-        geck_ok, geck_diag = is_geck(g)
-        payload = {
-            "valid": report.ok,
-            "geck": geck_ok,
-            "failures": report.failures + geck_diag,
-            "checked_pairs": [list(p) for p in report.checked_pairs],
-        }
-        _emit(payload, args.out)
-        return PASS if report.ok else FAIL
-    if args.action == "matrices":
-        rep = wgraph_matrices(g)
-        payload = {str(s): _matrix_json(m) for s, m in enumerate(rep.gens)}
-        _emit(payload, args.out)
-        return PASS
-    if args.action == "dual":
-        _emit(wgraph_to_json(dual_wgraph(g)), args.out)
-        return PASS
-    if args.action == "restrict":
-        if not args.subset:
-            raise ValueError("restrict needs --subset")
-        try:
-            j = frozenset(int(t) for t in args.subset.split(","))
-        except ValueError as exc:
-            raise ValueError(f"bad --subset {args.subset!r}: {exc}") from None
-        sub, sub_eng, _ = parabolic_restrict(g, j)
-        if sub_eng.datum.name not in CATALOGUE:
-            raise ValueError(f"generators {sorted(j)} span no shipped parabolic type")
-        _emit(wgraph_to_json(sub), args.out)
-        return PASS
-    if args.action == "cells":
-        parts = wgraph_cells(g)
-        payload = {
-            "cells": [
-                {"vertices": verts, "graph": wgraph_to_json(cg)}
-                for cg, verts in parts
-            ]
-        }
-        _emit(payload, args.out)
-        return PASS
-    # argparse's choices leave only "omegagy"
-    report = omega_gy_relations_check(g)
-    payload = {
-        "ok": report.ok,
-        "checked": report.checked,
-        "failures": report.failures,
-    }
-    _emit(payload, args.out)
-    return PASS if report.ok else FAIL
+    return WGRAPH_FILE_ACTIONS[args.action](_load_graph(args.file), args)
 
 
 def cmd_compat(args):
-    eng = _group_arg(args)
-    cg = compatibility_graph(eng.datum)
-    payload = {
+    cg = compatibility_graph(_group_arg(args).datum)
+    return {
         "vertices": [_label(v) for v in cg.vertices],
         "edges": sorted(f"{_label(i)}<-{_label(j)}" for (i, j) in cg.edges),
         "transversal": sorted(
@@ -243,38 +234,33 @@ def cmd_compat(args):
             for (i, j) in cg.transversal
             if sorted(map(_label, (i, j))) == [_label(i), _label(j)]
         ),
-    }
-    _emit(payload, args.out)
-    return PASS
+    }, True
 
 
 def cmd_balance(args):
-    g = _load_graph(args.file)
-    rep = wgraph_matrices(g)
+    rep = wgraph_matrices(_load_graph(args.file))
     # `balance` raises a VerificationError (exit 1, no report) on a module
     # it cannot balance, so a report is always of a balanced module
     _, data = balance_mod.balance(rep)
-    payload = {
+    return {
         "a_value": data.a_value,
         "D": [scalar_str(x) for x in data.d],
         "Q": _matrix_json(data.q),
         "balanced": True,
         "degree_history": data.degree_history,
-    }
-    _emit(payload, args.out)
-    return PASS
+    }, True
 
 
 def cmd_leading(args):
-    g = _load_valid_graph(args.file)
-    rep = wgraph_matrices(g)
+    rep = wgraph_matrices(_load_valid_graph(args.file))
     a, table = balance_mod.leading_coefficients(rep)
-    payload = {
+    return {
         "a_value": a,
-        "leading": {str(w.index): _fmat_json(c) for w, c in table.items()},
-    }
-    _emit(payload, args.out)
-    return PASS
+        "leading": {
+            str(w.index): [[scalar_str(x) for x in row] for row in c]
+            for w, c in table.items()
+        },
+    }, True
 
 
 def cmd_jdata(args):
@@ -283,28 +269,23 @@ def cmd_jdata(args):
     for (x, y), row in jd.gamma.items():
         for z, val in row.items():
             gamma[f"{x.index},{y.index},{z.index}"] = scalar_str(val)
-    payload = {
+    return {
         "gamma": gamma,
         "n": {str(x.index): scalar_str(v) for x, v in jd.n.items()},
         "duflo": sorted(d.index for d in jd.duflo),
-    }
-    _emit(payload, args.out)
-    return PASS
+    }, True
 
 
 def cmd_cellrep(args):
     g = _load_graph(args.file)
-    kl = KLContext(g.engine)
-    report = asymptotic.geck_mueller_check(g, kl)
-    payload = {
+    report = asymptotic.geck_mueller_check(g, KLContext(g.engine))
+    return {
         "balanced": report.balanced,
         "a_value": report.a_value,
         "entrywise_equal": report.entrywise_equal,
         "characters_equal": report.characters_equal,
         "verdict": report.verdict,
-    }
-    _emit(payload, args.out)
-    return PASS if report.balanced else FAIL
+    }, report.balanced
 
 
 def cmd_cellbasis(args):
@@ -315,7 +296,7 @@ def cmd_cellbasis(args):
     )
     cd = asymptotic.cell_basis(irreducibles, kl)
     report = asymptotic.verify_cell_axioms(cd, kl)
-    payload = {
+    return {
         "dims": cd.dims,
         "axioms_ok": report.ok,
         "failures": report.failures,
@@ -324,20 +305,15 @@ def cmd_cellbasis(args):
             for (li, s, t), coeffs in cd.basis.items()
         },
         "order_lt": sorted([a, b] for (a, b) in cd.lambda_lt),
-    }
-    _emit(payload, args.out)
-    return PASS if report.ok else FAIL
+    }, report.ok
 
 
 def cmd_blocks(args):
     g1 = _load_valid_graph(args.file)
     g2 = _load_valid_graph(args.file2)
     blocks_mod.require_geck(g1, g2)
-    r1 = wgraph_matrices(g1)
-    r2 = wgraph_matrices(g2)
-    space = blocks_mod.intertwiner_space(r1, r2)
+    space = blocks_mod.intertwiner_space(wgraph_matrices(g1), wgraph_matrices(g2))
     verdicts = []
-    all_diag = True
     for a in space:
         br = blocks_mod.block_report(a, g2.labels, g1.labels)
         verdicts.append(
@@ -350,7 +326,6 @@ def cmd_blocks(args):
                 ),
             }
         )
-        all_diag = all_diag and br.diagonal
     cert = blocks_mod.omega_iso_certificate(g1, g2, space)
     payload = {
         "intertwiner_count": len(space),
@@ -364,12 +339,8 @@ def cmd_blocks(args):
             "note": cert.note,
         },
     }
-    _emit(payload, args.out)
-    if space and not all_diag:
-        return FAIL
-    if cert is not None and not cert.ok:
-        return FAIL
-    return PASS
+    ok = all(v["diagonal"] for v in verdicts) and (cert is None or cert.ok)
+    return payload, ok
 
 
 def cmd_labels(args):
@@ -379,50 +350,74 @@ def cmd_labels(args):
     from_eig = eigenspace_label_multiplicities(rep)
     graph_ms = g.label_multiset()
     agree = from_char == from_eig == graph_ms
-    payload = {
+    return {
         "from_character": {_label(k): v for k, v in from_char.items()},
         "from_eigenspaces": {_label(k): v for k, v in from_eig.items()},
         "graph": {_label(k): v for k, v in graph_ms.items()},
         "agree": agree,
-    }
-    _emit(payload, args.out)
-    return PASS if agree else FAIL
+    }, agree
 
 
 def cmd_fixtures(args):
-    outdir = Path(args.out or "fixtures")
+    """Write each catalogue graph to DIR/<name>.json; the payload names them."""
+    outdir = Path(args.dir or "fixtures")
     outdir.mkdir(parents=True, exist_ok=True)
-    names = []
-    for name, g in sorted(catalogue().items()):
-        path = outdir / f"{name}.json"
-        path.write_text(json.dumps(wgraph_to_json(g), sort_keys=True, indent=2) + "\n")
-        names.append(name)
-    sys.stdout.write(json.dumps({"written": names, "dir": str(outdir)}, sort_keys=True, indent=2) + "\n")
-    return PASS
+    graphs = catalogue()
+    for name in sorted(graphs):
+        (outdir / f"{name}.json").write_text(json_text(wgraph_to_json(graphs[name])))
+    return {"written": sorted(graphs), "dir": str(outdir)}, True
 
 
-def run_selftest() -> int:
-    """Validate every shipped fixture; exit 1 on the first failure."""
-    bad = []
-    for name, g in sorted(catalogue().items()):
+def run_selftest():
+    """Validate every shipped fixture; the verdict fails on any failure."""
+    graphs = catalogue()
+    failures = {}
+    for name, g in sorted(graphs.items()):
         rep = validate_wgraph(g)
         geck_ok, diag = is_geck(g)
         if not rep.ok or not geck_ok:
-            bad.append((name, rep.failures + diag))
-    payload = {
-        "fixtures": len(catalogue()),
-        "ok": not bad,
-        "failures": {n: f for n, f in bad},
-    }
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    return PASS if not bad else FAIL
+            failures[name] = rep.failures + diag
+    payload = {"fixtures": len(graphs), "ok": not failures, "failures": failures}
+    return payload, not failures
 
 
-def _add_common(p, group=False):
-    p.add_argument("--out", help="write JSON here instead of stdout")
-    if group:
-        p.add_argument("--group", required=True, help="type string, e.g. A3 or I2(5)")
-        p.add_argument("--weights", help="comma-separated generator weights")
+OUT = (("--out",), {"help": "write JSON here instead of stdout"})
+GROUP = [
+    OUT,
+    (("--group",), {"required": True, "help": "type string, e.g. A3 or I2(5)"}),
+    (("--weights",), {"help": "comma-separated generator weights"}),
+]
+FILE = [(("file",), {}), OUT]
+
+# One row per subcommand: name, help, handler, and the arguments as
+# (flags, add_argument keywords) pairs.
+COMMANDS = [
+    ("group", "orders, longest element, descent tables", cmd_group, GROUP),
+    ("kl", "P*/mu tables", cmd_kl,
+     [*GROUP, (("--pair",), {"help": "'w0-col' or 'Y,W' canonical indices"})]),
+    ("cells", "KL cell partition and preorder", cmd_cells,
+     [*GROUP, (("--kind",), {"default": "left",
+                             "choices": ["left", "right", "two-sided"]})]),
+    ("wgraph", "W-graph operations", cmd_wgraph, [
+        (("action",), {"choices": [*WGRAPH_FILE_ACTIONS, "klgraph"]}),
+        (("file",), {"nargs": "?", "help": "W-graph JSON file"}),
+        (("--subset",), {"help": "generator indices for restrict, e.g. 1,2"}),
+        (("--group",), {"help": "type string (for klgraph)"}),
+        (("--weights",), {"help": "comma-separated generator weights"}),
+        OUT,
+    ]),
+    ("compat", "compatibility digraph on label sets", cmd_compat, GROUP),
+    ("balance", "balance the module of a W-graph file", cmd_balance, FILE),
+    ("leading", "leading-coefficient table of a W-graph file", cmd_leading, FILE),
+    ("jdata", "gamma/n/Duflo tables", cmd_jdata, GROUP),
+    ("cellrep", "cell-module comparison for a W-graph file", cmd_cellrep, FILE),
+    ("cellbasis", "cellular basis and axiom checks", cmd_cellbasis, GROUP),
+    ("blocks", "block structure of intertwiners between two files", cmd_blocks,
+     [(("file",), {}), (("file2",), {}), OUT]),
+    ("labels", "label multiset from character vs eigenspaces", cmd_labels, FILE),
+    ("fixtures", "write the shipped fixture catalogue", cmd_fixtures,
+     [(("--out",), {"dest": "dir", "help": "target directory (default ./fixtures)"})]),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -437,94 +432,37 @@ def build_parser() -> argparse.ArgumentParser:
         help="validate every shipped fixture and exit",
     )
     sub = ap.add_subparsers(dest="command")
-
-    p = sub.add_parser("group", help="orders, longest element, descent tables")
-    _add_common(p, group=True)
-    p.set_defaults(func=cmd_group)
-
-    p = sub.add_parser("kl", help="P*/mu tables")
-    _add_common(p, group=True)
-    p.add_argument("--pair", help="'w0-col' or 'Y,W' canonical indices")
-    p.set_defaults(func=cmd_kl)
-
-    p = sub.add_parser("cells", help="KL cell partition and preorder")
-    _add_common(p, group=True)
-    p.add_argument("--kind", default="left", choices=["left", "right", "two-sided"])
-    p.set_defaults(func=cmd_cells)
-
-    p = sub.add_parser("wgraph", help="W-graph operations")
-    p.add_argument(
-        "action",
-        choices=["validate", "matrices", "dual", "restrict", "cells", "klgraph", "omegagy"],
-    )
-    p.add_argument("file", nargs="?", help="W-graph JSON file")
-    p.add_argument("--subset", help="generator indices for restrict, e.g. 1,2")
-    p.add_argument("--group", help="type string (for klgraph)")
-    p.add_argument("--weights", help="comma-separated generator weights")
-    _add_common(p)
-    p.set_defaults(func=cmd_wgraph)
-
-    p = sub.add_parser("compat", help="compatibility digraph on label sets")
-    _add_common(p, group=True)
-    p.set_defaults(func=cmd_compat)
-
-    p = sub.add_parser("balance", help="balance the module of a W-graph file")
-    p.add_argument("file")
-    _add_common(p)
-    p.set_defaults(func=cmd_balance)
-
-    p = sub.add_parser("leading", help="leading-coefficient table of a W-graph file")
-    p.add_argument("file")
-    _add_common(p)
-    p.set_defaults(func=cmd_leading)
-
-    p = sub.add_parser("jdata", help="gamma/n/Duflo tables")
-    _add_common(p, group=True)
-    p.set_defaults(func=cmd_jdata)
-
-    p = sub.add_parser("cellrep", help="cell-module comparison for a W-graph file")
-    p.add_argument("file")
-    _add_common(p)
-    p.set_defaults(func=cmd_cellrep)
-
-    p = sub.add_parser("cellbasis", help="cellular basis and axiom checks")
-    _add_common(p, group=True)
-    p.set_defaults(func=cmd_cellbasis)
-
-    p = sub.add_parser("blocks", help="block structure of intertwiners between two files")
-    p.add_argument("file")
-    p.add_argument("file2")
-    _add_common(p)
-    p.set_defaults(func=cmd_blocks)
-
-    p = sub.add_parser("labels", help="label multiset from character vs eigenspaces")
-    p.add_argument("file")
-    _add_common(p)
-    p.set_defaults(func=cmd_labels)
-
-    p = sub.add_parser("fixtures", help="write the shipped fixture catalogue")
-    p.add_argument("--out", help="target directory (default ./fixtures)")
-    p.set_defaults(func=cmd_fixtures)
-
+    for name, help_text, handler, arguments in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(func=handler)
     return ap
 
 
 def main(argv=None) -> int:
+    """Run one command: write its payload, and exit 0 or 1 on its verdict,
+    1 on a `VerificationError` and 2 on a usage error."""
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.selftest:
-        return run_selftest()
-    if not getattr(args, "command", None):
+    if not (args.selftest or args.command):
         ap.print_help()
         return USAGE
     try:
-        return args.func(args)
+        payload, ok = run_selftest() if args.selftest else args.func(args)
+        text = json_text(payload)
+        out = None if args.selftest else getattr(args, "out", None)
+        if out:
+            Path(out).write_text(text)
+        else:
+            sys.stdout.write(text)
     except balance_mod.VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAIL
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    return PASS if ok else FAIL
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .coxeter import GroupEngine, build_group, parse_type_string, type_string
 from .laurent import LaurentPoly
-from .wgraph import WGraph, dual_wgraph, label_subsets
+from .wgraph import WGraph, dual_wgraph, induced_wgraph, label_subsets
 
 _GROUP_CACHE: dict[str, GroupEngine] = {}
 
@@ -142,7 +142,7 @@ def b3_graphs() -> dict[str, WGraph]:
             (2, 2, 1): _c(1),
         },
     )
-    out["chi8"] = _reorder(dual_wgraph(out["chi7"]), [1, 2, 0])
+    out["chi8"] = induced_wgraph(dual_wgraph(out["chi7"]), [1, 2, 0])
     out["chi9"] = WGraph(
         eng,
         [frozenset({0}), frozenset({1}), frozenset({0, 2})],
@@ -154,18 +154,8 @@ def b3_graphs() -> dict[str, WGraph]:
             (2, 2, 1): _c(1),
         },
     )
-    out["chi10"] = _reorder(dual_wgraph(out["chi9"]), [0, 1, 2])
+    out["chi10"] = induced_wgraph(dual_wgraph(out["chi9"]), [0, 1, 2])
     return out
-
-
-def _reorder(g: WGraph, perm: list[int]) -> WGraph:
-    """Reindex vertices so that new position i holds old vertex perm[i]."""
-    inv = [0] * len(perm)
-    for new, old in enumerate(perm):
-        inv[old] = new
-    labels = [g.labels[perm[i]] for i in range(len(perm))]
-    edges = {(s, inv[x], inv[y]): w for (s, x, y), w in g.edges.items()}
-    return WGraph(g.engine, labels, edges)
 
 
 def b3_chi9_conjugate() -> WGraph:

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 from oracles import GOLDEN
 
 from coxkl import asymptotic, blocks
-from coxkl.cli import main
+from coxkl.cli import COMMANDS, WGRAPH_FILE_ACTIONS, build_parser, main
 from coxkl.laurent import LaurentMatrix, LaurentPoly, format_laurent, parse_laurent
 from coxkl.scalars import parse_scalar
 from coxkl.linalg import laurent_rank
@@ -891,6 +892,60 @@ def test_wgraph_refuses_flags_its_action_does_not_read(capsys, fixture_dir, acti
         captured = capsys.readouterr()
         assert code == 2 and not captured.out
         assert captured.err == f"error: wgraph {action} does not read {flag}\n"
+
+
+def test_klgraph_refuses_a_wgraph_file(capsys, tmp_path):
+    """`wgraph klgraph` builds its graph from --group and reads no file; a
+    file argument, even one that does not exist, is refused."""
+    code = main(["wgraph", "klgraph", str(tmp_path / "nonexistent.json"),
+                 "--group", "A1"])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err == "error: wgraph klgraph does not read a W-graph file\n"
+
+
+# The arguments of each subcommand, in order, as `coxkl <command> --help`
+# lists them: option strings, and the names of positional arguments.
+COMMAND_ARGUMENTS = {
+    "group": ["-h", "--help", "--out", "--group", "--weights"],
+    "kl": ["-h", "--help", "--out", "--group", "--weights", "--pair"],
+    "cells": ["-h", "--help", "--out", "--group", "--weights", "--kind"],
+    "wgraph": ["-h", "--help", "action", "file", "--subset", "--group", "--weights",
+               "--out"],
+    "compat": ["-h", "--help", "--out", "--group", "--weights"],
+    "balance": ["-h", "--help", "file", "--out"],
+    "leading": ["-h", "--help", "file", "--out"],
+    "jdata": ["-h", "--help", "--out", "--group", "--weights"],
+    "cellrep": ["-h", "--help", "file", "--out"],
+    "cellbasis": ["-h", "--help", "--out", "--group", "--weights"],
+    "blocks": ["-h", "--help", "file", "file2", "--out"],
+    "labels": ["-h", "--help", "file", "--out"],
+    "fixtures": ["-h", "--help", "--out"],
+}
+
+
+@pytest.mark.parametrize("name", [row[0] for row in COMMANDS])
+def test_every_command_prints_its_help(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: coxkl {name} ")
+
+
+def test_the_command_table_keeps_every_argument():
+    """One `COMMANDS` row per subcommand, in order, each with the arguments
+    it has always had; the `wgraph` actions are the file actions plus
+    `klgraph`."""
+    (sub,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    parsers = sub.choices
+    assert [row[0] for row in COMMANDS] == list(parsers) == list(COMMAND_ARGUMENTS)
+    for name, p in parsers.items():
+        arguments = [s for a in p._actions for s in (a.option_strings or [a.dest])]
+        assert arguments == COMMAND_ARGUMENTS[name], name
+    (action,) = [a for a in parsers["wgraph"]._actions if a.dest == "action"]
+    assert sorted(action.choices) == sorted([*WGRAPH_FILE_ACTIONS, "klgraph"])
 
 
 def test_restrict_names_a_bad_subset(capsys, fixture_dir):

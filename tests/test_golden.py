@@ -126,7 +126,9 @@ def test_cli_output_is_byte_identical(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
 
 
-@pytest.mark.parametrize("command, name", list(FILE_GOLDEN), ids=" ".join)
+@pytest.mark.parametrize(
+    "command, name", list(FILE_GOLDEN), ids=[" ".join(key) for key in FILE_GOLDEN]
+)
 def test_file_command_output_is_byte_identical(
     capsys, tmp_path, sqrt5_cell_files, command, name
 ):

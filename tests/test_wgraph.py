@@ -4,13 +4,15 @@ path-sum relations, compatibility graph, eigenspace label recovery."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from oracles import braid_commutator_tau, omega_reconstruction, walk
 
 from coxkl import wgraph
 from coxkl.coxeter import build_group
-from coxkl.fixtures import b3_graphs, catalogue, reflection_graph
+from coxkl.fixtures import b3_graphs, catalogue, reflection_graph, shared_engine
 from coxkl.kl import KLContext
 from coxkl.laurent import LaurentMatrix, LaurentPoly
+from coxkl.scalars import Sqrt5
 from coxkl.wgraph import (
     WGraph,
     braid_commutator_direct,
@@ -102,6 +104,47 @@ def test_validate_rejects_perturbed_unequal_weight_graph():
     report = validate_wgraph(bad)
     assert not report.ok
     assert report.failures == ["braid relation fails for pair (0,1)"]
+
+
+rationals = st.sampled_from([1, -1, 2, -3]).map(Fraction) | st.fractions(
+    min_value=-3, max_value=3, max_denominator=4
+)
+coefficients = rationals | st.builds(Sqrt5, rationals, rationals)
+
+
+@st.composite
+def support_respecting_graphs(draw):
+    """A W-graph on 1..5 vertices over an equal- or unequal-weight group,
+    with random labels and, on each (s, x, y) with s in I(x) minus I(y), a
+    random Laurent weight over Q or Q(sqrt 5), or none."""
+    eng = shared_engine(draw(st.sampled_from(
+        ["A3", "B3:2,1,1", "I2(5)", "H3", "I2(4):3,1", "D4"]
+    )))
+    rank = eng.datum.rank
+    d = draw(st.integers(1, 5))
+    labels = [draw(st.frozensets(st.integers(0, rank - 1))) for _ in range(d)]
+    weights = st.dictionaries(st.integers(-3, 3), coefficients, max_size=3)
+    edges = {
+        (s, x, y): LaurentPoly(draw(weights))
+        for s in range(rank)
+        for x in range(d)
+        for y in range(d)
+        if s in labels[x] - labels[y] and draw(st.booleans())
+    }
+    return WGraph(eng, labels, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(support_respecting_graphs())
+def test_the_support_condition_implies_the_quadratic_relations(g):
+    """`validate_wgraph` checks the support condition and leaves the
+    quadratic relations T_s^2 = 1 + (v_s - v_s^-1) T_s to the argument in
+    its docstring; here they are multiplied out, for every weight."""
+    rep = wgraph_matrices(g)
+    ident = LaurentMatrix.identity(rep.dim)
+    for s, t in enumerate(rep.gens):
+        ls = g.engine.generator_weight(s)
+        assert t @ t == ident + t.scale(LaurentPoly({ls: 1, -ls: -1}))
 
 
 def test_is_geck():
