@@ -57,8 +57,6 @@ from .wgraph import (
     wgraph_matrices,
 )
 
-_JDATA_ORDER_LIMIT = 192
-
 
 class IrreducibleDatum(NamedTuple):
     """A balanced representation of one isomorphism type with its constants."""
@@ -145,23 +143,14 @@ def _schur_unit(leading: dict[Element, list]):
 # -- the gamma/n table -----------------------------------------------------------
 
 
-def _check_order(engine: GroupEngine):
-    if engine.order > _JDATA_ORDER_LIMIT:
-        raise ValueError(
-            f"|W| = {engine.order} exceeds the structure-constant guard "
-            f"{_JDATA_ORDER_LIMIT}"
-        )
-
-
 def irreducible_data(
     engine: GroupEngine, reps: list[tuple[Representation, BalancedData]]
 ) -> list[IrreducibleDatum]:
     """A complete set of balanced representations with their Schur units.
 
-    Refuses a group past the order guard, a set whose dimension sum is not
-    |W|, and a leading table whose Schur unit `_schur_unit` finds to be 0.
+    Refuses a set whose dimension sum is not |W|, and a leading table whose
+    Schur unit `_schur_unit` finds to be 0.
     """
-    _check_order(engine)
     total = sum(r.dim * r.dim for r, _ in reps)
     if total != engine.order:
         raise VerificationError(
@@ -524,8 +513,6 @@ def irreducible_cell_reps(kl: KLContext):
     (Geck-Pfeiffer 2000, Tits deformation; Lusztig, CRM Monogr. 18).
     """
     eng = kl.engine
-    # refuse a group too large for the structure constants before any cell
-    _check_order(eng)
     modules: dict[tuple, Representation] = {}
     for cgraph, _ in kl_left_cell_wgraphs(kl):
         rep = wgraph_matrices(cgraph)
@@ -563,8 +550,6 @@ def jdata_from_kl(kl: KLContext) -> JData:
     checked for P7, gamma_{x,y,z} = gamma_{y,z,x}, and for the unit
     sum_d n_d t_d before it is returned.
     """
-    # refuse a group too large for the h-table before any KL work
-    _check_order(kl.engine)
     adn = kl.lusztig_a_delta_n()
     n = {d: adn.n[d] * (-1 if d.length() % 2 else 1) for d in adn.duflo}
     jd = JData(kl.engine, [], adn.gamma, n, adn.duflo)
@@ -586,5 +571,6 @@ def jdata_from_kl(kl: KLContext) -> JData:
 
 
 def jdata_from_graphs(kl: KLContext, graphs) -> JData:
-    _check_order(kl.engine)
+    """J by the leading-matrix route from one irreducible W-graph per type;
+    `irreducible_data` refuses a set whose dimension sum is not |W|."""
     return gamma_n_table(kl.engine, irreducible_reps_from_graphs(graphs))

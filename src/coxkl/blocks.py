@@ -3,9 +3,9 @@
 Rows and columns of every matrix attached to a W-graph representation are
 grouped by vertex label, so blocks are indexed by subsets of S.  The
 operations here verify the diagonal congruence of v^L(w) rho(T_w), recover
-the label multiset from the character, bound the a-invariant, compute
-intertwiner spaces fraction-free, and certify that residue-level
-intertwiners are block diagonal.
+the label multiset from the character, compute intertwiner spaces
+fraction-free, and certify that residue-level intertwiners are block
+diagonal.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .asymptotic import class_character
-from .balance import a_value
 from .coxeter import Element
 from .laurent import LaurentMatrix, LaurentPoly
 from .linalg import f_mat_is_zero, laurent_rank, laurent_solve_kernel_matrices
@@ -113,27 +112,6 @@ def label_multiset_from_character(rep: Representation) -> dict[frozenset, int]:
             )
         counts[j] = int(c)
     return {j: c for j, c in counts.items() if c}
-
-
-class ABoundReport(NamedTuple):
-    ok: bool
-    a_value: int
-    bound: int
-    slack: int
-
-    def __bool__(self):
-        return self.ok
-
-
-def a_bound_check(rep: Representation, labels: dict[frozenset, int]) -> ABoundReport:
-    """a >= max over occurring labels I of L(w_I), with the attained slack."""
-    eng = rep.engine
-    a = a_value(rep)
-    bound = 0
-    for label, count in labels.items():
-        if count:
-            bound = max(bound, eng.weight(eng.longest_element(label)))
-    return ABoundReport(a >= bound, a, bound, a - bound)
 
 
 def intertwiner_space(r1: Representation, r2: Representation) -> list[LaurentMatrix]:

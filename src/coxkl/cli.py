@@ -449,9 +449,11 @@ def main(argv=None) -> int:
         ap.print_help()
         return USAGE
     try:
+        if args.selftest and args.command:
+            raise ValueError(f"--selftest takes no command, got {args.command}")
         payload, ok = run_selftest() if args.selftest else args.func(args)
         text = json_text(payload)
-        out = None if args.selftest else getattr(args, "out", None)
+        out = getattr(args, "out", None)
         if out:
             Path(out).write_text(text)
         else:

@@ -5,6 +5,7 @@ import json
 import pytest
 from oracles import GOLDEN
 
+from coxkl import asymptotic
 from coxkl.cli import main
 from coxkl.coxeter import build_group
 from coxkl.kl import KLContext
@@ -74,6 +75,33 @@ def kl_cell_files(tmp_path_factory):
         return made[group]
 
     return files
+
+
+@pytest.fixture(scope="session")
+def jdata_run(tmp_path_factory):
+    """jdata_run(group) -> (text, kl, jd): what `coxkl jdata --group group`
+    printed, with the `KLContext` it built and the J it read off the
+    h-table.  One J pass per group serves every test of the session."""
+    made = {}
+
+    def run(group):
+        if group not in made:
+            seen = []
+            real = asymptotic.jdata_from_kl
+
+            def recorded(kl):
+                jd = real(kl)
+                seen.append((kl, jd))
+                return jd
+
+            out = tmp_path_factory.mktemp("jdata") / "jdata.json"
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(asymptotic, "jdata_from_kl", recorded)
+                assert main(["jdata", "--group", group, "--out", str(out)]) == 0
+            made[group] = (out.read_text(), *seen[0])
+        return made[group]
+
+    return run
 
 
 @pytest.fixture(scope="session")

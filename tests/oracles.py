@@ -7,15 +7,19 @@ idempotent and arrow matrices, the walk of W in Laurent matrices over Q or
 Q(sqrt 5) where `coxkl` walks packed integers over Q, and from it
 balancedness, the leading table and the Schur element, the h-table in Laurent
 polynomials, Lusztig's homomorphism phi read off the h-table, and J from
-the leading matrices of the KL cell modules.  The golden ratio and the real
-sign of a Q(sqrt 5) element serve the tests of that field and the
-root-system oracle of the group tables.
+the leading matrices of the KL cell modules, the bound of the a-value by
+the labels of a W-graph, and the Robinson-Schensted insertion tableau, which
+describes the a-values and left cells of type A with no KL data.  The golden
+ratio and the real sign of a Q(sqrt 5) element serve the tests of that field
+and the root-system oracle of the group tables.
 """
 
+from bisect import bisect
 from fractions import Fraction
+from typing import NamedTuple
 
 from coxkl.asymptotic import JElement, gamma_n_table, irreducible_cell_reps
-from coxkl.balance import VerificationError
+from coxkl.balance import VerificationError, a_value
 from coxkl.kl import ADeltaN
 from coxkl.laurent import (
     ZERO,
@@ -248,3 +252,49 @@ def lusztig_phi(w, data, kl, cells) -> JElement:
 def jdata_from_cells(kl):
     """J from the leading matrices of one balanced KL cell module per type."""
     return gamma_n_table(kl.engine, irreducible_cell_reps(kl))
+
+
+class ABoundReport(NamedTuple):
+    ok: bool
+    a_value: int
+    bound: int
+    slack: int
+
+    def __bool__(self):
+        return self.ok
+
+
+def a_bound_check(rep: Representation, labels: dict[frozenset, int]) -> ABoundReport:
+    """a >= max over occurring labels I of L(w_I), with the attained slack."""
+    eng = rep.engine
+    a = a_value(rep)
+    bound = 0
+    for label, count in labels.items():
+        if count:
+            bound = max(bound, eng.weight(eng.longest_element(label)))
+    return ABoundReport(a >= bound, a, bound, a - bound)
+
+
+def one_line(w) -> tuple:
+    """w(0), ..., w(n) for w in type A_n, s_i being the transposition (i, i+1)
+    and the reduced word read as a composite of maps."""
+    line = list(range(w.engine.datum.rank + 1))
+    for s in w.engine.words[w.index]:
+        line[s], line[s + 1] = line[s + 1], line[s]
+    return tuple(line)
+
+
+def rsk_insertion(seq) -> tuple:
+    """The Robinson-Schensted insertion tableau of a sequence of distinct
+    numbers, as a tuple of rows."""
+    rows = []
+    for x in seq:
+        for row in rows:
+            k = bisect(row, x)
+            if k == len(row):
+                row.append(x)
+                break
+            row[k], x = x, row[k]
+        else:
+            rows.append([x])
+    return tuple(map(tuple, rows))

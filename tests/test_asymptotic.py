@@ -6,7 +6,14 @@ from functools import lru_cache
 from itertools import product
 
 import pytest
-from oracles import jdata_from_cells, lusztig_phi, schur_f, walk
+from oracles import (
+    jdata_from_cells,
+    lusztig_phi,
+    one_line,
+    rsk_insertion,
+    schur_f,
+    walk,
+)
 
 from coxkl import asymptotic
 from coxkl.asymptotic import (
@@ -72,10 +79,9 @@ def test_gamma_n_table_guards(kl_a2, a2):
     reps = irreducible_cell_reps(kl_a2)
     with pytest.raises(VerificationError):
         gamma_n_table(a2, reps[:2])  # incomplete set
-    # the order guard comes first, so the A2 modules never meet B4
-    with pytest.raises(ValueError, match="384 exceeds") as exc:
+    # modules of another group fail the dimension sum of B4
+    with pytest.raises(VerificationError, match=r"dimension sum 6 != \|W\| = 384"):
         gamma_n_table(shared_engine("B4"), reps)
-    assert not isinstance(exc.value, VerificationError)  # a usage error
 
 
 def gamma_n_by_triple_products(reps):
@@ -550,6 +556,78 @@ def test_b3_reducible_cells_need_table_graphs():
         for z, val in row.items():
             assert Fraction(val).denominator == 1
             assert jd.gamma_value(y, z, x) == val
+
+
+def lusztig_p_failures(kl, jd) -> list[str]:
+    """Where J breaks Lusztig's P13 (each left cell holds exactly one Duflo
+    element), P6 (Duflo elements are involutions) or P5 (n_d = +-1), or a
+    is not constant on a two-sided cell (Lusztig, CRM Monogr. 18, 14.2)."""
+    failures = []
+    for k, block in enumerate(kl.cells("left").blocks):
+        found = sum(w in jd.duflo for w in block)
+        if found != 1:
+            failures.append(f"P13: left cell {k} holds {found} Duflo elements")
+    for d in sorted(jd.duflo, key=lambda w: w.index):
+        if d.inverse() != d:
+            failures.append(f"P6: Duflo element {d.index} is not an involution")
+        if jd.n[d] not in (1, -1):
+            failures.append(f"P5: n_{d.index} = {jd.n[d]}")
+    a = kl.lusztig_a_delta_n().a
+    for k, block in enumerate(kl.cells("two-sided").blocks):
+        if len({a[w] for w in block}) != 1:
+            failures.append(f"a is not constant on two-sided cell {k}")
+    return failures
+
+
+@pytest.mark.parametrize(
+    "group, cells", [("B4", 50), ("A5", 76), ("B4:4,1,1,1", 76)]
+)
+def test_large_groups_keep_p5_p6_p13(jdata_run, group, cells):
+    """|D| is the number of left cells, by P13."""
+    _, kl, jd = jdata_run(group)
+    assert len(kl.cells("left").blocks) == len(jd.duflo) == cells
+    assert lusztig_p_failures(kl, jd) == []
+
+
+def test_p13_fails_without_one_duflo_element(jdata_run):
+    _, kl, jd = jdata_run("B4:4,1,1,1")
+    d = min(jd.duflo, key=lambda w: w.index)
+    k = kl.cells("left").block_of(d)
+    failures = lusztig_p_failures(kl, jd._replace(duflo=jd.duflo - {d}))
+    assert failures == [f"P13: left cell {k} holds 0 Duflo elements"]
+
+
+@pytest.mark.parametrize("group", ["A5", "B4:4,1,1,1"])
+def test_every_involution_is_a_duflo_element(jdata_run, group):
+    """Every left-cell module is irreducible, so each irreducible chi is the
+    module of chi(1) left cells, and sum chi(1) counts the involutions, as
+    every representation of W is real (Frobenius-Schur)."""
+    _, kl, jd = jdata_run(group)
+    eng = kl.engine
+    involutions = {w for w in eng.elements if w.inverse() == w}
+    assert jd.duflo == involutions
+    dims = {}
+    for cgraph, _ in kl_left_cell_wgraphs(kl):
+        rep = wgraph_matrices(cgraph)
+        dims.setdefault(class_character(rep), rep.dim)
+    assert sum(d * d for d in dims.values()) == eng.order
+    assert len(kl.cells("left").blocks) == sum(dims.values()) == len(involutions)
+
+
+@pytest.mark.parametrize("group", ["A3", "A4", "A5"])
+def test_type_a_a_values_and_left_cells_by_robinson_schensted(jdata_run, group):
+    """a(w) = sum_i (i - 1) lambda_i for lambda the shape of the insertion
+    tableau of w, and the left cells are the fibres of the insertion tableau
+    of w^-1 (Kazhdan-Lusztig, Invent. Math. 53, 1979)."""
+    _, kl, _ = jdata_run(group)
+    a = kl.lusztig_a_delta_n().a
+    fibres = {}
+    for w in kl.engine.elements:
+        shape = [len(row) for row in rsk_insertion(one_line(w))]
+        assert a[w] == sum(i * part for i, part in enumerate(shape)), w.index
+        fibres.setdefault(rsk_insertion(one_line(w.inverse())), set()).add(w)
+    left = {frozenset(block) for block in kl.cells("left").blocks}
+    assert left == {frozenset(f) for f in fibres.values()}
 
 
 def test_cell_axioms_report_a_dependent_basis(jd_a3, kl_a3):

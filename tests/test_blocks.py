@@ -4,11 +4,10 @@ residue block reports and isomorphism certificates."""
 from fractions import Fraction
 
 import pytest
-from oracles import direct_sum
+from oracles import a_bound_check, direct_sum
 
 from coxkl.balance import gram_invariant_form
 from coxkl.blocks import (
-    a_bound_check,
     block_report,
     intertwiner_space,
     label_multiset_from_character,

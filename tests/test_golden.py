@@ -16,7 +16,10 @@ the `wgraph klgraph` and left `cells` A5 ones before P* was computed only
 at critical pairs, and the `cellbasis` B3:3,1,1 and I2(3) ones and the
 file-command ones before the Gram form was summed over parabolic cosets,
 and the Q(sqrt 5) file-command ones before modules over that field walked W
-in packed integers; any change to them is a change of the printed answer,
+in packed integers, and the `jdata` B4, A5 and B4:4,1,1,1 and `cellbasis` A5
+and B4:4,1,1,1 ones, the first answers on groups past |W| = 192, once those
+J passes met Lusztig's P5, P6 and P13 and the type A ones the
+Robinson-Schensted cells; any change to them is a change of the printed answer,
 not of its speed.
 """
 
@@ -86,6 +89,10 @@ GOLDEN = {
         "fb2fe44b9994dd5e3a7a445e55cc7b0e22de59f09ef91af9fbc38532ace4e643",
     ("cellbasis", "--group", "I2(3)"):
         "6ee3cd876c9a45442e32167217c33ad910ec0bb9903b0d2eb101ad8b22af70a9",
+    ("cellbasis", "--group", "A5"):
+        "b684df0222a9654bb6c6e67c63e7ba7ff9bb01b85a851720796ae699450b0efe",
+    ("cellbasis", "--group", "B4:4,1,1,1"):
+        "e599ea5e3712cafd3426c071b51753617ac63f76ac6f08f61aaf35f0f4ed5340",
 }
 
 #: file commands on catalogue graphs, keyed by (command, file name)
@@ -109,6 +116,15 @@ FILE_GOLDEN = {
         "54e76695da3d2c0e9f4847c3acfaa057a5a62b0fe60ecfd5d5bbfe7b9ab2ae04",
     ("cellrep", "i25_cell_phi_2r5"):
         "09db7dffd23cceb9d7f51d2ac779598162404613d59ce4ec50735855f3019354",
+}
+
+#: `jdata` past |W| = 192, read off the `jdata_run` fixture, whose J pass the
+#: oracles of `test_asymptotic` share
+JDATA_GOLDEN = {
+    "B4": "58f133e1aab1d948b47cb8531484bee585f81584508ae46d485d382daa2612c1",
+    "A5": "d06ff3b09ece7efafa013fa5085e5de86646e3c6a70a951be1b23aaf385092d8",
+    "B4:4,1,1,1":
+        "2398d074875018ceef306a626e23353c86e6509faf9fa27880b5950dd009ccc4",
 }
 
 DEMOS = {
@@ -140,6 +156,12 @@ def test_file_command_output_is_byte_identical(
     assert main([command, str(path)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == FILE_GOLDEN[command, name]
+
+
+@pytest.mark.parametrize("group", list(JDATA_GOLDEN))
+def test_jdata_past_192_is_byte_identical(jdata_run, group):
+    text, _, _ = jdata_run(group)
+    assert hashlib.sha256(text.encode()).hexdigest() == JDATA_GOLDEN[group]
 
 
 @pytest.mark.parametrize("demo", list(DEMOS))
