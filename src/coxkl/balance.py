@@ -1,5 +1,5 @@
 """Invariant bilinear forms, the degree-safe balancing base change, a-values,
-leading-coefficient extraction and per-block strictification.
+and leading-coefficient extraction.
 
 The invariant form is always produced by the full Gram sum over the standard
 basis, never by linear solving, so every intermediate stays inside the
@@ -14,12 +14,12 @@ and then clears the residues right of its pivot, all by paired column and
 row operations, building no matrix product.  The maximal entry degree of
 the form never grows from step to step, and the step history is recorded
 so callers can assert that.  `balance` runs that elimination on the Gram
-form, and `strictify` runs it on a form whose residue is block diagonal by
-labels.  One depth-first sweep of the balanced module gives its a-value
-and its leading table, so `balance` walks W once per module.  The sweep
-runs on packed integers (`Representation.valuation_walk`), exact at a width
-fixed by a coefficient bound; a module over Q(sqrt 5) is swept as its
-restriction of scalars to Q.
+form; strictification, a test oracle in `tests/oracles.py`, runs it on a
+form whose residue is block diagonal by labels.  One depth-first sweep of
+the balanced module gives its a-value and its leading table, so `balance`
+walks W once per module.  The sweep runs on packed integers
+(`Representation.valuation_walk`), exact at a width fixed by a coefficient
+bound; a module over Q(sqrt 5) is swept as its restriction of scalars to Q.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from typing import NamedTuple
 
 from .coxeter import Element
 from .laurent import LaurentMatrix, LaurentPoly, from_sum
-from .linalg import f_mat_transpose
 from .scalars import scalar_inv, scalar_str
 from .wgraph import Representation
 
@@ -271,40 +270,3 @@ def balance(rep: Representation, form: LaurentMatrix | None = None):
         form=omega,
     )
     return rep2, data
-
-
-def strictify(
-    rep: Representation,
-    form: LaurentMatrix,
-    labels: list[frozenset],
-):
-    """Make the residue of the form fully diagonal inside each label block.
-
-    The form's residue must already be block diagonal with respect to the
-    label grouping (that is the content of the off-diagonal-vanishing lemma);
-    a violation raises ValueError with the offending block pair.  The
-    residue's pivots must not vanish: then the elimination of `balance`
-    never rescales, and its unit upper-triangular Q is L^-Tr for the
-    LDL^Tr factorization of the residue, block by block.  A vanishing pivot
-    raises VerificationError.  Returns (rep', form', l_matrix) where
-    l_matrix = L is block unitriangular over F.
-    """
-    d = rep.dim
-    if len(labels) != d:
-        raise ValueError("need one label per matrix index")
-    val = form.valuation()
-    res = (form.scale(LaurentPoly({-val: 1})) if val else form).residue()
-    for i in range(d):
-        for j in range(d):
-            if labels[i] != labels[j] and res[i][j]:
-                raise ValueError(
-                    f"form residue is not block diagonal: block "
-                    f"({sorted(labels[i])}, {sorted(labels[j])}) is nonzero"
-                )
-    omega, q, q_inv, _, _ = _eliminate(form)
-    if not q.is_constant():
-        raise VerificationError(
-            "a residue pivot vanishes: the form is not definite on a label block"
-        )
-    l_full = f_mat_transpose(q_inv.residue())
-    return rep.conjugate(q, q_inv), omega, l_full

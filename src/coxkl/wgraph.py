@@ -9,11 +9,14 @@ diagonal.  Braid relations are checked by direct alternating products, a
 check valid for every weight function.  A module walks W once, in packed
 integers over Q, through the restriction of scalars when its coefficients
 lie in Q(sqrt 5) (`Representation.valuation_walk`).  The KL W-graph reads
-the edge map that `KLContext.wgraph_edges` builds once per context.  The
-tests keep in `tests/oracles.py` the walk in Laurent matrices, the
-Chebyshev-style commutator identity (tau route, valid for equal weights
-only), the generator matrices rebuilt from the idempotent and arrow
-matrices, and direct sums of modules.
+the edge map that `KLContext.wgraph_edges` builds once per context.  By
+the support condition the -v_s^-1-eigenspace of rho(T_s) is the span of
+the vertices x with s in I(x), so the label multiset of a W-graph is also
+its eigenspace multiplicities.  The tests keep in `tests/oracles.py` the
+walk in Laurent matrices, the Chebyshev-style commutator identity (tau
+route, valid for equal weights only), the generator matrices rebuilt from
+the idempotent and arrow matrices, direct sums of modules, and the label
+multiset recovered from the eigenspaces by Laurent elimination.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from .laurent import (
     packed_width,
     parse_laurent,
 )
-from .linalg import laurent_kernel, laurent_rank
 from .scalars import Sqrt5, rational_block
 
 
@@ -603,58 +605,6 @@ def compatibility_graph(datum: CoxeterDatum) -> CompatibilityGraph:
                 if other:
                     transversal.add((i_lab, j_lab))
     return CompatibilityGraph(subsets, edges, transversal)
-
-
-# -- eigenspace label multiplicities -------------------------------------------------------
-
-
-def eigenspace_label_multiplicities(rep: Representation) -> dict[frozenset, int]:
-    """Vertex-label multiplicities recovered from eigenspace dimensions.
-
-    For each I the multiplicity is dim of the intersection of the
-    -v_s^-1 eigenspaces over s in I, modulo the span of the deeper
-    intersections with one extra generator.  All kernels are computed
-    fraction-free over the Laurent ring.
-    """
-    eng = rep.engine
-    n = eng.datum.rank
-    d = rep.dim
-    ident = LaurentMatrix.identity(d)
-
-    kernels: dict[frozenset, list[list[LaurentPoly]]] = {}
-
-    def kernel_of(i_lab: frozenset):
-        if i_lab in kernels:
-            return kernels[i_lab]
-        if not i_lab:
-            basis = [
-                [ONE if j == i else ZERO for j in range(d)] for i in range(d)
-            ]
-            kernels[i_lab] = basis
-            return basis
-        rows = []
-        for s in i_lab:
-            ls = eng.generator_weight(s)
-            cond = rep.gens[s] + ident.scale(LaurentPoly({-ls: 1}))
-            rows.extend(cond.entries)
-        basis = laurent_kernel(LaurentMatrix(len(rows), d, rows))
-        kernels[i_lab] = basis
-        return basis
-
-    out: dict[frozenset, int] = {}
-    for i_lab in label_subsets(n):
-        top = kernel_of(i_lab)
-        dim_top = len(top)
-        stacked = []
-        for s in range(n):
-            if s not in i_lab:
-                stacked.extend(kernel_of(i_lab | {s}))
-        if stacked:
-            dim_sub = laurent_rank(LaurentMatrix(len(stacked), d, stacked))
-        else:
-            dim_sub = 0
-        out[i_lab] = dim_top - dim_sub
-    return {k: v for k, v in out.items() if v}
 
 
 # -- JSON wire format ------------------------------------------------------------------------

@@ -8,8 +8,12 @@ Q(sqrt 5) where `coxkl` walks packed integers over Q, and from it
 balancedness, the leading table and the Schur element, the h-table in Laurent
 polynomials, Lusztig's homomorphism phi read off the h-table, and J from
 the leading matrices of the KL cell modules, the bound of the a-value by
-the labels of a W-graph, and the Robinson-Schensted insertion tableau, which
-describes the a-values and left cells of type A with no KL data.  The golden
+the labels of a W-graph, the label multiset of a W-graph recovered from the
+-v_s^-1-eigenspaces of its generator matrices by Laurent elimination (`coxkl
+labels` reads it off the support condition), strictification of a form
+whose residue is block diagonal by labels through the elimination of
+`balance`, and the Robinson-Schensted insertion tableau, which describes
+the a-values and left cells of type A with no KL data.  The golden
 ratio and the real sign of a Q(sqrt 5) element serve the tests of that field
 and the root-system oracle of the group tables.
 """
@@ -19,9 +23,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from coxkl.asymptotic import JElement, gamma_n_table, irreducible_cell_reps
-from coxkl.balance import VerificationError, a_value
+from coxkl.balance import VerificationError, _eliminate, a_value
 from coxkl.kl import ADeltaN
 from coxkl.laurent import (
+    ONE,
     ZERO,
     LaurentMatrix,
     LaurentPoly,
@@ -30,8 +35,9 @@ from coxkl.laurent import (
     from_sum,
     shift,
 )
+from coxkl.linalg import f_mat_transpose, laurent_kernel, laurent_rank
 from coxkl.scalars import Sqrt5
-from coxkl.wgraph import Representation, tau_poly
+from coxkl.wgraph import Representation, label_subsets, tau_poly
 
 
 #: the golden ratio (1 + sqrt(5)) / 2
@@ -273,6 +279,92 @@ def a_bound_check(rep: Representation, labels: dict[frozenset, int]) -> ABoundRe
         if count:
             bound = max(bound, eng.weight(eng.longest_element(label)))
     return ABoundReport(a >= bound, a, bound, a - bound)
+
+
+def eigenspace_label_multiplicities(rep: Representation) -> dict[frozenset, int]:
+    """Vertex-label multiplicities recovered from eigenspace dimensions.
+
+    For each I the multiplicity is dim of the intersection of the
+    -v_s^-1 eigenspaces over s in I, modulo the span of the deeper
+    intersections with one extra generator.  All kernels are computed
+    fraction-free over the Laurent ring.
+    """
+    eng = rep.engine
+    n = eng.datum.rank
+    d = rep.dim
+    ident = LaurentMatrix.identity(d)
+
+    kernels: dict[frozenset, list[list[LaurentPoly]]] = {}
+
+    def kernel_of(i_lab: frozenset):
+        if i_lab in kernels:
+            return kernels[i_lab]
+        if not i_lab:
+            basis = [
+                [ONE if j == i else ZERO for j in range(d)] for i in range(d)
+            ]
+            kernels[i_lab] = basis
+            return basis
+        rows = []
+        for s in i_lab:
+            ls = eng.generator_weight(s)
+            cond = rep.gens[s] + ident.scale(LaurentPoly({-ls: 1}))
+            rows.extend(cond.entries)
+        basis = laurent_kernel(LaurentMatrix(len(rows), d, rows))
+        kernels[i_lab] = basis
+        return basis
+
+    out: dict[frozenset, int] = {}
+    for i_lab in label_subsets(n):
+        top = kernel_of(i_lab)
+        dim_top = len(top)
+        stacked = []
+        for s in range(n):
+            if s not in i_lab:
+                stacked.extend(kernel_of(i_lab | {s}))
+        if stacked:
+            dim_sub = laurent_rank(LaurentMatrix(len(stacked), d, stacked))
+        else:
+            dim_sub = 0
+        out[i_lab] = dim_top - dim_sub
+    return {k: v for k, v in out.items() if v}
+
+
+def strictify(
+    rep: Representation,
+    form: LaurentMatrix,
+    labels: list[frozenset],
+):
+    """Make the residue of the form fully diagonal inside each label block.
+
+    The form's residue must already be block diagonal with respect to the
+    label grouping (that is the content of the off-diagonal-vanishing lemma);
+    a violation raises ValueError with the offending block pair.  The
+    residue's pivots must not vanish: then the elimination of `balance`
+    never rescales, and its unit upper-triangular Q is L^-Tr for the
+    LDL^Tr factorization of the residue, block by block.  A vanishing pivot
+    raises VerificationError.  Returns (rep', form', l_matrix) where
+    l_matrix = L is block unitriangular over F.
+    """
+    d = rep.dim
+    if len(labels) != d:
+        raise ValueError("need one label per matrix index")
+    val = form.valuation()
+    res = (form.scale(LaurentPoly({-val: 1})) if val else form).residue()
+    for i in range(d):
+        for j in range(d):
+            if labels[i] != labels[j] and res[i][j]:
+                raise ValueError(
+                    f"form residue is not block diagonal: block "
+                    f"({sorted(labels[i])}, {sorted(labels[j])}) is nonzero"
+                )
+    omega, q, q_inv, _, _ = _eliminate(form)
+    if not q.is_constant():
+        raise VerificationError(
+            "a residue pivot vanishes: the form is not definite on a label block"
+        )
+    l_full = f_mat_transpose(q_inv.residue())
+    return rep.conjugate(q, q_inv), omega, l_full
 
 
 def one_line(w) -> tuple:

@@ -8,7 +8,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from oracles import braid_commutator_tau, is_balanced, jdata_from_cells
+from oracles import (
+    braid_commutator_tau,
+    eigenspace_label_multiplicities,
+    is_balanced,
+    jdata_from_cells,
+    strictify,
+)
 from tbasis import TBasis
 
 from coxkl.asymptotic import (
@@ -24,7 +30,6 @@ from coxkl.balance import (
     balance,
     gram_invariant_form,
     leading_coefficients,
-    strictify,
 )
 from coxkl.blocks import (
     block_report,
@@ -41,7 +46,6 @@ from coxkl.wgraph import (
     WGraph,
     braid_commutator_direct,
     compatibility_graph,
-    eigenspace_label_multiplicities,
     kl_left_cell_wgraphs,
     kl_wgraph,
     omega_gy_relations_check,

@@ -7,7 +7,15 @@ from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import GOLDEN, direct_sum, is_balanced, leading_by_walk, schur_f, walk
+from oracles import (
+    GOLDEN,
+    direct_sum,
+    is_balanced,
+    leading_by_walk,
+    schur_f,
+    strictify,
+    walk,
+)
 
 from coxkl import wgraph
 from coxkl.asymptotic import _schur_unit, class_character
@@ -18,7 +26,6 @@ from coxkl.balance import (
     balance,
     gram_invariant_form,
     leading_coefficients,
-    strictify,
 )
 from coxkl.fixtures import (
     b3_graphs,
@@ -427,7 +434,7 @@ def draw_dense_conjugate(data, rep, polys=small_polys, units=small_units):
     return rep.conjugate(q, q_inv)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.sampled_from(GRAM_CASES), st.data())
 def test_coset_gram_equals_the_walk_sum_on_dense_conjugates(case, data):
     """Conjugates by a monomial matrix diag(c_i v^e_i) P, or by a

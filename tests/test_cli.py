@@ -417,7 +417,7 @@ def test_balance_refuses_a_module_that_is_not_a_hecke_module(
     code = main(["balance", str(bad)])
     captured = capsys.readouterr()
     assert code == 1 and not captured.out
-    assert captured.err == "error: Gram form is not invariant for generator 1\n"
+    assert captured.err == "error: braid relation fails for pair (0,1)\n"
 
 
 def test_balance_clears_a_residue_a_rescaling_brings_back(capsys, tmp_path):
@@ -456,7 +456,15 @@ NOT_A_WGRAPH = {
 }
 
 
-@pytest.mark.parametrize("command", ["leading", "labels", "blocks"])
+def refused_as_either_input(command, bad, good):
+    """The argument lists that hand `command` the file `bad`; `blocks`
+    takes it as either of its inputs."""
+    if command == "blocks":
+        return [[command, bad, good], [command, good, bad]]
+    return [[command, bad]]
+
+
+@pytest.mark.parametrize("command", ["leading", "labels", "blocks", "balance"])
 def test_file_commands_refuse_a_graph_whose_braid_relation_fails(
     capsys, fixture_dir, tmp_path, command
 ):
@@ -465,14 +473,33 @@ def test_file_commands_refuse_a_graph_whose_braid_relation_fails(
     bad = str(tmp_path / "not_a_wgraph.json")
     Path(bad).write_text(json.dumps(NOT_A_WGRAPH))
     good = str(fixture_dir / "a2_refl.json")
-    argvs = [[command, bad]]
-    if command == "blocks":
-        argvs = [[command, bad, good], [command, good, bad]]
-    for argv in argvs:
+    for argv in refused_as_either_input(command, bad, good):
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 1 and not captured.out
         assert captured.err == "error: braid relation fails for pair (0,1)\n"
+
+
+@pytest.mark.parametrize("command", ["leading", "labels", "blocks", "balance"])
+def test_file_commands_refuse_a_graph_that_breaks_the_support_condition(
+    capsys, fixture_dir, tmp_path, command
+):
+    """b3_chi7 with an edge 0 -> 0 for s = 0 breaks the support condition,
+    on which the `labels` eigenspace multiplicities rest; every file
+    command that checks its input refuses it as `wgraph validate` does."""
+    data = json.loads((fixture_dir / "b3_chi7.json").read_text())
+    data["edges"].append({"s": 0, "from": 0, "to": 0, "weight": "1"})
+    bad = str(tmp_path / "b3_chi7_bad_support.json")
+    Path(bad).write_text(json.dumps(data))
+    good = str(fixture_dir / "b3_chi7.json")
+    for argv in refused_as_either_input(command, bad, good):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and not captured.out
+        assert captured.err == (
+            "error: support condition violated at s=0, edge 0->0: "
+            "s must lie in I(x) minus I(y)\n"
+        )
 
 
 def spy_on(monkeypatch, module, name):
@@ -649,7 +676,7 @@ def test_balance_refuses_a_module_it_cannot_balance(capsys, tmp_path):
     assert main(["balance", str(path)]) == 1
     captured = capsys.readouterr()
     assert not captured.out
-    assert captured.err == "error: Gram form is not invariant for generator 0\n"
+    assert captured.err == "error: braid relation fails for pair (0,1)\n"
 
 
 def test_a_module_over_q_sqrt5_walks_once_per_command(

@@ -16,7 +16,9 @@ the `wgraph klgraph` and left `cells` A5 ones before P* was computed only
 at critical pairs, and the `cellbasis` B3:3,1,1 and I2(3) ones and the
 file-command ones before the Gram form was summed over parabolic cosets,
 and the Q(sqrt 5) file-command ones before modules over that field walked W
-in packed integers, and the `jdata` B4, A5 and B4:4,1,1,1 and `cellbasis` A5
+in packed integers, and the `labels` ones before `labels` read its
+eigenspace multiplicities off the support condition in place of Laurent
+elimination, and the `jdata` B4, A5 and B4:4,1,1,1 and `cellbasis` A5
 and B4:4,1,1,1 ones, the first answers on groups past |W| = 192, once those
 J passes met Lusztig's P5, P6 and P13 and the type A ones the
 Robinson-Schensted cells; any change to them is a change of the printed answer,
@@ -116,6 +118,14 @@ FILE_GOLDEN = {
         "54e76695da3d2c0e9f4847c3acfaa057a5a62b0fe60ecfd5d5bbfe7b9ab2ae04",
     ("cellrep", "i25_cell_phi_2r5"):
         "09db7dffd23cceb9d7f51d2ac779598162404613d59ce4ec50735855f3019354",
+    ("labels", "i25_cell_phi_2r5"):
+        "f5aa32403626167e45d6b97cc5ab0b7e6fdf1e9dec1243ae944e9999fab5f4c7",
+    # the largest KL left cells, by index in `kl_cell_files`: D4 (dimension
+    # 14) and A5 (dimension 16)
+    ("labels", "D4 left cell 15"):
+        "e5badb4d2b18b818799faef7b37a66005e968e7eed5184b229ebc2d24165416e",
+    ("labels", "A5 left cell 29"):
+        "3e37e187a135b5ac7e805d6d72a727a0b6992ccc6a8201bdc1b4dfa2c04a0a27",
 }
 
 #: `jdata` past |W| = 192, read off the `jdata_run` fixture, whose J pass the
@@ -146,10 +156,13 @@ def test_cli_output_is_byte_identical(capsys, argv):
     "command, name", list(FILE_GOLDEN), ids=[" ".join(key) for key in FILE_GOLDEN]
 )
 def test_file_command_output_is_byte_identical(
-    capsys, tmp_path, sqrt5_cell_files, command, name
+    capsys, tmp_path, kl_cell_files, sqrt5_cell_files, command, name
 ):
     path = sqrt5_cell_files.get(name)
-    if path is None:
+    group, cell, index = name.partition(" left cell ")
+    if cell:
+        path = kl_cell_files(group)[int(index)]
+    elif path is None:
         assert main(["fixtures", "--out", str(tmp_path)]) == 0
         capsys.readouterr()
         path = tmp_path / f"{name}.json"

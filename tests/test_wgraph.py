@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import braid_commutator_tau, omega_reconstruction, walk
+from oracles import (
+    braid_commutator_tau,
+    eigenspace_label_multiplicities,
+    omega_reconstruction,
+    walk,
+)
 
 from coxkl import wgraph
 from coxkl.coxeter import build_group
@@ -14,11 +19,11 @@ from coxkl.kl import KLContext
 from coxkl.laurent import LaurentMatrix, LaurentPoly
 from coxkl.scalars import Sqrt5
 from coxkl.wgraph import (
+    Representation,
     WGraph,
     braid_commutator_direct,
     compatibility_graph,
     dual_wgraph,
-    eigenspace_label_multiplicities,
     is_geck,
     kl_left_cell_wgraphs,
     label_classes,
@@ -145,6 +150,35 @@ def test_the_support_condition_implies_the_quadratic_relations(g):
     for s, t in enumerate(rep.gens):
         ls = g.engine.generator_weight(s)
         assert t @ t == ident + t.scale(LaurentPoly({ls: 1, -ls: -1}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(support_respecting_graphs())
+def test_the_support_condition_fixes_the_eigenspace_multiplicities(g):
+    """`coxkl labels` reports the label multiset as the eigenspace
+    multiplicities, by the support condition alone; Laurent elimination of
+    the -v_s^-1-eigenspaces agrees whether or not the braid relations hold."""
+    assert eigenspace_label_multiplicities(wgraph_matrices(g)) == g.label_multiset()
+
+
+def test_an_arrow_against_the_support_condition_moves_a_label(a2):
+    """Labels [{0}, {0}] with an arrow 1 -> 0 for s = 0 break the support
+    condition, and the eigenspace multiplicities are no longer the labels:
+    rho(T_0) = [[-v^-1, 1], [0, -v^-1]] has a one-dimensional
+    -v^-1-eigenspace."""
+    labels = [frozenset({0}), frozenset({0})]
+    g = WGraph(a2, labels, {(0, 0, 1): c(1)})
+    assert not validate_wgraph(g).ok
+    minus, one = LaurentPoly({-1: -1}), c(1)
+    rep = Representation(a2, [
+        LaurentMatrix(2, 2, [[minus, one], [LaurentPoly(), minus]]),
+        LaurentMatrix.identity(2).scale(LaurentPoly({1: 1})),
+    ])
+    assert g.label_multiset() == {frozenset({0}): 2}
+    assert eigenspace_label_multiplicities(rep) == {
+        frozenset(): 1,
+        frozenset({0}): 1,
+    }
 
 
 def test_is_geck():
