@@ -10,17 +10,18 @@ route
     n_x           = sum_l f_l^-1 tr(c^l(x^-1)),
 from one balanced representation per isomorphism type (`gamma_n_table`),
 is the test oracle for that ring.  The cellular basis (Geck 2009) reads only
-the balanced modules and their Schur units (`irreducible_data`), never gamma.
-Its axiom check and the cell representations read T_s C_w off the sparse
-columns of `KLContext.t_columns`, never dense KL W-graph matrices.  The
-Schur element from its own walk, Lusztig's homomorphism phi and J from the
-KL cell modules are test oracles in `tests/oracles.py`.
+the balanced modules and their Schur units (`irreducible_data`), never gamma;
+its form B is the diagonal residue d of the balanced invariant form that
+`balance` leaves, scaled to d_0 = 1 (`cell_form`).  Its axiom check and the
+cell representations read T_s C_w off the sparse columns of
+`KLContext.t_columns`, never dense KL W-graph matrices.  The Schur element
+from its own walk, Lusztig's homomorphism phi, J from the KL cell modules
+and B summed as sum_x c_x^T c_x are test oracles in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import NamedTuple
 
 from .balance import (
@@ -45,7 +46,6 @@ from .linalg import (
     f_mat_mul,
     f_mat_scale,
     f_mat_trace,
-    f_mat_transpose,
     f_sparse_inverse,
 )
 from .scalars import scalar_inv
@@ -330,31 +330,20 @@ class CellDatum(NamedTuple):
     cell_block: list[int]
 
 
-def invariant_form_over_f(ir: IrreducibleDatum):
-    """B = normalized sum_x rho_bar(t_x)^T rho_bar(t_x) over F."""
-    d = ir.rep.dim
-    b = [[Fraction(0)] * d for _ in range(d)]
-    for x, cx in ir.data.leading.items():
-        b = [
-            [bij + pij for bij, pij in zip(brow, prow)]
-            for brow, prow in zip(b, f_mat_mul(f_mat_transpose(cx), cx))
-        ]
-    flat = [x for row in b for x in row]
-    if all(isinstance(x, (int, Fraction)) and Fraction(x).denominator == 1 for x in flat):
-        g = 0
-        for x in flat:
-            g = gcd(g, int(Fraction(x)))
-        if g > 1:
-            b = f_mat_scale(b, Fraction(1, g))
-    else:
-        first = next((x for x in flat if x), None)
-        if first:
-            b = f_mat_scale(b, scalar_inv(first))
-    return b
+def cell_form(d: list) -> list:
+    """Geck's form B = diag(d / d_0) from the diagonal residues d of a
+    balanced module.  Its Gram residue is sum_x c_x^T c_x, as rho(T_w) =
+    v^-a (c_w + O(v)); the module is absolutely irreducible (the dimension
+    sum of `irreducible_data`), so the symmetric Omega_0 with Omega_0 c_w =
+    c_(w^-1)^T Omega_0 span a line, and diag(d) lies on it whatever base
+    change `balance` made."""
+    inv = scalar_inv(d[0])
+    return [x * inv for x in d]
 
 
 def cell_basis(irreducibles: list[IrreducibleDatum], kl: KLContext) -> CellDatum:
-    """Construct C^lambda_{st} = sum_w (B_l rho_bar_l(t_w))_{st} C_w."""
+    """Construct C^lambda_{st} = sum_w (B_l rho_bar_l(t_w))_{st} C_w, with
+    B_l = diag(`cell_form`) read off the balanced module of type l."""
     eng = kl.engine
     two_sided = kl.cells("two-sided")
     dims = []
@@ -363,7 +352,7 @@ def cell_basis(irreducibles: list[IrreducibleDatum], kl: KLContext) -> CellDatum
     for li, ir in enumerate(irreducibles):
         d = ir.rep.dim
         dims.append(d)
-        b = invariant_form_over_f(ir)
+        b = cell_form(ir.data.d)
         support_blocks = {two_sided.block_of(w) for w in ir.data.leading}
         if len(support_blocks) != 1:
             raise AssertionError(
@@ -371,11 +360,10 @@ def cell_basis(irreducibles: list[IrreducibleDatum], kl: KLContext) -> CellDatum
             )
         cell_block.append(next(iter(support_blocks)))
         for w, cw in ir.data.leading.items():
-            m = f_mat_mul(b, cw)
             for s in range(d):
-                for t in range(d):
-                    if m[s][t]:
-                        basis.setdefault((li, s, t), {})[w] = m[s][t]
+                for t, c in enumerate(cw[s]):
+                    if c:
+                        basis.setdefault((li, s, t), {})[w] = b[s] * c
     lambda_lt = set()
     for i in range(len(irreducibles)):
         for j in range(len(irreducibles)):

@@ -20,8 +20,8 @@ import sys
 from pathlib import Path
 
 from . import asymptotic, balance as balance_mod, blocks as blocks_mod
-from .coxeter import CATALOGUE, bit_indices
-from .fixtures import catalogue, shared_engine
+from .coxeter import CATALOGUE, bit_indices, shared_engine
+from .fixtures import catalogue
 from .kl import KLContext
 from .laurent import LaurentMatrix, format_laurent, laurent_formatter, shift
 from .scalars import scalar_str
@@ -35,7 +35,6 @@ from .wgraph import (
     validate_wgraph,
     wgraph_cells,
     wgraph_from_json,
-    wgraph_group,
     wgraph_matrices,
     wgraph_to_json,
 )
@@ -58,8 +57,7 @@ def _label(label) -> str:
 
 
 def _load_graph(path: str):
-    data = json.loads(Path(path).read_text())
-    return wgraph_from_json(data, engine=shared_engine(wgraph_group(data)))
+    return wgraph_from_json(json.loads(Path(path).read_text()))
 
 
 def _load_valid_graph(path: str):
@@ -284,7 +282,7 @@ def cmd_cellrep(args):
         "entrywise_equal": report.entrywise_equal,
         "characters_equal": report.characters_equal,
         "verdict": report.verdict,
-    }, report.balanced
+    }, report.balanced and report.characters_equal
 
 
 def cmd_cellbasis(args):

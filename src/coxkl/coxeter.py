@@ -527,3 +527,17 @@ def build_group(ts: str) -> GroupEngine:
             f"enumerated order {engine.order} != classification order {expected}"
         )
     return engine
+
+
+_GROUP_CACHE: dict[str, GroupEngine] = {}
+
+
+def shared_engine(ts: str) -> GroupEngine:
+    """One engine per canonical type string for the whole process, so graphs
+    over one weighted group share it however it is spelled."""
+    name, _, weights = parse_type_string(ts)
+    key = type_string(name, weights)
+    eng = _GROUP_CACHE.get(key)
+    if eng is None:
+        eng = _GROUP_CACHE[key] = build_group(key)
+    return eng

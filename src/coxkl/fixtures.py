@@ -14,22 +14,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coxeter import GroupEngine, build_group, parse_type_string, type_string
+from .coxeter import GroupEngine, shared_engine
 from .laurent import LaurentPoly
 from .wgraph import WGraph, dual_wgraph, induced_wgraph, label_subsets
-
-_GROUP_CACHE: dict[str, GroupEngine] = {}
-
-
-def shared_engine(ts: str) -> GroupEngine:
-    """Process-wide engine cache keyed by the canonical type string, so
-    graphs over one weighted group share one engine however it is spelled."""
-    name, _, weights = parse_type_string(ts)
-    key = type_string(name, weights)
-    eng = _GROUP_CACHE.get(key)
-    if eng is None:
-        eng = _GROUP_CACHE[key] = build_group(key)
-    return eng
 
 
 def _c(x) -> LaurentPoly:

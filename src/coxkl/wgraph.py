@@ -30,8 +30,8 @@ from .coxeter import (
     CoxeterDatum,
     Element,
     GroupEngine,
-    build_group,
     recognize_type,
+    shared_engine,
     type_string,
 )
 from .graphs import condensation_order, edge_adjacency
@@ -372,9 +372,10 @@ def parabolic_restrict(g: WGraph, j: frozenset[int]):
 
     Returns (sub_wgraph, sub_engine, index_map) where index_map sends the new
     generator indices 0..|J|-1 to the old ones.  When the sub-diagram is a
-    shipped type, the sub-engine is built under that name (so the JSON form
-    round-trips); otherwise it carries an opaque name, and `wgraph restrict`
-    refuses it.  A generator index outside 0..rank-1 raises ValueError.
+    shipped type, the sub-engine is the `shared_engine` of that name (so the
+    JSON form round-trips); otherwise it carries an opaque name, and
+    `wgraph restrict` refuses it.  A generator index outside 0..rank-1
+    raises ValueError.
     """
     rank = g.engine.datum.rank
     bad = sorted(a for a in j if a not in range(rank))
@@ -390,7 +391,7 @@ def parabolic_restrict(g: WGraph, j: frozenset[int]):
     if rec is not None:
         base, perm = rec
         order = [j[p] for p in perm]  # new index i <-> old generator order[i]
-        sub = build_group(type_string(base, [old.weights[a] for a in order]))
+        sub = shared_engine(type_string(base, [old.weights[a] for a in order]))
     else:
         order = list(j)
         sub = GroupEngine(CoxeterDatum(matrix, weights, name=f"{old.name}|{j}"))
@@ -638,22 +639,17 @@ def _fields(obj, keys, where: str) -> list:
     return [obj[key] for key in keys]
 
 
-def wgraph_group(data) -> str:
-    """The type string of a W-graph file."""
+def wgraph_from_json(data: dict, engine: GroupEngine | None = None) -> WGraph:
+    """Read the wire format, rejecting missing keys, labels outside S or
+    repeating a generator, out-of-range edge ends or generators, and an edge
+    (s, from, to) given twice.  Without `engine`, the graph lives on the
+    `shared_engine` of its group."""
     (group,) = _fields(data, ("group",), "W-graph file")
     if not isinstance(group, str):
         raise WGraphFormatError(f"'group' = {group!r} is not a type string")
-    return group
-
-
-def wgraph_from_json(data: dict, engine: GroupEngine | None = None) -> WGraph:
-    """Read the wire format, rejecting missing keys, labels outside S,
-    out-of-range edge ends or generators, and an edge (s, from, to) given
-    twice."""
-    group = wgraph_group(data)
     vertices, edge_list = _fields(data, ("vertices", "edges"), "W-graph file")
     if engine is None:
-        engine = build_group(group)
+        engine = shared_engine(group)
     for name, val in (("vertices", vertices), ("edges", edge_list)):
         if not isinstance(val, list):
             raise WGraphFormatError(f"{name!r} is not a list")
@@ -675,6 +671,8 @@ def wgraph_from_json(data: dict, engine: GroupEngine | None = None) -> WGraph:
             raise WGraphFormatError(
                 f"vertex {i}: label {label} is not a subset of S = {list(gens)}"
             )
+        if len(set(label)) != len(label):
+            raise WGraphFormatError(f"vertex {i}: label {label} repeats a generator")
         labels[i] = frozenset(label)
     edges = {}
     for k, e in enumerate(edge_list):

@@ -6,8 +6,9 @@ Chebyshev-style polynomial tau, the generator matrices rebuilt from the
 idempotent and arrow matrices, the walk of W in Laurent matrices over Q or
 Q(sqrt 5) where `coxkl` walks packed integers over Q, and from it
 balancedness, the leading table and the Schur element, the h-table in Laurent
-polynomials, Lusztig's homomorphism phi read off the h-table, and J from
-the leading matrices of the KL cell modules, the bound of the a-value by
+polynomials, Lusztig's homomorphism phi read off the h-table, J from
+the leading matrices of the KL cell modules, Geck's form B summed as
+sum_x c_x^T c_x over a leading table, the bound of the a-value by
 the labels of a W-graph, the label multiset of a W-graph recovered from the
 -v_s^-1-eigenspaces of its generator matrices by Laurent elimination (`coxkl
 labels` reads it off the support condition), strictification of a form
@@ -35,7 +36,7 @@ from coxkl.laurent import (
     from_sum,
     shift,
 )
-from coxkl.linalg import f_mat_transpose, laurent_kernel, laurent_rank
+from coxkl.linalg import f_mat_mul, f_mat_transpose, laurent_kernel, laurent_rank
 from coxkl.scalars import Sqrt5
 from coxkl.wgraph import Representation, label_subsets, tau_poly
 
@@ -258,6 +259,14 @@ def lusztig_phi(w, data, kl, cells) -> JElement:
 def jdata_from_cells(kl):
     """J from the leading matrices of one balanced KL cell module per type."""
     return gamma_n_table(kl.engine, irreducible_cell_reps(kl))
+
+
+def leading_gram_form(leading: dict) -> list:
+    """sum_x c_x^T c_x over a leading table: the residue of the Gram form of
+    its balanced module, Geck's form B up to a scalar (`coxkl` reads B off
+    the balanced residues d, `asymptotic.cell_form`)."""
+    forms = [f_mat_mul(f_mat_transpose(c), c) for c in leading.values()]
+    return [[sum(col) for col in zip(*rows)] for rows in zip(*forms)]
 
 
 class ABoundReport(NamedTuple):

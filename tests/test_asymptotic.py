@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 from oracles import (
     jdata_from_cells,
+    leading_gram_form,
     lusztig_phi,
     one_line,
     rsk_insertion,
@@ -19,13 +20,14 @@ from coxkl import asymptotic
 from coxkl.asymptotic import (
     JElement,
     cell_basis,
+    cell_form,
     cell_representation,
     class_character,
     duflo_from_reps,
     gamma_n_table,
     geck_mueller_check,
-    invariant_form_over_f,
     irreducible_cell_reps,
+    irreducible_data,
     irreducible_reps_from_graphs,
     j_multiply,
     jdata_from_graphs,
@@ -423,14 +425,85 @@ def test_a_perturbed_psi_fails_both_character_routes(monkeypatch, name):
     assert not characters_by_walks(made[0], wgraph_matrices(g))
 
 
+def diagonal(entries) -> list:
+    return [[x if i == j else 0 for j in range(len(entries))]
+            for i, x in enumerate(entries)]
+
+
 def test_invariant_form_over_f(jd_a2):
     for ir in jd_a2.reps:
-        b = invariant_form_over_f(ir)
+        b = diagonal(cell_form(ir.data.d))
         for x, cx in ir.data.leading.items():
             cxi = ir.data.leading[x.inverse()]
             lhs = f_mat_mul(b, cx)
             rhs = f_mat_mul(f_mat_transpose(cxi), b)
             assert lhs == rhs
+
+
+def conjugated_cell_reps(kl, unipotent: bool):
+    """Each balanced KL cell module conjugated over F and balanced again: by
+    diag(1, 2, ..., n), which keeps Q = I and makes d non-constant, or by
+    I + E_01, which makes the elimination clear a residue (Q != I)."""
+    out = []
+    for rep, _ in irreducible_cell_reps(kl):
+        n = rep.dim
+        if unipotent:
+            s, s_inv = diagonal([Fraction(1)] * n), diagonal([Fraction(1)] * n)
+            if n > 1:
+                s[0][1], s_inv[0][1] = Fraction(1), Fraction(-1)
+        else:
+            s = diagonal([Fraction(k) for k in range(1, n + 1)])
+            s_inv = diagonal([Fraction(1, k) for k in range(1, n + 1)])
+        out.append(balance(rep.conjugate(
+            LaurentMatrix.from_scalar_rows(s), LaurentMatrix.from_scalar_rows(s_inv)
+        )))
+    return out
+
+
+CELL_FORM_TYPES = [
+    "A1", "A2", "A3", "A4", "A5", "I2(3)", "B2:2,1", "B2:3,1", "I2(4):2,1",
+    "I2(4):3,1", "I2(4):1,2", "B3:3,1,1", "B3:5,2,2", "B3:1,2,2", "B4:4,1,1,1",
+]
+CONJUGATED_TYPES = ["A3", "A4", "B3:3,1,1"]
+
+
+@pytest.mark.parametrize(
+    "group, conjugate",
+    [*((g, None) for g in CELL_FORM_TYPES),
+     *((g, k) for g in CONJUGATED_TYPES for k in ("diagonal", "unipotent"))],
+)
+def test_cell_form_is_the_leading_gram_form(group, conjugate):
+    """Scaled to a first entry 1, sum_x c_x^T c_x is diag(cell_form(d)) on
+    every type where `cellbasis` answers, on conjugates with non-constant
+    d, and on conjugates that `balance` balances with Q != I."""
+    kl = KLContext(shared_engine(group))
+    if conjugate is None:
+        reps = irreducible_cell_reps(kl)
+    else:
+        reps = conjugated_cell_reps(kl, conjugate == "unipotent")
+        q_is_one = [data.q == LaurentMatrix.identity(rep.dim) for rep, data in reps]
+        assert all(q_is_one) == (conjugate == "diagonal")
+    for _, data in reps:
+        ref = leading_gram_form(data.leading)
+        inv = scalar_inv(ref[0][0])
+        assert [[x * inv for x in row] for row in ref] == diagonal(cell_form(data.d))
+
+
+@pytest.mark.parametrize("group", CONJUGATED_TYPES)
+def test_cell_basis_needs_the_cell_form(monkeypatch, group):
+    """Planted defect: on the diag(1, ..., n) conjugates of the cell modules,
+    whose residues d are not constant, B = I breaks (C2), and B =
+    diag(cell_form(d)) keeps every axiom."""
+    kl = KLContext(shared_engine(group))
+    reps = conjugated_cell_reps(kl, unipotent=False)
+    assert any(len(set(data.d)) > 1 for _, data in reps)
+    irreducibles = irreducible_data(kl.engine, reps)
+    report = verify_cell_axioms(cell_basis(irreducibles, kl), kl)
+    assert report.ok, report.failures
+    monkeypatch.setattr(asymptotic, "cell_form", lambda d: [1] * len(d))
+    report = verify_cell_axioms(cell_basis(irreducibles, kl), kl)
+    assert not report.ok
+    assert any(f.startswith("(C2) fails") for f in report.failures)
 
 
 def test_cell_basis_axioms(jd_a2, kl_a2):

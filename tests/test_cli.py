@@ -147,6 +147,8 @@ def without(key):
     [
         (lambda d: d["vertices"][0].update(label=[0, 7]),
          "vertex 0: label [0, 7] is not a subset of S = [0, 1]"),
+        (lambda d: d["vertices"][0].update(label=[0, 0]),
+         "vertex 0: label [0, 0] repeats a generator"),
         (lambda d: d["edges"][0].update(to=99), "edge 0: 'to' = 99 is out of range"),
         (lambda d: d["edges"][1].update({"from": -1}),
          "edge 1: 'from' = -1 is out of range"),
@@ -172,7 +174,7 @@ def without(key):
          "bad Laurent polynomial '1 0/3'"),
         (lambda d: d["edges"][0].update(weight="*v"), "bad Laurent term '*v'"),
     ],
-    ids=["label", "to", "from", "s", "duplicate",
+    ids=["label", "repeated-label", "to", "from", "s", "duplicate",
          "no-edges", "no-vertices", "no-group", "no-label", "list", "empty",
          "zero-denominator", "zero-denominator-r5", "split-denominator",
          "split-exponent", "split-numerator", "bare-star"],
@@ -630,9 +632,14 @@ SMOKE_COMMANDS = [
 
 @pytest.mark.parametrize("group", SMOKE_GROUPS)
 @pytest.mark.parametrize("command", SMOKE_COMMANDS, ids=" ".join)
-def test_every_group_command_exits_as_documented(capsys, command, group):
+def test_every_group_command_exits_as_documented(capsys, jdata_run, command, group):
     """0 with a JSON answer, or, for J only, 1 with an `error:` line or a
-    failed axiom report; never a traceback."""
+    failed axiom report; never a traceback.  `jdata` on A5 and B4 reads the
+    session's J pass, which `jdata_run` checks exits 0."""
+    if command == ("jdata",) and group in ("A5", "B4"):
+        json.loads(jdata_run(group)[0])
+        assert "Traceback" not in capsys.readouterr().err
+        return
     code = main([*command, "--group", group])
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
@@ -745,6 +752,24 @@ def test_every_file_command_exits_as_documented(capsys, fixture_dir, command, fi
     assert "Traceback" not in captured.err
     assert code == 0, captured.err
     json.loads(captured.out)
+
+
+def test_cellrep_exits_1_when_the_characters_differ(capsys, fixture_dir, tmp_path):
+    """b3_chi7 with a fourth vertex, unlabelled and without edges, is a valid
+    W-graph (chi7 plus the trivial module) and balanced, but psi has another
+    character: `cellrep` prints its "mismatch" report and exits 1."""
+    data = json.loads((fixture_dir / "b3_chi7.json").read_text())
+    data["vertices"].append({"id": 3, "label": []})
+    path = tmp_path / "b3_chi7_plus_trivial.json"
+    path.write_text(json.dumps(data))
+    assert main(["wgraph", "validate", str(path)]) == 0
+    capsys.readouterr()
+    code = main(["cellrep", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.err
+    report = json.loads(captured.out)
+    assert report["balanced"] and report["characters_equal"] is False
+    assert report["verdict"] == "mismatch"
 
 
 BLOCKS_PAIRS = [

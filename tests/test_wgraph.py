@@ -13,6 +13,7 @@ from oracles import (
 )
 
 from coxkl import wgraph
+from coxkl.blocks import intertwiner_space
 from coxkl.coxeter import build_group
 from coxkl.fixtures import b3_graphs, catalogue, reflection_graph, shared_engine
 from coxkl.kl import KLContext
@@ -34,7 +35,9 @@ from coxkl.wgraph import (
     tau_poly,
     validate_wgraph,
     wgraph_cells,
+    wgraph_from_json,
     wgraph_matrices,
+    wgraph_to_json,
 )
 
 
@@ -245,6 +248,26 @@ def test_parabolic_restrict():
     assert validate_wgraph(sub).ok
     empty, _, _ = parabolic_restrict(g, frozenset())
     assert all(l == frozenset() for l in empty.labels)
+
+
+def test_restrictions_share_the_engine_of_their_parabolic():
+    """chi7 and chi8 of B3 restrict to {1, 2} over one A2 engine, so the two
+    restrictions can be intertwined: their Hom space has dimension 1."""
+    graphs = b3_graphs()
+    (r7, e7, _), (r8, e8, _) = (
+        parabolic_restrict(graphs[k], frozenset({1, 2})) for k in ("chi7", "chi8")
+    )
+    assert e7 is e8 is shared_engine("A2")
+    assert len(intertwiner_space(wgraph_matrices(r7), wgraph_matrices(r8))) == 1
+
+
+def test_json_loads_of_one_graph_compare_equal():
+    """Loads of one file, however its group is spelled, share an engine."""
+    g = b3_graphs()["chi7"]
+    data = wgraph_to_json(g)
+    assert wgraph_from_json(data) == wgraph_from_json(data) == g
+    data["group"] = "B3:1,1,1"
+    assert wgraph_from_json(data) == g
 
 
 def test_wgraph_cells(a2, kl_a2):
