@@ -232,11 +232,11 @@ def _eliminate(matrix: LaurentMatrix):
     return omega, q, q_inv, diag, history
 
 
-def balance(rep: Representation, form: LaurentMatrix | None = None):
+def balance(rep: Representation):
     """Degree-safe balancing base change.
 
-    Returns (rep', data) where rep' = Q^-1 rep Q is balanced, the transformed
-    form is congruent to an invertible diagonal matrix mod m, and
+    Returns (rep', data) where rep' = Q^-1 rep Q is balanced, the Gram form
+    transformed by Q is congruent to an invertible diagonal matrix mod m, and
     data.degree_history records the maximal entry degree after each step
     (monotonically non-increasing).  The final invariant form is stored on
     the returned data as `form`; the a-value and the leading table come
@@ -244,9 +244,7 @@ def balance(rep: Representation, form: LaurentMatrix | None = None):
     a diagonal residue; a nonzero off-diagonal residue would raise
     VerificationError naming the first one.
     """
-    if form is None:
-        form = gram_invariant_form(rep)
-    omega, q, q_inv, diag, history = _eliminate(form)
+    omega, q, q_inv, diag, history = _eliminate(gram_invariant_form(rep))
     res = omega.residue()
     for i in range(rep.dim):
         for j in range(rep.dim):

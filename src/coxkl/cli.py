@@ -1,15 +1,17 @@
 """Command-line front end.
 
-Subcommands: group, kl, cells, wgraph (validate|matrices|dual|restrict|
-cells|klgraph|omegagy), compat, balance, leading, jdata, cellrep, cellbasis,
-blocks, labels, fixtures, one row each of `COMMANDS`.  A handler takes the
-parsed arguments and returns a JSON payload and a verdict; `main` alone
-writes the payload, as JSON with sorted keys, to stdout or to `--out`.
-Element indices are canonical, so identical invocations are byte-identical.
+Subcommands: group, kl, cells, wgraph, compat, balance, leading, jdata,
+cellrep, cellbasis, blocks, labels, fixtures, one row each of `COMMANDS`;
+the `wgraph` actions (validate, matrices, dual, restrict, cells, klgraph,
+omegagy) are the rows of `WGRAPH_ACTIONS`, each declaring only what it
+reads.  A handler takes the parsed arguments and returns a JSON payload and
+a verdict; `main` alone writes the payload, as JSON with sorted keys, to
+stdout or to `--out`.  Element indices are canonical, so identical
+invocations are byte-identical.
 
 Exit status: 0 when the verdict passes, 1 when it fails or a
 `VerificationError` is raised, 2 on usage error, including a path that
-cannot be read or written.
+cannot be read or written and an argument its command does not declare.
 """
 
 from __future__ import annotations
@@ -70,10 +72,8 @@ def _load_valid_graph(path: str):
 
 
 def _group_arg(args):
-    ts = args.group
-    if getattr(args, "weights", None) is not None:
-        ts = ts + ":" + args.weights
-    return shared_engine(ts)
+    weights = "" if args.weights is None else ":" + args.weights
+    return shared_engine(args.group + weights)
 
 
 def cmd_group(args):
@@ -146,7 +146,8 @@ def cmd_cells(args):
     }, True
 
 
-def _wgraph_validate(g, args):
+def _wgraph_validate(args):
+    g = _load_graph(args.file)
     report = validate_wgraph(g)
     geck_ok, geck_diag = is_geck(g)
     return {
@@ -157,68 +158,39 @@ def _wgraph_validate(g, args):
     }, report.ok
 
 
-def _wgraph_matrices(g, args):
-    rep = wgraph_matrices(g)
+def _wgraph_matrices(args):
+    rep = wgraph_matrices(_load_graph(args.file))
     return {str(s): _matrix_json(m) for s, m in enumerate(rep.gens)}, True
 
 
-def _wgraph_restrict(g, args):
-    if not args.subset:
-        raise ValueError("restrict needs --subset")
+def _wgraph_restrict(args):
+    g = _load_graph(args.file)
     try:
-        j = frozenset(int(t) for t in args.subset.split(","))
+        j = [int(t) for t in args.subset.split(",")]
+        if len(set(j)) < len(j):
+            raise ValueError("repeats a generator")
     except ValueError as exc:
         raise ValueError(f"bad --subset {args.subset!r}: {exc}") from None
-    sub, sub_eng, _ = parabolic_restrict(g, j)
+    sub, sub_eng, _ = parabolic_restrict(g, frozenset(j))
     if sub_eng.datum.name not in CATALOGUE:
         raise ValueError(f"generators {sorted(j)} span no shipped parabolic type")
     return wgraph_to_json(sub), True
 
 
-def _wgraph_cells(g, args):
-    cells = [{"vertices": v, "graph": wgraph_to_json(cg)} for cg, v in wgraph_cells(g)]
+def _wgraph_cells(args):
+    pieces = wgraph_cells(_load_graph(args.file))
+    cells = [{"vertices": v, "graph": wgraph_to_json(cg)} for cg, v in pieces]
     return {"cells": cells}, True
 
 
-def _wgraph_omegagy(g, args):
-    report = omega_gy_relations_check(g)
+def _wgraph_klgraph(args):
+    return wgraph_to_json(kl_wgraph(KLContext(_group_arg(args)))), True
+
+
+def _wgraph_omegagy(args):
+    report = omega_gy_relations_check(_load_graph(args.file))
     payload = {"ok": report.ok, "checked": report.checked, "failures": report.failures}
     return payload, report.ok
-
-
-# The `wgraph` actions on a W-graph file, each a handler of the loaded
-# graph and the arguments; `klgraph` builds its graph from --group instead.
-WGRAPH_FILE_ACTIONS = {
-    "validate": _wgraph_validate,
-    "matrices": _wgraph_matrices,
-    "dual": lambda g, args: (wgraph_to_json(dual_wgraph(g)), True),
-    "restrict": _wgraph_restrict,
-    "cells": _wgraph_cells,
-    "omegagy": _wgraph_omegagy,
-}
-# The inputs of `wgraph` as its refusals name them, with their arguments.
-# An action reads a W-graph file and nothing else unless WGRAPH_READS says
-# otherwise; `cmd_wgraph` refuses every input its action does not read.
-WGRAPH_INPUTS = {"a W-graph file": "file", "--group": "group",
-                 "--weights": "weights", "--subset": "subset"}
-WGRAPH_READS = {
-    "klgraph": ("--group", "--weights"),
-    "restrict": ("a W-graph file", "--subset"),
-}
-
-
-def cmd_wgraph(args):
-    reads = WGRAPH_READS.get(args.action, ("a W-graph file",))
-    for name, dest in WGRAPH_INPUTS.items():
-        if getattr(args, dest) is not None and name not in reads:
-            raise ValueError(f"wgraph {args.action} does not read {name}")
-    if args.action == "klgraph":
-        if not args.group:
-            raise ValueError("klgraph needs --group")
-        return wgraph_to_json(kl_wgraph(KLContext(_group_arg(args)))), True
-    if not args.file:
-        raise ValueError(f"wgraph {args.action} needs a W-graph file")
-    return WGRAPH_FILE_ACTIONS[args.action](_load_graph(args.file), args)
 
 
 def cmd_compat(args):
@@ -394,7 +366,21 @@ GROUP = [
 FILE = [(("file",), {}), OUT]
 
 # One row per subcommand: name, help, handler, and the arguments as
-# (flags, add_argument keywords) pairs.
+# (flags, add_argument keywords) pairs; a handler that is a table of such
+# rows makes them the actions of its command.
+WGRAPH_ACTIONS = [
+    ("validate", "W-graph axioms and the Geck condition", _wgraph_validate, FILE),
+    ("matrices", "the generator matrices", _wgraph_matrices, FILE),
+    ("dual", "the dual W-graph",
+     lambda args: (wgraph_to_json(dual_wgraph(_load_graph(args.file))), True), FILE),
+    ("restrict", "restriction to a parabolic subgroup", _wgraph_restrict,
+     [(("file",), {}),
+      (("--subset",), {"required": True, "help": "generator indices, e.g. 1,2"}),
+      OUT]),
+    ("cells", "the cells of a W-graph file", _wgraph_cells, FILE),
+    ("klgraph", "the KL W-graph of a group", _wgraph_klgraph, GROUP),
+    ("omegagy", "path-sum relations of the Omega-module", _wgraph_omegagy, FILE),
+]
 COMMANDS = [
     ("group", "orders, longest element, descent tables", cmd_group, GROUP),
     ("kl", "P*/mu tables", cmd_kl,
@@ -402,14 +388,7 @@ COMMANDS = [
     ("cells", "KL cell partition and preorder", cmd_cells,
      [*GROUP, (("--kind",), {"default": "left",
                              "choices": ["left", "right", "two-sided"]})]),
-    ("wgraph", "W-graph operations", cmd_wgraph, [
-        (("action",), {"choices": [*WGRAPH_FILE_ACTIONS, "klgraph"]}),
-        (("file",), {"nargs": "?", "help": "W-graph JSON file"}),
-        (("--subset",), {"help": "generator indices for restrict, e.g. 1,2"}),
-        (("--group",), {"help": "type string (for klgraph)"}),
-        (("--weights",), {"help": "comma-separated generator weights"}),
-        OUT,
-    ]),
+    ("wgraph", "W-graph operations", WGRAPH_ACTIONS, []),
     ("compat", "compatibility digraph on label sets", cmd_compat, GROUP),
     ("balance", "balance the module of a W-graph file", cmd_balance, FILE),
     ("leading", "leading-coefficient table of a W-graph file", cmd_leading, FILE),
@@ -430,18 +409,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Kazhdan-Lusztig data and W-graph block structure "
         "for finite Coxeter groups",
     )
-    ap.add_argument(
-        "--selftest",
-        action="store_true",
-        help="validate every shipped fixture and exit",
-    )
-    sub = ap.add_subparsers(dest="command")
-    for name, help_text, handler, arguments in COMMANDS:
+    ap.add_argument("--selftest", action="store_true",
+                    help="validate every shipped fixture and exit")
+    _add_commands(ap.add_subparsers(dest="command"), COMMANDS)
+    return ap
+
+
+def _add_commands(sub, rows):
+    for name, help_text, handler, arguments in rows:
         p = sub.add_parser(name, help=help_text)
         for flags, options in arguments:
             p.add_argument(*flags, **options)
-        p.set_defaults(func=handler)
-    return ap
+        if isinstance(handler, list):
+            _add_commands(p.add_subparsers(dest="action", required=True), handler)
+        else:
+            p.set_defaults(func=handler)
 
 
 def main(argv=None) -> int:

@@ -541,3 +541,18 @@ def shared_engine(ts: str) -> GroupEngine:
     if eng is None:
         eng = _GROUP_CACHE[key] = build_group(key)
     return eng
+
+
+_DIAGRAM_CACHE: dict[tuple, GroupEngine] = {}
+
+
+def diagram_engine(name: str, matrix, weights) -> GroupEngine:
+    """One engine per named, weighted diagram outside the catalogue for the
+    whole process, as `shared_engine` keeps one per catalogue type.  The
+    key holds the matrix and the weights as well as the name."""
+    key = (name, tuple(map(tuple, matrix)), tuple(weights))
+    eng = _DIAGRAM_CACHE.get(key)
+    if eng is None:
+        datum = CoxeterDatum(matrix, weights, name=name)
+        eng = _DIAGRAM_CACHE[key] = GroupEngine(datum)
+    return eng

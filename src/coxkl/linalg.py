@@ -76,9 +76,9 @@ def laurent_rank(m: LaurentMatrix) -> int:
     Every minor of m(1) is the value at v = 1 of the same minor of m, so
     rank_F m(1) <= rank m; when m(1) already has rank min(rows, cols) that
     is the answer.  Otherwise the fraction-free Bareiss sweep decides.  The
-    certificate holds for every Gram form sum_w rho(T_w)^T rho(T_w): at
-    v = 1 it is I plus a positive semidefinite matrix under any real
-    embedding of F.
+    one caller, `blocks.omega_iso_certificate`, ranks constant candidate
+    sums: for a constant m, m(1) is m, so the certificate alone decides
+    every full-rank one.
     """
     full = min(m.rows, m.cols)
     if len(f_row_reduce(_sparse_rows(m.at_one()), m.cols)) == full:

@@ -30,6 +30,7 @@ from .coxeter import (
     CoxeterDatum,
     Element,
     GroupEngine,
+    diagram_engine,
     recognize_type,
     shared_engine,
     type_string,
@@ -373,9 +374,10 @@ def parabolic_restrict(g: WGraph, j: frozenset[int]):
     Returns (sub_wgraph, sub_engine, index_map) where index_map sends the new
     generator indices 0..|J|-1 to the old ones.  When the sub-diagram is a
     shipped type, the sub-engine is the `shared_engine` of that name (so the
-    JSON form round-trips); otherwise it carries an opaque name, and
-    `wgraph restrict` refuses it.  A generator index outside 0..rank-1
-    raises ValueError.
+    JSON form round-trips); otherwise it is the `diagram_engine` of an
+    opaque name, and `wgraph restrict` refuses it.  Either way restrictions
+    to one parabolic of one weighted group share their engine.  A generator
+    index outside 0..rank-1 raises ValueError.
     """
     rank = g.engine.datum.rank
     bad = sorted(a for a in j if a not in range(rank))
@@ -394,7 +396,7 @@ def parabolic_restrict(g: WGraph, j: frozenset[int]):
         sub = shared_engine(type_string(base, [old.weights[a] for a in order]))
     else:
         order = list(j)
-        sub = GroupEngine(CoxeterDatum(matrix, weights, name=f"{old.name}|{j}"))
+        sub = diagram_engine(f"{old.name}|{j}", matrix, weights)
     back = {a: i for i, a in enumerate(order)}
     labels = [frozenset(back[s] for s in l if s in back) for l in g.labels]
     edges = {

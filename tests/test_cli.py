@@ -14,7 +14,7 @@ import pytest
 from oracles import GOLDEN
 
 from coxkl import asymptotic, blocks
-from coxkl.cli import COMMANDS, WGRAPH_FILE_ACTIONS, build_parser, main
+from coxkl.cli import COMMANDS, WGRAPH_ACTIONS, build_parser, main
 from coxkl.laurent import LaurentMatrix, LaurentPoly, format_laurent, parse_laurent
 from coxkl.scalars import parse_scalar
 from coxkl.linalg import laurent_rank
@@ -27,6 +27,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def syntax_error(capsys, argv):
+    """The stderr of a command line that argparse refuses: it exits 2 and
+    prints nothing on stdout and no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and not captured.out
+    assert "Traceback" not in captured.err
+    return captured.err
 
 
 def test_selftest(capsys):
@@ -309,16 +320,20 @@ def test_compat(capsys):
 
 
 def test_usage_errors(capsys, tmp_path, fixture_dir):
+    chi7 = str(fixture_dir / "b3_chi7.json")
+    # a missing file, --subset or --group is a syntax error
+    for argv in (["wgraph", "restrict", "--subset", "9"], ["wgraph", "klgraph"],
+                 ["wgraph", "restrict", chi7], ["wgraph"]):
+        assert "required" in syntax_error(capsys, argv).splitlines()[-1]
     for argv, message in [
-        (["wgraph", "restrict", "--subset", "9"],  # missing file
-         "wgraph restrict needs a W-graph file"),
-        (["wgraph", "klgraph"], "klgraph needs --group"),
-        (["wgraph", "restrict", str(fixture_dir / "b3_chi7.json")],
-         "restrict needs --subset"),
         # on B3 the generators 0 and 2 commute: A1 x A1 is no catalogue
         # type, so a file over it could not be read back
-        (["wgraph", "restrict", str(fixture_dir / "b3_chi7.json"), "--subset", "0,2"],
+        (["wgraph", "restrict", chi7, "--subset", "0,2"],
          "generators [0, 2] span no shipped parabolic type"),
+        (["wgraph", "restrict", chi7, "--subset", "1,1"],
+         "bad --subset '1,1': repeats a generator"),
+        (["wgraph", "restrict", chi7, "--subset", ""],
+         "bad --subset '': invalid literal for int() with base 10: ''"),
     ]:
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -919,6 +934,8 @@ def test_blocks_refuses_a_pair_that_is_not_geck_before_solving(
     "action", ["validate", "matrices", "dual", "restrict", "cells", "klgraph", "omegagy"]
 )
 def test_wgraph_refuses_flags_its_action_does_not_read(capsys, fixture_dir, action):
+    """Each action declares only the inputs it reads; any other is an
+    argparse syntax error that names it."""
     if action == "klgraph":
         argv = ["wgraph", action, "--group", "A2"]
     else:
@@ -930,30 +947,34 @@ def test_wgraph_refuses_flags_its_action_does_not_read(capsys, fixture_dir, acti
     for flag, value in flags.items():
         if readers[flag] == action:
             continue
-        code = main([*argv, flag, value])
-        captured = capsys.readouterr()
-        assert code == 2 and not captured.out
-        assert captured.err == f"error: wgraph {action} does not read {flag}\n"
+        err = syntax_error(capsys, [*argv, flag, value])
+        assert flag in err.splitlines()[-1]
 
 
 def test_klgraph_refuses_a_wgraph_file(capsys, tmp_path):
     """`wgraph klgraph` builds its graph from --group and reads no file; a
     file argument, even one that does not exist, is refused."""
-    code = main(["wgraph", "klgraph", str(tmp_path / "nonexistent.json"),
-                 "--group", "A1"])
-    captured = capsys.readouterr()
-    assert code == 2 and not captured.out
-    assert captured.err == "error: wgraph klgraph does not read a W-graph file\n"
+    path = str(tmp_path / "nonexistent.json")
+    err = syntax_error(capsys, ["wgraph", "klgraph", path, "--group", "A1"])
+    assert path in err.splitlines()[-1]
 
 
-# The arguments of each subcommand, in order, as `coxkl <command> --help`
-# lists them: option strings, and the names of positional arguments.
+# The arguments of each subcommand and `wgraph` action, in order, as
+# `coxkl <command> [<action>] --help` lists them: option strings, and the
+# names of positional arguments.
+FILE_ARGUMENTS = ["-h", "--help", "file", "--out"]
 COMMAND_ARGUMENTS = {
     "group": ["-h", "--help", "--out", "--group", "--weights"],
     "kl": ["-h", "--help", "--out", "--group", "--weights", "--pair"],
     "cells": ["-h", "--help", "--out", "--group", "--weights", "--kind"],
-    "wgraph": ["-h", "--help", "action", "file", "--subset", "--group", "--weights",
-               "--out"],
+    "wgraph": ["-h", "--help", "action"],
+    "wgraph validate": FILE_ARGUMENTS,
+    "wgraph matrices": FILE_ARGUMENTS,
+    "wgraph dual": FILE_ARGUMENTS,
+    "wgraph restrict": ["-h", "--help", "file", "--subset", "--out"],
+    "wgraph cells": FILE_ARGUMENTS,
+    "wgraph klgraph": ["-h", "--help", "--out", "--group", "--weights"],
+    "wgraph omegagy": FILE_ARGUMENTS,
     "compat": ["-h", "--help", "--out", "--group", "--weights"],
     "balance": ["-h", "--help", "file", "--out"],
     "leading": ["-h", "--help", "file", "--out"],
@@ -974,20 +995,29 @@ def test_every_command_prints_its_help(capsys, name):
     assert capsys.readouterr().out.startswith(f"usage: coxkl {name} ")
 
 
+def sub_commands(parser):
+    """The sub-command parsers of parser by name, in order ({} if none)."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return subs[0].choices if subs else {}
+
+
 def test_the_command_table_keeps_every_argument():
-    """One `COMMANDS` row per subcommand, in order, each with the arguments
-    it has always had; the `wgraph` actions are the file actions plus
-    `klgraph`."""
-    (sub,) = [
-        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    ]
-    parsers = sub.choices
-    assert [row[0] for row in COMMANDS] == list(parsers) == list(COMMAND_ARGUMENTS)
+    """One `COMMANDS` row per subcommand and one `WGRAPH_ACTIONS` row per
+    `wgraph` action, in order, each with the arguments it reads."""
+    parsers = sub_commands(build_parser())
+    assert [row[0] for row in COMMANDS] == list(parsers)
+    assert [row[0] for row in WGRAPH_ACTIONS] == list(sub_commands(parsers["wgraph"]))
+    listed = {}
     for name, p in parsers.items():
-        arguments = [s for a in p._actions for s in (a.option_strings or [a.dest])]
-        assert arguments == COMMAND_ARGUMENTS[name], name
-    (action,) = [a for a in parsers["wgraph"]._actions if a.dest == "action"]
-    assert sorted(action.choices) == sorted([*WGRAPH_FILE_ACTIONS, "klgraph"])
+        listed[name] = p
+        listed.update({f"{name} {a}": q for a, q in sub_commands(p).items()})
+    arguments = {
+        path: [s for a in p._actions for s in (a.option_strings or [a.dest])]
+        for path, p in listed.items()
+    }
+    assert list(arguments) == list(COMMAND_ARGUMENTS)
+    for path, argv in arguments.items():
+        assert argv == COMMAND_ARGUMENTS[path], path
 
 
 def test_restrict_names_a_bad_subset(capsys, fixture_dir):

@@ -251,14 +251,20 @@ def test_parabolic_restrict():
 
 
 def test_restrictions_share_the_engine_of_their_parabolic():
-    """chi7 and chi8 of B3 restrict to {1, 2} over one A2 engine, so the two
-    restrictions can be intertwined: their Hom space has dimension 1."""
+    """chi7 and chi8 of B3 restrict to {1, 2} over one A2 engine, and to the
+    disconnected {0, 2} (no catalogue type) over one engine too, so the
+    restrictions can be intertwined: their Hom spaces have dimension 1 and
+    2.  A weighted parent gives its restriction another engine."""
     graphs = b3_graphs()
-    (r7, e7, _), (r8, e8, _) = (
-        parabolic_restrict(graphs[k], frozenset({1, 2})) for k in ("chi7", "chi8")
-    )
-    assert e7 is e8 is shared_engine("A2")
-    assert len(intertwiner_space(wgraph_matrices(r7), wgraph_matrices(r8))) == 1
+    for j, engine, dim in (({1, 2}, shared_engine("A2"), 1), ({0, 2}, None, 2)):
+        (r7, e7, _), (r8, e8, _) = (
+            parabolic_restrict(graphs[k], frozenset(j)) for k in ("chi7", "chi8")
+        )
+        assert e7 is e8 is (engine or e7)
+        assert len(intertwiner_space(wgraph_matrices(r7), wgraph_matrices(r8))) == dim
+    weighted = WGraph(shared_engine("B3:2,1,1"), [frozenset()], {})
+    _, ew, _ = parabolic_restrict(weighted, frozenset({0, 2}))
+    assert ew is not e7 and ew.datum.weights == [2, 1] and e7.datum.weights == [1, 1]
 
 
 def test_json_loads_of_one_graph_compare_equal():
