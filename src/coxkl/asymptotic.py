@@ -1,11 +1,14 @@
-"""Schur constants, the asymptotic algebra J, distinguished involutions,
-cell representations through the leading-coefficient homomorphism, and the
-cellular basis built from balanced representations.
+"""Schur constants, the asymptotic algebra J, cell representations through
+the leading-coefficient homomorphism, and the cellular basis built from
+balanced representations.
 
 J has basis t_w with t_x t_y = sum_z gamma_{x,y,z} t_{z^-1} and unit
 sum_d n_d t_d.  `jdata_from_kl` reads it off the h-table of the KL W-graph
-by Lusztig's definitions, for every type and weight.  The leading-matrix
-route
+by Lusztig's definitions, for every type and weight, and checks the unit
+by integer sums over the sparse gamma rows, building no element of J.
+Delta and n, and so the distinguished involutions, are read once per
+context by `KLContext.delta_n`, for J and for the cell representations
+alike.  The leading-matrix route
     gamma_{x,y,z} = sum_l f_l^-1 tr(c^l(x) c^l(y) c^l(z)),
     n_x           = sum_l f_l^-1 tr(c^l(x^-1)),
 from one balanced representation per isomorphism type (`gamma_n_table`),
@@ -15,8 +18,9 @@ its form B is the diagonal residue d of the balanced invariant form that
 `balance` leaves, scaled to d_0 = 1 (`cell_form`).  Its axiom check and the
 cell representations read T_s C_w off the sparse columns of
 `KLContext.t_columns`, never dense KL W-graph matrices.  The Schur element
-from its own walk, Lusztig's homomorphism phi, J from the KL cell modules
-and B summed as sum_x c_x^T c_x are test oracles in `tests/oracles.py`.
+from its own walk, Lusztig's homomorphism phi, the elements of J and their
+product, J from the KL cell modules and B summed as sum_x c_x^T c_x are
+test oracles in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -36,9 +40,7 @@ from .kl import KLContext
 from .laurent import (
     LaurentMatrix,
     LaurentPoly,
-    ONE,
     add_term,
-    bar,
     from_sum,
 )
 from .linalg import (
@@ -80,41 +82,6 @@ class JData(NamedTuple):
 
     def gamma_value(self, x: Element, y: Element, z: Element):
         return self.gamma.get((x, y), {}).get(z, Fraction(0))
-
-    def unit(self) -> "JElement":
-        return JElement({d: LaurentPoly({0: self.n[d]}) for d in self.duflo})
-
-
-class JElement:
-    """An element of J, a sparse map {w: coefficient of t_w} that stores no
-    zeros (coefficients may carry v-powers, as phi produces)."""
-
-    def __init__(self, coeffs=None):
-        self.coeffs = {w: c for w, c in coeffs.items() if c} if coeffs else {}
-
-    def __eq__(self, other):
-        if not isinstance(other, JElement):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"JElement({self.coeffs!r})"
-
-    def __add__(self, other: "JElement") -> "JElement":
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            add_term(out, w, c)
-        return JElement(out)
-
-    def scale(self, f) -> "JElement":
-        return JElement({w: c * f for w, c in self.coeffs.items()} if f else {})
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    @staticmethod
-    def basis(w: Element) -> "JElement":
-        return JElement({w: ONE})
 
 
 # -- Schur constants ------------------------------------------------------------
@@ -206,41 +173,6 @@ def gamma_n_table(
     return JData(engine, irreducibles, gamma, n, duflo)
 
 
-def j_multiply(a: JElement, b: JElement, data: JData) -> JElement:
-    """t_x t_y = sum_z gamma_{x,y,z} t_{z^-1}, extended bilinearly."""
-    out: dict[Element, LaurentPoly] = {}
-    for x, cx in a.coeffs.items():
-        for y, cy in b.coeffs.items():
-            row = data.gamma.get((x, y))
-            if not row:
-                continue
-            c = cx * cy
-            for z, gv in row.items():
-                add_term(out, z.inverse(), c * gv)
-    return JElement(out)
-
-
-# -- distinguished involutions ------------------------------------------------------
-
-
-def duflo_from_reps(a: int, leading: dict[Element, list], kl: KLContext):
-    """Distinguished involutions visible in one balanced representation.
-
-    These are the z of its leading table with nu(bar(P*_{1,z})) = a.
-    Returns (duflo_set, ntilde) where
-    ntilde[d] = (-1)^l(d) * lowest_term(bar(P*_{1,d})).
-    """
-    duflo: set[Element] = set()
-    ntilde: dict[Element, object] = {}
-    for z in leading:
-        p = bar(kl.pstar(kl.engine.identity, z))
-        if p.valuation() == a:
-            duflo.add(z)
-            sign = -1 if z.length() % 2 else 1
-            ntilde[z] = p.lowest_term() * sign
-    return duflo, ntilde
-
-
 # -- the leading-coefficient homomorphism -----------------------------------------------
 
 
@@ -252,25 +184,28 @@ def cell_representation(
 
     psi(T_s) = sum over visible Duflo d and z in the left cell of d of
     ntilde_d sigma(T_s)_{z,d} rho_bar(t_z), where sigma(T_s)_{z,d} is entry
-    z of the column T_s C_d of `KLContext.t_columns`.
+    z of the column T_s C_d of `KLContext.t_columns`.  The visible Duflo d
+    are the z of the leading table with Delta(z) = a, and
+    ntilde_d = (-1)^l(d) n_d, both read off `KLContext.delta_n`.
     """
     eng = rep.engine
-    duflo, ntilde = duflo_from_reps(a, leading, kl)
-    if not duflo:
+    delta, n = kl.delta_n()
+    ntilde = {
+        z: -n[z] if z.length() % 2 else n[z] for z in leading if delta[z] == a
+    }
+    if not ntilde:
         raise ValueError("no distinguished involution visible in this module")
     left = kl.cells("left")
     columns = kl.t_columns()
     d = rep.dim
     gens = [LaurentMatrix(d, d) for _ in range(eng.datum.rank)]
-    for dd in duflo:
+    for dd, nd in ntilde.items():
         cell = {z.index for z in left.blocks[left.block_of(dd)]}
         for s, gen in enumerate(columns):
             for zi, entry in gen[dd.index].items():
                 cz = leading.get(eng.elements[zi])
                 if zi in cell and cz is not None:
-                    coef_mat = LaurentMatrix.from_scalar_rows(
-                        f_mat_scale(cz, ntilde[dd])
-                    )
+                    coef_mat = LaurentMatrix.from_scalar_rows(f_mat_scale(cz, nd))
                     gens[s] = gens[s] + coef_mat.scale(entry)
     return Representation(eng, gens)
 
@@ -292,6 +227,9 @@ def geck_mueller_check(g: WGraph, kl: KLContext) -> GeckMuellerReport:
     Reports whether the graph's representation is balanced, whether
     psi = rho_bar . phi reproduces it entrywise, and whether at least the
     characters agree (the reconstruction is H-isomorphic by construction).
+    Both are H-modules over F[v, v^-1], so their H-characters agree exactly
+    when their `class_character`s at v = 1 do, by the argument of
+    `irreducible_cell_reps`; the comparison at every T_w is the test oracle.
     """
     val = validate_wgraph(g)
     if not val.ok:
@@ -303,12 +241,7 @@ def geck_mueller_check(g: WGraph, kl: KLContext) -> GeckMuellerReport:
         return GeckMuellerReport(False, err.a_value, None, None, "not balanced")
     psi = cell_representation(rep, a, leading, kl)
     equal = all(psi.gens[s] == rep.gens[s] for s in range(rep.engine.datum.rank))
-    # a trace function on H is fixed by its values at one element of
-    # minimal length per conjugacy class (Geck-Pfeiffer, 8.2)
-    chars = all(
-        psi.character(w) == rep.character(w)
-        for w in rep.engine.conjugacy_class_representatives()
-    )
+    chars = class_character(psi) == class_character(rep)
     verdict = "equal" if equal else ("H-isomorphic-but-unequal" if chars else "mismatch")
     return GeckMuellerReport(True, a, equal, chars, verdict)
 
@@ -515,28 +448,15 @@ def irreducible_cell_reps(kl: KLContext):
     return [balance(rep) for rep in modules.values()]
 
 
-def irreducible_reps_from_graphs(graphs) -> list[tuple[Representation, BalancedData]]:
-    """Balance a supplied family of irreducible W-graphs (one per type).
-
-    This is the route for groups whose KL left cells are reducible (B3 has
-    six such cells); completeness is still checked by the dimension sum in
-    `irreducible_data`.
-    """
-    out = []
-    for g in graphs:
-        rep = wgraph_matrices(g)
-        rep2, data = balance(rep)
-        out.append((rep2, data))
-    return out
-
-
 def jdata_from_kl(kl: KLContext) -> JData:
     """J read off the h-table of the KL W-graph, for every type and weight.
 
     gamma and D come from `KLContext.lusztig_a_delta_n`, and
     n_d = (-1)^l(d) lowest_term(bar(P*_{1,d})) for d in D.  The ring is
     checked for P7, gamma_{x,y,z} = gamma_{y,z,x}, and for the unit
-    sum_d n_d t_d before it is returned.
+    sum_d n_d t_d before it is returned: for every x, the integer sums
+    sum_d n_d gamma_{d,x,z} and sum_d n_d gamma_{x,d,z} over the sparse
+    rows (d, x) and (x, d) must be 1 at z = x^-1 and 0 elsewhere.
     """
     adn = kl.lusztig_a_delta_n()
     n = {d: adn.n[d] * (-1 if d.length() % 2 else 1) for d in adn.duflo}
@@ -548,10 +468,14 @@ def jdata_from_kl(kl: KLContext) -> JData:
                     f"P7 fails: gamma_{{x,y,z}} != gamma_{{y,z,x}} at "
                     f"(x, y, z) = ({x.index}, {y.index}, {z.index})"
                 )
-    one = jd.unit()
     for x in kl.engine.elements:
-        tx = JElement.basis(x)
-        if j_multiply(one, tx, jd) != tx or j_multiply(tx, one, jd) != tx:
+        # (sum_d n_d t_d) t_x and t_x (sum_d n_d t_d), {z: coefficient of t_z^-1}
+        sides: tuple[dict, dict] = ({}, {})
+        for d, nd in n.items():
+            for side, key in zip(sides, ((d, x), (x, d))):
+                for z, val in jd.gamma.get(key, {}).items():
+                    add_term(side, z, nd * val)
+        if sides != ({x.inverse(): 1},) * 2:
             raise VerificationError(
                 f"sum_d n_d t_d is not the unit of J: it fails on t_{x.index}"
             )
@@ -559,6 +483,7 @@ def jdata_from_kl(kl: KLContext) -> JData:
 
 
 def jdata_from_graphs(kl: KLContext, graphs) -> JData:
-    """J by the leading-matrix route from one irreducible W-graph per type;
-    `irreducible_data` refuses a set whose dimension sum is not |W|."""
-    return gamma_n_table(kl.engine, irreducible_reps_from_graphs(graphs))
+    """J by the leading-matrix route from one irreducible W-graph per type,
+    for groups with reducible KL left cells (B3 has six); `irreducible_data`
+    refuses a set whose dimension sum is not |W|."""
+    return gamma_n_table(kl.engine, [balance(wgraph_matrices(g)) for g in graphs])

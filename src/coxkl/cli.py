@@ -423,14 +423,16 @@ def _add_commands(sub, rows):
         if isinstance(handler, list):
             _add_commands(p.add_subparsers(dest="action", required=True), handler)
         else:
-            p.set_defaults(func=handler)
+            p.set_defaults(func=handler, parser=p)
 
 
 def main(argv=None) -> int:
     """Run one command: write its payload, and exit 0 or 1 on its verdict,
     1 on a `VerificationError` and 2 on a usage error."""
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args, extras = ap.parse_known_args(argv)
+    if extras:  # reported by the sub-command that received them
+        getattr(args, "parser", ap).error(f"unrecognized arguments: {' '.join(extras)}")
     if not (args.selftest or args.command):
         ap.print_help()
         return USAGE

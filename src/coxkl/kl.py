@@ -30,7 +30,9 @@ packed integers (`laurent.pack`), at one width per context fixed by a
 coefficient bound proved before any packing; a and gamma are read off
 their lowest digits, and `h_structure` unpacks them.  The test suite holds
 them against full T-basis products (`tests/tbasis.py`) and against the
-same recursion in Laurent polynomials (`tests/oracles.py`).
+same recursion in Laurent polynomials (`tests/oracles.py`).  Delta and n
+are read off the row P*_{1,.} once per context (`delta_n`), for the Duflo
+set here and for the cell representations of `coxkl.asymptotic`.
 """
 
 from __future__ import annotations
@@ -105,6 +107,7 @@ class KLContext:
         self._hcols: dict[int, list[dict[int, int]]] = {}
         # the generator columns packed for h_column, see _packed_columns
         self._packed: tuple | None = None
+        self._delta_n: tuple[dict[Element, int], dict[Element, int]] | None = None
         self._adn: ADeltaN | None = None
 
     # -- P* and mu ---------------------------------------------------------------
@@ -223,14 +226,10 @@ class KLContext:
         return shift(self.pstar(y, w), eng.weight(w) - eng.weight(y))
 
     def mu(self, y: Element, w: Element, s: int) -> LaurentPoly:
-        """The edge polynomial mu^s_{y,w}; zero unless sy < y < w < sw."""
-        eng = self.engine
-        if (
-            s not in eng.left_descent_set(y)
-            or s in eng.left_descent_set(w)
-            or y == w
-            or not eng.bruhat_le(y, w)
-        ):
+        """The edge polynomial mu^s_{y,w}; zero unless sy < y < w < sw.  The
+        mu-list of (w, s) holds only y with sy < y < w, so s in D_L(w), where
+        `mu_list` raises, is the one case to guard."""
+        if self.engine.ldesc[w.index] >> s & 1:
             return ZERO
         return self.mu_list(w, s).get(y.index, ZERO)
 
@@ -500,14 +499,27 @@ class KLContext:
             for z, h in column[x.index].items()
         }
 
+    def delta_n(self) -> tuple[dict[Element, int], dict[Element, int]]:
+        """(Delta, n) over W: Delta(z) = nu(bar P*_{1,z}) and n_z its lowest
+        coefficient, unsigned.  Read once per context and shared by every
+        caller, which must not change them."""
+        if self._delta_n is None:
+            eng = self.engine
+            delta, n = {}, {}
+            for z in eng.elements:
+                p = bar(self.pstar(eng.identity, z))
+                delta[z], n[z] = p.valuation(), p.lowest_term()
+            self._delta_n = delta, n
+        return self._delta_n
+
     def lusztig_a_delta_n(self) -> ADeltaN:
         """a, Delta, n, the Duflo set and gamma from one pass over the h-columns.
 
         a(z) = max over x, y of -nu(h_{x,y,z}); gamma_{x,y,z^-1} is the
         coefficient of v^-a(z) in h_{x,y,z}, so each z keeps only the terms
-        at its largest degree bound so far.  Delta(z) = nu(bar P*_{1,z}),
-        n_z = its lowest coefficient, D = {z : a(z) = Delta(z)} (Lusztig,
-        Hecke algebras with unequal parameters, ch. 13-14).
+        at its largest degree bound so far.  Delta and n come from
+        `delta_n`, and D = {z : a(z) = Delta(z)} (Lusztig, Hecke algebras
+        with unequal parameters, ch. 13-14).
         """
         if self._adn is not None:
             return self._adn
@@ -535,12 +547,7 @@ class KLContext:
             z_inv = elements[eng.inverses[zi]]
             for (xi, yi), c in terms.items():
                 gamma.setdefault((elements[xi], elements[yi]), {})[z_inv] = c
-        delta: dict[Element, int] = {}
-        n: dict[Element, int] = {}
-        for z in elements:
-            p = bar(self.pstar(eng.identity, z))
-            delta[z] = p.valuation()
-            n[z] = p.lowest_term()
+        delta, n = self.delta_n()
         a_of = {z: a[z.index] for z in elements}
         duflo = {z for z in elements if a_of[z] == delta[z]}
         self._adn = ADeltaN(a_of, delta, n, duflo, gamma)

@@ -480,8 +480,9 @@ class RelationReport(NamedTuple):
 def omega_gy_relations_check(g: WGraph) -> RelationReport:
     """Verify the path-sum relations of the one-parameter W-graph algebra.
 
-    For every generator pair s != t of equal weight and the label sets
-    present in the graph, this checks the three relation families:
+    A group with unequal parameters is refused with a ValueError.  For
+    every generator pair s != t and the label sets present in the graph,
+    this checks the three relation families:
     (alpha) the tau-coefficient combination of alternating path sums,
     (beta) equality of the two arrow blocks on doubly-labeled edges,
     (gamma) symmetry of even-length path sums.

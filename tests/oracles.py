@@ -6,8 +6,10 @@ Chebyshev-style polynomial tau, the generator matrices rebuilt from the
 idempotent and arrow matrices, the walk of W in Laurent matrices over Q or
 Q(sqrt 5) where `coxkl` walks packed integers over Q, and from it
 balancedness, the leading table and the Schur element, the h-table in Laurent
-polynomials, Lusztig's homomorphism phi read off the h-table, J from
-the leading matrices of the KL cell modules, Geck's form B summed as
+polynomials, the elements of J with their product and unit (`coxkl jdata`
+checks the unit by integer sums over the gamma table), Lusztig's
+homomorphism phi read off the h-table, J from the leading matrices of the
+KL cell modules, Geck's form B summed as
 sum_x c_x^T c_x over a leading table, the bound of the a-value by
 the labels of a W-graph, the label multiset of a W-graph recovered from the
 -v_s^-1-eigenspaces of its generator matrices by Laurent elimination (`coxkl
@@ -23,7 +25,7 @@ from bisect import bisect
 from fractions import Fraction
 from typing import NamedTuple
 
-from coxkl.asymptotic import JElement, gamma_n_table, irreducible_cell_reps
+from coxkl.asymptotic import gamma_n_table, irreducible_cell_reps
 from coxkl.balance import VerificationError, _eliminate, a_value
 from coxkl.kl import ADeltaN
 from coxkl.laurent import (
@@ -240,6 +242,57 @@ def lusztig_a_delta_n(kl) -> ADeltaN:
         delta[z], n[z] = p.valuation(), p.lowest_term()
     duflo = {z for z in elements if a_of[z] == delta[z]}
     return ADeltaN(a_of, delta, n, duflo, gamma)
+
+
+class JElement:
+    """An element of J, a sparse map {w: coefficient of t_w} that stores no
+    zeros (coefficients may carry v-powers, as phi produces)."""
+
+    def __init__(self, coeffs=None):
+        self.coeffs = {w: c for w, c in coeffs.items() if c} if coeffs else {}
+
+    def __eq__(self, other):
+        if not isinstance(other, JElement):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __repr__(self):
+        return f"JElement({self.coeffs!r})"
+
+    def __add__(self, other: "JElement") -> "JElement":
+        out = dict(self.coeffs)
+        for w, c in other.coeffs.items():
+            add_term(out, w, c)
+        return JElement(out)
+
+    def scale(self, f) -> "JElement":
+        return JElement({w: c * f for w, c in self.coeffs.items()} if f else {})
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    @staticmethod
+    def basis(w) -> "JElement":
+        return JElement({w: ONE})
+
+
+def j_multiply(a: JElement, b: JElement, data) -> JElement:
+    """t_x t_y = sum_z gamma_{x,y,z} t_{z^-1}, extended bilinearly."""
+    out = {}
+    for x, cx in a.coeffs.items():
+        for y, cy in b.coeffs.items():
+            row = data.gamma.get((x, y))
+            if not row:
+                continue
+            c = cx * cy
+            for z, gv in row.items():
+                add_term(out, z.inverse(), c * gv)
+    return JElement(out)
+
+
+def j_unit(data) -> JElement:
+    """sum_d n_d t_d over the Duflo set of a `JData`."""
+    return JElement({d: LaurentPoly({0: data.n[d]}) for d in data.duflo})
 
 
 def lusztig_phi(w, data, kl, cells) -> JElement:

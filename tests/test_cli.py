@@ -312,6 +312,33 @@ def test_jdata_refuses_a_planted_error(capsys, monkeypatch, plant, message):
     assert message in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_jdata_refuses_a_unit_that_fails_on_one_side(capsys, monkeypatch, side):
+    """Raise gamma_{x,d,z} (gamma_{d,x,z} for the left side) and its two
+    rotations by 1, so that P7 still holds, for a Duflo element d and the
+    first two elements x < z outside D.  On t_x only that side of
+    t_x = (sum_d n_d t_d) t_x = t_x (sum_d n_d t_d) breaks; the other one
+    breaks at t_z alone, which comes later."""
+    planted_at = []
+
+    def one_sided(eng, adn):
+        d = next(iter(adn.duflo))
+        x, z = [w for w in eng.elements if w not in adn.duflo][:2]
+        first = (x, d, z) if side == "right" else (d, x, z)
+        for k in range(3):
+            u, w, y = first[k:] + first[:k]
+            row = adn.gamma.setdefault((u, w), {})
+            row[y] = row.get(y, 0) + 1
+        planted_at.append(x)
+
+    planted(monkeypatch, one_sided)
+    assert main(["jdata", "--group", "B2"]) == 1
+    captured = capsys.readouterr()
+    (x,) = planted_at
+    assert not captured.out and "Traceback" not in captured.err
+    assert f"is not the unit of J: it fails on t_{x.index}\n" in captured.err
+
+
 def test_compat(capsys):
     code, out = run(capsys, "compat", "--group", "I2(5)")
     assert code == 0
@@ -1018,6 +1045,41 @@ def test_the_command_table_keeps_every_argument():
     assert list(arguments) == list(COMMAND_ARGUMENTS)
     for path, argv in arguments.items():
         assert argv == COMMAND_ARGUMENTS[path], path
+
+
+@pytest.mark.parametrize(
+    "argv, usage, token",
+    [
+        (["wgraph", "validate", "{file}", "--group", "A2"], "coxkl wgraph validate",
+         "--group"),
+        (["kl", "--group", "A2", "--bogus"], "coxkl kl", "--bogus"),
+        (["--bogus"], "coxkl", "--bogus"),
+    ],
+    ids=["wgraph action", "command", "root"],
+)
+def test_a_leftover_is_reported_by_the_command_that_received_it(
+    capsys, fixture_dir, argv, usage, token
+):
+    """The usage block and the error line are those of the (sub-)command
+    whose parser was left with the argument."""
+    argv = [arg.format(file=fixture_dir / "a2_refl.json") for arg in argv]
+    err = syntax_error(capsys, argv)
+    assert err.startswith(f"usage: {usage} [-h]")
+    last = err.splitlines()[-1]
+    assert last.startswith(f"{usage}: error: ") and token in last
+
+
+def test_omegagy_refuses_unequal_parameters(capsys, tmp_path):
+    """The path-sum relations are those of the one-parameter algebra, so a
+    graph over a group with unequal weights is a usage error."""
+    path = tmp_path / "i2_4_21.json"
+    argv = ["wgraph", "klgraph", "--group", "I2(4)", "--weights", "2,1"]
+    assert main([*argv, "--out", str(path)]) == 0
+    code = main(["wgraph", "omegagy", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err.startswith("error: ")
+    assert "only available for equal parameters" in captured.err
 
 
 def test_restrict_names_a_bad_subset(capsys, fixture_dir):

@@ -14,9 +14,8 @@ from coxkl.asymptotic import (
     cell_basis,
     irreducible_cell_reps,
     irreducible_data,
-    irreducible_reps_from_graphs,
 )
-from coxkl.balance import gram_invariant_form
+from coxkl.balance import balance, gram_invariant_form
 from coxkl.blocks import intertwiner_space
 from coxkl.fixtures import b3_chi9_conjugate, b3_graphs, shared_engine
 from coxkl.kl import KLContext
@@ -148,7 +147,8 @@ def test_golden_gram_form_is_certified_at_one(bareiss_calls):
 
 
 def test_gram_forms_of_b3_table_graphs_match_bareiss():
-    for rep, data in irreducible_reps_from_graphs(b3_graphs().values()):
+    for g in b3_graphs().values():
+        rep, data = balance(wgraph_matrices(g))
         omega = data.form
         assert laurent_rank(omega) == bareiss_rank(omega) == rep.dim
 
