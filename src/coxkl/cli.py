@@ -9,6 +9,11 @@ a verdict; `main` alone writes the payload, as JSON with sorted keys, to
 stdout or to `--out`.  Element indices are canonical, so identical
 invocations are byte-identical.
 
+Each call is a fresh process, so it pays only for its own command:
+`build_parser` builds just the rows that the command line names, and `run`,
+the entry point of `coxkl` and `python -m coxkl.cli`, freezes the objects
+of the import with `gc.freeze()` before it calls `main`.
+
 Exit status: 0 when the verdict passes, 1 when it fails or a
 `VerificationError` is raised, 2 on usage error, including a path that
 cannot be read or written and an argument its command does not declare.
@@ -17,6 +22,7 @@ cannot be read or written and an argument its command does not declare.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -403,7 +409,12 @@ COMMANDS = [
 ]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The `coxkl` parser with only the `COMMANDS` row that argv[0] names
+    and, for `wgraph`, only the action that argv[1] names.  Every row is
+    built when there is none to pick: no argv, a leading option, an unknown
+    name.  A sub-command's usage, help and errors do not depend on its
+    siblings, so one row prints what every row would."""
     ap = argparse.ArgumentParser(
         prog="coxkl",
         description="Exact Kazhdan-Lusztig data and W-graph block structure "
@@ -411,17 +422,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--selftest", action="store_true",
                     help="validate every shipped fixture and exit")
-    _add_commands(ap.add_subparsers(dest="command"), COMMANDS)
+    _add_commands(ap.add_subparsers(dest="command"), COMMANDS, argv)
     return ap
 
 
-def _add_commands(sub, rows):
-    for name, help_text, handler, arguments in rows:
+def _add_commands(sub, rows, argv):
+    named = [row for row in rows if argv and row[0] == argv[0]]
+    for name, help_text, handler, arguments in named or rows:
         p = sub.add_parser(name, help=help_text)
         for flags, options in arguments:
             p.add_argument(*flags, **options)
         if isinstance(handler, list):
-            _add_commands(p.add_subparsers(dest="action", required=True), handler)
+            _add_commands(p.add_subparsers(dest="action", required=True), handler,
+                          argv[1:] if named else ())
         else:
             p.set_defaults(func=handler, parser=p)
 
@@ -429,10 +442,16 @@ def _add_commands(sub, rows):
 def main(argv=None) -> int:
     """Run one command: write its payload, and exit 0 or 1 on its verdict,
     1 on a `VerificationError` and 2 on a usage error."""
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ap = build_parser(argv)
     args, extras = ap.parse_known_args(argv)
-    if extras:  # reported by the sub-command that received them
-        getattr(args, "parser", ap).error(f"unrecognized arguments: {' '.join(extras)}")
+    if extras:
+        # reported by the (sub-)command that received them: the root parser
+        # was left with those that stand before the command
+        head = argv[: argv.index(args.command)] if args.command else argv
+        root_extras = ap.parse_known_args(head)[1]
+        parser = ap if root_extras else args.parser
+        parser.error(f"unrecognized arguments: {' '.join(root_extras or extras)}")
     if not (args.selftest or args.command):
         ap.print_help()
         return USAGE
@@ -455,5 +474,16 @@ def main(argv=None) -> int:
     return PASS if ok else FAIL
 
 
+def run() -> int:
+    """The process entry point: `main` on the command line, after
+    `gc.freeze()`.  The objects alive by then (the imported modules, their
+    classes and functions) live until exit anyway.  Frozen, they are walked
+    by no collection during the run, and the collection at shutdown leaves
+    them to the OS instead of freeing them one by one.  `main` itself never
+    freezes, since in-process callers run it many times."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

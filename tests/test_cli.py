@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -1014,14 +1015,6 @@ COMMAND_ARGUMENTS = {
 }
 
 
-@pytest.mark.parametrize("name", [row[0] for row in COMMANDS])
-def test_every_command_prints_its_help(capsys, name):
-    with pytest.raises(SystemExit) as exc:
-        main([name, "--help"])
-    assert exc.value.code == 0
-    assert capsys.readouterr().out.startswith(f"usage: coxkl {name} ")
-
-
 def sub_commands(parser):
     """The sub-command parsers of parser by name, in order ({} if none)."""
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -1047,6 +1040,60 @@ def test_the_command_table_keeps_every_argument():
         assert argv == COMMAND_ARGUMENTS[path], path
 
 
+ROW_PATHS = [[row[0]] for row in COMMANDS] + [["wgraph", row[0]] for row in WGRAPH_ACTIONS]
+
+
+@pytest.mark.parametrize("path", ROW_PATHS, ids=" ".join)
+def test_every_command_prints_its_help(capsys, path):
+    """`build_parser(argv)` builds only the command, and the `wgraph`
+    action, that argv names; its help is that row's help in the parser
+    with every row."""
+    full = build_parser()
+    for name in path:
+        full = sub_commands(full)[name]
+    with pytest.raises(SystemExit) as exc:
+        main([*path, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: coxkl {' '.join(path)} ")
+    assert out == full.format_help()
+    built = sub_commands(build_parser(path))
+    assert list(built) == path[:1]
+    if path[0] == "wgraph":
+        actions = path[1:] or [row[0] for row in WGRAPH_ACTIONS]
+        assert list(sub_commands(built["wgraph"])) == actions
+
+
+def test_root_help_lists_every_command(capsys):
+    """A leading option builds every row, so `-h kl` prints the root help."""
+    with pytest.raises(SystemExit) as exc:
+        main(["-h", "kl"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out == build_parser().format_help()
+    assert "{" + ",".join(row[0] for row in COMMANDS) + "}" in out
+
+
+def test_run_freezes_the_import_and_main_does_not(capsys):
+    """`run`, the process entry point, freezes the collector's view of the
+    import before `main`; `main`, which the tests call in-process, does
+    not freeze."""
+    code = (
+        "import gc, sys, coxkl.cli as cli\n"
+        "cli.main = lambda: print(gc.get_freeze_count() > 0) or 0\n"
+        "sys.exit(cli.run())\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=_src_env()
+    )
+    assert res.returncode == 0, res.stderr.decode()
+    assert res.stdout.decode() == "True\n"
+    frozen = gc.get_freeze_count()
+    assert main(["group", "--group", "A1"]) == 0
+    assert gc.get_freeze_count() == frozen
+    json.loads(capsys.readouterr().out)
+
+
 @pytest.mark.parametrize(
     "argv, usage, token",
     [
@@ -1054,14 +1101,16 @@ def test_the_command_table_keeps_every_argument():
          "--group"),
         (["kl", "--group", "A2", "--bogus"], "coxkl kl", "--bogus"),
         (["--bogus"], "coxkl", "--bogus"),
+        (["--bogus", "kl", "--group", "A2"], "coxkl", "--bogus"),
     ],
-    ids=["wgraph action", "command", "root"],
+    ids=["wgraph action", "command", "root", "root, before a command"],
 )
 def test_a_leftover_is_reported_by_the_command_that_received_it(
     capsys, fixture_dir, argv, usage, token
 ):
     """The usage block and the error line are those of the (sub-)command
-    whose parser was left with the argument."""
+    whose parser was left with the argument; one that stands before the
+    command is the root parser's."""
     argv = [arg.format(file=fixture_dir / "a2_refl.json") for arg in argv]
     err = syntax_error(capsys, argv)
     assert err.startswith(f"usage: {usage} [-h]")
