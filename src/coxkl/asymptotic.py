@@ -454,9 +454,10 @@ def jdata_from_kl(kl: KLContext) -> JData:
     gamma and D come from `KLContext.lusztig_a_delta_n`, and
     n_d = (-1)^l(d) lowest_term(bar(P*_{1,d})) for d in D.  The ring is
     checked for P7, gamma_{x,y,z} = gamma_{y,z,x}, and for the unit
-    sum_d n_d t_d before it is returned: for every x, the integer sums
-    sum_d n_d gamma_{d,x,z} and sum_d n_d gamma_{x,d,z} over the sparse
-    rows (d, x) and (x, d) must be 1 at z = x^-1 and 0 elsewhere.
+    sum_d n_d t_d before it is returned: t_x (sum_d n_d t_d) = t_x, so for
+    every x the integer sum sum_d n_d gamma_{x,d,z} over the sparse rows
+    (x, d) must be 1 at z = x^-1 and 0 elsewhere.  Under P7 that is the left
+    identity too, as sum_d n_d gamma_{d,x,z} = sum_d n_d gamma_{z,d,x}.
     """
     adn = kl.lusztig_a_delta_n()
     n = {d: adn.n[d] * (-1 if d.length() % 2 else 1) for d in adn.duflo}
@@ -469,13 +470,12 @@ def jdata_from_kl(kl: KLContext) -> JData:
                     f"(x, y, z) = ({x.index}, {y.index}, {z.index})"
                 )
     for x in kl.engine.elements:
-        # (sum_d n_d t_d) t_x and t_x (sum_d n_d t_d), {z: coefficient of t_z^-1}
-        sides: tuple[dict, dict] = ({}, {})
+        # t_x (sum_d n_d t_d) as {z: coefficient of t_z^-1}
+        right: dict = {}
         for d, nd in n.items():
-            for side, key in zip(sides, ((d, x), (x, d))):
-                for z, val in jd.gamma.get(key, {}).items():
-                    add_term(side, z, nd * val)
-        if sides != ({x.inverse(): 1},) * 2:
+            for z, val in jd.gamma.get((x, d), {}).items():
+                add_term(right, z, nd * val)
+        if right != {x.inverse(): 1}:
             raise VerificationError(
                 f"sum_d n_d t_d is not the unit of J: it fails on t_{x.index}"
             )

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -53,6 +54,16 @@ PASS, FAIL, USAGE = 0, 1, 2
 def json_text(payload) -> str:
     """The one text form of every output: sorted keys, two-space indent."""
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _int_list(text: str) -> list[int]:
+    """The comma-separated integers of an option value, each an optional
+    sign and ASCII digits: `int` alone also reads other Unicode digits, "_"
+    and surrounding whitespace."""
+    for t in text.split(","):
+        if not re.fullmatch(r"[+-]?[0-9]+", t):
+            raise ValueError(f"invalid literal for int() with base 10: {t!r}")
+    return [int(t) for t in text.split(",")]
 
 
 def _matrix_json(m: LaurentMatrix):
@@ -117,7 +128,7 @@ def cmd_kl(args):
         }
     elif args.pair:
         try:
-            yi, wi = (int(t) for t in args.pair.split(","))
+            yi, wi = _int_list(args.pair)
         except ValueError:
             yi = wi = -1
         if not (0 <= yi < eng.order and 0 <= wi < eng.order):
@@ -172,7 +183,7 @@ def _wgraph_matrices(args):
 def _wgraph_restrict(args):
     g = _load_graph(args.file)
     try:
-        j = [int(t) for t in args.subset.split(",")]
+        j = _int_list(args.subset)
         if len(set(j)) < len(j):
             raise ValueError("repeats a generator")
     except ValueError as exc:

@@ -478,7 +478,7 @@ def parse_type_string(ts: str):
     if not colon:
         return name, matrix, [1] * len(matrix)
     parts = wpart.split(",")
-    if not all(x.isdecimal() for x in parts):
+    if not all(x.isascii() and x.isdecimal() for x in parts):
         raise ValueError(f"bad weight list in {ts!r}")
     if len(parts) != len(matrix):
         raise ValueError(

@@ -404,16 +404,23 @@ def laurent_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
 
 # -- text format -------------------------------------------------------------
 #
-# Wire format: sum of terms "c*v^k", constants written bare, e.g.
-# "-1*v^-1 + 2 + 1*v^3".  A Q(sqrt 5) coefficient with an irrational part is
-# parenthesized, e.g. "(1/2+1/2r5)*v^1".  Whitespace may not split a number
-# or a name, and a "*" needs a coefficient before it.  The parser accepts
-# omitted unit coefficients ("v^3", "-v^-1") and "v" for v^1.
+# Wire format: terms joined by " + " as `format_laurent` writes them, e.g.
+# "-1*v^-1 + 2 + (1/2+1/2r5)*v^1", a Q(sqrt 5) coefficient with an irrational
+# part in parentheses.  `parse_laurent` reads one term per match of _TERM_RE:
+#
+#   term  = sign (coeff | power | coeff ["*"] power)
+#   sign  = "+" | "-" | "+ -", which the first term may leave out
+#   coeff = digits ["/" digits] | "(" scalar ")"    power = "v" ["^" [+-] digits]
+#
+# Digits are ASCII.  Whitespace may stand between two tokens, but not between
+# two word characters (_SPLIT_RE: "1/2 3" is not 1/23).  So blank text, an
+# empty term ("1++2"), a digit after ")" ("(3)0") and "\u0662" are refused.
 
 _TERM_RE = re.compile(
-    r"^(?:(?P<coeff>\d+(?:/\d+)?|#\d+)(?:\*(?=v))?)?(?P<var>v(?:\^(?P<exp>[+-]?\d+))?)?$"
+    r"\s*(?P<sign>\+\s*-|[+-]|^)\s*"
+    r"(?:(?P<num>[0-9]+(?:\s*/\s*[0-9]+)?)|\((?P<paren>[^()]*)\)|(?=v))"
+    r"(?:\s*\*?\s*(?P<var>v)(?:\s*\^\s*(?P<exp>[+-]?\s*[0-9]+))?)?\s*"
 )
-_PAREN_RE = re.compile(r"\(([^()]*)\)")
 _SPLIT_RE = re.compile(r"\w\s+\w")
 
 
@@ -449,48 +456,21 @@ def laurent_formatter():
 def parse_laurent(text: str) -> LaurentPoly:
     """Inverse of `format_laurent`; malformed text or a coefficient with a
     zero denominator raises ValueError."""
-    if "#" in text or _SPLIT_RE.search(text):
+    if _SPLIT_RE.search(text):
         raise ValueError(f"bad Laurent polynomial {text!r}")
-    s = "".join(text.split())
-    if not s or s == "0":
-        return LaurentPoly()
-    # parenthesized coefficients become "#i" before the split on signs
-    parens: list = []
-
-    def stash(m):
-        parens.append(parse_scalar(m.group(1)))
-        return f"#{len(parens) - 1}"
-
-    s = _PAREN_RE.sub(stash, s)
-    # split into signed terms; exponent signs follow '^' and are protected
-    s = s.replace("^-", "^n").replace("^+", "^p")
-    s = s.replace("-", "+-")
     out: dict = {}
-    for raw in s.split("+"):
-        if not raw:
-            continue
-        term = raw.replace("^n", "^-").replace("^p", "^+")
-        sign = 1
-        if term.startswith("-"):
-            sign = -1
-            term = term[1:]
-        m = _TERM_RE.match(term)
-        if not m or not term or (m.group("coeff") is None and m.group("var") is None):
-            raise ValueError(f"bad Laurent term {raw!r} in {text!r}")
-        cs = m.group("coeff")
-        if cs is None:
-            c = Fraction(1)
-        elif cs.startswith("#"):
-            c = parens[int(cs[1:])]
-        else:
-            c = parse_scalar(cs)
-        if m.group("var"):
-            es = m.group("exp")
-            k = int(es) if es is not None else 1
-        else:
-            k = 0
-        add_term(out, k, sign * c)
-    return LaurentPoly(out)
+    pos = 0
+    while True:
+        m = _TERM_RE.match(text, pos)
+        if m is None:
+            raise ValueError(f"bad Laurent term {text[pos:]!r} in {text!r}")
+        coeff = m["num"] or m["paren"]
+        c = Fraction(1) if coeff is None else parse_scalar("".join(coeff.split()))
+        k = int("".join(m["exp"].split())) if m["exp"] else (1 if m["var"] else 0)
+        add_term(out, k, -c if m["sign"].endswith("-") else c)
+        pos = m.end()
+        if pos == len(text):
+            return LaurentPoly(out)
 
 
 # -- matrices ----------------------------------------------------------------

@@ -140,9 +140,10 @@ def scalar_str(c) -> str:
 
 
 _RATIONAL = r"[+-]?\d+(?:/\d+)?"
-# the rational part, if any, ends where the signed r5 part begins
+# the rational part, if any, ends where the signed r5 part begins; digits
+# are ASCII
 _SQRT5_RE = re.compile(
-    rf"^(?:(?P<a>{_RATIONAL})(?=[+-]|$))?(?:(?P<b>{_RATIONAL})r5)?$"
+    rf"^(?:(?P<a>{_RATIONAL})(?=[+-]|$))?(?:(?P<b>{_RATIONAL})r5)?$", re.ASCII
 )
 
 

@@ -697,5 +697,8 @@ def wgraph_from_json(data: dict, engine: GroupEngine | None = None) -> WGraph:
             )
         if not isinstance(weight, str):
             raise WGraphFormatError(f"edge {k}: weight {weight!r} is not a string")
-        edges[key] = parse_laurent(weight)
+        try:
+            edges[key] = parse_laurent(weight)
+        except ValueError as exc:
+            raise WGraphFormatError(f"edge {k}: {exc}") from None
     return WGraph(engine, labels, edges)

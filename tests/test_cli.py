@@ -185,11 +185,27 @@ def without(key):
         (lambda d: d["edges"][0].update(weight="1 0/3"),
          "bad Laurent polynomial '1 0/3'"),
         (lambda d: d["edges"][0].update(weight="*v"), "bad Laurent term '*v'"),
+        (lambda d: d.update(group=3), "'group' = 3 is not a type string"),
+        (lambda d: d.update(vertices={}), "'vertices' is not a list"),
+        (lambda d: d.update(edges="[]"), "'edges' is not a list"),
+        (lambda d: d["vertices"][0].update(id=7), "vertex ids must be 0..n-1"),
+        (lambda d: d["edges"][0].update(weight=1), "edge 0: weight 1 is not a string"),
+        # blank text, an empty term, a digit after ")" and a non-ASCII digit
+        *[(lambda d, w=w: d["edges"][0].update(weight=w),
+           f"edge 0: bad Laurent term {t!r} in {w!r}")
+          for w, t in [("", ""), (" ", " "), ("+", "+"), ("1+", "+"),
+                       ("1++2", "++2"), ("(1/2)1", "1"), ("(3)0", "0"),
+                       ("\u0662", "\u0662")]],
+        (lambda d: d["edges"][0].update(weight="(\u0662)"),
+         "edge 0: bad scalar '\u0662'"),
     ],
     ids=["label", "repeated-label", "to", "from", "s", "duplicate",
          "no-edges", "no-vertices", "no-group", "no-label", "list", "empty",
          "zero-denominator", "zero-denominator-r5", "split-denominator",
-         "split-exponent", "split-numerator", "bare-star"],
+         "split-exponent", "split-numerator", "bare-star", "group-not-str",
+         "vertices-not-list", "edges-not-list", "vertex-ids", "weight-not-str",
+         "blank", "space", "plus", "trailing-plus", "double-plus",
+         "digit-after-paren", "zero-after-paren", "non-ascii", "non-ascii-paren"],
 )
 def test_malformed_wgraph_files_are_usage_errors(tmp_path, capsys, edit, message):
     # `edit` changes the fixture in place, or returns the data to write
@@ -201,6 +217,7 @@ def test_malformed_wgraph_files_are_usage_errors(tmp_path, capsys, edit, message
     assert main(["wgraph", "validate", str(bad)]) == 2
     captured = capsys.readouterr()
     assert not captured.out
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message in captured.err and "Traceback" not in captured.err
 
 
@@ -319,7 +336,9 @@ def test_jdata_refuses_a_unit_that_fails_on_one_side(capsys, monkeypatch, side):
     rotations by 1, so that P7 still holds, for a Duflo element d and the
     first two elements x < z outside D.  On t_x only that side of
     t_x = (sum_d n_d t_d) t_x = t_x (sum_d n_d t_d) breaks; the other one
-    breaks at t_z alone, which comes later."""
+    breaks at t_z alone.  The check sums the right side only, which under
+    P7 is the left side rotated: it names t_x for the right plant and t_z
+    for the left one."""
     planted_at = []
 
     def one_sided(eng, adn):
@@ -330,14 +349,14 @@ def test_jdata_refuses_a_unit_that_fails_on_one_side(capsys, monkeypatch, side):
             u, w, y = first[k:] + first[:k]
             row = adn.gamma.setdefault((u, w), {})
             row[y] = row.get(y, 0) + 1
-        planted_at.append(x)
+        planted_at.append(x if side == "right" else z)
 
     planted(monkeypatch, one_sided)
     assert main(["jdata", "--group", "B2"]) == 1
     captured = capsys.readouterr()
-    (x,) = planted_at
+    (named,) = planted_at
     assert not captured.out and "Traceback" not in captured.err
-    assert f"is not the unit of J: it fails on t_{x.index}\n" in captured.err
+    assert f"is not the unit of J: it fails on t_{named.index}\n" in captured.err
 
 
 def test_compat(capsys):
@@ -362,6 +381,8 @@ def test_usage_errors(capsys, tmp_path, fixture_dir):
          "bad --subset '1,1': repeats a generator"),
         (["wgraph", "restrict", chi7, "--subset", ""],
          "bad --subset '': invalid literal for int() with base 10: ''"),
+        (["wgraph", "restrict", chi7, "--subset", "1,\u0662"],
+         "bad --subset '1,\u0662': invalid literal for int() with base 10: '\u0662'"),
     ]:
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -378,6 +399,9 @@ def test_usage_errors(capsys, tmp_path, fixture_dir):
         (["group", "--group", "A3:"], "bad weight list in 'A3:'"),
         (["group", "--group", "A3", "--weights", ""], "bad weight list in 'A3:'"),
         (["kl", "--group", "A3", "--weights="], "bad weight list in 'A3:'"),
+        # a weight is ASCII digits, and positive
+        (["group", "--group", "B3:\uff12,1,1"], "bad weight list in 'B3:\uff12,1,1'"),
+        (["group", "--group", "B3:0,1,1"], "weights must be positive integers"),
     ]:
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -391,8 +415,10 @@ def test_usage_errors(capsys, tmp_path, fixture_dir):
         captured = capsys.readouterr()
         assert not captured.out
         assert captured.err.startswith("error: cannot parse group type 'A03'")
-    # a negative index would silently wrap around to w0
-    for pair in ("-1,5", "0,-1", "0,24", "1", "a,b"):
+    # a negative index would silently wrap around to w0; another Unicode
+    # digit, "_" or whitespace in an index is read by int() alone
+    for pair in ("-1,5", "0,-1", "0,24", "1", "a,b", "\u0661,\u0665", "1_0,23",
+                 " 1,5"):
         assert main(["kl", "--group", "A3", f"--pair={pair}"]) == 2
         assert capsys.readouterr().err.startswith("error: bad --pair")
     with pytest.raises(SystemExit) as exc:

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from oracles import GOLDEN, sqrt5_sign
 
 from coxkl.laurent import (
@@ -24,7 +24,7 @@ from coxkl.laurent import (
     shift,
     unpack,
 )
-from coxkl.scalars import Sqrt5
+from coxkl.scalars import Sqrt5, scalar_str
 
 
 def lp(d):
@@ -202,6 +202,100 @@ def test_parser_variants():
     assert parse_laurent("0") == lp({})
     with pytest.raises(ValueError):
         parse_laurent("v^")
+
+
+# -- the wire-format grammar: a term is a coefficient, a power of v or both,
+# and the terms are joined by "+", "-" or "+ -"; whitespace may stand
+# between two tokens unless both are word characters.
+
+SPACES = st.text(alphabet=" \t\n\u00a0", max_size=2)
+# the zeros of the Arabic-Indic, extended Arabic-Indic, Devanagari, Bengali
+# and fullwidth digit runs
+NON_ASCII_ZEROS = "\u0660\u06f0\u0966\u09e6\uff10"
+
+
+@st.composite
+def coefficient_tokens(draw):
+    """A bare, rational or parenthesized coefficient, as (tokens, value)."""
+    kind = draw(st.sampled_from(["bare", "rational", "paren"]))
+    if kind == "bare":
+        n = draw(st.integers(0, 99))
+        return [str(n)], Fraction(n)
+    if kind == "rational":
+        p, q = draw(st.integers(0, 20)), draw(st.integers(1, 9))
+        return [str(p), "/", str(q)], Fraction(p, q)
+    c = draw(scalars)
+    return ["(", scalar_str(c), ")"], c
+
+
+@st.composite
+def power_tokens(draw):
+    """v, v^k or v^+k, as (tokens, exponent)."""
+    k = draw(st.integers(-6, 6))
+    if k == 1 and draw(st.booleans()):
+        return ["v"], 1
+    sign = "-" if k < 0 else draw(st.sampled_from(["", "+"]))
+    return ["v", "^"] + ([sign] if sign else []) + [str(abs(k))], k
+
+
+@st.composite
+def wire_texts(draw):
+    """A text of the grammar and the polynomial it denotes."""
+    tokens, value = [], LaurentPoly()
+    for i in range(draw(st.integers(1, 4))):
+        signs = [[], ["-"], ["+"], ["+", "-"]] if i == 0 else [["+"], ["-"], ["+", "-"]]
+        sign = draw(st.sampled_from(signs))
+        kind = draw(st.sampled_from(["coeff", "power", "both"]))
+        ctoks, c = draw(coefficient_tokens()) if kind != "power" else ([], Fraction(1))
+        ptoks, k = draw(power_tokens()) if kind != "coeff" else ([], 0)
+        star = ["*"] if ctoks and ptoks and draw(st.booleans()) else []
+        tokens += sign + ctoks + star + ptoks
+        value = value + LaurentPoly({k: -c if sign[-1:] == ["-"] else c})
+    text = draw(SPACES)
+    for a, b in zip(tokens, tokens[1:] + [""]):
+        text += a
+        if not (b and a[-1].isalnum() and b[0].isalnum()):
+            text += draw(SPACES)
+    return text, value
+
+
+@settings(max_examples=300, deadline=None)
+@given(wire_texts())
+def test_parse_laurent_reads_the_grammar(case):
+    text, value = case
+    assert parse_laurent(text) == value
+
+
+@st.composite
+def malformed_texts(draw):
+    """One text of each class outside the grammar: blank text, an empty
+    term, digits after a ")" and a non-ASCII digit."""
+    kind = draw(st.sampled_from(["blank", "empty term", "after paren", "digit"]))
+    a, _ = draw(wire_texts())
+    b, _ = draw(wire_texts())
+    if kind == "blank":
+        return draw(SPACES)
+    if kind == "empty term":
+        form = draw(st.sampled_from(
+            ["+", " + ", "{a} +", "{a}+ +{b}", "{a} ++ {b}", "++{a}", "{a} + {b}+"]
+        ))
+        return form.format(a=a, b=b)
+    if kind == "after paren":
+        paren, digits = f"({scalar_str(draw(scalars))})", draw(st.integers(0, 99))
+        form = draw(st.sampled_from(["{p}{d}", "{a} + {p}{d}", "{p}{d}*v", "{p}{d} + {b}"]))
+        return form.format(p=paren, d=digits, a=a, b=b)
+    at = [i for i, ch in enumerate(a) if ch in "0123456789"]
+    assume(at)
+    i = draw(st.sampled_from(at))
+    zero = draw(st.sampled_from(NON_ASCII_ZEROS))
+    return a[:i] + chr(ord(zero) + int(a[i])) + a[i + 1:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed_texts())
+def test_parse_laurent_refuses_malformed_text(text):
+    with pytest.raises(ValueError):
+        parse_laurent(text)
 
 
 @given(polys, polys)
