@@ -26,6 +26,7 @@ import gc
 import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 from . import asymptotic, balance as balance_mod, blocks as blocks_mod
@@ -52,8 +53,60 @@ PASS, FAIL, USAGE = 0, 1, 2
 
 
 def json_text(payload) -> str:
-    """The one text form of every output: sorted keys, two-space indent."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """The one text form of every output: sorted keys, two-space indent.
+
+    The bytes are exactly those of `json.dumps(payload, sort_keys=True,
+    indent=2) + "\\n"`, whose indenting encoder is pure Python on some
+    versions; this writer encodes each string with the C
+    `encode_basestring_ascii` and joins its pieces once.  It takes dicts
+    with str keys, lists, tuples, str, int, bool and None; any other value
+    raises TypeError."""
+    parts: list[str] = []
+    append = parts.append
+
+    def write(o, nl: str) -> None:
+        # nl is the newline and indent that start each line at this depth
+        if isinstance(o, str):
+            append(_encode_str(o))
+        elif o is None:
+            append("null")
+        elif o is True:
+            append("true")
+        elif o is False:
+            append("false")
+        elif isinstance(o, int):
+            append(int.__repr__(o))
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                append("[]")
+                return
+            inner = nl + "  "
+            sep = "[" + inner
+            for item in o:
+                append(sep)
+                write(item, inner)
+                sep = "," + inner
+            append(nl + "]")
+        elif isinstance(o, dict):
+            if not o:
+                append("{}")
+                return
+            inner = nl + "  "
+            sep = "{" + inner
+            for key in sorted(o):
+                # the encoder raises TypeError on a key that is not a str
+                append(sep + _encode_str(key) + ": ")
+                write(o[key], inner)
+                sep = "," + inner
+            append(nl + "}")
+        else:
+            raise TypeError(
+                f"Object of type {type(o).__name__} is not JSON serializable"
+            )
+
+    write(payload, "\n")
+    append("\n")
+    return "".join(parts)
 
 
 def _int_list(text: str) -> list[int]:

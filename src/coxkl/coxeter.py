@@ -321,18 +321,30 @@ class GroupEngine:
     def _downsets(self) -> list[int]:
         """Bit x of down[i] is set iff x <= w_i.
 
-        For a left descent s of w, [1, w] is [1, sw] together with its image
-        under left multiplication by s.
+        [1, w] is w together with the downsets of the coatoms of w (the
+        u < w of length l(w) - 1), since the Bruhat order is graded.  Let s
+        be the first letter of the canonical word of w and w' = sw < w.  The
+        coatoms of w are w' and the sc for the coatoms c of w' with sc > c,
+        by the lifting property (Bjorner-Brenti, Combinatorics of Coxeter
+        Groups, Prop. 2.2.7): a coatom u with su > u lies below sw = w', so
+        it is w'; one with su < u has su <= w' of length l(w') - 1; and a
+        coatom c of w' with sc > c has sc <= w.  Elements come in order of
+        length, so each downset is a few ORs of downsets already built.  The
+        coatom lists live only while the downsets are built.
         """
         if self._down is None:
-            down = [1]
+            lmul, words, ldesc = self.lmul, self.words, self.ldesc
+            down, coatoms = [1], [()]
             for i in range(1, self.order):
-                row = self.lmul[self.words[i][0]]
-                below = down[row[i]]
-                image = 0
-                for x in bit_indices(below):
-                    image |= 1 << row[x]
-                down.append(below | image)
+                s = words[i][0]
+                row = lmul[s]
+                p = row[i]
+                cs = [p] + [row[c] for c in coatoms[p] if not ldesc[c] >> s & 1]
+                below = 1 << i
+                for u in cs:
+                    below |= down[u]
+                down.append(below)
+                coatoms.append(cs)
             self._down = down
         return self._down
 
@@ -478,7 +490,9 @@ def parse_type_string(ts: str):
     if not colon:
         return name, matrix, [1] * len(matrix)
     parts = wpart.split(",")
-    if not all(x.isascii() and x.isdecimal() for x in parts):
+    # a weight is ASCII digits without a leading zero, as the name is
+    # spelled exactly as in the catalogue
+    if not all(x.isascii() and x.isdecimal() and x == str(int(x)) for x in parts):
         raise ValueError(f"bad weight list in {ts!r}")
     if len(parts) != len(matrix):
         raise ValueError(

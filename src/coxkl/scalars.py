@@ -143,7 +143,7 @@ _RATIONAL = r"[+-]?\d+(?:/\d+)?"
 # the rational part, if any, ends where the signed r5 part begins; digits
 # are ASCII
 _SQRT5_RE = re.compile(
-    rf"^(?:(?P<a>{_RATIONAL})(?=[+-]|$))?(?:(?P<b>{_RATIONAL})r5)?$", re.ASCII
+    rf"(?:(?P<a>{_RATIONAL})(?=[+-]|\Z))?(?:(?P<b>{_RATIONAL})r5)?", re.ASCII
 )
 
 
@@ -151,7 +151,7 @@ def parse_scalar(text: str):
     """Inverse of `scalar_str`: "a", "a+br5", "a-br5" or "br5".
 
     A zero denominator raises ValueError."""
-    m = _SQRT5_RE.match(text)
+    m = _SQRT5_RE.fullmatch(text)
     if not text or not m:
         raise ValueError(f"bad scalar {text!r}")
     try:

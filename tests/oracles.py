@@ -16,7 +16,9 @@ the labels of a W-graph, the label multiset of a W-graph recovered from the
 labels` reads it off the support condition), strictification of a form
 whose residue is block diagonal by labels through the elimination of
 `balance`, and the Robinson-Schensted insertion tableau, which describes
-the a-values and left cells of type A with no KL data.  The golden
+the a-values and left cells of type A with no KL data.  The Bruhat
+downsets come from whole interval images under a left descent, where
+`coxkl` ORs the downsets of the coatoms.  The golden
 ratio and the real sign of a Q(sqrt 5) element serve the tests of that field
 and the root-system oracle of the group tables.
 """
@@ -27,6 +29,7 @@ from typing import NamedTuple
 
 from coxkl.asymptotic import gamma_n_table, irreducible_cell_reps
 from coxkl.balance import VerificationError, _eliminate, a_value
+from coxkl.coxeter import bit_indices
 from coxkl.kl import ADeltaN
 from coxkl.laurent import (
     ONE,
@@ -60,6 +63,21 @@ def sqrt5_sign(x: Sqrt5) -> int:
     d = a * a - 5 * b * b
     sa = 1 if a > 0 else -1
     return sa * ((d > 0) - (d < 0))
+
+
+def downsets_by_s_image(eng) -> list[int]:
+    """The Bruhat downset bitsets of `GroupEngine._downsets`, one interval
+    image at a time: for the first letter s of the canonical word of w,
+    [1, w] is [1, sw] together with its image under left multiplication by s."""
+    down = [1]
+    for i in range(1, eng.order):
+        row = eng.lmul[eng.words[i][0]]
+        below = down[row[i]]
+        image = 0
+        for x in bit_indices(below):
+            image |= 1 << row[x]
+        down.append(below | image)
+    return down
 
 
 def braid_commutator_tau(a, b, m: int, zeta: LaurentPoly) -> LaurentMatrix:

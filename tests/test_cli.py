@@ -12,10 +12,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import GOLDEN
 
 from coxkl import asymptotic, blocks
-from coxkl.cli import COMMANDS, WGRAPH_ACTIONS, build_parser, main
+from coxkl.cli import COMMANDS, WGRAPH_ACTIONS, build_parser, json_text, main
 from coxkl.laurent import LaurentMatrix, LaurentPoly, format_laurent, parse_laurent
 from coxkl.scalars import parse_scalar
 from coxkl.linalg import laurent_rank
@@ -58,6 +60,31 @@ def test_selftest_with_a_command_is_a_usage_error(capsys, tmp_path, command):
     captured = capsys.readouterr()
     assert not captured.out and not out.exists()
     assert captured.err == f"error: --selftest takes no command, got {command[0]}\n"
+
+
+# quotes, backslashes, control characters, non-ASCII and astral characters
+JSON_STRINGS = st.text() | st.text(
+    st.sampled_from('a "\\/\x00\n\t\x1f\x7f\u00e9\u2028\U0001f600')
+)
+JSON_PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40)
+    | JSON_STRINGS,
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.just(()) | st.dictionaries(JSON_STRINGS, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_PAYLOADS)
+def test_json_text_writes_the_bytes_of_json_dumps(payload):
+    assert json_text(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("payload", [1.5, {"a": [0.0]}, {1: "a"}, {"a": {None: 1}}])
+def test_json_text_refuses_a_float_or_a_key_that_is_not_a_string(payload):
+    with pytest.raises(TypeError):
+        json_text(payload)
 
 
 def test_group(capsys):
@@ -399,8 +426,9 @@ def test_usage_errors(capsys, tmp_path, fixture_dir):
         (["group", "--group", "A3:"], "bad weight list in 'A3:'"),
         (["group", "--group", "A3", "--weights", ""], "bad weight list in 'A3:'"),
         (["kl", "--group", "A3", "--weights="], "bad weight list in 'A3:'"),
-        # a weight is ASCII digits, and positive
+        # a weight is ASCII digits without a leading zero, and positive
         (["group", "--group", "B3:\uff12,1,1"], "bad weight list in 'B3:\uff12,1,1'"),
+        (["group", "--group", "B3:02,1,1"], "bad weight list in 'B3:02,1,1'"),
         (["group", "--group", "B3:0,1,1"], "weights must be positive integers"),
     ]:
         assert main(argv) == 2

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 import pytest
-from oracles import GOLDEN, sqrt5_sign
+from oracles import GOLDEN, downsets_by_s_image, sqrt5_sign
 
 from coxkl import coxeter
 from coxkl.coxeter import (
@@ -170,9 +170,9 @@ def test_unknown_types_rejected():
     for bad in ("E6", "Z4", "A0", "I2(7)", "H4", "B9"):
         with pytest.raises(ValueError):
             build_group(bad)
-    # one spelling per name, and a weight list is never empty
+    # one spelling per name and per weight, and a weight list is never empty
     for bad in ("A03", "I2(05)", "a3", " A3", "A3:", "A3:1,,1", "A3: 1,1,1",
-                "A3:+1,1,1", "B3:2,1,1:2,1,1"):
+                "A3:+1,1,1", "B3:2,1,1:2,1,1", "B3:02,1,1", "A3:1,1,01"):
         with pytest.raises(ValueError):
             build_group(bad)
     with pytest.raises(ValueError):
@@ -231,6 +231,14 @@ def test_bruhat_matches_oracle():
         for w in tops:
             below = {y for y in eng.elements if eng.bruhat_le(y, w)}
             assert below == subword_down(eng, w), (ts, w)
+
+
+@pytest.mark.parametrize("ts", SHIPPED)
+def test_downsets_match_interval_images(ts):
+    """Every downset bitset, built from the coatoms, against the same bitset
+    built from the image of [1, sw] under s."""
+    eng = engine(ts)
+    assert eng._downsets() == downsets_by_s_image(eng)
 
 
 def test_lifting_property(a3):

@@ -24,7 +24,7 @@ from coxkl.laurent import (
     shift,
     unpack,
 )
-from coxkl.scalars import Sqrt5, scalar_str
+from coxkl.scalars import Sqrt5, parse_scalar, scalar_str
 
 
 def lp(d):
@@ -184,6 +184,17 @@ def test_sqrt5_wire_format():
     for bad in ("(1+)", "(r5)", "((1))", "(1/21/2r5)", "(1+2r5", "()", "#0"):
         with pytest.raises(ValueError):
             parse_laurent(bad)
+
+
+def test_parse_scalar_reads_the_whole_text():
+    assert parse_scalar("-3/2") == Fraction(-3, 2)
+    assert parse_scalar("1/2+1/2r5") == GOLDEN
+    assert parse_scalar("-1r5") == Sqrt5(0, -1)
+    # a final newline is text too
+    for bad in ("", " ", "1 ", " 1", "1\n", "1/2r5\n", "1+\n", "r5", "1+",
+                "1r5+2", "1/2/3", "\u0662", "1/0"):
+        with pytest.raises(ValueError):
+            parse_scalar(bad)
 
 
 def test_sqrt5_scalars_mix_with_laurent_polys():
