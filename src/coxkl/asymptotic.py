@@ -26,7 +26,6 @@ test oracles in `tests/oracles.py`.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
 
 from .balance import (
     BalancedData,
@@ -35,7 +34,7 @@ from .balance import (
     balance,
     leading_coefficients,
 )
-from .coxeter import Element, GroupEngine
+from .coxeter import Element, GroupEngine, Record
 from .kl import KLContext
 from .laurent import (
     LaurentMatrix,
@@ -60,7 +59,7 @@ from .wgraph import (
 )
 
 
-class IrreducibleDatum(NamedTuple):
+class IrreducibleDatum(Record):
     """A balanced representation of one isomorphism type with its constants."""
 
     rep: Representation
@@ -68,7 +67,7 @@ class IrreducibleDatum(NamedTuple):
     f: object  # F-unit
 
 
-class JData(NamedTuple):
+class JData(Record):
     """Leading-coefficient structure constants of the asymptotic algebra."""
 
     engine: GroupEngine
@@ -210,7 +209,7 @@ def cell_representation(
     return Representation(eng, gens)
 
 
-class GeckMuellerReport(NamedTuple):
+class GeckMuellerReport(Record):
     balanced: bool
     a_value: int | None
     entrywise_equal: bool | None
@@ -249,7 +248,7 @@ def geck_mueller_check(g: WGraph, kl: KLContext) -> GeckMuellerReport:
 # -- the cellular basis ----------------------------------------------------------------
 
 
-class CellDatum(NamedTuple):
+class CellDatum(Record):
     """A cellular basis indexed by (type, row, column) triples."""
 
     engine: GroupEngine
@@ -306,7 +305,7 @@ def cell_basis(irreducibles: list[IrreducibleDatum], kl: KLContext) -> CellDatum
     return CellDatum(eng, dims, basis, lambda_lt, cell_block)
 
 
-class CellAxiomReport(NamedTuple):
+class CellAxiomReport(Record):
     ok: bool
     failures: list[str]
 

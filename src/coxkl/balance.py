@@ -24,9 +24,7 @@ bound; a module over Q(sqrt 5) is swept as its restriction of scalars to Q.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .coxeter import Element
+from .coxeter import Element, Record
 from .laurent import LaurentMatrix, LaurentPoly, from_sum
 from .scalars import scalar_inv, scalar_str
 from .wgraph import Representation
@@ -46,7 +44,7 @@ class NotBalancedError(VerificationError):
         self.a_value = a
 
 
-class BalancedData(NamedTuple):
+class BalancedData(Record):
     """Outcome of balancing: the a-value, base change and leading table."""
 
     a_value: int

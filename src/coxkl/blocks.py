@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import NamedTuple
 
 from .asymptotic import class_character
-from .coxeter import Element
+from .coxeter import Element, Record
 from .laurent import LaurentMatrix, LaurentPoly
 from .linalg import f_mat_is_zero, laurent_rank, laurent_solve_kernel_matrices
 from .wgraph import (
@@ -29,7 +28,7 @@ from .wgraph import (
 )
 
 
-class CongruenceReport(NamedTuple):
+class CongruenceReport(Record):
     ok: bool
     failures: list[str]
     residue: list | None
@@ -142,7 +141,7 @@ def intertwiner_space(r1: Representation, r2: Representation) -> list[LaurentMat
     return laurent_solve_kernel_matrices([block], (d2, d1))
 
 
-class BlockReport(NamedTuple):
+class BlockReport(Record):
     """Residue block analysis of a matrix grouped by row/column labels."""
 
     #: the nonzero off-label residue blocks, keyed by (row label, column label)
@@ -182,7 +181,7 @@ def block_report(
     return BlockReport(offdiag, all(cl < rl for rl, cl in offdiag), not offdiag)
 
 
-class OmegaCertificate(NamedTuple):
+class OmegaCertificate(Record):
     matrix: LaurentMatrix
     residuals: dict[str, int]
     ok: bool

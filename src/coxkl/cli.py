@@ -12,7 +12,11 @@ invocations are byte-identical.
 Each call is a fresh process, so it pays only for its own command:
 `build_parser` builds just the rows that the command line names, and `run`,
 the entry point of `coxkl` and `python -m coxkl.cli`, freezes the objects
-of the import with `gc.freeze()` before it calls `main`.
+of the import with `gc.freeze()` before it calls `main` and ends the process
+with `os._exit` after it, without tearing the interpreter down.  The import
+loads no `json`, `pathlib` or `typing`: `json_text` encodes strings with the
+C encoder of `_json`, only a command that reads a W-graph file imports
+`json`, and only `fixtures` imports `pathlib`.
 
 Exit status: 0 when the verdict passes, 1 when it fails or a
 `VerificationError` is raised, 2 on usage error, including a path that
@@ -23,11 +27,10 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
+import os
 import re
 import sys
-from json.encoder import encode_basestring_ascii as _encode_str
-from pathlib import Path
+from _json import encode_basestring_ascii as _encode_str
 
 from . import asymptotic, balance as balance_mod, blocks as blocks_mod
 from .coxeter import CATALOGUE, bit_indices, shared_engine
@@ -129,7 +132,10 @@ def _label(label) -> str:
 
 
 def _load_graph(path: str):
-    return wgraph_from_json(json.loads(Path(path).read_text()))
+    import json  # only the commands that read a W-graph file pay for it
+
+    with open(path) as f:
+        return wgraph_from_json(json.load(f))
 
 
 def _load_valid_graph(path: str):
@@ -406,6 +412,8 @@ def cmd_labels(args):
 
 def cmd_fixtures(args):
     """Write each catalogue graph to DIR/<name>.json; the payload names them."""
+    from pathlib import Path
+
     outdir = Path(args.dir or "fixtures")
     outdir.mkdir(parents=True, exist_ok=True)
     graphs = catalogue()
@@ -526,7 +534,8 @@ def main(argv=None) -> int:
         text = json_text(payload)
         out = getattr(args, "out", None)
         if out:
-            Path(out).write_text(text)
+            with open(out, "w") as f:
+                f.write(text)
         else:
             sys.stdout.write(text)
     except balance_mod.VerificationError as exc:
@@ -540,13 +549,28 @@ def main(argv=None) -> int:
 
 def run() -> int:
     """The process entry point: `main` on the command line, after
-    `gc.freeze()`.  The objects alive by then (the imported modules, their
-    classes and functions) live until exit anyway.  Frozen, they are walked
-    by no collection during the run, and the collection at shutdown leaves
-    them to the OS instead of freeing them one by one.  `main` itself never
-    freezes, since in-process callers run it many times."""
+    `gc.freeze()`, and then `os._exit` with its status.
+
+    The objects alive after the import (the modules, their classes and
+    functions) live until exit anyway.  Frozen, they are walked by no
+    collection during the run.  Once `main` has returned, all that is left
+    of a normal exit is the flush of stdout and stderr: `main` has closed
+    any `--out` file, and coxkl registers no `atexit` hook.  So `run`
+    flushes both and `os._exit` hands the process to the OS without tearing
+    down the interpreter.  If that flush fails (a full disk or a closed pipe
+    behind a buffered stdout), `run` returns instead, and the interpreter's
+    own exit reports it as it always has.  An exception or an argparse
+    `SystemExit` that escapes `main` exits the normal way too.  `main`
+    itself neither freezes nor exits, since in-process callers run it many
+    times."""
     gc.freeze()
-    return main()
+    rc = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        return rc
+    os._exit(rc)
 
 
 if __name__ == "__main__":

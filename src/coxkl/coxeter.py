@@ -31,6 +31,53 @@ from __future__ import annotations
 from itertools import permutations
 
 
+class Record:
+    """An immutable record: the fields are the subclass's own annotations,
+    in order, and a field given a value in the class body defaults to it.
+
+    It is built by position or keyword, compares equal by type and fields
+    and offers `_replace`, as a `typing.NamedTuple` does, but builds no class
+    through a factory at import; a record is not a tuple."""
+
+    _fields = ()  # set per subclass
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        cls, fields = type(self), self._fields
+        if len(args) > len(fields) or not set(kwargs) <= set(fields[len(args):]):
+            raise TypeError(f"{cls.__name__} takes the fields {', '.join(fields)}; "
+                            f"got {len(args)} by position and {sorted(kwargs)}")
+        values = dict(zip(fields, args))
+        for name in fields[len(args):]:
+            if name in kwargs:
+                values[name] = kwargs[name]
+            elif name in vars(cls):
+                values[name] = vars(cls)[name]
+            else:
+                raise TypeError(f"{cls.__name__} is missing the field {name!r}")
+        self.__dict__.update(values)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable; use _replace")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
+        return f"{type(self).__name__}({fields})"
+
+    def _replace(self, **changes):
+        return type(self)(**{**self.__dict__, **changes})
+
+
 class CoxeterDatum:
     """Generators, Coxeter matrix and a positive integral weight function."""
 

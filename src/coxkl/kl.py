@@ -37,9 +37,7 @@ set here and for the cell representations of `coxkl.asymptotic`.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .coxeter import Element, GroupEngine, bit_indices
+from .coxeter import Element, GroupEngine, Record, bit_indices
 from .graphs import condensation_order, edge_adjacency
 from .laurent import (
     LaurentPoly,
@@ -60,7 +58,7 @@ from .laurent import (
 )
 
 
-class CellPartition(NamedTuple):
+class CellPartition(Record):
     """Cells of the C-basis multiplication graph with their preorder."""
 
     kind: str  # "left" | "right" | "two-sided"
@@ -75,7 +73,7 @@ class CellPartition(NamedTuple):
         raise KeyError(w)
 
 
-class ADeltaN(NamedTuple):
+class ADeltaN(Record):
     """Lusztig's a-function data, the Duflo set and the leading coefficients
     gamma, read off the h-table."""
 
@@ -96,9 +94,9 @@ class KLContext:
         self._pstar: dict[int, LaurentPoly] = {}
         # mu_list(w, s), keyed by w.index * rank + s
         self._mu_lists: dict[int, dict[int, LaurentPoly]] = {}
-        # bit i of _descent_masks[0][s] (of [1][s]) is set iff s is a left
-        # (right) descent of w_i
-        self._descent_masks: tuple[list[int], list[int]] | None = None
+        # bit i of _bitmasks[0][s] (of [1][s]) is set iff s is a left (right)
+        # descent of w_i, and bit i of _bitmasks[2] iff w_i has odd length
+        self._bitmasks: tuple[list[int], list[int], int] | None = None
         self._cbasis: dict[Element, dict[Element, LaurentPoly]] = {}
         self._edges: dict[tuple[int, int, int], LaurentPoly] | None = None
         self._cells: dict[str, CellPartition] = {}
@@ -148,16 +146,19 @@ class KLContext:
         t = (moves & -moves).bit_length() - 1
         return t, table[t][yi]
 
-    def _masks(self) -> tuple[list[int], list[int]]:
-        """Per generator t, the bitsets {w : t in D_L(w)} and {w : t in D_R(w)}."""
-        if self._descent_masks is None:
+    def _masks(self) -> tuple[list[int], list[int], int]:
+        """Per generator t, the bitsets {w : t in D_L(w)} and {w : t in D_R(w)},
+        and the bitset {w : l(w) odd}."""
+        if self._bitmasks is None:
             eng = self.engine
-            self._descent_masks = tuple(
+            left, right = (
                 [sum(1 << i for i, d in enumerate(desc) if d >> t & 1)
                  for t in range(eng.datum.rank)]
                 for desc in (eng.ldesc, eng.rdesc)
             )
-        return self._descent_masks
+            odd = sum(1 << i for i, n in enumerate(eng.lengths) if n & 1)
+            self._bitmasks = left, right, odd
+        return self._bitmasks
 
     def pstar(self, y: Element, w: Element) -> LaurentPoly:
         """The inverse Kazhdan-Lusztig polynomial P*_{y,w}."""
@@ -246,7 +247,13 @@ class KLContext:
         (Lusztig, Hecke algebras with unequal parameters, Thm 5.2).  So that
         coefficient is 0 unless u = w and gamma = L, that is unless y is tw
         or wt for a descent t of w, where it is 1; only the critical y are
-        read from the memo of critical pairs.
+        read from the memo of critical pairs, and of those only the y with
+        l(w) - l(y) odd.  Here y <= w lie in the parabolic subgroup W_supp(w),
+        whose KL polynomials are those of W and where every weight is L, so
+        P_{y,w} is a polynomial in v^2L, and P*_{y,w} = v^(-L(l(w) - l(y)))
+        P_{y,w} has only exponents congruent to L(l(w) - l(y)) modulo 2L.  Its
+        v^-L coefficient is therefore 0 when l(w) - l(y) is even.  (The
+        one-step y have length l(w) - 1.)
 
         Otherwise mu is alpha + bar(alpha_{>0}) for the part alpha of
         degree >= 0 of
@@ -264,11 +271,12 @@ class KLContext:
             raise ValueError(f"generator {s} is a left descent of {w!r}")
         weights = eng.datum.weights
         ls = weights[s]
-        left, right = self._masks()
+        left, right, odd = self._masks()
         down, elements = eng._downsets(), eng.elements
         out = {}
         if all(weights[t] == ls for t in eng.support(w)):
-            critical, one_step = down[wi], 0
+            critical = down[wi] & (~odd if eng.lengths[wi] & 1 else odd)
+            one_step = 0
             for t in bit_indices(eng.ldesc[wi]):
                 critical &= left[t]
                 one_step |= 1 << eng.lmul[t][wi]

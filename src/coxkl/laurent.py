@@ -406,22 +406,23 @@ def laurent_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
 #
 # Wire format: terms joined by " + " as `format_laurent` writes them, e.g.
 # "-1*v^-1 + 2 + (1/2+1/2r5)*v^1", a Q(sqrt 5) coefficient with an irrational
-# part in parentheses.  `parse_laurent` reads one term per match of _TERM_RE:
+# part in parentheses.  `parse_laurent` reads one term per match of _TERM:
 #
 #   term  = sign (coeff | power | coeff ["*"] power)
 #   sign  = "+" | "-" | "+ -", which the first term may leave out
 #   coeff = digits ["/" digits] | "(" scalar ")"    power = "v" ["^" [+-] digits]
 #
 # Digits are ASCII.  Whitespace may stand between two tokens, but not between
-# two word characters (_SPLIT_RE: "1/2 3" is not 1/23).  So blank text, an
+# two word characters (_SPLIT: "1/2 3" is not 1/23).  So blank text, an
 # empty term ("1++2"), a digit after ")" ("(3)0") and "\u0662" are refused.
+# Both are compiled on the first parse, through `re`'s own cache.
 
-_TERM_RE = re.compile(
+_TERM = (
     r"\s*(?P<sign>\+\s*-|[+-]|^)\s*"
     r"(?:(?P<num>[0-9]+(?:\s*/\s*[0-9]+)?)|\((?P<paren>[^()]*)\)|(?=v))"
     r"(?:\s*\*?\s*(?P<var>v)(?:\s*\^\s*(?P<exp>[+-]?\s*[0-9]+))?)?\s*"
 )
-_SPLIT_RE = re.compile(r"\w\s+\w")
+_SPLIT = r"\w\s+\w"
 
 
 def format_laurent(f: LaurentPoly) -> str:
@@ -456,12 +457,13 @@ def laurent_formatter():
 def parse_laurent(text: str) -> LaurentPoly:
     """Inverse of `format_laurent`; malformed text or a coefficient with a
     zero denominator raises ValueError."""
-    if _SPLIT_RE.search(text):
+    if re.search(_SPLIT, text):
         raise ValueError(f"bad Laurent polynomial {text!r}")
+    term = re.compile(_TERM)
     out: dict = {}
     pos = 0
     while True:
-        m = _TERM_RE.match(text, pos)
+        m = term.match(text, pos)
         if m is None:
             raise ValueError(f"bad Laurent term {text[pos:]!r} in {text!r}")
         coeff = m["num"] or m["paren"]

@@ -141,17 +141,15 @@ def scalar_str(c) -> str:
 
 _RATIONAL = r"[+-]?\d+(?:/\d+)?"
 # the rational part, if any, ends where the signed r5 part begins; digits
-# are ASCII
-_SQRT5_RE = re.compile(
-    rf"(?:(?P<a>{_RATIONAL})(?=[+-]|\Z))?(?:(?P<b>{_RATIONAL})r5)?", re.ASCII
-)
+# are ASCII.  Compiled on the first parse, through `re`'s own cache.
+_SQRT5 = rf"(?:(?P<a>{_RATIONAL})(?=[+-]|\Z))?(?:(?P<b>{_RATIONAL})r5)?"
 
 
 def parse_scalar(text: str):
     """Inverse of `scalar_str`: "a", "a+br5", "a-br5" or "br5".
 
     A zero denominator raises ValueError."""
-    m = _SQRT5_RE.fullmatch(text)
+    m = re.fullmatch(_SQRT5, text, re.ASCII)
     if not text or not m:
         raise ValueError(f"bad scalar {text!r}")
     try:

@@ -24,12 +24,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import NamedTuple
 
 from .coxeter import (
     CoxeterDatum,
     Element,
     GroupEngine,
+    Record,
     diagram_engine,
     recognize_type,
     shared_engine,
@@ -234,7 +234,7 @@ class Representation:
         return Representation(self.engine, [p_inv @ g @ p for g in self.gens])
 
 
-class OmegaMatrices(NamedTuple):
+class OmegaMatrices(Record):
     """Idempotent and arrow matrices of a W-graph module."""
 
     e: dict[int, LaurentMatrix]
@@ -301,7 +301,7 @@ def braid_commutator_direct(
     return left - right
 
 
-class ValidationReport(NamedTuple):
+class ValidationReport(Record):
     ok: bool
     failures: list[str]
     checked_pairs: list[tuple[int, int]]
@@ -468,7 +468,7 @@ def omega_matrices(g: WGraph) -> OmegaMatrices:
     return OmegaMatrices(e, x)
 
 
-class RelationReport(NamedTuple):
+class RelationReport(Record):
     ok: bool
     failures: list[str]
     checked: int
@@ -583,7 +583,7 @@ def omega_gy_relations_check(g: WGraph) -> RelationReport:
 # -- compatibility graph -----------------------------------------------------------------
 
 
-class CompatibilityGraph(NamedTuple):
+class CompatibilityGraph(Record):
     vertices: list[frozenset]
     #: directed edges (target I, source J), i.e. "I <- J"
     edges: set[tuple[frozenset, frozenset]]

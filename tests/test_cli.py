@@ -702,18 +702,23 @@ def test_tracer_times_the_balance_layer(capsys, tmp_path):
 
 
 def test_import_loads_no_dataclasses():
-    """Each CLI call is a fresh process that pays for every import:
-    `coxkl.cli` loads neither `dataclasses` nor the `inspect` it pulls in.
-    `-S` keeps site packages out of the count."""
-    code = (
-        "import coxkl.cli, sys; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    )
-    res = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, env=_src_env()
-    )
-    assert res.returncode == 0, res.stderr.decode()
-    assert res.stdout.decode().strip() == "[]"
+    """Each CLI call is a fresh process that pays for every import: neither
+    `coxkl.cli` nor `coxkl.fixtures` (the benchmark's set-up probe reads
+    `shared_engine` from it) loads `dataclasses`, `inspect`, `typing`,
+    `pathlib` or `json`.  `-S` keeps site packages, whose start-up hooks
+    may load some of them, out of the count."""
+    for module in ("coxkl.cli", "coxkl.fixtures"):
+        code = (
+            f"import sys, {module}; "
+            "from coxkl.fixtures import shared_engine; "
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'pathlib', 'json'}"
+            " & set(sys.modules)))"
+        )
+        res = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, env=_src_env()
+        )
+        assert res.returncode == 0, res.stderr.decode()
+        assert res.stdout.decode().strip() == "[]", module
 
 
 SMOKE_GROUPS = [
@@ -1146,6 +1151,80 @@ def test_run_freezes_the_import_and_main_does_not(capsys):
     assert main(["group", "--group", "A1"]) == 0
     assert gc.get_freeze_count() == frozen
     json.loads(capsys.readouterr().out)
+
+
+def _cli(*argv, **kwargs):
+    """`python -m coxkl.cli argv` in a fresh process, which ends in `run`."""
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, "-m", "coxkl.cli", *map(str, argv)],
+                          stderr=subprocess.PIPE, env=_src_env(), **kwargs)
+
+
+@pytest.mark.parametrize("argv", [["kl", "--group", "D4"], ["group", "--group", "A2"]],
+                         ids=["more than a pipe holds", "less than the buffer"])
+def test_run_exits_after_the_whole_payload(capsys, monkeypatch, tmp_path, argv):
+    """`run` ends the process with `os._exit` after flushing: the piped,
+    buffered stdout, and the same payload through `--out`, are the
+    in-process output byte for byte."""
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    res = _cli(*argv)
+    assert res.returncode == 0 and not res.stderr
+    assert res.stdout == text.encode()
+    out = tmp_path / "out.json"
+    res = _cli(*argv, "--out", out)
+    assert res.returncode == 0 and not res.stdout and not res.stderr
+    assert out.read_text() == text
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["cellbasis", "--group", "B3"], 1,
+     "error: a KL left cell of this group is reducible; "),
+    (["wgraph", "restrict", "{chi7}", "--subset", "1,1"], 2,
+     "error: bad --subset '1,1': repeats a generator\n"),
+], ids=["exit 1", "exit 2"])
+def test_run_keeps_the_error_line(fixture_dir, argv, code, message):
+    res = _cli(*[a.format(chi7=fixture_dir / "b3_chi7.json") for a in argv])
+    assert res.returncode == code and not res.stdout
+    err = res.stderr.decode()
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, unbuffered", [
+    (["group", "--group", "A2"], "1"), (["kl", "--group", "D4"], ""),
+], ids=["unbuffered", "more than the buffer"])
+def test_run_reports_a_full_stdout(monkeypatch, argv, unbuffered):
+    """A write that fails inside `main` is its exit 2 with one `error:` line:
+    unbuffered, or buffered with more than the buffer holds."""
+    monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+    with open("/dev/full", "w") as full:
+        res = _cli(*argv, stdout=full)
+    assert res.returncode == 2
+    assert res.stderr.decode() == "error: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_run_leaves_a_failed_flush_to_the_interpreter(monkeypatch):
+    """A small payload sits in stdout's buffer when `main` returns; its
+    failed flush in `run` leaves the exit to the interpreter, which reports
+    it without a traceback of `run`."""
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    with open("/dev/full", "w") as full:
+        res = _cli("group", "--group", "A2", stdout=full)
+    assert res.returncode != 0
+    err = res.stderr.decode()
+    assert "No space left on device" in err and "Traceback" not in err
+
+
+def test_run_writes_fixtures_to_a_directory_with_a_trailing_slash(tmp_path):
+    """The `dir` of the payload is the path as `pathlib` spells it."""
+    res = _cli("fixtures", "--out", f"{tmp_path / 'fx'}/")
+    assert res.returncode == 0, res.stderr.decode()
+    payload = json.loads(res.stdout)
+    assert payload["dir"] == str(tmp_path / "fx")
+    assert sorted(p.stem for p in (tmp_path / "fx").iterdir()) == payload["written"]
 
 
 @pytest.mark.parametrize(

@@ -17,10 +17,12 @@ import pytest
 from oracles import GOLDEN, downsets_by_s_image, sqrt5_sign
 
 from coxkl import coxeter
+from coxkl.blocks import OmegaCertificate
 from coxkl.coxeter import (
     CATALOGUE,
     CoxeterDatum,
     GroupEngine,
+    Record,
     build_group,
     parse_type_string,
     recognize_type,
@@ -521,3 +523,58 @@ def test_conjugacy_class_representatives(group):
         covered |= cls
         assert w.length() == min(c.length() for c in cls)
     assert len(covered) == eng.order
+
+
+class Span(Record):
+    lo: int
+    hi: int
+    tag: str = "open"
+
+
+def test_record_is_built_by_position_or_keyword():
+    """The fields are the class's annotations in order; a field with a
+    class-level value defaults to it."""
+    assert Span._fields == ("lo", "hi", "tag")
+    a = Span(1, 2)
+    assert (a.lo, a.hi, a.tag) == (1, 2, "open")
+    assert Span(hi=2, lo=1) == a == Span(1, hi=2, tag="open")
+    assert Span(1, 2, "shut").tag == "shut"
+    assert repr(a) == "Span(lo=1, hi=2, tag='open')"
+    cert = OmegaCertificate(matrix=None, residuals={}, ok=True)
+    assert cert.note == "" and OmegaCertificate(None, {}, True, "x").note == "x"
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((1,), {}, "missing the field 'hi'"),
+    ((), {"hi": 2}, "missing the field 'lo'"),
+    ((1, 2), {"width": 3}, "takes the fields lo, hi, tag"),
+    ((1, 2), {"lo": 1}, "takes the fields lo, hi, tag"),
+    ((1, 2, "a", "b"), {}, "takes the fields lo, hi, tag"),
+], ids=["missing", "missing first", "unknown", "given twice", "too many"])
+def test_record_refuses_a_missing_or_unknown_field(args, kwargs, message):
+    with pytest.raises(TypeError, match=message):
+        Span(*args, **kwargs)
+
+
+def test_record_compares_by_type_and_fields():
+    class Other(Record):
+        lo: int
+        hi: int
+        tag: str = "open"
+
+    a = Span(1, [2])
+    assert a == Span(1, [2]) and not a != Span(1, [2])
+    assert a != Span(1, [3]) and a != Span(1, [2], "shut")
+    assert a != Other(1, [2]) and a != (1, [2], "open")
+
+
+def test_record_is_immutable_and_replaced():
+    a = Span(1, 2)
+    for change in (lambda: setattr(a, "lo", 5), lambda: setattr(a, "new", 5),
+                   lambda: delattr(a, "lo")):
+        with pytest.raises(AttributeError, match="Span is immutable"):
+            change()
+    b = a._replace(hi=7)
+    assert b == Span(1, 7) and a == Span(1, 2)
+    with pytest.raises(TypeError):
+        a._replace(width=3)
