@@ -25,7 +25,7 @@ bound; a module over Q(sqrt 5) is swept as its restriction of scalars to Q.
 from __future__ import annotations
 
 from .coxeter import Element, Record
-from .laurent import LaurentMatrix, LaurentPoly, from_sum
+from .laurent import LaurentMatrix, LaurentPoly, from_sum, shift
 from .scalars import scalar_inv, scalar_str
 from .wgraph import Representation
 
@@ -196,12 +196,11 @@ def _eliminate(matrix: LaurentMatrix):
                     f"the leading Gram is not definite"
                 )
             gamma = vii // 2
-            mono_dn = LaurentPoly({-gamma: 1})
-            w[i] = [x * mono_dn for x in w[i]]
+            w[i] = [shift(x, -gamma) for x in w[i]]
             for k in range(d):
-                w[k][i] = w[k][i] * mono_dn
-                qe[k][i] = qe[k][i] * mono_dn
-            qie[i] = [x * LaurentPoly({gamma: 1}) for x in qie[i]]
+                w[k][i] = shift(w[k][i], -gamma)
+                qe[k][i] = shift(qe[k][i], -gamma)
+            qie[i] = [shift(x, gamma) for x in qie[i]]
             ov = omega.valuation()
             if ov is not None and ov < 0:
                 raise VerificationError(

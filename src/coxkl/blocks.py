@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .asymptotic import class_character
 from .coxeter import Element, Record
-from .laurent import LaurentMatrix, LaurentPoly
+from .laurent import LaurentMatrix, LaurentPoly, shift
 from .linalg import f_mat_is_zero, laurent_rank, laurent_solve_kernel_matrices
 from .wgraph import (
     Representation,
@@ -25,6 +25,7 @@ from .wgraph import (
     label_subsets,
     omega_matrices,
     wgraph_matrices,
+    word_products,
 )
 
 
@@ -54,10 +55,9 @@ def tw_diagonal_congruence(g: WGraph, w: Element, word=None) -> CongruenceReport
     else:
         if eng.from_word(word) != w or len(word) != w.length():
             return CongruenceReport(False, ["word is not a reduced word of w"], None)
-    m = LaurentMatrix.identity(g.size)
-    for s in word:
-        vs = LaurentPoly({eng.generator_weight(s): 1})
-        m = m @ rep.gens[s].scale(vs)
+    for m in word_products(rep.gens, word):
+        pass
+    m = m.scale(LaurentPoly({eng.weight(w): 1}))
     failures = []
     val = m.valuation()
     if val is not None and val < 0:
@@ -93,7 +93,7 @@ def label_multiset_from_character(rep: Representation) -> dict[frozenset, int]:
     for j in subsets:
         wj = eng.longest_element(j)
         tr = rep.character(wj)
-        shifted = tr * LaurentPoly({eng.weight(wj): 1})
+        shifted = shift(tr, eng.weight(wj))
         val = shifted.valuation()
         if val is not None and val < 0:
             raise ValueError(

@@ -13,7 +13,8 @@ Each call is a fresh process, so it pays only for its own command:
 `build_parser` builds just the rows that the command line names, and `run`,
 the entry point of `coxkl` and `python -m coxkl.cli`, freezes the objects
 of the import with `gc.freeze()` before it calls `main` and ends the process
-with `os._exit` after it, without tearing the interpreter down.  The import
+with `os._exit` after it, without tearing the interpreter down.  `main`
+flushes stdout itself, so a write that fails is its usage error.  The import
 loads no `json`, `pathlib` or `typing`: `json_text` encodes strings with the
 C encoder of `_json`, only a command that reads a W-graph file imports
 `json`, and only `fixtures` imports `pathlib`.
@@ -524,10 +525,11 @@ def main(argv=None) -> int:
         root_extras = ap.parse_known_args(head)[1]
         parser = ap if root_extras else args.parser
         parser.error(f"unrecognized arguments: {' '.join(root_extras or extras)}")
-    if not (args.selftest or args.command):
-        ap.print_help()
-        return USAGE
     try:
+        if not (args.selftest or args.command):
+            ap.print_help()
+            sys.stdout.flush()
+            return USAGE
         if args.selftest and args.command:
             raise ValueError(f"--selftest takes no command, got {args.command}")
         payload, ok = run_selftest() if args.selftest else args.func(args)
@@ -538,6 +540,7 @@ def main(argv=None) -> int:
                 f.write(text)
         else:
             sys.stdout.write(text)
+            sys.stdout.flush()
     except balance_mod.VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAIL
@@ -553,24 +556,18 @@ def run() -> int:
 
     The objects alive after the import (the modules, their classes and
     functions) live until exit anyway.  Frozen, they are walked by no
-    collection during the run.  Once `main` has returned, all that is left
-    of a normal exit is the flush of stdout and stderr: `main` has closed
-    any `--out` file, and coxkl registers no `atexit` hook.  So `run`
-    flushes both and `os._exit` hands the process to the OS without tearing
-    down the interpreter.  If that flush fails (a full disk or a closed pipe
-    behind a buffered stdout), `run` returns instead, and the interpreter's
-    own exit reports it as it always has.  An exception or an argparse
-    `SystemExit` that escapes `main` exits the normal way too.  `main`
-    itself neither freezes nor exits, since in-process callers run it many
-    times."""
+    collection during the run.  Once `main` has returned, nothing is left
+    for a normal exit to do: `main` has flushed stdout inside its error
+    handling (a full disk or a closed pipe is its exit 2 with one `error:`
+    line, under any buffering), it has closed any `--out` file, stderr is
+    line-buffered and gets only whole lines, and coxkl registers no
+    `atexit` hook.  So `os._exit` hands the process to the OS without
+    tearing down the interpreter, and drops what a failed flush left in
+    stdout's buffer.  An exception or an argparse `SystemExit` that escapes
+    `main` exits the normal way.  `main` itself neither freezes nor exits,
+    since in-process callers run it many times."""
     gc.freeze()
-    rc = main()
-    try:
-        sys.stdout.flush()
-        sys.stderr.flush()
-    except OSError:
-        return rc
-    os._exit(rc)
+    os._exit(main())
 
 
 if __name__ == "__main__":

@@ -2,9 +2,9 @@
 their condensation, from one iterative Tarjan sweep.
 
 Tarjan's algorithm (SIAM J. Comput. 1, 1972) closes a component only after
-every component its edges enter, so the reach of a component is known the
-moment it closes: its own bit together with the reaches of the closed
-components that edges from its vertices enter.
+every component its edges enter, so one pass over the components in closing
+order gives each its reach: its own bit together with the reaches of the
+components that edges from its vertices enter, all of them closed before it.
 """
 
 from __future__ import annotations
@@ -33,12 +33,8 @@ def condensation_order(n: int, adj) -> tuple[list[list[int]], set[tuple[int, int
     index = [-1] * n
     low = [0] * n
     comp_of = [-1] * n  # -1 exactly while the vertex is on the stack
-    # the union of the reaches of the closed components that edges enter
-    # from v and from the vertices of v's subtree still open with it
-    entered = [0] * n
     stack: list[int] = []
-    comps: list[list[int]] = []
-    reach: list[int] = []  # bitsets over component numbers
+    comps: list[list[int]] = []  # in closing order
     counter = 0
     for root in range(n):
         if index[root] != -1:
@@ -56,11 +52,8 @@ def condensation_order(n: int, adj) -> tuple[list[list[int]], set[tuple[int, int
                     stack.append(w)
                     work.append((w, iter(adj[w])))
                     break
-                cw = comp_of[w]
-                if cw == -1:
+                if comp_of[w] == -1:
                     low[v] = min(low[v], index[w])
-                else:
-                    entered[v] |= reach[cw]
             else:
                 work.pop()
                 if low[v] == index[v]:
@@ -73,15 +66,17 @@ def condensation_order(n: int, adj) -> tuple[list[list[int]], set[tuple[int, int
                         if w == v:
                             break
                     comps.append(comp)
-                    reach.append(entered[v] | (1 << ci))
-                if work:
+                if work and comp_of[v] == -1:
                     u = work[-1][0]
-                    cv = comp_of[v]
-                    if cv == -1:
-                        low[u] = min(low[u], low[v])
-                        entered[u] |= entered[v]
-                    else:
-                        entered[u] |= reach[cv]
+                    low[u] = min(low[u], low[v])
+    reach = [0] * len(comps)  # bitsets over component numbers
+    for ci, comp in enumerate(comps):
+        # an edge inside the component reads its reach while it is still 0
+        bits = 1 << ci
+        for v in comp:
+            for w in adj[v]:
+                bits |= reach[comp_of[w]]
+        reach[ci] = bits
     pairs = [(i, j) for j, bits in enumerate(reach) for i in bit_indices(bits)]
     # a block reachable from j is also reachable from everything reaching j,
     # so the number of blocks reaching a block orders it topologically

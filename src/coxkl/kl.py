@@ -291,10 +291,9 @@ class KLContext:
                 if c:
                     out[yi] = LaurentPoly({0: c})
         else:
-            vs = LaurentPoly({ls: 1})
             for yi in reversed(list(bit_indices(down[wi] & left[s]))):
                 y = elements[yi]
-                alpha = self.pstar(y, w) * vs
+                alpha = shift(self.pstar(y, w), ls)
                 for zi, mz in out.items():
                     if down[zi] >> yi & 1:
                         alpha = alpha - self.pstar(y, elements[zi]) * mz

@@ -217,14 +217,15 @@ ONE = LaurentPoly({0: 1})
 
 # -- sparse linear combinations ------------------------------------------------
 #
-# A sum of products is accumulated in one bare {exponent: coefficient} map per
-# output entry and wrapped once by `from_sum`, which drops the zeros:
-# `out = out + a * b` would build two polynomials per term.  The loops that
-# do this (`LaurentMatrix.__matmul__`, `KLContext._pstar_critical`, the (C3)
-# check of `asymptotic.verify_cell_axioms`) and `LaurentPoly` arithmetic
-# itself keep the double loop inline, since a call per product shows there.
-# A product by a monomial v^k is `shift`, one pass over the keys.  Everything
-# else that sums sparse maps uses `add_term`.
+# Beyond `LaurentPoly` arithmetic itself, a product takes one of three routes:
+# along a word of generators, `wgraph.word_products`; by a monomial v^k,
+# `shift`, one pass over the keys; a sum of products, `@` on matrices or one
+# bare {exponent: coefficient} map per output entry wrapped once by
+# `from_sum`, which drops the zeros: `out = out + a * b` would build two
+# polynomials per term.  The loops that do this (`LaurentMatrix.__matmul__`,
+# `KLContext._pstar_critical`, the (C3) check of `asymptotic.verify_cell_axioms`)
+# keep the double loop inline, since a call per product shows there.
+# Everything else that sums sparse maps uses `add_term`.
 
 
 def add_term(out: dict, key, c) -> None:

@@ -117,14 +117,9 @@ def laurent_kernel(m: LaurentMatrix) -> list[list[LaurentPoly]]:
         for (r, c) in pivots:
             vec[c] = -rows[r][fc]
         basis.append(_normalize(vec))
-    for vec in basis:
-        for row in m.entries:
-            acc = ZERO
-            for a, x in zip(row, vec):
-                if a and x:
-                    acc = acc + a * x
-            if acc:
-                raise ArithmeticError("kernel verification failed")
+    # an empty basis has no matrix: LaurentMatrix(ncols, 0) is refused
+    if basis and not (m @ LaurentMatrix(ncols, len(basis), list(zip(*basis)))).is_zero():
+        raise ArithmeticError("kernel verification failed")
     return basis
 
 

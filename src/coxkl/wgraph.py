@@ -5,8 +5,9 @@ A W-graph is a vertex list with label sets I(x) in S and generator-indexed
 edge weights m^s_{xy}, subject to the support condition
 m^s_{xy} != 0  =>  s in I(x) \\ I(y).  The induced generator matrix has
 -v_s^-1 on labeled diagonal entries, v_s elsewhere, and the weights off the
-diagonal.  Braid relations are checked by direct alternating products, a
-check valid for every weight function.  A module walks W once, in packed
+diagonal.  `word_products` is the one product along a word: rho(T_w), the
+braid relations (a check valid for every weight function) and the path sums
+of the arrow matrices x_s all take it.  A module walks W once, in packed
 integers over Q, through the restriction of scalars when its coefficients
 lie in Q(sqrt 5) (`Representation.valuation_walk`).  The KL W-graph reads
 the edge map that `KLContext.wgraph_edges` builds once per context.  By
@@ -116,9 +117,8 @@ class Representation:
         self.gens = gens
 
     def t_matrix(self, w: Element) -> LaurentMatrix:
-        m = LaurentMatrix.identity(self.dim)
-        for s in self.engine.reduced_word(w):
-            m = m @ self.gens[s]
+        for m in word_products(self.gens, self.engine.reduced_word(w)):
+            pass
         return m
 
     def character(self, w: Element) -> LaurentPoly:
@@ -244,6 +244,17 @@ class OmegaMatrices(Record):
 # -- matrices of a W-graph -----------------------------------------------------
 
 
+def word_products(mats, word):
+    """Yield the product of `mats` (square, of one size, keyed by generator
+    from 0) along each prefix of `word`, identity first: 1, M_(s_1),
+    M_(s_1) M_(s_2), ...  A caller of the last alone keeps no other alive."""
+    m = LaurentMatrix.identity(mats[0].rows)
+    yield m
+    for s in word:
+        m = m @ mats[s]
+        yield m
+
+
 def wgraph_matrices(g: WGraph) -> Representation:
     """The generator matrices rho(T_s) induced by a W-graph."""
     eng = g.engine
@@ -293,11 +304,9 @@ def braid_commutator_direct(
     a: LaurentMatrix, b: LaurentMatrix, m: int
 ) -> LaurentMatrix:
     """Delta_m(a, b) = abab... - baba... with m factors each."""
-    left = LaurentMatrix.identity(a.rows)
-    right = LaurentMatrix.identity(a.rows)
-    for i in range(m):
-        left = left @ (a if i % 2 == 0 else b)
-        right = right @ (b if i % 2 == 0 else a)
+    word = [i % 2 for i in range(m)]
+    for left, right in zip(word_products([a, b], word), word_products([b, a], word)):
+        pass
     return left - right
 
 
@@ -505,20 +514,6 @@ def omega_gy_relations_check(g: WGraph) -> RelationReport:
     failures = []
     checked = 0
 
-    prods: dict[tuple[int, int, int], LaurentMatrix] = {}
-
-    def alternating(s, t, k) -> LaurentMatrix:
-        # x_s x_t x_s ... with k factors, cached
-        key = (s, t, k)
-        m = prods.get(key)
-        if m is None:
-            if k == 0:
-                m = LaurentMatrix.identity(d)
-            else:
-                m = alternating(s, t, k - 1) @ (om.x[s] if (k - 1) % 2 == 0 else om.x[t])
-            prods[key] = m
-        return m
-
     def block_vanishes(m: LaurentMatrix, i_lab, j_lab) -> bool:
         return not any(
             m.entries[i][j] for i in classes[i_lab] for j in classes[j_lab]
@@ -543,13 +538,18 @@ def omega_gy_relations_check(g: WGraph) -> RelationReport:
             for j_lab in present
             if not {s, t} & j_lab
         ]
+        if not (alpha or both):
+            continue
+        # st[k] = x_s x_t x_s ... and ts[k] = x_t x_s x_t ..., k factors
+        st = list(word_products(om.x, [(s, t)[k % 2] for k in range(m)]))
+        ts = list(word_products(om.x, [(t, s)[k % 2] for k in range(m)]))
         if alpha:
             # sum_k tau_k (x_s x_t ...)_k over the m coefficients of the
             # monic tau_poly(m - 1)
             comb = LaurentMatrix(d, d)
             for k, c in enumerate(tau_poly(m - 1)):
                 if c:
-                    comb = comb + alternating(s, t, k).scale(LaurentPoly({0: c}))
+                    comb = comb + st[k].scale(LaurentPoly({0: c}))
             for i_lab, j_lab in alpha:
                 checked += 1
                 if not block_vanishes(comb, i_lab, j_lab):
@@ -560,9 +560,7 @@ def omega_gy_relations_check(g: WGraph) -> RelationReport:
             continue
         # D_r = (x_s x_t ...)_r - (x_t x_s ...)_r; (beta) compares the
         # arrow blocks X^s_IJ and X^t_IJ, the r = 1 case
-        diffs = {
-            r: alternating(s, t, r) - alternating(t, s, r) for r in range(1, m + 1)
-        }
+        diffs = {r: st[r] - ts[r] for r in range(1, m + 1)}
         for i_lab, j_lab in both:
             checked += 1
             if not block_vanishes(diffs[1], i_lab, j_lab):

@@ -14,7 +14,9 @@ from coxkl.blocks import (
     omega_iso_certificate,
     tw_diagonal_congruence,
 )
+from coxkl.coxeter import build_group
 from coxkl.fixtures import b3_chi9_conjugate, b3_graphs, catalogue, reflection_graph
+from coxkl.kl import KLContext
 from coxkl.laurent import LaurentMatrix, LaurentPoly
 from coxkl.wgraph import WGraph, kl_wgraph, wgraph_matrices
 
@@ -60,6 +62,19 @@ def test_congruence_reduced_word_independent(kl_a2, kl_b3):
         if w.length() <= 3:
             for word in all_reduced_words(kl_b3.engine, w):
                 assert tw_diagonal_congruence(gb, w, word=word).ok, (w, word)
+
+
+@pytest.mark.parametrize("group", ["B3:2,1,1", "B3:1,2,2", "I2(6):3,1"])
+def test_congruence_with_unequal_weights(group):
+    """v^L(w) omega(T_w) for unequal weights: every w, and every reduced
+    word of the w with l(w) <= 3."""
+    eng = build_group(group)
+    g = kl_wgraph(KLContext(eng))
+    for w in eng.elements:
+        assert tw_diagonal_congruence(g, w).ok, w
+        if w.length() <= 3:
+            for word in all_reduced_words(eng, w):
+                assert tw_diagonal_congruence(g, w, word=word).ok, (w, word)
 
 
 def test_congruence_chi7_unsupported_word(b3):

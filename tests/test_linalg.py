@@ -78,6 +78,25 @@ def test_kernel_vector_loses_its_content_and_sign():
     assert laurent_kernel(m) == [[ONE - V, -ONE]]
 
 
+def test_kernel_of_full_column_rank_is_empty():
+    m = LaurentMatrix(3, 2, [[ONE, V], [V, ONE], [ONE, ONE]])
+    assert laurent_kernel(m) == []
+
+
+def test_kernel_verification_catches_a_wrong_vector(monkeypatch):
+    """A planted defect in `_normalize` leaves a vector outside the kernel,
+    and the check of the basis against the matrix refuses it."""
+    normalize = linalg._normalize
+
+    def perturbed(vec):
+        out = normalize(vec)
+        return [out[0] + ONE] + out[1:]
+
+    monkeypatch.setattr(linalg, "_normalize", perturbed)
+    with pytest.raises(ArithmeticError, match="kernel verification failed"):
+        laurent_kernel(LaurentMatrix(1, 2, [[ONE + V, ONE - V * V]]))
+
+
 def test_kernel_vectors_of_intertwiner_systems_are_canonical(kl_b3):
     pairs = [(b3_graphs()["chi9"], b3_chi9_conjugate())]
     pairs += [(g, g) for g, _ in kl_left_cell_wgraphs(kl_b3) if g.size <= 4]

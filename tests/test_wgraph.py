@@ -38,6 +38,7 @@ from coxkl.wgraph import (
     wgraph_from_json,
     wgraph_matrices,
     wgraph_to_json,
+    word_products,
 )
 
 
@@ -326,6 +327,24 @@ def test_representation_walk_matches_word_products(kl_a2):
         seen[w] = m
         assert m == rep.t_matrix(w)
     assert len(seen) == kl_a2.engine.order
+
+
+@pytest.mark.parametrize("name", ["a2_refl", "b3_chi7"])
+def test_word_products_are_the_t_matrices_of_the_prefixes(a2, name):
+    """Each prefix product along a canonical word is rho(T_x) of the
+    prefix's element x, by `t_matrix` and by the walk oracle; the empty
+    word gives the identity alone."""
+    g = reflection_graph(a2) if name == "a2_refl" else b3_graphs()["chi7"]
+    eng, rep = g.engine, wgraph_matrices(g)
+    oracle = dict(walk(rep))
+    assert list(word_products(rep.gens, [])) == [LaurentMatrix.identity(g.size)]
+    for w in eng.elements:
+        word = eng.reduced_word(w)
+        prods = list(word_products(rep.gens, word))
+        assert len(prods) == len(word) + 1
+        for k, m in enumerate(prods):
+            x = eng.from_word(word[:k])
+            assert m == rep.t_matrix(x) == oracle[x], (w, k)
 
 
 def test_omega_matrices(kl_a2):
